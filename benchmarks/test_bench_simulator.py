@@ -9,8 +9,11 @@ import numpy as np
 
 from repro.algorithms import bitonic, matmul
 from repro.calibration.microbench import random_h_relation, time_phase
+from repro.calibration.table1 import calibration_for
 from repro.machines import CM5, GCel, MasParMP1
 from repro.simulator import run_spmd
+from repro.simulator.ir import IRStore, ir_store_scope
+from repro.validation.scoreboard import _models_for
 
 
 def test_engine_superstep_throughput(benchmark):
@@ -47,3 +50,15 @@ def test_matmul_end_to_end(benchmark):
 def test_bitonic_end_to_end(benchmark):
     machine = GCel(seed=0)
     benchmark(lambda: bitonic.run(machine, 256, variant="bpram", seed=0))
+
+
+def test_trace_cost_all_models(benchmark):
+    """Model pricing: a replayed bitonic/MasPar trace (the scoreboard's
+    ``bitonic`` cell) priced under every scoreboard model, as the
+    ablation matrix does per cell."""
+    with ir_store_scope(IRStore()):
+        bitonic.run(MasParMP1(seed=0), 32, variant="bsp", seed=0)
+        trace = bitonic.run(MasParMP1(seed=1), 32, variant="bsp",
+                            seed=0).trace
+    models = _models_for(calibration_for("maspar"))
+    benchmark(lambda: [model.trace_cost(trace) for model in models])

@@ -76,8 +76,7 @@ class CostModel(ABC):
     def trace_cost(self, trace: Trace) -> float:
         """Predicted total running time of a trace."""
         comm = self.comm_cost_batch([s.phase for s in trace])
-        return sum(s.max_work_nominal_us(self.params) + c
-                   for s, c in zip(trace, comm))
+        return sum(w + c for w, c in zip(trace.work_terms(self.params), comm))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(machine={self.params.machine!r})"

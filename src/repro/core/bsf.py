@@ -97,8 +97,7 @@ class BSF(CostModel):
     # ------------------------------------------------------------------
     def t_comp(self, trace: Trace) -> float:
         """Aggregate sequential-equivalent work of the trace, in us."""
-        return float(sum(float(s.work_nominal_us(self.params).sum())
-                         for s in trace))
+        return float(sum(trace.work_totals(self.params)))
 
     def t_interact(self, trace: Trace) -> float:
         """Per-worker share of the serialised master interaction, in us.

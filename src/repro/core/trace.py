@@ -84,6 +84,41 @@ class Trace:
     def __getitem__(self, idx: int) -> Superstep:
         return self.supersteps[idx]
 
+    def work_terms(self, params: ModelParams) -> list[float]:
+        """Every superstep's ``c`` term, in trace order.
+
+        Equal to ``[s.max_work_nominal_us(params) for s in trace]``, but
+        each distinct work dict *object* is priced once per call: IR
+        replay hands every superstep of one batch list the same dict,
+        just as the vector engine interns phases for
+        :meth:`CostModel.comm_cost_batch`.  Nothing outlives the call,
+        so a dict mutated through :meth:`Superstep.add_work` is re-priced.
+        """
+        return self._per_work_dict(
+            lambda s: s.max_work_nominal_us(params))
+
+    def work_totals(self, params: ModelParams) -> list[float]:
+        """Every superstep's aggregate work (summed over processors), in
+        trace order, deduplicated by work dict like :meth:`work_terms`."""
+        return self._per_work_dict(
+            lambda s: float(s.work_nominal_us(params).sum()))
+
+    def _per_work_dict(self, price) -> list[float]:
+        """``[price(s) for s in self]``, calling ``price`` once per
+        distinct non-empty work dict; an empty dict prices as ``0.0``."""
+        seen: dict[int, float] = {}
+        out: list[float] = []
+        for s in self.supersteps:
+            work = s.work
+            if not work:
+                out.append(0.0)
+                continue
+            cost = seen.get(id(work))
+            if cost is None:
+                cost = seen[id(work)] = price(s)
+            out.append(cost)
+        return out
+
     @property
     def measured_us(self) -> float:
         """Total machine-charged time (sum over supersteps)."""

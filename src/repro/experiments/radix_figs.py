@@ -109,8 +109,7 @@ def ext_modern(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
 
         res = radix.run(machine_for("modern", seed=seed + 4), M,
                         variant="bpram", seed=seed)
-        work = sum(float(s.work_nominal_us(params).max())
-                   for s in res.trace)
+        work = sum(res.trace.work_terms(params))
         share.append(work / res.time_us)
         p_max.append(bsf.p_max(res.trace))
 

@@ -252,7 +252,7 @@ def predict_offline(doc_or_req) -> dict:
            else PredictRequest.from_json(doc_or_req))
     res, cal = _simulate(req)
     model = _build_model(req.model, cal)
-    comp = [s.max_work_nominal_us(model.params) for s in res.trace]
+    comp = res.trace.work_terms(model.params)
     comm = model.comm_cost_batch([s.phase for s in res.trace])
     out = _response(req, res, model, comp, comm)
     # cross-check: the breakdown must reproduce trace_cost exactly
@@ -398,6 +398,6 @@ def evaluate_batch(items: list[tuple[str, tuple, PredictRequest]]
             n = len(res.trace)
             comm = comm_all[at:at + n]
             at += n
-            comp = [s.max_work_nominal_us(model.params) for s in res.trace]
+            comp = res.trace.work_terms(model.params)
             out[key] = _response(req, res, model, comp, comm)
     return out

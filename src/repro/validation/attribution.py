@@ -77,14 +77,16 @@ def attribute_error(trace: Trace, model: CostModel) -> list[LabelError]:
     Returns one :class:`LabelError` per label family, sorted by absolute
     gap — the first entry answers "where is the model wrong?".
     """
+    if any(np.isnan(step.measured_us) for step in trace):
+        raise TraceError("trace contains unsimulated supersteps")
+    comp = trace.work_terms(model.params)
+    comm = model.comm_cost_batch([step.phase for step in trace])
     measured: dict[str, float] = {}
     predicted: dict[str, float] = {}
-    for step in trace:
-        if np.isnan(step.measured_us):
-            raise TraceError("trace contains unsimulated supersteps")
+    for step, w, c in zip(trace, comp, comm):
         key = _family(step.label)
         measured[key] = measured.get(key, 0.0) + step.measured_us
-        predicted[key] = predicted.get(key, 0.0) + model.superstep_cost(step)
+        predicted[key] = predicted.get(key, 0.0) + (w + c)
     rows = [LabelError(label=k, measured_us=measured[k],
                        predicted_us=predicted[k]) for k in measured]
     rows.sort(key=lambda r: -abs(r.gap_us))

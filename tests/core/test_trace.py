@@ -74,3 +74,72 @@ class TestTrace:
         tr.append(simple_step())
         text = tr.summary()
         assert "demo" in text and "h1=1" in text and "M=8" in text
+
+
+def shared_work_trace():
+    """Five supersteps: three share one work dict, two carry none."""
+    shared = {0: [Flops(100), Generic(5.0)], 3: [Flops(50)]}
+    own = {1: [Flops(7)]}
+    tr = Trace(P=8)
+    for work in (shared, {}, shared, own, shared, None):
+        step = simple_step()
+        if work is not None:
+            step.work = work
+        tr.append(step)
+    return tr, shared
+
+
+class TestWorkTerms:
+    def test_equals_per_step_max_exactly(self):
+        tr, _ = shared_work_trace()
+        expected = [s.max_work_nominal_us(CM5) for s in tr]
+        assert tr.work_terms(CM5) == expected
+        assert expected[1] == expected[5] == 0.0
+
+    def test_totals_equal_per_step_sums_exactly(self):
+        tr, _ = shared_work_trace()
+        assert tr.work_totals(CM5) == [float(s.work_nominal_us(CM5).sum())
+                                       for s in tr]
+
+    def test_empty_trace(self):
+        assert Trace(P=8).work_terms(CM5) == []
+
+    def test_shared_dict_mutated_between_calls_is_repriced(self):
+        tr, shared = shared_work_trace()
+        before = tr.work_terms(CM5)
+        tr[0].add_work(3, Flops(10_000))
+        after = tr.work_terms(CM5)
+        assert after != before
+        assert after == [s.max_work_nominal_us(CM5) for s in tr]
+        # the mutation reaches every superstep sharing the dict
+        for i in (0, 2, 4):
+            assert after[i] == pytest.approx(10_050 * CM5.alpha)
+
+    def test_replayed_trace_prices_each_distinct_dict_once(self,
+                                                           monkeypatch):
+        from repro.algorithms import bitonic
+        from repro.machines import MasParMP1
+        from repro.simulator.ir import IRStore, ir_store_scope
+
+        with ir_store_scope(IRStore()) as store:
+            bitonic.run(MasParMP1(seed=0), 128, P=16, seed=5, engine="ir")
+            res = bitonic.run(MasParMP1(seed=1), 128, P=16, seed=5,
+                              engine="ir")
+            assert store.memory_hits == 1
+        trace = res.trace
+        distinct = {id(s.work) for s in trace if s.work}
+        steps = sum(1 for s in trace if s.work)
+        assert 0 < len(distinct) < steps  # replay shares work dicts
+
+        calls = []
+        original = Superstep.max_work_nominal_us
+
+        def spy(self, params):
+            calls.append(id(self.work))
+            return original(self, params)
+
+        monkeypatch.setattr(Superstep, "max_work_nominal_us", spy)
+        terms = trace.work_terms(CM5)
+        assert sorted(calls) == sorted(distinct)
+        monkeypatch.undo()
+        assert terms == [s.max_work_nominal_us(CM5) for s in trace]
