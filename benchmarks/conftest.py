@@ -13,6 +13,21 @@ import pytest
 from repro.experiments import get
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _isolated_result_cache(tmp_path_factory):
+    """Point the result cache and IR store at a per-session directory.
+
+    Keeps benchmarks hermetic: they never read warm entries from, or
+    write results and step programs into, the user's ``~/.cache/repro``.
+    One directory per session (not per test) so repeated rounds of one
+    benchmark see the same warm state.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR",
+                  str(tmp_path_factory.mktemp("repro-cache")))
+        yield
+
+
 @pytest.fixture
 def run_experiment():
     """Run a registered experiment and assert its checks."""

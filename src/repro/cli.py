@@ -208,16 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--processes", type=_positive_int, default=1,
                        metavar="N",
                        help="worker processes; > 1 boots the pre-fork "
-                            "fleet with a shared result arena "
-                            "(default 1)")
-    serve.add_argument("--arena-slots", type=_positive_int, default=1024,
-                       metavar="N",
-                       help="shared-arena result slots (fleet mode; "
-                            "default 1024)")
-    serve.add_argument("--arena-slot-kb", type=_positive_int, default=32,
-                       metavar="KB",
-                       help="bytes per shared-arena slot, in KiB (fleet "
-                            "mode; default 32)")
+                            "fleet (default 1)")
     serve.add_argument("--window-ms", type=_nonneg_float, default=2.0,
                        metavar="MS",
                        help="micro-batching window (default 2.0 ms)")
@@ -714,8 +705,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         faults=plan.render() if plan else None,
         request_timeout_s=args.request_timeout,
         processes=args.processes,
-        arena_slots=args.arena_slots,
-        arena_slot_bytes=args.arena_slot_kb * 1024,
         engine=args.engine))
 
 

@@ -42,7 +42,6 @@ KNOWN_POINTS: dict[str, str] = {
     "dispatch-slow": "service batch evaluation sleeps `delay` seconds",
     "lru-storm": "service prediction LRU fully evicted before the probe",
     "worker-exit": "fleet worker process dies (os._exit) mid-request",
-    "arena-poison": "shared-arena write corrupts the stored payload",
     "handoff-loss": "accepted connection dropped before reading a request",
 }
 

@@ -19,13 +19,6 @@ so the caller recomputes and the next ``put`` heals the slot.  The
 chaos suite drives this path via the ``cache-corrupt``/``cache-truncate``
 /``cache-stale`` fault points, which mangle the payload between
 serialisation and the atomic rename.
-
-Fleet mode: when a shared-memory arena is attached (``arena=``), the
-exact on-disk entry text is mirrored into it, so sibling worker
-processes hit warm entries without touching the filesystem.  Arena
-entries carry the same embedded checksum as the files and go through
-the same verification on read — a poisoned arena slot is invalidated
-and the read falls back to disk (and from there to recompute).
 """
 
 from __future__ import annotations
@@ -94,11 +87,9 @@ class CacheStats:
 class ResultCache:
     """Read/write access to the content-addressed result store."""
 
-    def __init__(self, root: Path | str | None = None, *, arena=None):
+    def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root is not None else default_cache_root()
         self.stats = CacheStats()
-        #: optional cross-process entry mirror (fleet mode).
-        self.arena = arena
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
@@ -129,10 +120,6 @@ class ResultCache:
             return None
         return doc
 
-    @staticmethod
-    def _arena_key(key: str) -> bytes:
-        return f"rc:{key}".encode()
-
     def get_doc(self, key: str, label: str = "?") -> dict | None:
         """The raw JSON payload cached under ``key``, or None.
 
@@ -141,18 +128,6 @@ class ResultCache:
         JSON instead of an :class:`ExperimentResult` (the ablation
         harness caches per-cell scoreboard documents this way).
         """
-        if self.arena is not None:
-            hot = self.arena.get(self._arena_key(key))
-            if hot is not None:
-                try:
-                    doc = self._verify_payload(hot.decode())
-                except UnicodeDecodeError:
-                    doc = None
-                if doc is not None:
-                    self.stats.record(label, hit=True)
-                    return doc["result"]
-                # poisoned slot: drop it and fall back to disk
-                self.arena.invalidate(self._arena_key(key))
         path = self._path(key)
         try:
             with open(path) as fh:
@@ -165,8 +140,6 @@ class ResultCache:
             self._quarantine(path)
             self.stats.record(label, hit=False)
             return None
-        if self.arena is not None:
-            self.arena.put(self._arena_key(key), raw.encode())
         self.stats.record(label, hit=True)
         return doc["result"]
 
@@ -226,10 +199,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        if self.arena is not None:
-            # mirror the exact stored text — fault-mangled payloads stay
-            # mangled, so arena readers verify the same bytes as disk
-            self.arena.put(self._arena_key(key), payload.encode())
         self.stats.stores += 1
         return path
 

@@ -5,7 +5,7 @@ model comparisons and experiment results on an asyncio HTTP server whose
 hot path micro-batches concurrent requests onto the vector engine's
 batched pricers, with an LRU over the calibration memo.  ``repro serve
 --processes N`` scales that out to a pre-fork fleet sharing one
-result arena and metrics board (:mod:`.fleet`, :mod:`.shm`).  ``repro
+metrics board (:mod:`.fleet`, :mod:`.shm`).  ``repro
 loadtest`` is the closed-loop client harness.  See docs/SERVICE.md.
 """
 
@@ -19,7 +19,7 @@ from .oracle import (ALGORITHMS, MODELS, OracleError, PredictRequest,
                      compare_offline, evaluate_batch, predict_offline)
 from .server import (ReproService, ServiceApp, ServiceConfig, ServiceThread,
                      run_service)
-from .shm import ArenaStats, MetricsBoard, SharedArena
+from .shm import MetricsBoard
 
 __all__ = [
     "LRUCache", "MicroBatcher",
@@ -32,5 +32,5 @@ __all__ = [
     "compare_offline", "evaluate_batch", "predict_offline",
     "ReproService", "ServiceApp", "ServiceConfig", "ServiceThread",
     "run_service",
-    "ArenaStats", "MetricsBoard", "SharedArena",
+    "MetricsBoard",
 ]

@@ -23,20 +23,11 @@ near 1.0 keeps batches cheap rather than bypassing them.
 
 All bookkeeping (LRU, metrics, futures) happens on the event-loop
 thread; executor threads only ever see immutable job lists.
-
-Fleet mode adds a read-through layer: when a shared-memory arena
-(:class:`repro.service.shm.SharedArena`) is attached, LRU misses probe
-the arena before dispatching — a warm result computed by *any* worker
-process resolves locally without re-simulation — and every computed
-result is published back.  Arena payloads are the compact JSON dump of
-the result, so a cross-process hit re-parses to the identical object
-and the rendered response stays byte-identical to a local compute.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
@@ -93,8 +84,7 @@ class MicroBatcher:
                  max_batch: int = 256, workers: int = 2,
                  lru_size: int = 4096, metrics=None,
                  retry: RetryPolicy | None = None,
-                 saturation_limit: int = 2048, sleep=None,
-                 arena=None):
+                 saturation_limit: int = 2048, sleep=None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if workers < 1:
@@ -115,8 +105,6 @@ class MicroBatcher:
                                           max_delay_s=0.1)
         #: in-flight futures past this → the router sheds load with 503.
         self.saturation_limit = saturation_limit
-        #: optional cross-process result arena (fleet mode).
-        self.arena = arena
         self._sleep = sleep or asyncio.sleep
         self._in_q: asyncio.Queue = asyncio.Queue()
         self._job_q: asyncio.Queue = asyncio.Queue()
@@ -205,8 +193,6 @@ class MicroBatcher:
                 counter = (self.metrics.lru_hits if hit is not None
                            else self.metrics.lru_misses)
                 counter.inc(kind=kind)
-            if hit is None:
-                hit = self._arena_probe(key)
             if hit is not None:
                 fut.set_result(hit)
                 continue
@@ -215,36 +201,6 @@ class MicroBatcher:
             kinds[key] = kind
         if jobs:
             self._job_q.put_nowait((jobs, kinds))
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _arena_key(key: tuple) -> bytes:
-        # keys are tuples of primitives, so repr() is deterministic
-        # across worker processes (no hash-order dependence)
-        return repr(key).encode()
-
-    def _arena_probe(self, key: tuple):
-        """Cross-process lookup: parse a sibling worker's result."""
-        if self.arena is None:
-            return None
-        raw = self.arena.get(self._arena_key(key))
-        if raw is None:
-            return None
-        try:
-            value = json.loads(raw.decode())
-        except (ValueError, UnicodeDecodeError):
-            return None
-        self.cache.put(key, value)
-        return value
-
-    def _arena_publish(self, key: tuple, value) -> None:
-        if self.arena is None:
-            return
-        try:
-            payload = json.dumps(value, separators=(",", ":")).encode()
-        except (TypeError, ValueError):
-            return
-        self.arena.put(self._arena_key(key), payload)
 
     async def _work(self) -> None:
         loop = asyncio.get_running_loop()
@@ -258,7 +214,6 @@ class MicroBatcher:
                     key, KeyError(f"evaluator returned nothing for {key!r}"))
                 if not isinstance(got, Exception):
                     self.cache.put(key, got)
-                    self._arena_publish(key, got)
                 for fut in futs:
                     if fut.cancelled():
                         continue

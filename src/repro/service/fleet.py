@@ -1,9 +1,11 @@
 """Pre-fork fleet supervisor: ``repro serve --processes N``.
 
 One parent process resolves the port, warms the calibration memo,
-creates the shared result arena and metrics board, then forks N
-workers.  Each worker runs the unchanged asyncio server
-(:class:`~repro.service.server.ReproService`) over the shared segments:
+creates the shared metrics board, then forks N workers.  Each worker
+runs the unchanged asyncio server
+(:class:`~repro.service.server.ReproService`) with its own prediction
+LRU; the on-disk result cache is the fleet's shared warm store, exactly
+as for a single process:
 
 - **Socket strategy.**  Where the kernel supports ``SO_REUSEPORT`` the
   parent binds a *placeholder* socket (bound, never listening — it
@@ -21,7 +23,7 @@ workers.  Each worker runs the unchanged asyncio server
   to every worker; each worker stops accepting, finishes in-flight
   responses and drains its batcher before exiting.  The parent waits
   up to ``drain_timeout_s``, SIGKILLs stragglers, reaps everything —
-  no orphans, no zombie sockets — then unlinks the shared segments.
+  no orphans, no zombie sockets — then unlinks the metrics board.
 - **Fleet metrics.**  Workers publish registry snapshots into the
   board; the supervisor publishes its own region (live worker count,
   spawn/respawn totals) so any worker's ``/metrics`` answer covers the
@@ -45,7 +47,7 @@ import time
 
 from .. import __version__
 from .server import ReproService, ServiceApp, ServiceConfig
-from .shm import MetricsBoard, SharedArena
+from .shm import MetricsBoard
 
 __all__ = ["run_fleet"]
 
@@ -78,14 +80,12 @@ def _bind(config: ServiceConfig):
     return None, sock, port
 
 
-async def _worker_amain(config: ServiceConfig, listen_sock, arena,
-                        board) -> None:
+async def _worker_amain(config: ServiceConfig, listen_sock, board) -> None:
     if listen_sock is None:
         # REUSEPORT path: this worker joins the port's listener group
         listen_sock = socket.create_server(
             (config.host, config.port), reuse_port=True, backlog=1024)
-    service = ReproService(config, arena=arena, board=board,
-                           listen_sock=listen_sock)
+    service = ReproService(config, board=board, listen_sock=listen_sock)
     await service.start()
     service.install_signal_handlers()
     try:
@@ -94,7 +94,7 @@ async def _worker_amain(config: ServiceConfig, listen_sock, arena,
         await service.stop()
 
 
-def _worker_main(config: ServiceConfig, shared_sock, arena, board,
+def _worker_main(config: ServiceConfig, shared_sock, board,
                  placeholder) -> int:
     # clear the supervisor's handlers inherited through fork; the
     # worker's event loop installs its own graceful-drain handlers
@@ -103,7 +103,7 @@ def _worker_main(config: ServiceConfig, shared_sock, arena, board,
     if placeholder is not None:
         placeholder.close()
     try:
-        asyncio.run(_worker_amain(config, shared_sock, arena, board))
+        asyncio.run(_worker_amain(config, shared_sock, board))
     except KeyboardInterrupt:
         pass
     except Exception:  # noqa: BLE001 — worker death is supervised
@@ -122,8 +122,6 @@ def run_fleet(config: ServiceConfig) -> int:
         ServiceApp.warm()
     placeholder, shared, port = _bind(config)
     config = dataclasses.replace(config, port=port, warm=False)
-    arena = SharedArena.create(slots=config.arena_slots,
-                               slot_bytes=config.arena_slot_bytes)
     board = MetricsBoard.create(n + 1)  # region n is the supervisor's
 
     children: dict[int, int] = {}  # pid -> worker index
@@ -137,7 +135,7 @@ def run_fleet(config: ServiceConfig) -> int:
         if pid == 0:
             code = 1
             try:
-                code = _worker_main(cfg, shared, arena, board, placeholder)
+                code = _worker_main(cfg, shared, board, placeholder)
             finally:
                 os._exit(code)
         children[pid] = index
@@ -175,8 +173,7 @@ def run_fleet(config: ServiceConfig) -> int:
     print(f"repro.fleet {__version__} listening on "
           f"http://{config.host}:{port} (processes={n} mode={mode} "
           f"workers={config.workers} window={config.window_ms}ms "
-          f"max-batch={config.max_batch} lru={config.lru_size} "
-          f"arena={config.arena_slots}x{config.arena_slot_bytes})",
+          f"max-batch={config.max_batch} lru={config.lru_size})",
           flush=True)
 
     exit_code = 0
@@ -244,7 +241,6 @@ def run_fleet(config: ServiceConfig) -> int:
             placeholder.close()
         if shared is not None:
             shared.close()
-        arena.destroy()
         board.destroy()
         print("fleet: drained and stopped", flush=True)
     return exit_code

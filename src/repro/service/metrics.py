@@ -23,7 +23,6 @@ metric                                    type       labels
 ``repro_faults_injected_total``           counter    ``point``
 ``repro_retries_total``                   counter    ``site``
 ``repro_rejected_total``                  counter    ``reason``
-``repro_arena_ops_total``                 counter    ``op``
 ========================================  =========  ======================
 
 ``repro_faults_injected_total`` / ``repro_retries_total`` /
@@ -31,9 +30,6 @@ metric                                    type       labels
 (:mod:`repro.faults`): how often each fault point fired, how many
 bounded retries the dispatcher spent, and why requests were shed
 (``breaker`` | ``saturated`` | ``deadline``).
-``repro_arena_ops_total`` mirrors the shared-memory arena's counters
-(``hit`` | ``miss`` | ``put`` | ``skip`` | ``quarantine`` |
-``contended``) when the fleet arena is attached.
 
 Fleet aggregation: every metric can dump a structural
 :meth:`~_Metric.snapshot`; :func:`merge_snapshots` folds the snapshots
@@ -101,12 +97,6 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0, **labels) -> None:
         key = tuple(str(labels[n]) for n in self.labelnames)
         self._values[key] = self._values.get(key, 0.0) + amount
-
-    def set(self, value: float, **labels) -> None:
-        """Absolute update — for mirroring an externally maintained
-        monotonic count (e.g. the shared arena's own stats)."""
-        key = tuple(str(labels[n]) for n in self.labelnames)
-        self._values[key] = float(value)
 
     def value(self, **labels) -> float:
         key = tuple(str(labels[n]) for n in self.labelnames)
@@ -285,8 +275,6 @@ class ServiceMetrics:
         self.rejected = r.register(Counter(
             "repro_rejected_total",
             "Requests shed for graceful degradation.", ("reason",)))
-        self.arena_ops = r.register(Counter(
-            "repro_arena_ops_total", "Shared-arena operations.", ("op",)))
         info = r.register(Gauge(
             "repro_service_info", "Service metadata.", ("version",)))
         info.set(1, version=version)

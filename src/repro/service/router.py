@@ -84,7 +84,6 @@ async def healthz(app, request: Request) -> Response:
         "processes": app.config.processes,
         "workers": app.config.workers,
         "worker_index": app.config.worker_index,
-        "arena": app.arena is not None,
     })
 
 
@@ -267,7 +266,6 @@ async def metrics(app, request: Request) -> Response:
     the shared board (the supervisor's fleet gauges included), and
     renders the merged totals — any worker answers for the whole fleet.
     """
-    app.sync_arena_metrics()
     if app.board is None:
         return Response.text(app.metrics.render())
     from .metrics import merge_snapshots, render_snapshot

@@ -53,11 +53,8 @@ class ServiceConfig:
     warm: bool = True
     drain_timeout_s: float = 10.0
     #: worker processes; > 1 boots the pre-fork fleet supervisor
-    #: (:mod:`repro.service.fleet`) with a shared result arena.
+    #: (:mod:`repro.service.fleet`).
     processes: int = 1
-    #: shared-arena geometry (fleet mode only).
-    arena_slots: int = 1024
-    arena_slot_bytes: int = 32768
     #: set in fleet workers: this process's index in [0, processes).
     worker_index: int | None = None
     #: fault plan text (``repro serve --faults``), installed at boot.
@@ -82,20 +79,14 @@ class ServiceConfig:
 class ServiceApp:
     """Shared handler state (what :mod:`.router` handlers see as ``app``)."""
 
-    def __init__(self, config: ServiceConfig, *, arena=None, board=None):
-        from ..simulator.vector import ENGINES
+    def __init__(self, config: ServiceConfig, *, board=None):
+        from ..simulator.vector import ENGINES, engine_scope
 
         self.config = config
-        self.arena = arena
         self.board = board
         if config.engine not in ENGINES:
             raise ValueError(f"unknown engine {config.engine!r}; "
                              f"expected one of {ENGINES}")
-        if config.engine != "auto":
-            # process-wide pin: evaluation paths resolve engine="auto"
-            # through $REPRO_ENGINE (fleet workers get their own copy of
-            # the config and re-pin in their own process)
-            os.environ["REPRO_ENGINE"] = config.engine
         self.metrics = ServiceMetrics(version=__version__)
         self._injector = None
         if config.faults:
@@ -111,8 +102,7 @@ class ServiceApp:
             metrics=self.metrics,
             retry=RetryPolicy(max_attempts=3, base_delay_s=0.01,
                               max_delay_s=0.1),
-            saturation_limit=config.saturation_limit,
-            arena=arena)
+            saturation_limit=config.saturation_limit)
         self.router = default_router()
         #: per-prediction-key circuit breakers (fault isolation: one
         #: poisoned key never takes down its neighbours).
@@ -128,27 +118,20 @@ class ServiceApp:
         from ..experiments import all_experiments
         from ..runner import ResultCache
         self.experiments = all_experiments()
-        self.result_cache = ResultCache(config.cache_dir, arena=arena)
+        self.result_cache = ResultCache(config.cache_dir)
+        # process-wide pin until close(), taken last so a failed
+        # constructor leaves none behind: evaluation paths resolve
+        # engine="auto" through $REPRO_ENGINE (fleet workers get their
+        # own copy of the config and re-pin in their own process)
+        self._pins = contextlib.ExitStack()
+        self._pins.enter_context(engine_scope(config.engine))
 
     @property
     def uptime_s(self) -> float:
         return time.monotonic() - self._started_at
 
-    def sync_arena_metrics(self) -> None:
-        """Mirror the arena's own counters into ``repro_arena_ops_total``.
-
-        The arena keeps its counts itself (hits from the batcher *and*
-        the result cache land in one place), so the Prometheus counter
-        is an absolute mirror taken at scrape/publish time.
-        """
-        if self.arena is None:
-            return
-        for op, n in self.arena.stats.as_dict().items():
-            self.metrics.arena_ops.set(n, op=op)
-
     def metrics_snapshot(self) -> list[dict]:
         """This worker's registry snapshot (fleet aggregation unit)."""
-        self.sync_arena_metrics()
         return self.metrics.snapshot()
 
     def _evaluate(self, items):
@@ -180,10 +163,13 @@ class ServiceApp:
         return breaker
 
     def close(self) -> None:
-        """Release process-global state installed at boot."""
+        """Release process-global state installed at boot: the fault
+        plan and the ``$REPRO_ENGINE`` pin (restored to its prior
+        value)."""
         if self._injector is not None:
             deactivate()
             self._injector = None
+        self._pins.close()
 
     def run_experiment(self, exp_id: str, scale: float, seed: int):
         """Blocking experiment run (executor thread), via the runner cache."""
@@ -209,15 +195,14 @@ class ReproService:
     """The asyncio HTTP server around one :class:`ServiceApp`.
 
     In fleet mode each worker process runs one of these over a shared
-    arena/metrics board (``arena=``/``board=``) and either its own
-    SO_REUSEPORT socket or an inherited shared listener
-    (``listen_sock=``).
+    metrics board (``board=``) and either its own SO_REUSEPORT socket
+    or an inherited shared listener (``listen_sock=``).
     """
 
     def __init__(self, config: ServiceConfig | None = None, *,
-                 arena=None, board=None, listen_sock=None):
+                 board=None, listen_sock=None):
         self.config = config or ServiceConfig()
-        self.app = ServiceApp(self.config, arena=arena, board=board)
+        self.app = ServiceApp(self.config, board=board)
         self._listen_sock = listen_sock
         self._server: asyncio.base_events.Server | None = None
         self._conn_tasks: set[asyncio.Task] = set()
@@ -403,9 +388,8 @@ class ServiceThread:
     """
 
     def __init__(self, config: ServiceConfig | None = None, *,
-                 arena=None, board=None):
+                 board=None):
         self.config = config or ServiceConfig(port=0)
-        self.arena = arena
         self.board = board
         self.service: ReproService | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -424,8 +408,7 @@ class ServiceThread:
 
     async def _amain(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self.service = ReproService(self.config, arena=self.arena,
-                                    board=self.board)
+        self.service = ReproService(self.config, board=self.board)
         await self.service.start()
         self._ready.set()
         try:

@@ -1,299 +1,29 @@
-"""Shared-memory primitives for the multi-process fleet.
+"""Shared-memory metrics board for the multi-process fleet.
 
-Two fixed-layout segments make warm state fleet-wide:
+:class:`MetricsBoard` holds one fixed-size region per fleet member into
+which each worker publishes a JSON snapshot of its metrics registry, so
+any worker can answer ``GET /metrics`` with fleet-wide totals.
 
-* :class:`SharedArena` — a slot-based result cache over
-  ``multiprocessing.shared_memory`` (or any writable buffer).  A result
-  computed by one worker process is a hit for every other worker, which
-  is what keeps the pre-fork fleet's LRU economics identical to the
-  single-process server's.
-* :class:`MetricsBoard` — one seqlock-guarded region per process into
-  which each worker publishes a JSON snapshot of its metrics registry,
-  so any worker can answer ``GET /metrics`` with fleet-wide totals.
-
-Both are **lock-free by design**: Python cannot express atomic
+The board is **lock-free by design**: Python cannot express atomic
 compare-and-swap over shared memory, so correctness never depends on
-mutual exclusion.  Every slot carries a *seqlock* (an even/odd version
-counter bracketing each write) and a truncated SHA-256 checksum over
-``key + value``.  A reader accepts a slot only if the sequence number is
-even, unchanged across the copy, and the checksum verifies; anything
-else — a torn write, two writers colliding, deliberate corruption from
-the ``arena-poison`` fault point — is *quarantined* (the slot is
-zeroed) and reported as a miss, so the caller recomputes and the next
-put heals the slot.  Writers of the same key store byte-identical
-payloads (the single-flight discipline upstream guarantees one logical
-value per key), so even a write-write race over one slot produces a
-valid entry.
-
-The arena is an optimisation layer, never an authority: a miss —
-spurious or real — only costs a recompute that is bit-identical by
-construction.
+mutual exclusion.  Each region has one writer (its own process) and
+carries a *seqlock* — an even/odd version counter bracketing each
+write.  A reader accepts a region only if the sequence number is even
+and unchanged across the copy and the payload parses; a torn read is
+reported as absent and the next publish replaces it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
 import time
-from dataclasses import dataclass
 
-from ..faults import fault_flag
-
-__all__ = ["SharedArena", "ArenaStats", "MetricsBoard", "arena_size"]
-
-#: arena file header: magic, slot count, slot size, write ticket.
-_HEADER = struct.Struct("<8sIIQ")
-_MAGIC = b"RPRARN1\0"
-#: per-slot header: seq, stamp, key hash, key len, value len, checksum.
-_SLOT = struct.Struct("<QQQII16s")
-#: open-addressing probe depth per key.
-_PROBES = 8
+__all__ = ["MetricsBoard"]
 
 #: metrics-board region header: seq, pid, publish time, payload length.
 _REGION = struct.Struct("<QQdI")
-
-
-def _hash64(key: bytes) -> int:
-    """A 64-bit key hash stable across processes and interpreter runs
-    (``hash()`` is salted by PYTHONHASHSEED; SHA-256 is not)."""
-    return int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
-
-
-def _checksum(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()[:16]
-
-
-def arena_size(slots: int, slot_bytes: int) -> int:
-    """Total buffer size an arena of this geometry needs."""
-    return _HEADER.size + slots * slot_bytes
-
-
-@dataclass
-class ArenaStats:
-    """Per-process counters of one :class:`SharedArena` handle."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    #: puts skipped: value too large for a slot, or no stable victim.
-    skips: int = 0
-    #: slots zeroed after failing seqlock/checksum verification.
-    quarantined: int = 0
-    #: probes that found a write in progress (odd seq / seq moved).
-    contended: int = 0
-
-    def as_dict(self) -> dict:
-        return {"hit": self.hits, "miss": self.misses, "put": self.puts,
-                "skip": self.skips, "quarantine": self.quarantined,
-                "contended": self.contended}
-
-
-class SharedArena:
-    """A fixed-geometry, checksum-verified result cache over a shared
-    buffer.
-
-    ``slots`` fixed-size slots are addressed by open probing on a
-    64-bit key hash; each holds one ``key + value`` entry.  ``get``
-    returns the exact bytes a ``put`` stored, or ``None`` — never torn
-    or foreign data (see module docstring for the verification ladder).
-    """
-
-    def __init__(self, buf, *, shm=None, owner: bool = False):
-        magic, slots, slot_bytes, _ = _HEADER.unpack_from(buf, 0)
-        if magic != _MAGIC:
-            raise ValueError("buffer does not hold a repro arena")
-        self.buf = buf
-        self.slots = slots
-        self.slot_bytes = slot_bytes
-        self.stats = ArenaStats()
-        self._shm = shm
-        self._owner = owner
-
-    # -- construction --------------------------------------------------
-    @staticmethod
-    def format(buf, slots: int, slot_bytes: int) -> None:
-        """Write an empty arena header into a zeroed buffer."""
-        if slots < 1 or slot_bytes <= _SLOT.size:
-            raise ValueError(
-                f"bad arena geometry: {slots} slots x {slot_bytes} bytes")
-        _HEADER.pack_into(buf, 0, _MAGIC, slots, slot_bytes, 0)
-
-    @classmethod
-    def create(cls, slots: int = 1024,
-               slot_bytes: int = 32768) -> "SharedArena":
-        """A new arena in OS shared memory (zero-filled by the kernel).
-
-        The creating process *owns* the segment: only its
-        :meth:`destroy` unlinks the backing file.  Forked children
-        inherit the mapping and must not unlink it.
-        """
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(
-            create=True, size=arena_size(slots, slot_bytes))
-        cls.format(shm.buf, slots, slot_bytes)
-        return cls(shm.buf, shm=shm, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "SharedArena":
-        """Attach to an existing arena segment by name (debugging)."""
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        return cls(shm.buf, shm=shm)
-
-    @classmethod
-    def over(cls, slots: int, slot_bytes: int) -> "SharedArena":
-        """An arena over a plain ``bytearray`` (unit tests)."""
-        buf = bytearray(arena_size(slots, slot_bytes))
-        cls.format(buf, slots, slot_bytes)
-        return cls(buf)
-
-    @property
-    def name(self) -> str | None:
-        return self._shm.name if self._shm is not None else None
-
-    # -- internals -----------------------------------------------------
-    def _off(self, index: int) -> int:
-        return _HEADER.size + index * self.slot_bytes
-
-    def _probe(self, key_hash: int):
-        for i in range(min(_PROBES, self.slots)):
-            yield (key_hash + i) % self.slots
-
-    def _next_ticket(self) -> int:
-        # non-atomic read-increment-write: the ticket only orders
-        # approximate LRU eviction, so a lost increment is harmless
-        ticket = _HEADER.unpack_from(self.buf, 0)[3] + 1
-        _HEADER.pack_into(self.buf, 0, _MAGIC, self.slots, self.slot_bytes,
-                          ticket)
-        return ticket
-
-    def _quarantine(self, off: int) -> None:
-        """Zero a slot that failed verification (self-healing miss)."""
-        _SLOT.pack_into(self.buf, off, 0, 0, 0, 0, 0, b"\0" * 16)
-        self.stats.quarantined += 1
-
-    # -- the cache interface -------------------------------------------
-    def get(self, key: bytes) -> bytes | None:
-        """The exact bytes stored under ``key``, or ``None``."""
-        h = _hash64(key)
-        for idx in self._probe(h):
-            off = self._off(idx)
-            seq1, _, khash, klen, vlen, digest = _SLOT.unpack_from(self.buf,
-                                                                   off)
-            if khash != h or klen != len(key) or klen == 0:
-                continue
-            if seq1 % 2:
-                self.stats.contended += 1
-                continue
-            if _SLOT.size + klen + vlen > self.slot_bytes:
-                self._quarantine(off)
-                continue
-            lo = off + _SLOT.size
-            data = bytes(self.buf[lo:lo + klen + vlen])
-            if _SLOT.unpack_from(self.buf, off)[0] != seq1:
-                self.stats.contended += 1
-                continue
-            if data[:klen] != key:
-                continue
-            if _checksum(data) != digest:
-                self._quarantine(off)
-                continue
-            self.stats.hits += 1
-            return data[klen:]
-        self.stats.misses += 1
-        return None
-
-    def put(self, key: bytes, value: bytes) -> bool:
-        """Store ``key -> value``; best effort (False = skipped).
-
-        Slot choice: the first probed slot that is empty or already
-        holds this key, else the probed slot with the oldest write
-        ticket.  A slot mid-write (odd seq) is never chosen.
-        """
-        need = _SLOT.size + len(key) + len(value)
-        if need > self.slot_bytes or not key:
-            self.stats.skips += 1
-            return False
-        h = _hash64(key)
-        target = None
-        oldest, oldest_stamp = None, None
-        for idx in self._probe(h):
-            off = self._off(idx)
-            seq, stamp, khash, klen, _, _ = _SLOT.unpack_from(self.buf, off)
-            if seq % 2:
-                self.stats.contended += 1
-                continue
-            if klen == 0 or (khash == h and klen == len(key)):
-                target = off
-                break
-            if oldest_stamp is None or stamp < oldest_stamp:
-                oldest, oldest_stamp = off, stamp
-        off = target if target is not None else oldest
-        if off is None:
-            self.stats.skips += 1
-            return False
-        seq = _SLOT.unpack_from(self.buf, off)[0]
-        if seq % 2:
-            self.stats.contended += 1
-            return False
-        data = key + value
-        digest = _checksum(data)
-        if value and fault_flag("arena-poison"):
-            # the stored checksum stays honest, so every reader detects
-            # the mangled payload and quarantines the slot
-            data = data[:-1] + bytes([data[-1] ^ 0xFF])
-        ticket = self._next_ticket()
-        # seqlock write: header with odd seq, then data, then even seq
-        _SLOT.pack_into(self.buf, off, seq + 1, ticket, h, len(key),
-                        len(value), digest)
-        lo = off + _SLOT.size
-        self.buf[lo:lo + len(data)] = data
-        struct.pack_into("<Q", self.buf, off, seq + 2)
-        self.stats.puts += 1
-        return True
-
-    def invalidate(self, key: bytes) -> bool:
-        """Drop ``key``'s slot if present (poisoned-entry eviction)."""
-        h = _hash64(key)
-        for idx in self._probe(h):
-            off = self._off(idx)
-            _, _, khash, klen, _, _ = _SLOT.unpack_from(self.buf, off)
-            if khash == h and klen == len(key):
-                self._quarantine(off)
-                return True
-        return False
-
-    def entries(self) -> int:
-        """Occupied slots (approximate under concurrent writes)."""
-        count = 0
-        for idx in range(self.slots):
-            if _SLOT.unpack_from(self.buf, self._off(idx))[3]:
-                count += 1
-        return count
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self) -> None:
-        """Detach this handle's mapping (never unlinks)."""
-        if self._shm is not None:
-            self.buf = bytearray(_HEADER.size)  # drop buffer references
-            try:
-                self._shm.close()
-            except (OSError, BufferError):
-                pass
-
-    def destroy(self) -> None:
-        """Owner teardown: detach and unlink the backing segment."""
-        shm = self._shm
-        self.close()
-        if shm is not None and self._owner:
-            try:
-                shm.unlink()
-            except OSError:
-                pass
 
 
 class MetricsBoard:

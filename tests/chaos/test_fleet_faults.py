@@ -1,14 +1,11 @@
-"""Chaos tests for the multi-process fleet and the shared result arena.
+"""Chaos tests for the multi-process fleet.
 
-Three failure families, each asserting the tentpole contract survives:
+Two failure families, each asserting the serving contract survives:
 
 * **worker death** (SIGKILL mid-loadtest, the ``worker-exit`` fault):
   the supervisor respawns deterministically, clients only ever see the
   documented degradation ladder (connection drop or 503 + Retry-After),
   and post-recovery answers are byte-identical to the offline oracle;
-* **arena poison** (the ``arena-poison`` fault, and raw garbage slots):
-  checksum verification quarantines the slot and the reader falls back
-  to a bit-identical recompute/disk read — corrupt bytes never escape;
 * **handoff loss**: an accepted-then-dropped connection costs exactly
   one client retry, nothing else.
 """
@@ -27,12 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import FaultPlan, deactivate, install
-from repro.runner.cache import ResultCache
 from repro.service import ServiceConfig, ServiceThread
 from repro.service.loadtest import run_loadtest
 from repro.service.oracle import predict_offline
-from repro.service.shm import SharedArena
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from fleetharness import (FleetProc, pid_alive, raw_request,  # noqa: E402
@@ -111,57 +105,6 @@ class TestWorkerDeath:
             # the supervisor replaced the dead worker and stays up
             assert fleet.proc.poll() is None
             assert len(fleet.worker_pids()) == 2
-
-
-class TestArenaPoison:
-    def test_poisoned_put_quarantines_and_recovers_from_disk(self, tmp_path):
-        """The ``arena-poison`` fault mangles a published payload while
-        its checksum stays honest: every reader detects it, quarantines
-        the slot, and falls back to the (bit-identical) disk entry."""
-        arena = SharedArena.over(64, 32768)
-        writer = ResultCache(tmp_path / "writer", arena=arena)
-        reader = ResultCache(tmp_path / "reader", arena=arena)
-        key = "deadbeef" * 5
-        doc = {"algorithm": "bitonic", "t_pred": 1.5}
-
-        install(FaultPlan.parse("arena-poison:count=1"))
-        try:
-            writer.put_doc(key, doc)
-        finally:
-            deactivate()
-        # the reader's probe detects the mangled slot and misses clean
-        # (its own disk root is empty) rather than returning bad bytes
-        assert reader.get_doc(key) is None
-        assert arena.stats.quarantined == 1
-        # the writer recovers from its disk copy and republishes a clean
-        # arena entry, which the reader then shares
-        assert writer.get_doc(key) == doc
-        assert reader.get_doc(key) == doc
-        assert arena.stats.quarantined == 1
-
-    def test_garbage_slot_falls_back_to_disk(self, tmp_path):
-        """Arena bytes that pass the arena checksum but fail the result
-        cache's own verification are invalidated, not trusted."""
-        arena = SharedArena.over(64, 32768)
-        cache = ResultCache(tmp_path / "cache", arena=arena)
-        key = "cafebabe" * 5
-        doc = {"algorithm": "apsp", "t_pred": 2.25}
-        cache.put_doc(key, doc)
-        # overwrite the slot with well-checksummed garbage
-        arena.put(ResultCache._arena_key(key), b"this is not a cache doc")
-        assert cache.get_doc(key) == doc
-        # ...and the repaired arena entry now serves a fresh reader
-        other = ResultCache(tmp_path / "other", arena=arena)
-        assert other.get_doc(key) == doc
-
-    def test_arena_is_optimization_only(self, tmp_path):
-        """With no arena at all, behaviour is identical — the arena is
-        a pure accelerator, never a correctness dependency."""
-        plain = ResultCache(tmp_path / "plain")
-        key = "0badf00d" * 5
-        doc = {"algorithm": "lu", "t_pred": 0.125}
-        plain.put_doc(key, doc)
-        assert plain.get_doc(key) == doc
 
 
 class TestHandoffLoss:

@@ -93,3 +93,5 @@ class TestCatalogue:
                 "cache-stale"} <= names       # result cache
         assert {"dispatch-error", "dispatch-slow",
                 "lru-storm"} <= names         # service
+        assert {"worker-exit", "handoff-loss"} <= names  # fleet
+        assert len(names) == 12

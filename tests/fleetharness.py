@@ -177,6 +177,12 @@ def metric_value(text: str, name: str, labels: str = "") -> float | None:
     return None
 
 
+def metric_total(text: str, name: str) -> float:
+    """The sum of every labelled series of one metric."""
+    return sum(float(line.rsplit(" ", 1)[1]) for line in text.splitlines()
+               if line.startswith((f"{name}{{", f"{name} ")))
+
+
 def pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)

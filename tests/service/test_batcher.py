@@ -217,85 +217,3 @@ class TestMicroBatcher:
         with pytest.raises(ValueError):
             MicroBatcher(_echo_evaluate([]), **kwargs)
 
-
-class TestArenaReadThrough:
-    """The shared-arena layer on the dispatch path (fleet mode)."""
-
-    @staticmethod
-    def _arena():
-        from repro.service.shm import SharedArena
-
-        return SharedArena.over(64, 32768)
-
-    def test_sibling_result_resolves_without_reevaluation(self):
-        arena = self._arena()
-        calls_a, calls_b = [], []
-
-        async def scenario():
-            a = MicroBatcher(_echo_evaluate(calls_a), window_s=0,
-                             arena=arena)
-            b = MicroBatcher(_echo_evaluate(calls_b), window_s=0,
-                             arena=arena)
-            await a.start()
-            await b.start()
-            first = await a.submit("predict", ("k", 1), {"doc": 1})
-            second = await b.submit("predict", ("k", 1), {"doc": 1})
-            await a.stop()
-            await b.stop()
-            return first, second
-
-        first, second = _run(scenario())
-        assert first == second
-        assert calls_a == [[("k", 1)]]
-        assert calls_b == [], "b re-evaluated despite a's arena entry"
-        assert arena.stats.puts == 1 and arena.stats.hits == 1
-
-    def test_arena_hit_fills_local_lru(self):
-        arena = self._arena()
-        calls = []
-
-        async def scenario():
-            a = MicroBatcher(_echo_evaluate(calls), window_s=0, arena=arena)
-            await a.start()
-            await a.submit("predict", ("k", 1), {"doc": 1})
-            await a.stop()
-            b = MicroBatcher(_echo_evaluate(calls), window_s=0, arena=arena)
-            await b.start()
-            await b.submit("predict", ("k", 1), {"doc": 1})
-            await b.submit("predict", ("k", 1), {"doc": 1})
-            await b.stop()
-            return b
-
-        b = _run(scenario())
-        # first b-submit was an arena hit, the repeat a plain LRU hit
-        assert arena.stats.hits == 1
-        assert b.cache.hits == 1
-
-    def test_unjsonable_results_stay_local(self):
-        arena = self._arena()
-
-        def evaluate(items):
-            return {key: {"payload": {1, 2, 3}} for _, key, _ in items}
-
-        async def scenario():
-            a = MicroBatcher(evaluate, window_s=0, arena=arena)
-            await a.start()
-            got = await a.submit("predict", ("k", 1), {"doc": 1})
-            await a.stop()
-            return got
-
-        got = _run(scenario())
-        assert got == {"payload": {1, 2, 3}}
-        assert arena.stats.puts == 0  # sets can't cross processes as JSON
-
-    def test_no_arena_is_the_default(self):
-        calls = []
-
-        async def scenario():
-            a = MicroBatcher(_echo_evaluate(calls), window_s=0)
-            await a.start()
-            got = await a.submit("predict", ("k", 1), {"doc": 1})
-            await a.stop()
-            return got
-
-        assert _run(scenario()) == {"payload": {"doc": 1}}

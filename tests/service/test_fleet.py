@@ -1,11 +1,12 @@
 """Multi-process fleet integration tests (real ``repro serve`` subprocess).
 
 One module-scoped 2-process fleet backs the read-only tests; the signal
-and respawn tests boot their own so they can kill it.  Everything here
+tests boot their own so they can kill it, and the metrics test boots
+its own so its request count is exact.  Everything here
 asserts the tentpole contract: byte-identical responses to the
-single-process and offline paths, fleet-aggregated ``/metrics``, shared
-warm results across workers, and a supervisor that drains and reaps on
-SIGINT/SIGTERM with no orphans left behind.
+single-process and offline paths, fleet-aggregated ``/metrics``, and a
+supervisor that drains and reaps on SIGINT/SIGTERM with no orphans left
+behind.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from fleetharness import (FleetProc, metric_value, pid_alive,  # noqa: E402
-                          raw_request, wait_dead)
+from fleetharness import (FleetProc, metric_total,  # noqa: E402
+                          metric_value, pid_alive, raw_request, wait_dead)
 
 DOC = {"machine": "gcel", "model": "bsp", "algorithm": "bitonic",
        "size": 32}
@@ -36,14 +37,13 @@ class TestFleetBoot:
     def test_banner_names_topology(self, fleet):
         banner = next(line for line in fleet.lines if "repro.fleet" in line)
         assert "processes=2" in banner
-        assert "mode=" in banner and "arena=" in banner
+        assert "mode=" in banner
 
     def test_healthz_reports_fleet_topology(self, fleet):
         status, payload = raw_request(fleet.port, "GET", "/healthz")
         assert status == 200
         doc = json.loads(payload)
         assert doc["processes"] == 2
-        assert doc["arena"] is True
         assert doc["worker_index"] in (0, 1)
 
     def test_two_live_workers(self, fleet):
@@ -79,36 +79,41 @@ class TestFleetServing:
         offline = (json.dumps(predict_offline(DOC)) + "\n").encode()
         assert fleet_payload == offline
 
-    def test_metrics_aggregates_fleet_wide(self, fleet):
+    def test_metrics_aggregates_fleet_wide(self):
         import time
 
-        # enough fresh connections that both workers serve some and at
-        # least one warms its LRU from the sibling's arena entry
-        body = json.dumps(DOC).encode()
-        for _ in range(24):
-            raw_request(fleet.port, "POST", "/predict", body)
-        # sibling snapshots republish every 0.5s, so the fleet totals
-        # are eventually consistent — poll until the arena traffic from
-        # the burst above is visible from whichever worker we scrape
-        deadline = time.monotonic() + 10.0
-        while True:
-            status, payload = raw_request(fleet.port, "GET", "/metrics")
-            assert status == 200
-            text = payload.decode()
-            puts = metric_value(text, "repro_arena_ops_total",
-                                '{op="put"}') or 0
-            hits = metric_value(text, "repro_arena_ops_total",
-                                '{op="hit"}') or 0
-            if (puts >= 1 and hits >= 1) or time.monotonic() > deadline:
-                break
-            time.sleep(0.2)
-        assert metric_value(text, "repro_fleet_workers") == 2.0
-        assert (metric_value(text, "repro_fleet_spawned_total") or 0) >= 2
-        assert puts >= 1, "no worker published to the arena"
-        assert hits >= 1, \
-            "no cross-process arena hit despite a shared warm key"
-        # info gauge merges with max, so the fleet reports exactly 1
-        assert 'repro_service_info{' in text
+        with FleetProc(2) as fleet:
+            body = json.dumps(DOC).encode()
+            served = set()
+            sent = 0
+            # fresh connections until both workers have answered some
+            while len(served) < 2 or sent < 24:
+                status, payload = raw_request(fleet.port, "GET", "/healthz")
+                assert status == 200
+                served.add(json.loads(payload)["worker_index"])
+                status, _ = raw_request(fleet.port, "POST", "/predict", body)
+                assert status == 200
+                sent += 2
+                assert sent < 400, "requests never reached both workers"
+            # sibling snapshots republish every 0.5s, so the fleet totals
+            # are eventually consistent — poll until every request above
+            # is counted by whichever worker we scrape (the scrape itself
+            # is counted after its response is rendered)
+            deadline = time.monotonic() + 10.0
+            while True:
+                status, payload = raw_request(fleet.port, "GET", "/metrics")
+                assert status == 200
+                sent += 1
+                text = payload.decode()
+                counted = metric_total(text, "repro_requests_total")
+                if counted == sent - 1 or time.monotonic() > deadline:
+                    break
+                time.sleep(0.2)
+            assert counted == sent - 1
+            assert metric_value(text, "repro_fleet_workers") == 2.0
+            assert metric_value(text, "repro_fleet_spawned_total") == 2.0
+            # info gauge merges with max, so the fleet reports exactly 1
+            assert 'repro_service_info{' in text
 
     def test_unknown_route_is_404_everywhere(self, fleet):
         for _ in range(4):

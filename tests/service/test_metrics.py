@@ -123,7 +123,7 @@ class TestFleetAggregation:
         for _ in range(misses):
             m.lru_misses.inc(kind="predict")
         m.inflight.set(2)
-        m.arena_ops.set(5, op="hit")
+        m.retries.inc(5, site="dispatch")
         return m
 
     def test_single_snapshot_renders_byte_identical(self):
@@ -144,7 +144,7 @@ class TestFleetAggregation:
             in text
         assert "repro_batches_total 2" in text
         assert "repro_batch_size_count 2" in text
-        assert 'repro_arena_ops_total{op="hit"} 10' in text
+        assert 'repro_retries_total{site="dispatch"} 10' in text
         # plain gauges sum (2 in-flight on each worker = 4 fleet-wide)
         assert "repro_inflight_requests 4" in text
 

@@ -200,3 +200,19 @@ class TestLifecycle:
         with ServiceThread(config) as thread:
             pass
         thread.stop()  # second stop must be harmless
+
+    @pytest.mark.parametrize("prior", [None, "ir"])
+    def test_engine_pin_is_restored_on_stop(self, prior, tmp_path,
+                                            monkeypatch):
+        import os
+
+        if prior is None:
+            monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_ENGINE", prior)
+        config = ServiceConfig(port=0, workers=1, warm=False,
+                               engine="vector",
+                               cache_dir=str(tmp_path / "cache"))
+        with ServiceThread(config):
+            assert os.environ["REPRO_ENGINE"] == "vector"
+        assert os.environ.get("REPRO_ENGINE") == prior

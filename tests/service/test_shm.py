@@ -1,10 +1,9 @@
-"""Shared-arena and metrics-board unit + property tests.
+"""Metrics-board unit tests.
 
-The arena's contract is narrow and absolute: ``get`` returns exactly
-the bytes some ``put`` stored under that key, or ``None`` — never torn,
-foreign, or corrupted data.  Hypothesis sweeps key/value shapes over a
-plain-``bytearray`` arena; the fork-based tests drive the same code
-over real ``multiprocessing.shared_memory`` with concurrent writers.
+The board's contract: ``read`` returns the document a region's last
+``publish`` stored, or ``None`` — never a torn one — and ``read_all``
+keeps only regions whose publisher is still alive.  The fork-based test
+drives the same code over real ``multiprocessing.shared_memory``.
 """
 
 from __future__ import annotations
@@ -14,197 +13,11 @@ import multiprocessing
 import os
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.service.shm import (ArenaStats, MetricsBoard, SharedArena,
-                               arena_size)
+from repro.service.shm import MetricsBoard
 
 fork_only = pytest.mark.skipif(not hasattr(os, "fork"),
                                reason="needs os.fork")
-
-
-class TestArenaBasics:
-    def test_roundtrip(self):
-        arena = SharedArena.over(64, 4096)
-        assert arena.put(b"k", b"hello world")
-        assert arena.get(b"k") == b"hello world"
-        assert arena.get(b"other") is None
-
-    def test_overwrite_same_key(self):
-        arena = SharedArena.over(64, 4096)
-        arena.put(b"k", b"v1")
-        arena.put(b"k", b"v2")
-        assert arena.get(b"k") == b"v2"
-        assert arena.entries() == 1
-
-    def test_empty_value_roundtrips(self):
-        arena = SharedArena.over(8, 1024)
-        assert arena.put(b"k", b"")
-        assert arena.get(b"k") == b""
-
-    def test_oversize_value_is_skipped(self):
-        arena = SharedArena.over(8, 256)
-        assert not arena.put(b"k", b"x" * 4096)
-        assert arena.stats.skips == 1
-        assert arena.get(b"k") is None
-
-    def test_empty_key_is_skipped(self):
-        arena = SharedArena.over(8, 256)
-        assert not arena.put(b"", b"v")
-
-    def test_invalidate(self):
-        arena = SharedArena.over(64, 1024)
-        arena.put(b"k", b"v")
-        assert arena.invalidate(b"k")
-        assert arena.get(b"k") is None
-        assert not arena.invalidate(b"missing")
-
-    def test_eviction_prefers_oldest(self):
-        # tiny arena: every key collides, the oldest ticket is evicted
-        arena = SharedArena.over(1, 1024)
-        arena.put(b"a", b"1")
-        arena.put(b"b", b"2")
-        assert arena.get(b"b") == b"2"
-        assert arena.get(b"a") is None
-
-    def test_corrupted_slot_is_quarantined(self):
-        from repro.service.shm import _SLOT
-
-        arena = SharedArena.over(8, 1024)
-        arena.put(b"k", b"payload")
-        # flip a payload byte behind the checksum's back
-        for i in range(8):
-            off = arena._off(i)
-            _, _, _, klen, vlen, _ = _SLOT.unpack_from(arena.buf, off)
-            if klen == 1 and bytes(arena.buf[off + _SLOT.size:
-                                             off + _SLOT.size + 1]) == b"k":
-                arena.buf[off + _SLOT.size + klen] ^= 0xFF
-                break
-        else:
-            pytest.fail("slot for key b'k' not found")
-        assert arena.get(b"k") is None
-        assert arena.stats.quarantined == 1
-        # the slot self-heals on the next put
-        arena.put(b"k", b"payload")
-        assert arena.get(b"k") == b"payload"
-
-    def test_stats_shape(self):
-        stats = ArenaStats()
-        assert set(stats.as_dict()) == {"hit", "miss", "put", "skip",
-                                        "quarantine", "contended"}
-
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            SharedArena.over(0, 1024)
-        with pytest.raises(ValueError):
-            SharedArena.over(8, 8)
-
-    def test_foreign_buffer_rejected(self):
-        with pytest.raises(ValueError):
-            SharedArena(bytearray(arena_size(8, 256)))
-
-
-class TestArenaProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(st.binary(min_size=1, max_size=48),
-                              st.binary(max_size=1024)),
-                    max_size=40))
-    def test_get_is_exact_or_miss(self, items):
-        """Bit-exact round-trips: a hit is the latest stored value."""
-        arena = SharedArena.over(16, 2048)
-        latest: dict[bytes, bytes] = {}
-        for key, value in items:
-            if arena.put(key, value):
-                latest[key] = value
-        for key, value in latest.items():
-            got = arena.get(key)
-            # eviction may drop a key, but never corrupt one
-            assert got is None or got == value
-        assert arena.stats.quarantined == 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.dictionaries(st.binary(min_size=1, max_size=32),
-                           st.binary(max_size=512),
-                           min_size=1, max_size=6))
-    def test_small_sets_never_evict(self, mapping):
-        """Fewer keys than slots/probes: every entry must survive."""
-        arena = SharedArena.over(256, 1024)
-        for key, value in mapping.items():
-            assert arena.put(key, value)
-        for key, value in mapping.items():
-            assert arena.get(key) == value
-
-
-def _hammer(name: str, worker: int, rounds: int, barrier, errors) -> None:
-    """Concurrent-writer body: same keys, identical bytes per key."""
-    arena = SharedArena.attach(name)
-    try:
-        barrier.wait(timeout=30)
-        for r in range(rounds):
-            for k in range(8):
-                key = f"key-{k}".encode()
-                value = (f"value-{k}:".encode() + b"x" * (17 * k))
-                arena.put(key, value)
-                got = arena.get(key)
-                if got is not None and got != value:
-                    errors.put(f"worker {worker}: key {key!r} returned "
-                               f"{got!r}")
-        if arena.stats.quarantined:
-            errors.put(f"worker {worker}: "
-                       f"{arena.stats.quarantined} quarantined")
-    finally:
-        arena.close()
-
-
-@fork_only
-class TestArenaConcurrency:
-    def test_concurrent_writers_stay_bit_exact(self):
-        """N processes hammering the same keys (identical bytes per key,
-        as the single-flight discipline guarantees) never observe a torn
-        or corrupted value — the seqlock+checksum ladder holds."""
-        ctx = multiprocessing.get_context("fork")
-        arena = SharedArena.create(slots=32, slot_bytes=1024)
-        errors: multiprocessing.Queue = ctx.Queue()
-        nproc = 3
-        barrier = ctx.Barrier(nproc)
-        procs = [ctx.Process(target=_hammer,
-                             args=(arena.name, i, 120, barrier, errors))
-                 for i in range(nproc)]
-        try:
-            for p in procs:
-                p.start()
-            for p in procs:
-                p.join(60)
-                assert p.exitcode == 0
-            found = []
-            while not errors.empty():
-                found.append(errors.get())
-            assert not found, found
-            # parent still reads exact values afterwards
-            for k in range(8):
-                value = (f"value-{k}:".encode() + b"x" * (17 * k))
-                got = arena.get(f"key-{k}".encode())
-                assert got is None or got == value
-        finally:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            arena.destroy()
-
-    def test_attach_sees_creators_entries(self):
-        arena = SharedArena.create(slots=16, slot_bytes=512)
-        try:
-            arena.put(b"shared", b"payload")
-            peer = SharedArena.attach(arena.name)
-            try:
-                assert peer.get(b"shared") == b"payload"
-                peer.put(b"back", b"atcha")
-            finally:
-                peer.close()
-            assert arena.get(b"back") == b"atcha"
-        finally:
-            arena.destroy()
 
 
 class TestMetricsBoard:

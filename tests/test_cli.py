@@ -341,22 +341,26 @@ class TestFleetArguments:
     def test_serve_fleet_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.processes == 1
-        assert args.arena_slots == 1024
-        assert args.arena_slot_kb == 32
+        assert args.workers == 2
 
     def test_serve_fleet_flags_parse(self):
         args = build_parser().parse_args(
-            ["serve", "--processes", "4", "--arena-slots", "256",
-             "--arena-slot-kb", "64"])
+            ["serve", "--processes", "4", "--workers", "3"])
         assert args.processes == 4
-        assert args.arena_slots == 256
-        assert args.arena_slot_kb == 64
+        assert args.workers == 3
+
+    @pytest.mark.parametrize("flag", ["--arena-slots", "--arena-slot-kb"])
+    def test_removed_arena_flags_are_unknown(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag, "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--processes", "0"],
         ["serve", "--processes", "-2"],
-        ["serve", "--arena-slots", "0"],
-        ["serve", "--arena-slot-kb", "0"],
+        ["serve", "--workers", "0"],
+        ["serve", "--max-batch", "0"],
     ])
     def test_non_positive_fleet_values_rejected(self, argv, capsys):
         with pytest.raises(SystemExit):
