@@ -7,7 +7,7 @@ scheduling), which directly bound how large the figure sweeps can be.
 
 import numpy as np
 
-from repro.algorithms import bitonic, matmul
+from repro.algorithms import bitonic, matmul, samplesort
 from repro.calibration.microbench import random_h_relation, time_phase
 from repro.calibration.table1 import calibration_for
 from repro.machines import CM5, GCel, MasParMP1
@@ -50,6 +50,27 @@ def test_matmul_end_to_end(benchmark):
 def test_bitonic_end_to_end(benchmark):
     machine = GCel(seed=0)
     benchmark(lambda: bitonic.run(machine, 256, variant="bpram", seed=0))
+
+
+def _record(run):
+    """Run with a fresh memory-only IR store, so every round records."""
+    with ir_store_scope(IRStore(disk=False)) as store:
+        run()
+    assert store.recorded == 1
+
+
+def test_bitonic_record(benchmark):
+    """Recording layer: bitonic ``bsp`` on the MasPar at M=256, the
+    sweep's (1024 PEs, 256 keys) shape."""
+    machine = MasParMP1(seed=0)
+    benchmark(_record, lambda: bitonic.run(machine, 256, variant="bsp",
+                                           seed=0))
+
+
+def test_samplesort_record(benchmark):
+    """Recording layer: sample sort on the GCel at M=1024."""
+    machine = GCel(seed=0)
+    benchmark(_record, lambda: samplesort.run(machine, 1024, seed=0))
 
 
 def test_trace_cost_all_models(benchmark):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.errors import ExperimentError
+from ..core.errors import ExperimentError, SimulationError
 from ..machines.base import Machine
 from ..simulator import RunResult, run_spmd, run_spmd_vector
 from ..simulator.context import ProcContext
@@ -119,30 +119,27 @@ def _radix_sort_rows(ctx: VectorContext, keys: np.ndarray, *,
                      bits: int = 32, radix_bits: int = 8) -> np.ndarray:
     """All-ranks twin of :func:`repro.algorithms.local.radix_sort`.
 
-    A stable per-digit argsort along axis 1 sorts every rank's row with
-    the identical pass structure (and identical results) as the per-rank
-    counting sort, in one call per digit.
+    The work is charged symbolically and an LSD radix sort over ``bits``
+    bits *is* a full sort of keys in ``[0, 2**bits)``: one row sort.
     """
     ctx.charge_sort(ctx.ranks(), keys.shape[1], bits=bits,
                     radix_bits=radix_bits)
-    out = keys.copy()
-    mask = (1 << radix_bits) - 1
-    for shift in range(0, bits, radix_bits):
-        digits = (out >> shift) & mask
-        order = np.argsort(digits, axis=1, kind="stable")
-        out = np.take_along_axis(out, order, axis=1)
-    return out
+    if keys.size and (int(keys.min()) < 0 or int(keys.max()) >> bits):
+        raise SimulationError(f"radix sort needs keys in [0, 2**{bits})")
+    return np.sort(keys, axis=1)
 
 
-def _merge_keep_rows(ctx: VectorContext, mine: np.ndarray,
-                     theirs: np.ndarray,
+def _merge_keep_rows(ctx: VectorContext, mine: np.ndarray, theirs: np.ndarray,
                      keep_min: np.ndarray) -> np.ndarray:
-    """All-ranks twin of :func:`repro.algorithms.local.merge_keep`."""
-    M = mine.shape[1]
-    ctx.charge_merge(ctx.ranks(), M)
-    both = np.concatenate([mine, theirs], axis=1)
-    both.sort(axis=1, kind="stable")
-    return np.where(keep_min[:, None], both[:, :M], both[:, M:])
+    """All-ranks twin of :func:`repro.algorithms.local.merge_keep`: for
+    ascending rows, the half-cleaner ``min(mine, theirs[::-1])`` holds
+    exactly the pair's lower half of keys and ``max`` its upper half."""
+    ctx.charge_merge(ctx.ranks(), mine.shape[1])
+    rev = theirs[:, ::-1]
+    out = np.maximum(mine, rev)
+    np.minimum(mine, rev, out=out, where=keep_min[:, None])
+    out.sort(axis=1, kind="stable")  # timsort merges the two runs
+    return out
 
 
 def bitonic_sort_vector(ctx: VectorContext, all_keys: np.ndarray,

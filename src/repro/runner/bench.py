@@ -317,10 +317,10 @@ def check_budgets(record: BenchRecord,
     for exp_id, limit in budgets.items():
         got = record.times_s.get(exp_id)
         if got is None:
-            problems.append(f"budget {exp_id}={limit}s: experiment not run")
+            problems.append(f"budget {exp_id}={limit:g}s: experiment not run")
         elif exp_id in record.errors:
             problems.append(f"budget {exp_id}: {record.errors[exp_id]}")
         elif got > limit:
             problems.append(
-                f"budget exceeded: {exp_id} took {got:.1f}s > {limit:.0f}s")
+                f"budget exceeded: {exp_id} took {got:.2f}s > {limit:g}s")
     return problems

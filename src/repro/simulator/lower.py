@@ -9,9 +9,11 @@ program on a miss (one pass-1 execution, identical to the vector
 engine's collection pass) and replays it for pricing.
 
 The source fingerprint hashes the module file that defines the vector
-program, so editing an algorithm invalidates its recordings — the same
-staleness discipline as the result cache's package fingerprint, but
-per-algorithm so unrelated edits keep recordings warm.
+program plus the same-package kernel modules it binds from (sample sort
+runs bitonic's kernels), so editing an algorithm or a kernel it shares
+invalidates its recordings — the same staleness discipline as the result
+cache's package fingerprint, but per-algorithm so unrelated edits keep
+recordings warm.
 
 On-disk IR blobs store structure only.  When a disk hit must also
 produce per-rank *results* (the first run of a fresh process), the
@@ -25,7 +27,9 @@ pass returns bit-identical results at none of the bookkeeping cost.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import sys
+import types
 from pathlib import Path
 from typing import Any
 
@@ -41,16 +45,39 @@ __all__ = ["run_lowered", "algorithm_fingerprint",
 _FP_MEMO: dict[str, str] = {}
 
 
+def _kernel_sources(mod) -> list[str]:
+    """Source files of ``mod`` and, transitively, of every module in its
+    directory that it binds a function, class or submodule from."""
+    home = Path(mod.__file__).parent
+    paths, todo = {mod.__file__}, [mod]
+    while todo:
+        for value in vars(todo.pop()).values():
+            if inspect.isfunction(value) or inspect.isclass(value):
+                value = sys.modules.get(value.__module__)
+            if not isinstance(value, types.ModuleType):
+                continue
+            path = getattr(value, "__file__", None)
+            if path and path not in paths and Path(path).parent == home:
+                paths.add(path)
+                todo.append(value)
+    return sorted(paths)
+
+
 def algorithm_fingerprint(program) -> str:
-    """SHA-256 of the source file defining ``program`` (memoised)."""
+    """SHA-256 over the sources ``program`` runs (memoised): its defining
+    module plus the same-package kernel modules it reaches through its
+    globals, so editing a shared kernel invalidates every recording that
+    uses it."""
     mod = sys.modules.get(getattr(program, "__module__", None))
     path = getattr(mod, "__file__", None)
     if path is None:  # exec'd / frozen code: no file to hash
         return f"module:{getattr(program, '__module__', '?')}"
     fp = _FP_MEMO.get(path)
     if fp is None:
-        fp = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        _FP_MEMO[path] = fp
+        h = hashlib.sha256()
+        for src in _kernel_sources(mod):
+            h.update(hashlib.sha256(Path(src).read_bytes()).digest())
+        fp = _FP_MEMO[path] = h.hexdigest()
     return fp
 
 

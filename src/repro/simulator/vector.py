@@ -121,6 +121,15 @@ VectorProgram = Callable[..., Iterator[SyncToken]]
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
+def _column(x, shape: tuple) -> np.ndarray:
+    """``x`` as an int64 column of ``shape``: passed through when it has
+    that shape already, filled when scalar, broadcast otherwise."""
+    a = np.asarray(x, dtype=np.int64)
+    if a.shape == shape:
+        return a
+    return np.full(shape, a) if a.ndim == 0 else np.broadcast_to(a, shape)
+
+
 class VectorContext:
     """The view a vector program has of all ``P`` processors at once."""
 
@@ -179,17 +188,9 @@ class VectorContext:
         shape = src.shape
         if int(src.min()) < 0 or int(src.max()) >= self.P:
             raise SimulationError(f"source rank out of range (P={self.P})")
-        dst = np.asarray(dst, dtype=np.int64)
-        if dst.ndim == 0:
-            if not 0 <= int(dst) < self.P:
-                raise SimulationError(
-                    f"destination out of range (P={self.P})")
-            dst = np.broadcast_to(dst, shape)
-        else:
-            dst = np.broadcast_to(dst, shape)
-            if int(dst.min()) < 0 or int(dst.max()) >= self.P:
-                raise SimulationError(
-                    f"destination out of range (P={self.P})")
+        dst = _column(dst, shape)
+        if int(dst.min()) < 0 or int(dst.max()) >= self.P:
+            raise SimulationError(f"destination out of range (P={self.P})")
         count_a = np.asarray(count, dtype=np.int64)
         total_a = np.asarray(nbytes, dtype=np.int64)
         if count_a.ndim == 0 and total_a.ndim == 0:
@@ -200,19 +201,17 @@ class VectorContext:
                 raise SimulationError("count must be >= 1")
             if t < 0:
                 raise SimulationError("nbytes must be >= 0")
-            count_b = np.broadcast_to(count_a, shape)
-            msg_bytes = np.broadcast_to(
-                np.asarray(-(-t // c) if t else 0, dtype=np.int64), shape)
+            count_b = np.full(shape, c, dtype=np.int64)
+            msg_bytes = np.full(shape, -(-t // c) if t else 0, dtype=np.int64)
         else:
-            count_b = np.broadcast_to(count_a, shape)
-            total_b = np.broadcast_to(total_a, shape)
+            count_b = _column(count_a, shape)
+            total_b = _column(total_a, shape)
             if int(count_b.min()) < 1:
                 raise SimulationError("count must be >= 1")
             if int(total_b.min()) < 0:
                 raise SimulationError("nbytes must be >= 0")
             msg_bytes = np.where(total_b, -(-total_b // count_b), 0)
-        step_b = np.broadcast_to(np.asarray(step, dtype=np.int64), shape)
-        group = (src, dst, count_b, msg_bytes, step_b)
+        group = (src, dst, count_b, msg_bytes, _column(step, shape))
         self._put_cache[key] = (pin, group)
         self._groups.append(group)
 

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.algorithms import bitonic
+from repro.algorithms.bitonic import _merge_keep_rows, _radix_sort_rows
+from repro.algorithms.local import merge_keep, radix_sort
 from repro.core import MPBPRAM, MPBSP, paper_params
-from repro.core.errors import ExperimentError
+from repro.core.errors import ExperimentError, SimulationError
 from repro.core.predictions import bpram_bitonic, bsp_bitonic, mp_bsp_bitonic
 from repro.machines import CM5, GCel, MasParMP1
+from repro.simulator.context import ProcContext
+from repro.simulator.vector import VectorContext
 
 
 def globally_sorted_and_permuted(res) -> bool:
@@ -152,3 +157,80 @@ class TestPropertyBased:
         c = CM5(seed=1)
         res = bitonic.run(c, M, variant="bpram", P=16, seed=3)
         assert globally_sorted_and_permuted(res)
+
+
+@st.composite
+def key_stacks(draw):
+    """``(keys, bits)``: a ``(P, M)`` uint64 stack drawn either from a tiny
+    range (many ties) or from all of ``[0, 2**bits)``."""
+    P = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    M = draw(st.integers(1, 64))
+    bits = draw(st.sampled_from([16, 32]))
+    top = draw(st.sampled_from([3, (1 << bits) - 1]))
+    keys = draw(hnp.arrays(np.uint64, (P, M), elements=st.integers(0, top)))
+    return keys, bits
+
+
+def charged_items(ctx: VectorContext):
+    """The vector context's charges as ``(rank, work item)`` pairs."""
+    return [(int(r), b.kind(**{f: int(v[i]) for f, v in b.params.items()}))
+            for b in ctx._batches for i, r in enumerate(b.ranks)]
+
+
+class TestVectorKernels:
+    """The all-ranks kernels reach the per-rank kernels' values by other
+    means (one row sort; the half-cleaner) and must charge the same."""
+
+    @given(key_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_radix_sort_rows_matches_per_rank_sort(self, case):
+        keys, bits = case
+        P = keys.shape[0]
+        ctx = VectorContext(P, 4)
+        out = _radix_sort_rows(ctx, keys, bits=bits)
+        expected_work = []
+        for p in range(P):
+            pctx = ProcContext(rank=p, P=P, word_bytes=4)
+            ref = radix_sort(pctx, keys[p], bits=bits)
+            assert out[p].dtype == ref.dtype
+            assert np.array_equal(out[p], ref)
+            expected_work += [(p, item) for item in pctx._drain()[3]]
+        assert len(ctx._batches) == 1
+        assert charged_items(ctx) == expected_work
+
+    @given(key_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_merge_keep_rows_matches_every_network_step(self, case):
+        keys, _ = case
+        mine = np.sort(keys, axis=1)
+        P = mine.shape[0]
+        ranks = np.arange(P, dtype=np.int64)
+        log_p = P.bit_length() - 1
+        for d in range(1, log_p + 1):
+            for j in range(d - 1, -1, -1):
+                partner = ranks ^ (1 << j)
+                ascending = ((ranks >> d) & 1 == 0 if d < log_p
+                             else np.ones(P, dtype=bool))
+                keep_min = (ranks < partner) == ascending
+                ctx = VectorContext(P, 4)
+                out = _merge_keep_rows(ctx, mine, mine[partner], keep_min)
+                expected_work = []
+                for p in range(P):
+                    pctx = ProcContext(rank=p, P=P, word_bytes=4)
+                    ref = merge_keep(pctx, mine[p], mine[partner[p]],
+                                     keep_min=bool(keep_min[p]))
+                    assert np.array_equal(out[p], ref)
+                    expected_work += [(p, it) for it in pctx._drain()[3]]
+                assert len(ctx._batches) == 1
+                assert charged_items(ctx) == expected_work
+
+    @pytest.mark.parametrize("bits", [16, 32])
+    def test_radix_sort_rows_rejects_keys_past_bits(self, bits):
+        keys = np.array([[1, 1 << bits]], dtype=np.uint64)
+        with pytest.raises(SimulationError, match="radix sort"):
+            _radix_sort_rows(VectorContext(1, 4), keys, bits=bits)
+
+    def test_radix_sort_rows_rejects_negative_keys(self):
+        keys = np.array([[3, -1], [0, 2]], dtype=np.int64)
+        with pytest.raises(SimulationError, match="radix sort"):
+            _radix_sort_rows(VectorContext(2, 4), keys)

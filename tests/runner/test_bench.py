@@ -69,6 +69,11 @@ class TestCheckBudgets:
         (msg,) = check_budgets(rec, {"a": 2.0})
         assert "budget exceeded" in msg and "a" in msg
 
+    def test_sub_second_budget_message_keeps_precision(self):
+        rec = BenchRecord(label="", scale=1.0, seed=0, times_s={"a": 0.53})
+        (msg,) = check_budgets(rec, {"a": 0.5})
+        assert msg == "budget exceeded: a took 0.53s > 0.5s"
+
     def test_missing_experiment(self):
         rec = BenchRecord(label="", scale=1.0, seed=0)
         (msg,) = check_budgets(rec, {"a": 2.0})

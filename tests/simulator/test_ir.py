@@ -259,6 +259,24 @@ def tiny_program(ctx):
     return [int(r) for r in range(ctx.P)]
 """
 
+# A shared kernel and a program that binds it from its sibling module.
+_KERNEL_TEMPLATE = """\
+def charge_kernel(ctx, ranks):
+    ctx.charge_flops(ranks, %d)
+"""
+
+_KERNEL_USER = """\
+from tiny_kernel_fp import charge_kernel
+
+
+def tiny_program(ctx):
+    ranks = ctx.ranks()
+    ctx.put_group(ranks, (ranks + 1) % ctx.P, nbytes=ctx.word_bytes)
+    charge_kernel(ctx, ranks)
+    yield ctx.sync("ring")
+    return [int(r) for r in range(ctx.P)]
+"""
+
 
 def _load(path, name):
     spec = importlib.util.spec_from_file_location(name, path)
@@ -296,6 +314,37 @@ class TestFingerprintStaleness:
                 assert r2.time_us > r1.time_us  # the edit took effect
         finally:
             sys.modules.pop("tiny_alg_fp_test", None)
+            clear_algorithm_fingerprints()
+
+    def test_editing_shared_kernel_module_misses_the_cache(self, tmp_path):
+        """A program that binds a kernel from a sibling module must not
+        reuse recordings made before that kernel (only) was edited."""
+        kernel = tmp_path / "tiny_kernel_fp.py"
+        kernel.write_text(_KERNEL_TEMPLATE % 100)
+        program = tmp_path / "tiny_prog_fp.py"
+        program.write_text(_KERNEL_USER)
+        machine = CM5(seed=1)
+        kw = dict(algorithm="tiny", key_params={"n": 1}, P=8, label="tiny")
+        try:
+            with ir_store_scope(IRStore(tmp_path / "ir")) as store:
+                _load(kernel, "tiny_kernel_fp")
+                mod = _load(program, "tiny_prog_fp")
+                r1 = run_lowered(machine, mod.tiny_program, **kw)
+                assert store.recorded == 1
+                fp1 = algorithm_fingerprint(mod.tiny_program)
+
+                kernel.write_text(_KERNEL_TEMPLATE % 999)
+                clear_algorithm_fingerprints()
+                _load(kernel, "tiny_kernel_fp")
+                mod = _load(program, "tiny_prog_fp")
+                assert algorithm_fingerprint(mod.tiny_program) != fp1
+
+                r2 = run_lowered(CM5(seed=1), mod.tiny_program, **kw)
+                assert store.recorded == 2  # miss → fresh recording
+                assert r2.time_us > r1.time_us
+        finally:
+            sys.modules.pop("tiny_kernel_fp", None)
+            sys.modules.pop("tiny_prog_fp", None)
             clear_algorithm_fingerprints()
 
     def test_unedited_source_hits(self, tmp_path):
