@@ -12,7 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from .params import ModelParams
-from .relations import CommPhase
+from .relations import CommPhase, unique_phases
 from .trace import Superstep, Trace
 
 __all__ = ["CostModel"]
@@ -51,16 +51,7 @@ class CostModel(ABC):
         priced once: this driver deduplicates by identity and hands the
         distinct phases to :meth:`_comm_costs`.
         """
-        first: dict[int, int] = {}
-        uniq: list[CommPhase] = []
-        index: list[int] = []
-        for ph in phases:
-            j = first.get(id(ph))
-            if j is None:
-                j = len(uniq)
-                first[id(ph)] = j
-                uniq.append(ph)
-            index.append(j)
+        uniq, index = unique_phases(phases)
         costs = self._comm_costs(uniq)
         return [costs[j] for j in index]
 

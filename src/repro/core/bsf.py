@@ -40,7 +40,7 @@ import numpy as np
 
 from .base import CostModel
 from .params import ModelParams
-from .relations import CommPhase
+from .relations import CommPhase, PhaseStack
 from .trace import Trace
 
 __all__ = ["BSF"]
@@ -70,27 +70,12 @@ class BSF(CostModel):
         exact, and the closing arithmetic is elementwise)."""
         if type(self).comm_cost is not BSF.comm_cost:
             return super()._comm_costs(phases)
-        n = len(phases)
-        out = [0.0] * n
-        w = self.params.w
-        words_l, msgs_l, pids = [], [], []
-        for i, ph in enumerate(phases):
-            if not ph.is_empty:
-                words_l.append(-(-ph.msg_bytes // w) * ph.count)
-                msgs_l.append(ph.count)
-                pids.append(np.full(ph.src.size, i, dtype=np.int64))
-        if not words_l:
-            return out
-        words = np.concatenate(words_l)
-        msgs = np.concatenate(msgs_l)
-        pid = np.concatenate(pids)
-        total_words = np.bincount(pid, weights=words, minlength=n)
-        total_msgs = np.bincount(pid, weights=msgs, minlength=n)
-        cost = (2.0 * (self.params.g * total_words
-                       + self.o_master * total_msgs) + self.params.L)
-        for i in np.unique(pid).tolist():
-            out[i] = float(cost[i])
-        return out
+        stack = PhaseStack(phases)
+        words = -(-stack.msg_bytes // self.params.w) * stack.count
+        cost = (2.0 * (self.params.g * stack.per_phase(words)
+                       + self.o_master * stack.per_phase(stack.count))
+                + self.params.L)
+        return np.where(stack.live, cost, 0.0).tolist()
 
     # ------------------------------------------------------------------
     # The scalability bound

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CostModel
-from .relations import CommPhase
+from .relations import CommPhase, PhaseStack
 
 __all__ = ["BSP"]
 
@@ -45,35 +45,15 @@ class BSP(CostModel):
     def _comm_costs(self, phases: list[CommPhase]) -> list[float]:
         """Columnar ``g h + L`` over many phases at once (bit-identical).
 
-        Word totals are integers, so the combined-key bincount sums are
+        Word totals are integers, so the per-phase bincount sums are
         exact; subclasses that override :meth:`comm_cost` automatically
         fall back to the scalar loop.
         """
-        if (type(self).comm_cost is not BSP.comm_cost
-                or len({ph.P for ph in phases}) > 1):
+        if type(self).comm_cost is not BSP.comm_cost:
             return super()._comm_costs(phases)
-        n = len(phases)
-        out = [0.0] * n
-        srcs, dsts, words_l, pids = [], [], [], []
-        for i, ph in enumerate(phases):
-            if not ph.is_empty:
-                srcs.append(ph.src)
-                dsts.append(ph.dst)
-                words_l.append(-(-ph.msg_bytes // self.params.w) * ph.count)
-                pids.append(np.full(ph.src.size, i, dtype=np.int64))
-        if not srcs:
-            return out
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        words = np.concatenate(words_l)
-        pid = np.concatenate(pids)
-        P = phases[0].P
-        sent = np.bincount(pid * P + src, weights=words,
-                           minlength=n * P).reshape(n, P)
-        recv = np.bincount(pid * P + dst, weights=words,
-                           minlength=n * P).reshape(n, P)
-        h = np.maximum(sent.max(axis=1), recv.max(axis=1)).astype(np.int64)
+        stack = PhaseStack(phases)
+        words = -(-stack.msg_bytes // self.params.w) * stack.count
+        h = np.maximum(stack.per_proc(stack.src, words).max(axis=1),
+                       stack.per_proc(stack.dst, words).max(axis=1))
         cost = self.params.g * h + self.params.L
-        for i in np.unique(pid).tolist():
-            out[i] = float(cost[i])
-        return out
+        return np.where(stack.live, cost, 0.0).tolist()

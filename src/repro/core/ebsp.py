@@ -25,7 +25,8 @@ from .base import CostModel
 from .bsp import BSP
 from .errors import ModelError
 from .params import ModelParams, UnbalancedCost
-from .relations import CommPhase
+from .relations import CommPhase, PhaseStack
+from .segsum import segment_sums
 
 __all__ = ["EBSP", "ScatterAwareBSP", "LocalityAwareBSP"]
 
@@ -73,55 +74,30 @@ class EBSP(CostModel):
     def _comm_costs(self, phases: list[CommPhase]) -> list[float]:
         """Columnar unbalanced-cost pricing of many phases (bit-identical).
 
-        One sort by ``(phase, step tag)`` makes every scheduled sub-step a
-        contiguous run; word totals per ``(sub-step, endpoint)`` are exact
-        integer segment sums, and the ``T_unb`` law is evaluated
-        elementwise in the same operation order as :meth:`step_cost`.
+        The stack's (phase, step tag) split makes every scheduled
+        sub-step a contiguous run; word totals per ``(sub-step,
+        endpoint)`` are exact integer segment sums, the ``T_unb`` law is
+        evaluated elementwise in the same operation order as
+        :meth:`step_cost`, and :func:`segment_sums` adds each phase's
+        sub-steps left to right.
         """
         if (type(self).comm_cost is not EBSP.comm_cost
-                or type(self).step_cost is not EBSP.step_cost
-                or len({ph.P for ph in phases}) > 1):
+                or type(self).step_cost is not EBSP.step_cost):
             return super()._comm_costs(phases)
-        n = len(phases)
-        out = [0.0] * n
-        w = self.params.w
-        srcs, dsts, words_l, steps, pids = [], [], [], [], []
-        for i, ph in enumerate(phases):
-            if not ph.is_empty:
-                srcs.append(ph.src)
-                dsts.append(ph.dst)
-                words_l.append(-(-ph.msg_bytes // w) * ph.count)
-                steps.append(ph.step)
-                pids.append(np.full(ph.src.size, i, dtype=np.int64))
-        if not srcs:
-            return out
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        words = np.concatenate(words_l)
-        step = np.concatenate(steps)
-        pid = np.concatenate(pids)
-        P = phases[0].P
-
-        smin = int(step.min())
-        srange = int(step.max()) - smin + 1
-        key = pid * srange + (step - smin)
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        s_arr = src[order]
-        d_arr = dst[order]
-        w_arr = words[order]
-        spid = pid[order]
-        new_seg = np.concatenate(([True], np.diff(skey) != 0))
-        starts = np.nonzero(new_seg)[0]
-        nseg = starts.size
-        seg_id = np.cumsum(new_seg) - 1
-        seg_pid = spid[starts]
+        stack = PhaseStack(phases)
+        if not stack.size:
+            return [0.0] * stack.n
+        ss = stack.substeps
+        P = stack.P
+        nseg = ss.starts.size
+        w_arr = (-(-stack.msg_bytes // self.params.w) * stack.count)[ss.order]
 
         def _endpoint_stats(ep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """Per sub-step: (max summed words at one endpoint, #distinct
             endpoints) — exact int64 sums, order-independent."""
-            o2 = np.argsort(seg_id * P + ep, kind="stable")
-            k2 = (seg_id * P + ep)[o2]
+            key = ss.sub * P + ep[ss.order]
+            o2 = np.argsort(key, kind="stable")
+            k2 = key[o2]
             w2 = w_arr[o2]
             run_starts = np.nonzero(
                 np.concatenate(([True], np.diff(k2) != 0)))[0]
@@ -134,8 +110,8 @@ class EBSP(CostModel):
             cnt[run_seg[srs]] = np.diff(np.concatenate((srs, [run_seg.size])))
             return mx, cnt
 
-        sent_max, senders = _endpoint_stats(s_arr)
-        recv_max, _ = _endpoint_stats(d_arr)
+        sent_max, senders = _endpoint_stats(stack.src)
+        recv_max, _ = _endpoint_stats(stack.dst)
 
         s_max = sent_max.astype(np.float64)
         senders_f = senders.astype(np.float64)
@@ -145,15 +121,8 @@ class EBSP(CostModel):
         h_r_step = np.ceil(recv_max.astype(np.float64) / safe)
         per_step = per_step + self.params.g * (h_r_step - 1.0)
         seg_cost = np.where(s_max > 0, s_max * per_step, 0.0)
-
-        phase_bounds = np.nonzero(
-            np.concatenate(([True], np.diff(seg_pid) != 0)))[0]
-        phase_ends = np.concatenate((phase_bounds[1:], [nseg]))
-        costs_l = seg_cost.tolist()
-        for pi, lo, hi in zip(seg_pid[phase_bounds].tolist(),
-                              phase_bounds.tolist(), phase_ends.tolist()):
-            out[pi] = sum(costs_l[lo:hi])
-        return out
+        n_sub = np.bincount(ss.pid, minlength=stack.n)
+        return segment_sums(seg_cost, np.cumsum(n_sub) - n_sub, n_sub).tolist()
 
 
 class ScatterAwareBSP(BSP):
@@ -238,37 +207,17 @@ class LocalityAwareBSP(BSP):
 
     def _comm_costs(self, phases: list[CommPhase]) -> list[float]:
         """Columnar distance-weighted pricing (bit-identical to the
-        scalar path: per-group costs are elementwise and the combined-key
+        scalar path: per-group costs are elementwise and the per-phase
         bincounts accumulate in the same group order)."""
-        if (type(self).comm_cost is not LocalityAwareBSP.comm_cost
-                or len({ph.P for ph in phases}) > 1):
+        if type(self).comm_cost is not LocalityAwareBSP.comm_cost:
             return super()._comm_costs(phases)
-        n = len(phases)
-        out = [0.0] * n
-        w = self.params.w
-        srcs, dsts, words_l, pids = [], [], [], []
-        for i, ph in enumerate(phases):
-            if not ph.is_empty:
-                srcs.append(ph.src)
-                dsts.append(ph.dst)
-                words_l.append(-(-ph.msg_bytes // w) * ph.count)
-                pids.append(np.full(ph.src.size, i, dtype=np.int64))
-        if not srcs:
-            return out
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        words = np.concatenate(words_l)
-        pid = np.concatenate(pids)
-        P = phases[0].P
-        sr, sc = np.divmod(src, self.side)
-        dr, dc = np.divmod(dst, self.side)
+        stack = PhaseStack(phases)
+        words = -(-stack.msg_bytes // self.params.w) * stack.count
+        sr, sc = np.divmod(stack.src, self.side)
+        dr, dc = np.divmod(stack.dst, self.side)
         hops = np.abs(sr - dr) + np.abs(sc - dc)
         cost = words * (self.g0 + self.g_hop * hops)
-        per_send = np.bincount(pid * P + src, weights=cost,
-                               minlength=n * P).reshape(n, P)
-        per_recv = np.bincount(pid * P + dst, weights=cost,
-                               minlength=n * P).reshape(n, P)
+        per_send = stack.per_proc(stack.src, cost)
+        per_recv = stack.per_proc(stack.dst, cost)
         total = np.maximum(per_send, per_recv).max(axis=1) + self.params.L
-        for i in np.unique(pid).tolist():
-            out[i] = float(total[i])
-        return out
+        return np.where(stack.live, total, 0.0).tolist()

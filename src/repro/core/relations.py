@@ -21,12 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TraceError
 
-__all__ = ["CommPhase", "Relation", "merge_phases"]
+__all__ = ["CommPhase", "Relation", "merge_phases", "unique_phases",
+           "PhaseStack", "SubSteps"]
 
 
 @dataclass(frozen=True)
@@ -384,3 +386,109 @@ def merge_phases(phases: list[CommPhase]) -> CommPhase:
         step=np.concatenate(steps),
         stagger=all(ph.stagger for ph in phases),
     )
+
+
+def unique_phases(phases: "list[CommPhase]") -> "tuple[list[CommPhase], list[int]]":
+    """Deduplicate a phase sequence by object identity.
+
+    The vector engine *interns* repeated communication patterns — a
+    superstep built from the same message-group arrays as an earlier one
+    reuses the earlier :class:`CommPhase` object — so iterative
+    algorithms (APSP's broadcasts, bitonic's merge schedule) hand the
+    pricers long sequences with only a handful of distinct patterns.
+    Deterministic per-phase analysis only needs to run once per distinct
+    object; measurement noise is drawn at advance time regardless.
+
+    Returns ``(uniq, index)`` with ``uniq[index[i]] is phases[i]``.
+    Sound because the caller keeps ``phases`` (and hence every id) alive.
+    """
+    first: dict[int, int] = {}
+    uniq: list[CommPhase] = []
+    index: list[int] = []
+    for ph in phases:
+        j = first.get(id(ph))
+        if j is None:
+            j = len(uniq)
+            first[id(ph)] = j
+            uniq.append(ph)
+        index.append(j)
+    return uniq, index
+
+
+class SubSteps(NamedTuple):
+    """The schedule sub-steps of a :class:`PhaseStack`.
+
+    ``order`` sorts the stacked groups stably by (phase, step tag), so
+    each sub-step is a contiguous run and the runs of one phase come in
+    the tag order :meth:`CommPhase.split_steps` visits them.
+    """
+
+    order: np.ndarray   #: stacked group indices in sub-step order
+    sub: np.ndarray     #: sub-step index of each group of ``order``
+    starts: np.ndarray  #: first position in ``order`` of each sub-step
+    pid: np.ndarray     #: owning phase of each sub-step
+
+
+class PhaseStack:
+    """The message groups of many phases as one set of columns.
+
+    Every batched pricer, machine or cost model, analyses a whole phase
+    sequence at once.  This concatenates the groups of the non-empty
+    phases in phase order and records each group's owning phase index in
+    ``pid``.  A phase's own groups keep their order, so a float sum over
+    them accumulates exactly as the per-phase code's does.  Per-processor
+    tables are ``(n, P)`` with ``P`` the largest phase ``P``: a narrower
+    phase leaves its extra columns zero, so phases of different ``P``
+    stack without a fallback.
+    """
+
+    def __init__(self, phases: "list[CommPhase]"):
+        self.phases = phases
+        self.n = len(phases)
+        self.P = max((ph.P for ph in phases), default=1)
+        #: phases with at least one message
+        self.live = np.array([not ph.is_empty for ph in phases], dtype=bool)
+        live = [ph for ph in phases if not ph.is_empty]
+        if live:
+            self.src, self.dst, self.count, self.msg_bytes, self.step = (
+                np.concatenate([getattr(ph, name) for ph in live])
+                for name in ("src", "dst", "count", "msg_bytes", "step"))
+        else:
+            self.src = self.dst = self.count = self.msg_bytes = self.step = (
+                np.zeros(0, dtype=np.int64))
+        self.pid = np.repeat(np.flatnonzero(self.live),
+                             [ph.n_groups for ph in live]).astype(np.int64)
+
+    @property
+    def size(self) -> int:
+        """Number of stacked groups."""
+        return int(self.src.size)
+
+    def per_proc(self, ends: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``(n, P)`` per-phase sums of ``weights`` at endpoints ``ends``."""
+        n, P = self.n, self.P
+        out = np.bincount(self.pid * P + ends, weights=weights,
+                          minlength=n * P)
+        # bincount of no groups returns integers whatever the weights
+        return out.astype(np.float64, copy=False).reshape(n, P)
+
+    def per_phase(self, weights: np.ndarray) -> np.ndarray:
+        """Per-phase sums of ``weights`` (exact for integer weights)."""
+        out = np.bincount(self.pid, weights=weights, minlength=self.n)
+        return out.astype(np.float64, copy=False)
+
+    @cached_property
+    def substeps(self) -> SubSteps:
+        """The (phase, step tag) split of the stacked groups."""
+        if not self.size:
+            z = np.zeros(0, dtype=np.int64)
+            return SubSteps(z, z, z, z)
+        smin = int(self.step.min())
+        srange = int(self.step.max()) - smin + 1
+        key = self.pid * srange + (self.step - smin)
+        order = np.argsort(key, kind="stable")
+        skey = key[order]
+        new = np.concatenate(([True], skey[1:] != skey[:-1]))
+        starts = np.flatnonzero(new)
+        return SubSteps(order, np.cumsum(new) - 1, starts,
+                        self.pid[order[starts]])

@@ -20,37 +20,10 @@ import numpy as np
 
 from ..core.errors import SimulationError
 from ..core.params import ModelParams
-from ..core.relations import CommPhase
+from ..core.relations import CommPhase, PhaseStack, unique_phases
 from ..core.work import Work, nominal_time, nominal_time_batch
 
-__all__ = ["Machine", "CommPricer", "unique_phases"]
-
-
-def unique_phases(phases: "list[CommPhase]") -> "tuple[list[CommPhase], list[int]]":
-    """Deduplicate a phase sequence by object identity.
-
-    The vector engine *interns* repeated communication patterns — a
-    superstep built from the same message-group arrays as an earlier one
-    reuses the earlier :class:`CommPhase` object — so iterative
-    algorithms (APSP's broadcasts, bitonic's merge schedule) hand the
-    pricers long sequences with only a handful of distinct patterns.
-    Deterministic per-phase analysis only needs to run once per distinct
-    object; measurement noise is drawn at advance time regardless.
-
-    Returns ``(uniq, index)`` with ``uniq[index[i]] is phases[i]``.
-    Sound because the caller keeps ``phases`` (and hence every id) alive.
-    """
-    first: dict[int, int] = {}
-    uniq: list[CommPhase] = []
-    index: list[int] = []
-    for ph in phases:
-        j = first.get(id(ph))
-        if j is None:
-            j = len(uniq)
-            first[id(ph)] = j
-            uniq.append(ph)
-        index.append(j)
-    return uniq, index
+__all__ = ["Machine", "CommPricer"]
 
 
 class CommPricer:
@@ -60,37 +33,44 @@ class CommPricer:
     barrier=...)`` for ``i = 0 .. n-1`` *in order* must be bit-identical —
     returned clock arrays and machine RNG stream alike — to calling
     ``machine.comm_time(phases[i], clocks, barrier=...)`` in the same
-    order.  This default implementation *is* that scalar loop, so it
-    doubles as the equivalence oracle; machines override
-    :meth:`Machine.comm_time_batch` to return subclasses that hoist the
-    deterministic pattern analysis across the whole sequence as stacked
-    arrays and only draw per-phase measurement noise at advance time
-    (which keeps the stream order intact).
+    order.  The scalar ``comm_time`` stays the reference the tests hold
+    every pricer to.
+
+    The pricer analyses each distinct phase object once
+    (:func:`~repro.core.relations.unique_phases`), over one
+    :class:`~repro.core.relations.PhaseStack` of their groups.  This base
+    class is the bulk-synchronous layout (CM-5, T800, modern cluster):
+    :meth:`Machine.phase_cost_batch` gives each phase's deterministic
+    cost, and each advance multiplies in one ``jitter(machine.noise)``
+    draw — the draw the scalar ``phase_cost`` ends with — and lands the
+    clocks through :meth:`Machine._advance`.  The MasPar (sub-step
+    segments) and the GCel (per-node times with drift) subclass it.
     """
 
     def __init__(self, machine: "Machine", phases: "list[CommPhase]"):
         self.machine = machine
         self.phases = phases
+        uniq, idx = unique_phases(phases)
+        self._idx = np.asarray(idx, dtype=np.int64)
+        self._prep(PhaseStack(uniq))
+
+    def _prep(self, stack: PhaseStack) -> None:
+        self._det = self.machine.phase_cost_batch(stack)
+
+    def _cost(self, i: int) -> float:
+        """Noise-jittered cost of non-empty phase ``i``."""
+        m = self.machine
+        return float(self._det[self._idx[i]]) * m.jitter(m.noise)
 
     def comm_time(self, i: int, clocks: np.ndarray, *,
                   barrier: bool = True) -> np.ndarray:
-        return self.machine.comm_time(self.phases[i], clocks, barrier=barrier)
-
-    def sequence_costs(self) -> "np.ndarray | None":
-        """All per-phase costs in one fused draw, or ``None``.
-
-        A pricer may return an array with entry ``i`` equal to the
-        (noise-jittered) scalar cost its ``comm_time(i, ...)`` call would
-        have added to the clocks' running maximum — computed for the
-        *whole* sequence with vectorised noise draws that consume the
-        machine RNG bit-identically to the per-phase calls.  Returning a
-        non-``None`` array consumes that stream: the caller must then
-        advance the clocks itself (the IR replay engine's fused scan)
-        instead of calling :meth:`comm_time`.  Only sound for machines
-        whose ``comm_time`` has the base bulk-synchronous shape (cost
-        added to ``max(clocks)``); the default is no fused path.
-        """
-        return None
+        phase = self.phases[i]
+        if clocks.shape != (phase.P,):
+            raise SimulationError("clock array does not match phase P")
+        total = float(clocks.max())
+        if not phase.is_empty:
+            total += self._cost(i)
+        return self.machine._advance(phase, clocks, total, barrier)
 
 
 class Machine(ABC):
@@ -205,13 +185,24 @@ class Machine(ABC):
     def comm_time_batch(self, phases: "list[CommPhase]") -> CommPricer:
         """A pricer for a whole run's communication phases.
 
-        The default delegates to :meth:`comm_time` phase by phase (the
-        scalar oracle).  Machines override this to precompute the
-        deterministic pattern analysis for every phase at once; the
-        returned pricer's calls remain bit-identical to the scalar path
-        (see :class:`CommPricer`).
+        Each machine has two implementations of its communication law:
+        the scalar reference (:meth:`comm_time` and :meth:`phase_cost`)
+        and one columnar analysis behind this pricer, bit-identical to
+        it (see :class:`CommPricer`).  The default is the base
+        bulk-synchronous pricer over :meth:`phase_cost_batch`.
         """
         return CommPricer(self, phases)
+
+    def phase_cost_batch(self, stack: PhaseStack) -> np.ndarray:
+        """Deterministic cost of every phase of ``stack``.
+
+        Entry ``i`` is :meth:`phase_cost` of ``stack.phases[i]`` without
+        its final ``jitter(self.noise)`` factor, bit for bit; entries of
+        empty phases are never read.  Machines priced by the base
+        :class:`CommPricer` implement it.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} has no columnar phase_cost_batch")
 
     # ------------------------------------------------------------------
     def jitter(self, scale: float = 0.01) -> float:

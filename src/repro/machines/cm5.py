@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.errors import SimulationError
 from ..core.params import ModelParams, paper_params
-from ..core.relations import CommPhase
+from ..core.relations import CommPhase, PhaseStack
 from ..core.work import MatmulBlock, Work, nominal_time
-from .base import CommPricer, Machine, unique_phases
+from .base import Machine
 
 __all__ = ["CM5"]
 
@@ -172,83 +171,34 @@ class CM5(Machine):
     def barrier_time(self) -> float:
         return self.barrier_us
 
-    def comm_time_batch(self, phases: list[CommPhase]) -> CommPricer:
-        return _CM5CommPricer(self, phases)
+    def phase_cost_batch(self, stack: PhaseStack) -> np.ndarray:
+        """:meth:`phase_cost` before its jitter, every phase at once.
 
-
-class _CM5CommPricer(CommPricer):
-    """Batched CM-5 pricer.
-
-    ``phase_cost`` is deterministic up to its final jitter factor, so the
-    endpoint-serialisation / fat-tree-transit analysis of every phase is
-    computed up front from one concatenation of all groups; the jitter is
-    drawn per phase at advance time, keeping the RNG stream identical to
-    the scalar path.  The hot-spot factor needs ``max_fan_in`` only for
-    unstaggered phases, which stay on the per-phase (cached) property.
-    """
-
-    def __init__(self, machine: CM5, phases: list[CommPhase]):
-        super().__init__(machine, phases)
-        uniq, self._idx = unique_phases(phases)
-        self._det = self._prep(uniq)
-
-    def _prep(self, uniq: list[CommPhase]) -> np.ndarray:
-        m: CM5 = self.machine
-        P = m.P
-        n = len(uniq)
-        det = np.zeros(n)
-        srcs, dsts, counts, sizes, pids = [], [], [], [], []
-        for i, ph in enumerate(uniq):
-            if ph.n_groups:
-                srcs.append(ph.src)
-                dsts.append(ph.dst)
-                counts.append(ph.count)
-                sizes.append(ph.msg_bytes)
-                pids.append(np.full(ph.src.size, i, dtype=np.int64))
-        if not srcs:
-            return det
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        count = np.concatenate(counts)
-        mb = np.concatenate(sizes)
-        pid = np.concatenate(pids)
-
-        blocky = mb >= m.block_threshold
-        extra = np.maximum(0, mb - m.nominal.w)
+        The endpoint-serialisation and fat-tree-transit analysis runs
+        over the stacked groups; the hot-spot factor needs
+        ``max_fan_in`` only for unstaggered phases, which stay on the
+        per-phase (cached) property.
+        """
+        count, mb = stack.count, stack.msg_bytes
+        blocky = mb >= self.block_threshold
+        extra = np.maximum(0, mb - self.nominal.w)
         send_cost = np.where(blocky,
-                             count * (m.ell_send + m.sigma_send * mb),
-                             count * (m.o_send + m.sigma_send * extra))
+                             count * (self.ell_send + self.sigma_send * mb),
+                             count * (self.o_send + self.sigma_send * extra))
         recv_cost = np.where(blocky,
-                             count * (m.ell_recv + m.sigma_recv * mb),
-                             count * (m.o_recv + m.sigma_recv * extra))
-        per_send = np.bincount(pid * P + src, weights=send_cost,
-                               minlength=n * P).reshape(n, P)
-        per_recv = np.bincount(pid * P + dst, weights=recv_cost,
-                               minlength=n * P).reshape(n, P)
-        t = (per_send + per_recv).max(axis=1)
+                             count * (self.ell_recv + self.sigma_recv * mb),
+                             count * (self.o_recv + self.sigma_recv * extra))
+        t = (stack.per_proc(stack.src, send_cost)
+             + stack.per_proc(stack.dst, recv_cost)).max(axis=1)
 
-        sends = np.bincount(pid * P + src, weights=count,
-                            minlength=n * P).reshape(n, P)
-        recvs = np.bincount(pid * P + dst, weights=count,
-                            minlength=n * P).reshape(n, P)
+        sends = stack.per_proc(stack.src, count)
+        recvs = stack.per_proc(stack.dst, count)
         active = ((sends > 0) | (recvs > 0)).sum(axis=1)
-        t = t + m.net_msg * (active / m.P) * recvs.max(axis=1)
+        t = t + self.net_msg * (active / self.P) * recvs.max(axis=1)
 
-        for i, ph in enumerate(uniq):
-            if ph.n_groups and (not ph.stagger or not m.stagger_sensitive):
+        for i, ph in enumerate(stack.phases):
+            if ph.n_groups and (not ph.stagger or not self.stagger_sensitive):
                 f = ph.max_fan_in
                 if f > 1:
-                    t[i] *= 1.0 + m.hotspot_coef * (1.0 - 1.0 / f)
-        det[:] = t
-        return det
-
-    def comm_time(self, i: int, clocks: np.ndarray, *,
-                  barrier: bool = True) -> np.ndarray:
-        m: CM5 = self.machine
-        phase = self.phases[i]
-        if clocks.shape != (phase.P,):
-            raise SimulationError("clock array does not match phase P")
-        total = float(clocks.max())
-        if not phase.is_empty:
-            total += float(self._det[self._idx[i]]) * m.jitter(m.noise)
-        return m._advance(phase, clocks, total, barrier)
+                    t[i] *= 1.0 + self.hotspot_coef * (1.0 - 1.0 / f)
+        return t

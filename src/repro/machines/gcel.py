@@ -27,8 +27,8 @@ import numpy as np
 
 from ..core.errors import SimulationError
 from ..core.params import ModelParams, paper_params
-from ..core.relations import CommPhase
-from .base import CommPricer, Machine, unique_phases
+from ..core.relations import CommPhase, PhaseStack
+from .base import CommPricer, Machine
 
 __all__ = ["GCel"]
 
@@ -156,50 +156,23 @@ class GCel(Machine):
         return np.maximum(new, clocks)
 
     def comm_time_batch(self, phases: list[CommPhase]) -> CommPricer:
-        if len({ph.P for ph in phases}) > 1:
-            return CommPricer(self, phases)  # mixed-P: scalar oracle
         return _GCelCommPricer(self, phases)
 
 
 class _GCelCommPricer(CommPricer):
-    """Batched GCel pricer.
+    """GCel pricer: per-node times, advanced with drift.
 
     ``_per_proc_times`` is deterministic, so the per-node software +
-    transit times of *every* phase are computed up front from one
-    concatenation of all groups (per-group costs elementwise, per-node
-    sums through combined-key bincounts, bisection words through exact
-    integer segment sums).  The advance step mirrors ``GCel.comm_time``
+    transit times of every distinct phase form one ``(n, P)`` table
+    built from the stacked groups (per-group costs elementwise,
+    per-node sums through per-phase bincounts, bisection words through
+    exact integer sums).  The advance step mirrors ``GCel.comm_time``
     bit for bit, drawing its jitter/drift noise per phase in call order.
     """
 
-    def __init__(self, machine: GCel, phases: list[CommPhase]):
-        super().__init__(machine, phases)
-        uniq, self._idx = unique_phases(phases)
-        self._times = self._prep(uniq)
-
-    def _prep(self, uniq: list[CommPhase]) -> np.ndarray:
+    def _prep(self, stack: PhaseStack) -> None:
         m: GCel = self.machine
-        # the per-node times vectors are phase-P wide (a run may use a
-        # sub-partition of the machine, like the scalar bincounts do)
-        P = uniq[0].P if uniq else m.P
-        n = len(uniq)
-        srcs, dsts, counts, sizes, pids = [], [], [], [], []
-        for i, ph in enumerate(uniq):
-            if ph.n_groups:
-                srcs.append(ph.src)
-                dsts.append(ph.dst)
-                counts.append(ph.count)
-                sizes.append(ph.msg_bytes)
-                pids.append(np.full(ph.src.size, i, dtype=np.int64))
-        times = np.zeros((n, P))
-        if not srcs:
-            return times
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        count = np.concatenate(counts)
-        mb = np.concatenate(sizes)
-        pid = np.concatenate(pids)
-
+        count, mb = stack.count, stack.msg_bytes
         blocky = mb >= m.block_threshold
         extra = np.maximum(0, mb - m.nominal.w)
         send_cost = np.where(blocky,
@@ -208,19 +181,15 @@ class _GCelCommPricer(CommPricer):
         recv_cost = np.where(blocky,
                              count * (m.ell_recv + m.sigma_recv * mb),
                              count * (m.c_recv + m.fine_byte * extra))
-        times = np.bincount(pid * P + src, weights=send_cost,
-                            minlength=n * P).reshape(n, P)
-        times += np.bincount(pid * P + dst, weights=recv_cost,
-                             minlength=n * P).reshape(n, P)
+        times = stack.per_proc(stack.src, send_cost)
+        times += stack.per_proc(stack.dst, recv_cost)
         if m.side:
-            crossing = ((src % m.side < m.side // 2)
-                        != (dst % m.side < m.side // 2))
+            crossing = ((stack.src % m.side < m.side // 2)
+                        != (stack.dst % m.side < m.side // 2))
             words = count * -(-mb // m.nominal.w)
-            wcross = words * crossing  # int64: segment sums are exact
-            starts = np.nonzero(np.concatenate(([True], np.diff(pid) != 0)))[0]
-            cross_words = np.add.reduceat(wcross, starts).astype(np.float64)
-            times[pid[starts]] += (m.hop_word * cross_words / m.side)[:, None]
-        return times
+            cross_words = stack.per_phase(words * crossing)
+            times += (m.hop_word * cross_words / m.side)[:, None]
+        self._times = times
 
     def comm_time(self, i: int, clocks: np.ndarray, *,
                   barrier: bool = True) -> np.ndarray:
@@ -232,7 +201,8 @@ class _GCelCommPricer(CommPricer):
             if barrier:
                 return np.full(phase.P, float(clocks.max()) + m.barrier_us)
             return clocks.copy()
-        times = self._times[self._idx[i]]
+        # rows are as wide as the widest phase; this phase uses its own P
+        times = self._times[self._idx[i], :phase.P]
         if barrier:
             total = float(clocks.max()) + float(times.max()) + m.barrier_us
             return np.full(phase.P, total)

@@ -39,9 +39,9 @@ import numpy as np
 
 from ..core.errors import SimulationError
 from ..core.params import ModelParams, UnbalancedCost, paper_params
-from ..core.relations import CommPhase
+from ..core.relations import CommPhase, PhaseStack
 from ..core.segsum import segment_sums
-from .base import CommPricer, Machine, unique_phases
+from .base import CommPricer, Machine
 
 __all__ = ["MasParMP1"]
 
@@ -217,85 +217,96 @@ class MasParMP1(Machine):
         return _MasParCommPricer(self, phases)
 
 
-class _MasParCommPricer(CommPricer):
-    """Batched MasPar pricer: one columnar analysis for a whole run.
+def _ranges(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``arange(lo[k], lo[k] + lens[k])`` for every ``k``, concatenated."""
+    ends = np.cumsum(lens)
+    return (np.repeat(lo - (ends - lens), lens)
+            + np.arange(ends[-1] if ends.size else 0))
 
-    Almost every sub-step the engines emit is *regular*: each PE sends at
-    most one group and all groups carry the same count, so the single-port
-    schedule of :meth:`MasParMP1._sequence_cost` degenerates to one step
-    segment repeated ``count`` times.  For those sub-steps the router cost
-    is a closed-form function of per-sub-step reductions (active senders,
-    max message size, cube test, receive fan-in, cluster loads), all of
-    which this pricer computes for *every* phase of the run in a handful
-    of NumPy passes.  Irregular phases fall back to the scalar
-    ``phase_cost``.  Measurement noise is drawn at advance time, one
-    sub-step at a time in schedule order, so the RNG stream is consumed
-    exactly as the scalar path consumes it.
+
+class _MasParCommPricer(CommPricer):
+    """MasPar pricer: every sub-step priced as its single-port segments.
+
+    :meth:`MasParMP1._sequence_cost` routes a sub-step's groups back to
+    back per PE, so the sub-step falls into *segments* — the intervals
+    between consecutive distinct group start and end steps — each
+    repeating one router step over the groups active in it.  A sub-step
+    in which every PE sends one group of a common count is one segment.
+    :meth:`_prep` finds the segments of every distinct phase and the
+    deterministic router time of each with the per-segment reductions of
+    :meth:`MasParMP1._step_cost` (active senders, largest message, cube
+    test, receive fan-in, busiest cluster), which do not depend on group
+    order.  :meth:`_costs` draws the noise, so ``comm_time`` and the
+    fused :meth:`sequence_costs` share one routine.
     """
 
-    def __init__(self, machine: MasParMP1, phases: list[CommPhase]):
-        super().__init__(machine, phases)
-        uniq, idx = unique_phases(phases)
-        self._idx = np.asarray(idx, dtype=np.int64)
-        n_uniq = len(uniq)
-        # Columnar plan state: per unique phase a verdict code (0 empty,
-        # 1 fast, 2 scalar) plus the [lo, hi) span of its sub-steps in
-        # the schedule-ordered (reps, det, sigma) columns.  Per-phase
-        # python plan lists are materialised lazily for the scalar
-        # comm_time path only — the fused sequence_costs path reads the
-        # columns directly and never builds them.
-        self._code = np.zeros(n_uniq, dtype=np.int64)
-        self._lo = np.zeros(n_uniq, dtype=np.int64)
-        self._hi = np.zeros(n_uniq, dtype=np.int64)
-        self._sub: tuple | None = None
-        self._plans: list = [None] * n_uniq
-        self._prep(uniq)
-
-    def _prep(self, uniq: list[CommPhase]) -> None:
+    def _prep(self, stack: PhaseStack) -> None:
         m: MasParMP1 = self.machine
-        P = m.P
-        srcs, dsts, counts, sizes, steps, pids = [], [], [], [], [], []
-        for i, ph in enumerate(uniq):
-            if ph.is_empty:
-                continue
-            srcs.append(ph.src)
-            dsts.append(ph.dst)
-            counts.append(ph.count)
-            sizes.append(ph.msg_bytes)
-            steps.append(ph.step)
-            pids.append(np.full(ph.src.size, i, dtype=np.int64))
-        if not srcs:
+        P = stack.P
+        ss = stack.substeps
+        # sub-steps of distinct phase u: [_sub_lo[u], _sub_lo[u] + _n_sub[u])
+        self._n_sub = np.bincount(ss.pid, minlength=stack.n)
+        self._sub_lo = np.cumsum(self._n_sub) - self._n_sub
+        if not stack.size:
+            self._n_seg = self._seg_lo = np.zeros(0, dtype=np.int64)
+            self._reps = self._det = self._sigma = np.zeros(0)
             return
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        count = np.concatenate(counts)
-        msg_bytes = np.concatenate(sizes)
-        step = np.concatenate(steps)
-        pid = np.concatenate(pids)
+        order, sub, sub_starts = ss.order, ss.sub, ss.starts
+        count = stack.count[order]
 
-        # Sort groups by (phase, step tag): sub-steps become contiguous
-        # runs, in the same order the scalar split_steps() visits them.
-        smin = int(step.min())
-        srange = int(step.max()) - smin + 1
-        key = pid * srange + (step - smin)
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        s = src[order]
-        d = dst[order]
-        c = count[order]
-        mb = msg_bytes[order]
-        spid = pid[order]
+        # A sub-step in which every sending PE has one group, and all
+        # groups share one count, is one segment of `count` steps.
+        key = sub * P + stack.src[order]
+        ks = np.sort(key)
+        single = (np.minimum.reduceat(count, sub_starts)
+                  == np.maximum.reduceat(count, sub_starts))
+        single[ks[1:][ks[1:] == ks[:-1]] // P] = False
+        one = np.flatnonzero(single)
 
-        new_seg = np.concatenate(([True], np.diff(skey) != 0))
-        starts = np.nonzero(new_seg)[0]
-        nseg = starts.size
-        seg_pid = spid[starts]
-        seg_sizes = np.diff(np.concatenate((starts, [skey.size])))
-        seg_id = np.cumsum(new_seg) - 1
+        # Any other sub-step is split.  A PE's groups route back to back
+        # in phase order, so a group occupies steps [start, start +
+        # count) after the PE's earlier groups.  The segments are the
+        # intervals between the sub-step's distinct starts and ends, and
+        # a group is active in those between its own start and end.
+        # Every segment has an active group, because each PE's groups
+        # cover [0, its total) without gaps.
+        g = np.flatnonzero(~single[sub])
+        gkey, gcount = key[g], count[g]
+        o2 = np.argsort(gkey, kind="stable")
+        c2 = gcount[o2]
+        before = np.cumsum(c2) - c2
+        k2 = gkey[o2]
+        first = np.concatenate(([True], k2[1:] != k2[:-1]))
+        start = np.empty_like(gcount)
+        start[o2] = before - np.maximum.accumulate(np.where(first, before, 0))
+        W = int((start + gcount).max(initial=0)) + 1
+        lo = sub[g] * W + start
+        hi = lo + gcount
+        bp = np.unique(np.concatenate((lo, hi)))
+        inner = bp[1:] // W == bp[:-1] // W
+        first_bp = np.searchsorted(bp, lo)
+        n_span = np.searchsorted(bp, hi) - first_bp
+        gseg = (np.cumsum(inner) - 1)[_ranges(first_bp, n_span)]
+        o3 = np.argsort(gseg, kind="stable")
 
-        # Per-sub-step reductions -------------------------------------
+        # Segments, the single sub-steps first; a segment's rows (the
+        # groups active in it) are contiguous.
+        seg_sub = np.concatenate((one, (bp[:-1] // W)[inner]))
+        seg_step = np.concatenate((np.zeros_like(one), (bp[:-1] % W)[inner]))
+        reps = np.concatenate((count[sub_starts[one]], np.diff(bp)[inner]))
+        seg_sizes = np.concatenate((np.diff(sub_starts, append=sub.size)[one],
+                                    np.bincount(gseg, minlength=inner.sum())))
+        rows = order[np.concatenate((np.flatnonzero(single[sub]),
+                                     np.repeat(g, n_span)[o3]))]
+        nseg = seg_sizes.size
+        seg = np.repeat(np.arange(nseg), seg_sizes)
+        starts = np.cumsum(seg_sizes) - seg_sizes
+        s = stack.src[rows]
+        d = stack.dst[rows]
+        mb = stack.msg_bytes[rows]
+
+        # Per-segment reductions -------------------------------------
         m_max = np.maximum.reduceat(mb, starts)
-        uniform = np.minimum.reduceat(c, starts) == np.maximum.reduceat(c, starts)
         x = s ^ d
         xfirst = np.minimum.reduceat(x, starts)
         cube = ((xfirst == np.maximum.reduceat(x, starts))
@@ -303,30 +314,20 @@ class _MasParCommPricer(CommPricer):
         if not m.cube_aware:
             cube = np.zeros_like(cube)
 
-        # "Every source distinct" test: duplicates show up as equal
-        # neighbours once group keys are sorted by (sub-step, src).
-        k2 = np.sort(seg_id * P + s)
-        distinct = np.ones(nseg, dtype=bool)
-        eq = k2[1:] == k2[:-1]
-        if eq.any():
-            distinct[(k2[1:][eq]) // P] = False
-        fast = uniform & distinct
-
         # Receive fan-in h_r: the max multiplicity of any destination
-        # among a sub-step's groups (group-level, as in _step_cost).
-        k3 = np.sort(seg_id * P + d)
-        run_starts = np.nonzero(np.concatenate(([True], np.diff(k3) != 0)))[0]
+        # among a segment's groups (group-level, as in _step_cost).
+        k3 = np.sort(seg * P + d)
+        run_starts = np.flatnonzero(np.concatenate(([True], np.diff(k3) != 0)))
         run_len = np.diff(np.concatenate((run_starts, [k3.size])))
         run_seg = k3[run_starts] // P
-        seg_run_starts = np.nonzero(
-            np.concatenate(([True], np.diff(run_seg) != 0)))[0]
-        h_r = np.empty(nseg, dtype=np.int64)
-        h_r[run_seg[seg_run_starts]] = np.maximum.reduceat(run_len, seg_run_starts)
+        seg_run_starts = np.flatnonzero(
+            np.concatenate(([True], np.diff(run_seg) != 0)))
+        h_r = np.maximum.reduceat(run_len, seg_run_starts)
 
         # Busiest cluster channel load (group-level, matching the `ones`
         # weights the scalar path passes to _cluster_penalty).
-        n_clusters = P // m.CLUSTER
-        loads = np.bincount(seg_id * n_clusters + d // m.CLUSTER,
+        n_clusters = m.P // m.CLUSTER
+        loads = np.bincount(seg * n_clusters + d // m.CLUSTER,
                             minlength=nseg * n_clusters)
         loads = loads.reshape(nseg, n_clusters).max(axis=1)
 
@@ -334,7 +335,7 @@ class _MasParCommPricer(CommPricer):
         # branchless variants only add exact zeros where the scalar path
         # skips the addition.
         active = (seg_sizes.astype(np.float64) if m.partial_law
-                  else np.full(nseg, float(P)))
+                  else np.full(nseg, float(m.P)))
         w = m.nominal.w
         base = m.unb.a * active + m.unb.b * np.sqrt(active) + m.unb.c
         t_word = np.where(cube, m.cube_factor * (base - m.unb.c) + m.unb.c, base)
@@ -352,89 +353,44 @@ class _MasParCommPricer(CommPricer):
             t_blk = t_blk + (h_r - 1) * (m.sigma_block * m_max + 0.25 * m.ell_block)
 
         block = m_max > m.block_threshold
-        det = np.where(block, t_blk, t_word)
-        sigma = np.where(block, m.noise / 4, m.noise)
-        reps = np.maximum.reduceat(c, starts)  # uniform on the fast path
+        # schedule order: by sub-step, then by first step
+        sched = np.lexsort((seg_step, seg_sub))
+        self._det = np.where(block, t_blk, t_word)[sched]
+        self._sigma = np.where(block, m.noise / 4, m.noise)[sched]
+        self._reps = reps[sched].astype(np.float64)
+        # segments of sub-step k: [_seg_lo[k], _seg_lo[k] + _n_seg[k])
+        self._n_seg = np.bincount(seg_sub, minlength=sub_starts.size)
+        self._seg_lo = np.cumsum(self._n_seg) - self._n_seg
 
-        # Per-phase verdicts: a phase is fast only if every one of its
-        # sub-steps is (whole-phase scalar fallback keeps the RNG draw
-        # order trivially correct).
-        phase_bounds = np.nonzero(
-            np.concatenate(([True], np.diff(seg_pid) != 0)))[0]
-        phase_fast = np.logical_and.reduceat(fast, phase_bounds)
-        phase_ends = np.concatenate((phase_bounds[1:], [nseg]))
-        pis = seg_pid[phase_bounds]
-        self._code[pis] = np.where(phase_fast, 1, 2)
-        self._lo[pis] = phase_bounds
-        self._hi[pis] = phase_ends
-        self._sub = (reps.astype(np.float64), det, sigma)
+    def _costs(self, u: np.ndarray) -> np.ndarray:
+        """Noise-jittered costs of the distinct phases ``u``, in order.
 
-    def _plan(self, u: int):
-        """Materialise the python plan list for unique phase ``u``."""
-        plan = self._plans[u]
-        if plan is None:
-            code = int(self._code[u])
-            if code == 0:
-                plan = ("empty",)
-            elif code == 2:
-                plan = ("scalar",)
-            else:
-                lo, hi = int(self._lo[u]), int(self._hi[u])
-                reps, det, sigma = self._sub
-                plan = ("fast", list(zip(reps[lo:hi].tolist(),
-                                         det[lo:hi].tolist(),
-                                         sigma[lo:hi].tolist())))
-            self._plans[u] = plan
-        return plan
-
-    def sequence_costs(self):
-        """Whole-run phase costs in one vectorised noise draw.
-
-        Available exactly when every non-empty phase has a fast plan: the
-        scalar ``comm_time`` loop then reduces to ``cost_i = sum_k
-        reps_k * (det_k * (1 + z_k))`` over phase ``i``'s sub-steps, with
-        one noise draw per sub-step in schedule order.  Drawing all the
-        ``z_k`` as a single ``rng.normal(0, sigma_vector)`` call consumes
-        the RNG stream bit-identically to the sequential scalar draws,
-        and :func:`segment_sums` keeps each phase's accumulation
-        left-to-right.  Any scalar-fallback plan returns ``None`` before
-        touching the RNG.
+        The scalar loop draws one jitter per segment, walking phases,
+        then sub-steps by tag, then segments by step; drawing all the
+        ``z`` as one ``rng.normal(0, sigma_vector)`` call in that order
+        consumes the RNG stream bit-identically.  Two
+        :func:`segment_sums` passes keep the left-to-right sums over a
+        sub-step's segments and over a phase's sub-steps.
         """
-        u = self._idx
-        n = u.size
-        if np.any(self._code[u] == 2):
-            return None
-        L = (self._hi - self._lo)[u]  # empty phases have lo == hi == 0
-        ends = np.cumsum(L)
-        total = int(ends[-1]) if n else 0
-        if total == 0:
-            return np.zeros(n)
-        # Ragged gather of each phase's sub-step rows in schedule order.
-        pos = np.arange(total)
-        seg_of = np.searchsorted(ends, pos, side="right")
-        offs = pos - (ends - L)[seg_of]
-        ridx = self._lo[u][seg_of] + offs
-        reps, det, sigma = self._sub
-        z = self.machine.rng.normal(0.0, sigma[ridx])
-        terms = reps[ridx] * (det[ridx] * (1.0 + z))
-        starts = np.concatenate(([0], ends[:-1]))
-        return segment_sums(terms, starts, L)
+        n_sub = self._n_sub[u]
+        subs = _ranges(self._sub_lo[u], n_sub)
+        n_seg = self._n_seg[subs]
+        segs = _ranges(self._seg_lo[subs], n_seg)
+        z = self.machine.rng.normal(0.0, self._sigma[segs])
+        terms = self._reps[segs] * (self._det[segs] * (1.0 + z))
+        sub_costs = segment_sums(terms, np.cumsum(n_seg) - n_seg, n_seg)
+        return segment_sums(sub_costs, np.cumsum(n_sub) - n_sub, n_sub)
 
-    def comm_time(self, i: int, clocks: np.ndarray, *,
-                  barrier: bool = True) -> np.ndarray:
-        m: MasParMP1 = self.machine
-        phase = self.phases[i]
-        if clocks.shape != (phase.P,):
-            raise SimulationError("clock array does not match phase P")
-        total = float(clocks.max())
-        plan = self._plan(int(self._idx[i]))
-        if plan[0] == "scalar":
-            if not phase.is_empty:
-                total += m.phase_cost(phase)
-        elif plan[0] == "fast":
-            cost = 0.0
-            rng = m.rng
-            for reps, det, sig in plan[1]:
-                cost += reps * (det * float(1.0 + rng.normal(0.0, sig)))
-            total += cost
-        return m._advance(phase, clocks, total, barrier)
+    def _cost(self, i: int) -> float:
+        return float(self._costs(self._idx[i:i + 1])[0])
+
+    def sequence_costs(self) -> np.ndarray:
+        """All per-phase costs in one fused draw.
+
+        Entry ``i`` is the (noise-jittered) cost ``comm_time(i, ...)``
+        would add to the clocks' running maximum.  Computing them
+        consumes the machine RNG stream, so the caller advances the
+        clocks itself (the IR replay engine's fused scan) instead of
+        calling :meth:`comm_time`.
+        """
+        return self._costs(self._idx)

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.errors import SimulationError
 from ..core.params import ModelParams
-from ..core.relations import CommPhase
-from .base import CommPricer, Machine, unique_phases
+from ..core.relations import CommPhase, PhaseStack
+from .base import Machine
 
 __all__ = ["ModernCluster"]
 
@@ -103,80 +102,29 @@ class ModernCluster(Machine):
     def barrier_time(self) -> float:
         return self.barrier_us
 
-    def comm_time_batch(self, phases: list[CommPhase]) -> CommPricer:
-        return _ModernCommPricer(self, phases)
+    def phase_cost_batch(self, stack: PhaseStack) -> np.ndarray:
+        """:meth:`phase_cost` before its jitter, every phase at once.
 
-
-class _ModernCommPricer(CommPricer):
-    """Batched fat-tree pricer.
-
-    Per-endpoint totals, the incast surcharge and the permutation test
-    are computed for every distinct phase at once with ``pid``-strided
-    bincounts, in the same elementwise operation order as
-    :meth:`ModernCluster.phase_cost`; jitter is drawn per phase at
-    advance time, preserving the RNG stream bit for bit.
-    """
-
-    def __init__(self, machine: ModernCluster, phases: list[CommPhase]):
-        super().__init__(machine, phases)
-        uniq, self._idx = unique_phases(phases)
-        self._det = self._prep(uniq)
-
-    def _prep(self, uniq: list[CommPhase]) -> np.ndarray:
-        m: ModernCluster = self.machine
-        P = m.P
-        n = len(uniq)
-        det = np.zeros(n)
-        srcs, dsts, counts, sizes, pids = [], [], [], [], []
-        for i, ph in enumerate(uniq):
-            if not ph.is_empty:
-                srcs.append(ph.src)
-                dsts.append(ph.dst)
-                counts.append(ph.count)
-                sizes.append(ph.msg_bytes)
-                pids.append(np.full(ph.src.size, i, dtype=np.int64))
-        if not srcs:
-            return det
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        count = np.concatenate(counts)
-        mb = np.concatenate(sizes)
-        pid = np.concatenate(pids)
-
-        words = -(-mb // m.nominal.w)
-        send_cost = count * m.o_send + count * words * m.word_us
-        recv_cost = count * m.o_recv + count * words * m.word_us
-        per_proc = np.bincount(pid * P + src, weights=send_cost,
-                               minlength=n * P).reshape(n, P)
-        per_proc += np.bincount(pid * P + dst, weights=recv_cost,
-                                minlength=n * P).reshape(n, P)
+        Per-endpoint totals, the incast surcharge and the permutation
+        test come from per-phase bincounts over the stacked groups, in
+        the same elementwise operation order as :meth:`phase_cost`.
+        """
+        count = stack.count
+        words = -(-stack.msg_bytes // self.nominal.w)
+        send_cost = count * self.o_send + count * words * self.word_us
+        recv_cost = count * self.o_recv + count * words * self.word_us
+        per_proc = stack.per_proc(stack.src, send_cost)
+        per_proc += stack.per_proc(stack.dst, recv_cost)
         t = per_proc.max(axis=1)
-
-        phase_p = np.array([ph.P for ph in uniq], dtype=np.float64)
-        if m.models_phenomenon("incast-collapse"):
-            recv_words = np.bincount(pid * P + dst, weights=count * words,
-                                     minlength=n * P).reshape(n, P)
+        if self.models_phenomenon("incast-collapse"):
+            recv_words = stack.per_proc(stack.dst, count * words)
             hot = recv_words.max(axis=1)
+            phase_p = np.array([ph.P for ph in stack.phases], dtype=np.float64)
             mean = recv_words.sum(axis=1) / phase_p
-            t = np.where(hot > mean,
-                         t + m.incast_word * (hot - mean), t)
-        if m.models_phenomenon("adaptive-routing"):
-            sends = np.bincount(pid * P + src, weights=count,
-                                minlength=n * P).reshape(n, P)
-            recvs = np.bincount(pid * P + dst, weights=count,
-                                minlength=n * P).reshape(n, P)
+            t = np.where(hot > mean, t + self.incast_word * (hot - mean), t)
+        if self.models_phenomenon("adaptive-routing"):
+            sends = stack.per_proc(stack.src, count)
+            recvs = stack.per_proc(stack.dst, count)
             perm = (sends.max(axis=1) <= 1) & (recvs.max(axis=1) <= 1)
-            t = np.where(perm, t * m.adaptive_gain, t)
-        det[:] = t
-        return det
-
-    def comm_time(self, i: int, clocks: np.ndarray, *,
-                  barrier: bool = True) -> np.ndarray:
-        m: ModernCluster = self.machine
-        phase = self.phases[i]
-        if clocks.shape != (phase.P,):
-            raise SimulationError("clock array does not match phase P")
-        total = float(clocks.max())
-        if not phase.is_empty:
-            total += float(self._det[self._idx[i]]) * m.jitter(m.noise)
-        return m._advance(phase, clocks, total, barrier)
+            t = np.where(perm, t * self.adaptive_gain, t)
+        return t

@@ -28,8 +28,8 @@ import numpy as np
 
 from ..core.errors import SimulationError
 from ..core.params import ModelParams
-from ..core.relations import CommPhase
-from .base import CommPricer, Machine, unique_phases
+from ..core.relations import CommPhase, PhaseStack
+from .base import Machine
 
 __all__ = ["T800Grid"]
 
@@ -117,87 +117,33 @@ class T800Grid(Machine):
     def barrier_time(self) -> float:
         return self.barrier_us
 
-    def comm_time_batch(self, phases: list[CommPhase]) -> CommPricer:
-        return _T800CommPricer(self, phases)
+    def phase_cost_batch(self, stack: PhaseStack) -> np.ndarray:
+        """:meth:`phase_cost` before its jitter, every phase at once.
 
-
-class _T800CommPricer(CommPricer):
-    """Batched T800 pricer.
-
-    Hops, transit and per-node software costs are elementwise over the
-    concatenated groups of all phases; link contention stays a loop over
-    the ``2 (side - 1)`` mesh cuts, but each cut is one exact integer
-    segment-sum over every phase at once (word counts are integers, so
-    the sums are order-independent).  Jitter is drawn per phase at
-    advance time, preserving the RNG stream.
-    """
-
-    def __init__(self, machine: T800Grid, phases: list[CommPhase]):
-        super().__init__(machine, phases)
-        uniq, self._idx = unique_phases(phases)
-        self._det = self._prep(uniq)
-
-    def _prep(self, uniq: list[CommPhase]) -> np.ndarray:
-        m: T800Grid = self.machine
-        P = m.P
-        side = m.side
-        n = len(uniq)
-        det = np.zeros(n)
-        srcs, dsts, counts, sizes, pids = [], [], [], [], []
-        for i, ph in enumerate(uniq):
-            if not ph.is_empty:
-                srcs.append(ph.src)
-                dsts.append(ph.dst)
-                counts.append(ph.count)
-                sizes.append(ph.msg_bytes)
-                pids.append(np.full(ph.src.size, i, dtype=np.int64))
-        if not srcs:
-            return det
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        count = np.concatenate(counts)
-        mb = np.concatenate(sizes)
-        pid = np.concatenate(pids)
-
-        words = -(-mb // m.nominal.w)
-        sr, sc = np.divmod(src, side)
-        dr, dc = np.divmod(dst, side)
+        Hops, transit and per-node software costs are elementwise over
+        the stacked groups.  Link contention stays a loop over the
+        ``2 (side - 1)`` mesh cuts, but each cut is one integer sum per
+        phase over every phase at once (exact in any order).
+        """
+        side = self.side
+        count = stack.count
+        words = -(-stack.msg_bytes // self.nominal.w)
+        sr, sc = np.divmod(stack.src, side)
+        dr, dc = np.divmod(stack.dst, side)
         hops = np.abs(sr - dr) + np.abs(sc - dc)
-        send_cost = count * (m.o_send + 0.0 * words)
-        recv_cost = count * m.o_recv
-        transit = count * words * hops * m.hop_word
-        per_proc = np.bincount(pid * P + src, weights=send_cost + transit,
-                               minlength=n * P).reshape(n, P)
-        per_proc += np.bincount(pid * P + dst, weights=recv_cost,
-                                minlength=n * P).reshape(n, P)
+        send_cost = count * (self.o_send + 0.0 * words)
+        recv_cost = count * self.o_recv
+        transit = count * words * hops * self.hop_word
+        per_proc = stack.per_proc(stack.src, send_cost + transit)
+        per_proc += stack.per_proc(stack.dst, recv_cost)
         t = per_proc.max(axis=1)
 
-        # Link contention: per-cut crossing word totals, every phase at
-        # once.  Phases are contiguous runs of `pid`, so one reduceat per
-        # cut gives exact int64 sums.
-        starts = np.nonzero(np.concatenate(([True], np.diff(pid) != 0)))[0]
-        rows = pid[starts]
-        cwords = count * words  # int64
-        loads = np.zeros((2 * side, rows.size))
+        cwords = count * words
+        loads = np.zeros((2 * side, stack.n))
         for cut in range(side - 1):
             crossing = (sc <= cut) != (dc <= cut)
-            loads[cut] = np.add.reduceat(cwords * crossing, starts).astype(
-                np.float64) / side
+            loads[cut] = stack.per_phase(cwords * crossing) / side
         for cut in range(side - 1):
             crossing = (sr <= cut) != (dr <= cut)
-            loads[side + cut] = np.add.reduceat(cwords * crossing, starts).astype(
-                np.float64) / side
-        t[rows] = t[rows] + m.link_word * loads.max(axis=0)
-        det[:] = t
-        return det
-
-    def comm_time(self, i: int, clocks: np.ndarray, *,
-                  barrier: bool = True) -> np.ndarray:
-        m: T800Grid = self.machine
-        phase = self.phases[i]
-        if clocks.shape != (phase.P,):
-            raise SimulationError("clock array does not match phase P")
-        total = float(clocks.max())
-        if not phase.is_empty:
-            total += float(self._det[self._idx[i]]) * m.jitter(m.noise)
-        return m._advance(phase, clocks, total, barrier)
+            loads[side + cut] = stack.per_phase(cwords * crossing) / side
+        return t + self.link_word * loads.max(axis=0)

@@ -14,15 +14,14 @@ Two paths, both bit-identical to the generator and vector engines:
   base bulk-synchronous ``comm_time`` semantics (the MasPar), clocks are
   provably uniform after every superstep, so the whole run collapses to
   a scalar scan ``T = (T + wmax_i) + cost_i`` over Python floats.  The
-  per-phase costs come from one vectorised
-  :meth:`~repro.machines.base.CommPricer.sequence_costs` draw; the
-  work maxima are exact because ``fl`` is monotone (``max_r fl(T + w_r)
-  = fl(T + max_r w_r)`` for ``w_r >= 0``).  Zero per-superstep numpy
-  calls, zero array traffic.
-* **generic** — everything else (MIMD noise, drift machines, scalar
-  pricing fallbacks): a per-step loop that consumes the machine RNG in
-  exactly the order the vector engine's pricing pass would (work noise,
-  then phase noise, per superstep).
+  per-phase costs come from one vectorised draw of the pricer's
+  ``sequence_costs``; the work maxima are exact because ``fl`` is
+  monotone (``max_r fl(T + w_r) = fl(T + max_r w_r)`` for ``w_r >= 0``).
+  Zero per-superstep numpy calls, zero array traffic.
+* **generic** — everything else (MIMD noise, drift machines): a
+  per-step loop that consumes the machine RNG in exactly the order the
+  vector engine's pricing pass would (work noise, then phase noise, per
+  superstep).
 """
 
 from __future__ import annotations
@@ -86,9 +85,8 @@ def replay(machine, prog: StepProgram, *, label: str = "") -> RunResult:
         priced.append(_Priced(ranks, work, base))
 
     if _fused_ok(machine):
-        costs = pricer.sequence_costs()
-        if costs is not None:
-            return _replay_fused(prog, phases, costs, priced, label)
+        return _replay_fused(prog, phases, pricer.sequence_costs(), priced,
+                             label)
     return _replay_generic(machine, prog, phases, pricer, priced, label)
 
 

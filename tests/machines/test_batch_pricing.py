@@ -1,13 +1,16 @@
-"""Batched pricing vs the scalar oracle: exact agreement (hypothesis).
+"""Batched pricing vs the scalar reference: exact agreement (hypothesis).
 
-Two fast paths were layered over the per-phase scalar code and both keep
-a bit-identity contract with it:
+Each machine and each cost model has a scalar reference and one
+columnar batch path, and the batch path keeps a bit-identity contract
+with it:
 
-* cost models override ``CostModel._comm_costs`` with columnar pricing;
-  the scalar ``comm_cost`` loop remains the oracle;
-* machines override ``Machine.comm_time_batch`` with pricers that hoist
-  the deterministic pattern analysis over the whole phase sequence; the
-  base-class :class:`CommPricer` *is* the scalar loop.
+* cost models price phase lists through ``CostModel._comm_costs``; the
+  scalar ``comm_cost`` loop is the reference, also for lists that mix
+  processor counts (one model prices several requests in one batch);
+* machines price phase sequences through the pricer
+  ``Machine.comm_time_batch`` returns; the scalar ``comm_time`` loop is
+  the reference for its per-phase calls and, on the MasPar, for the
+  fused whole-sequence ``sequence_costs`` the IR replay uses.
 
 These sweeps draw random phase sequences — repeated objects included,
 since the vector engine interns recurring patterns and both batch layers
@@ -51,17 +54,46 @@ def draw_phase(draw, P):
                      step=np.array(step), stagger=stagger)
 
 
-def draw_sequence(draw, P, max_phases=6):
-    """A phase sequence with identity repeats (interned patterns)."""
+def draw_sequence(draw, P, max_phases=6, second_P=None):
+    """A phase sequence with identity repeats (interned patterns).
+
+    With ``second_P``, phases drawn at that processor count join the
+    pool, as when ``service.oracle.evaluate_batch`` prices the traces of
+    several requests under one cost model.
+    """
     phases = [draw_phase(draw, P)
               for _ in range(draw(st.integers(1, max_phases)))]
+    if second_P is not None:
+        phases += [draw_phase(draw, second_P)
+                   for _ in range(draw(st.integers(1, max_phases)))]
     # repeat some objects, as the vector engine's interning does
     picks = draw(st.lists(st.integers(0, len(phases) - 1),
                           min_size=1, max_size=2 * max_phases))
     seq = [phases[i] for i in picks]
-    if CommPhase.empty(P) and draw(st.booleans()):
+    if draw(st.booleans()):
         seq.append(CommPhase.empty(P))
     return seq
+
+
+def assert_fused_costs_match(cls, P, seed, seq, disable=()):
+    """MasPar's fused ``sequence_costs`` against the scalar loop.
+
+    With a barrier on every phase, scanning the costs as the fused replay
+    does (``T = T + cost``) must reach every clock the scalar
+    ``comm_time`` loop reaches, and draw the same noise.
+    """
+    m_scalar = cls(P=P, seed=seed, disable=disable)
+    m_fused = cls(P=P, seed=seed, disable=disable)
+    costs = m_fused.comm_time_batch(seq).sequence_costs()
+    assert costs.shape == (len(seq),)
+    clocks = np.zeros(P)
+    T = 0.0
+    for i, (ph, cost) in enumerate(zip(seq, costs.tolist())):
+        clocks = m_scalar.comm_time(ph, clocks, barrier=True)
+        T = T + cost
+        assert T == clocks.max(), f"fused cost diverged at phase {i}"
+    assert m_scalar.rng.bit_generator.state == \
+        m_fused.rng.bit_generator.state
 
 
 def all_models(params):
@@ -87,7 +119,8 @@ class TestModelBatchAgreement:
               suppress_health_check=[HealthCheck.too_slow])
     def test_comm_cost_batch_equals_scalar_loop(self, data):
         P = data.draw(st.sampled_from([4, 16, 64]))
-        seq = draw_sequence(data.draw, P)
+        second_P = data.draw(st.sampled_from([4, 16, 64]))
+        seq = draw_sequence(data.draw, P, second_P=second_P)
         for params in (paper_params("gcel").with_updates(P=P),
                        paper_params("cm5").with_updates(P=P)):
             for model in all_models(params):
@@ -126,6 +159,8 @@ class TestMachineBatchAgreement:
         # identical draws: the noise streams must end in the same state
         assert m_scalar.rng.bit_generator.state == \
             m_batch.rng.bit_generator.state
+        if machine == "maspar":
+            assert_fused_costs_match(MACHINES[machine], P, seed, seq)
 
 
 class TestAblatedMachineBatchAgreement:
@@ -162,3 +197,5 @@ class TestAblatedMachineBatchAgreement:
                 f"{machine} (disable={disable}) diverged at phase {i}"
         assert m_scalar.rng.bit_generator.state == \
             m_batch.rng.bit_generator.state
+        if machine == "maspar":
+            assert_fused_costs_match(cls, P, seed, seq, disable)
