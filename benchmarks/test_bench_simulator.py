@@ -7,7 +7,7 @@ scheduling), which directly bound how large the figure sweeps can be.
 
 import numpy as np
 
-from repro.algorithms import bitonic, matmul, samplesort
+from repro.algorithms import apsp, bitonic, matmul, samplesort
 from repro.calibration.microbench import random_h_relation, time_phase
 from repro.calibration.table1 import calibration_for
 from repro.machines import CM5, GCel, MasParMP1
@@ -65,6 +65,13 @@ def test_bitonic_record(benchmark):
     machine = MasParMP1(seed=0)
     benchmark(_record, lambda: bitonic.run(machine, 256, variant="bsp",
                                            seed=0))
+
+
+def test_apsp_record(benchmark):
+    """Recording layer: APSP on the MasPar at N=512, the largest fig12
+    shape (1024 PEs, M=16 < sqrt(P)) — a structure-only pass."""
+    machine = MasParMP1(seed=0)
+    benchmark(_record, lambda: apsp.run(machine, 512, seed=0))
 
 
 def test_samplesort_record(benchmark):

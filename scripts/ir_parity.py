@@ -10,9 +10,13 @@ For a spread of (machine, algorithm) configurations this script
    bytes** — canonical encoding means any drift is a bug,
 3. replays the reloaded program and compares clocks, trace and per-rank
    results **bit-for-bit** against the generator engine's run of the
-   same configuration.
+   same configuration,
+4. for the data-oblivious algorithms, whose recordings are keyed without
+   the data seed, re-runs the configuration at a second seed against the
+   same on-disk store: it must be a disk hit, write no new blob, and
+   match the generator engine at that seed bit for bit.
 
-Exit code 0 only if every configuration passes all three.
+Exit code 0 only if every configuration passes all four.
 """
 
 from __future__ import annotations
@@ -33,15 +37,21 @@ from repro.simulator.ir import (IRStore, _decode_blob, _encode_blob,  # noqa: E4
 MACHINES = {"maspar": MasParMP1, "gcel": GCel, "cm5": CM5, "t800": T800Grid,
             "modern": ModernCluster}
 
+#: (name, data seed, run(machine, engine, seed)).
 CASES = [
-    ("matmul", lambda m, e: matmul.run(m, 24, P=8, seed=3, engine=e)),
-    ("bitonic", lambda m, e: bitonic.run(m, 256, P=16, seed=5, engine=e)),
-    ("lu", lambda m, e: lu.run(m, 32, P=16, seed=7, engine=e)),
-    ("apsp", lambda m, e: apsp.run(m, 24, P=16, seed=11, engine=e)),
-    ("samplesort", lambda m, e: samplesort.run(m, 512, P=16, seed=13,
+    ("matmul", 3, lambda m, e, s: matmul.run(m, 24, P=8, seed=s, engine=e)),
+    ("bitonic", 5, lambda m, e, s: bitonic.run(m, 256, P=16, seed=s,
                                                engine=e)),
-    ("radix", lambda m, e: radix.run(m, 256, P=16, seed=17, engine=e)),
+    ("lu", 7, lambda m, e, s: lu.run(m, 32, P=16, seed=s, engine=e)),
+    ("apsp", 11, lambda m, e, s: apsp.run(m, 24, P=16, seed=s, engine=e)),
+    ("samplesort", 13, lambda m, e, s: samplesort.run(m, 512, P=16, seed=s,
+                                                      engine=e)),
+    ("radix", 17, lambda m, e, s: radix.run(m, 256, P=16, seed=s,
+                                            engine=e)),
 ]
+
+#: algorithms whose recordings every data seed shares.
+OBLIVIOUS = {"matmul", "bitonic", "lu", "apsp"}
 
 
 def identical(a, b) -> bool:
@@ -61,17 +71,37 @@ def identical(a, b) -> bool:
     return True
 
 
+def _second_seed(tag: str, root: Path, raw: bytes, cls, case,
+                 seed: int) -> int:
+    """Failures of an oblivious case re-run at ``seed``: it must load the
+    first seed's blob from disk, write none, and match the generator."""
+    failures = 0
+    with ir_store_scope(IRStore(root)) as store:
+        other = case(cls(seed=1), "ir", seed)
+        if store.disk_hits != 1 or store.recorded != 0:
+            print(f"FAIL {tag}: seed {seed} did not hit the shared blob")
+            failures += 1
+    blobs = list(root.rglob("*.irp"))
+    if len(blobs) != 1 or blobs[0].read_bytes() != raw:
+        print(f"FAIL {tag}: seed {seed} wrote a blob")
+        failures += 1
+    if not identical(case(cls(seed=1), "generator", seed), other):
+        print(f"FAIL {tag}: seed {seed} differs from generator")
+        failures += 1
+    return failures
+
+
 def main() -> int:
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "ir"
         for mname, cls in sorted(MACHINES.items()):
-            for aname, case in CASES:
+            for aname, seed, case in CASES:
                 tag = f"{mname}/{aname}"
-                oracle = case(cls(seed=1), "generator")
+                oracle = case(cls(seed=1), "generator", seed)
 
                 with ir_store_scope(IRStore(root)) as store:
-                    recorded = case(cls(seed=1), "ir")
+                    recorded = case(cls(seed=1), "ir", seed)
                     assert store.recorded == 1, tag
 
                 blobs = [p for p in root.rglob("*.irp")]
@@ -88,7 +118,7 @@ def main() -> int:
                     failures += 1
 
                 with ir_store_scope(IRStore(root)) as store:
-                    replayed = case(cls(seed=1), "ir")
+                    replayed = case(cls(seed=1), "ir", seed)
                     if store.disk_hits != 1:
                         print(f"FAIL {tag}: blob not loaded from disk")
                         failures += 1
@@ -98,6 +128,10 @@ def main() -> int:
                     if not identical(oracle, other):
                         print(f"FAIL {tag}: {what} differs from generator")
                         failures += 1
+
+                if aname in OBLIVIOUS:
+                    failures += _second_seed(tag, root, raw, cls, case,
+                                             seed + 100)
 
                 for p in blobs:
                     p.unlink()

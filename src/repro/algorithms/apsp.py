@@ -22,6 +22,12 @@ cheaper than a full h-relation there); E-BSP / the ``g_mscat`` correction
 repair the prediction (§5.3).  Communication is fine-grain (one word per
 distance value) and step-tagged so single-port machines serialise it
 correctly.
+
+Floyd is data-oblivious: what it sends and charges depends on ``N`` and
+``P`` alone, never on the distances — the reason §4 prices it from
+``(N, P)`` in closed form.  Its IR recordings are therefore keyed
+without the data seed and made in a structure-only pass
+(:func:`repro.simulator.lower.run_lowered`).
 """
 
 from __future__ import annotations
@@ -35,10 +41,10 @@ from ..machines.base import Machine
 from ..simulator import RunResult, run_spmd, run_spmd_vector
 from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
-from ..simulator.vector import VectorContext, resolve_engine
+from ..simulator.vector import VectorContext, resolve_engine, stand_in
 
-__all__ = ["run", "apsp_program", "apsp_vector_program", "assemble",
-           "random_digraph", "reference_apsp", "INF"]
+__all__ = ["run", "key_params", "apsp_program", "apsp_vector_program",
+           "assemble", "random_digraph", "reference_apsp", "INF"]
 
 #: "infinite" distance; finite so min-plus arithmetic stays exact.
 INF = np.float64(1e30)
@@ -299,6 +305,8 @@ def apsp_vector_program(ctx: VectorContext, D: np.ndarray):
     Blocks live in one ``(P, M, M)`` stack; each ``k`` iteration emits
     the two broadcasts' message groups and relaxes every block with one
     elementwise ``np.minimum`` — bit-identical supersteps and results.
+    A structure-only pass reads ``D``'s shape alone and skips the
+    relaxation.
     """
     P = ctx.P
     N = D.shape[0]
@@ -311,9 +319,12 @@ def apsp_vector_program(ctx: VectorContext, D: np.ndarray):
     ranks_all = ctx.ranks()
     r_arr, c_arr = np.divmod(ranks_all, side)
     lines = np.arange(side, dtype=np.int64)
-    # blocks[rank] == D[r*M:(r+1)*M, c*M:(c+1)*M]
-    blocks = np.ascontiguousarray(
-        D.reshape(side, M, side, M).transpose(0, 2, 1, 3).reshape(P, M, M))
+    data = not ctx.structure_only
+    if data:
+        # blocks[rank] == D[r*M:(r+1)*M, c*M:(c+1)*M]
+        blocks = np.ascontiguousarray(
+            D.reshape(side, M, side, M).transpose(0, 2, 1, 3)
+            .reshape(P, M, M))
     col_cache: dict = {}
     row_cache: dict = {}
 
@@ -324,34 +335,47 @@ def apsp_vector_program(ctx: VectorContext, D: np.ndarray):
         yield from _emit_broadcast_vector(
             ctx, c_arr, lambda ll: r_arr * side + ll, kb, side, M, f"c{k}",
             col_cache)
-        X = blocks[lines * side + kb, :, ki][r_arr]  # (P, M)
+        if data:
+            X = blocks[lines * side + kb, :, ki][r_arr]  # (P, M)
 
         # active row D[k, *]: owners <kb, *>, broadcast along columns
         yield from _emit_broadcast_vector(
             ctx, r_arr, lambda ll: ll * side + c_arr, kb, side, M, f"r{k}",
             row_cache)
-        Y = blocks[kb * side + lines, ki, :][c_arr]  # (P, M)
-
-        np.minimum(blocks, X[:, :, None] + Y[:, None, :], out=blocks)
+        if data:
+            Y = blocks[kb * side + lines, ki, :][c_arr]  # (P, M)
+            np.minimum(blocks, X[:, :, None] + Y[:, None, :], out=blocks)
         ctx.charge_flops(ranks_all, M * M)
 
-    return [blocks[p] for p in range(P)]
+    return [blocks[p] for p in range(P)] if data else None
+
+
+def key_params(N: int, *, seed: int = 0, density: float = 0.3) -> dict:
+    """The IR key params :func:`run` records under.
+
+    The program is data-oblivious, so ``seed`` does not shape the
+    recording and is left out: every seed of one size shares it.
+    """
+    return {"N": N, "density": density}
 
 
 def run(machine: Machine, N: int, *, P: int | None = None, seed: int = 0,
         density: float = 0.3, engine: str = "auto") -> RunResult:
     """Solve APSP for a random digraph of ``N`` vertices on ``machine``."""
     P = P or machine.P
-    rng = np.random.default_rng(seed)
-    D = random_digraph(N, density, rng)
+
+    def inputs() -> np.ndarray:
+        return random_digraph(N, density, np.random.default_rng(seed))
 
     eng = resolve_engine(engine)
     if eng == "ir":
-        result = run_lowered(machine, apsp_vector_program, D, P=P,
-                             label=f"apsp-N{N}", algorithm="apsp",
-                             key_params={"N": N, "seed": seed,
-                                         "density": density})
-    elif eng == "vector":
+        return run_lowered(machine, apsp_vector_program, P=P,
+                           label=f"apsp-N{N}", algorithm="apsp",
+                           key_params=key_params(N, seed=seed,
+                                                 density=density),
+                           inputs=inputs, stand_in=stand_in((N, N)))
+    D = inputs()
+    if eng == "vector":
         result = run_spmd_vector(machine, apsp_vector_program, D, P=P,
                                  label=f"apsp-N{N}")
     else:
@@ -359,7 +383,7 @@ def run(machine: Machine, N: int, *, P: int | None = None, seed: int = 0,
             return apsp_program(ctx, D)
 
         result = run_spmd(machine, program, P=P, label=f"apsp-N{N}")
-    result.inputs = D  # type: ignore[attr-defined]
+    result.inputs = D
     return result
 
 

@@ -23,6 +23,14 @@ Variants:
     256) messages — the paper's fix;
 ``"bpram"``
     one block message per merge step (the MP-BPRAM version).
+
+The network is data-oblivious: every merge step exchanges whole runs
+with a fixed partner whatever the keys, so what it sends and charges
+depends on ``M``, ``P`` and the variant alone — the line
+Gerbessiotis–Siniolakis draw between bitonic sort and the
+data-dependent splitters of sample sort.  Its IR recordings are
+therefore keyed without the data seed and made in a structure-only pass
+(:func:`repro.simulator.lower.run_lowered`).
 """
 
 from __future__ import annotations
@@ -34,10 +42,10 @@ from ..machines.base import Machine
 from ..simulator import RunResult, run_spmd, run_spmd_vector
 from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
-from ..simulator.vector import VectorContext, resolve_engine
+from ..simulator.vector import VectorContext, resolve_engine, stand_in
 from .local import merge_keep, radix_sort
 
-__all__ = ["run", "bitonic_program", "bitonic_vector_program",
+__all__ = ["run", "key_params", "bitonic_program", "bitonic_vector_program",
            "bitonic_sort_vector", "VARIANTS"]
 
 VARIANTS = ("bsp", "bsp-nosync", "bsp-sync", "bpram")
@@ -120,10 +128,13 @@ def _radix_sort_rows(ctx: VectorContext, keys: np.ndarray, *,
     """All-ranks twin of :func:`repro.algorithms.local.radix_sort`.
 
     The work is charged symbolically and an LSD radix sort over ``bits``
-    bits *is* a full sort of keys in ``[0, 2**bits)``: one row sort.
+    bits *is* a full sort of keys in ``[0, 2**bits)``: one row sort.  A
+    structure-only pass charges it and returns ``keys`` unread.
     """
     ctx.charge_sort(ctx.ranks(), keys.shape[1], bits=bits,
                     radix_bits=radix_bits)
+    if ctx.structure_only:
+        return keys
     if keys.size and (int(keys.min()) < 0 or int(keys.max()) >> bits):
         raise SimulationError(f"radix sort needs keys in [0, 2**{bits})")
     return np.sort(keys, axis=1)
@@ -135,6 +146,8 @@ def _merge_keep_rows(ctx: VectorContext, mine: np.ndarray, theirs: np.ndarray,
     ascending rows, the half-cleaner ``min(mine, theirs[::-1])`` holds
     exactly the pair's lower half of keys and ``max`` its upper half."""
     ctx.charge_merge(ctx.ranks(), mine.shape[1])
+    if ctx.structure_only:
+        return mine
     rev = theirs[:, ::-1]
     out = np.maximum(mine, rev)
     np.minimum(mine, rev, out=out, where=keep_min[:, None])
@@ -151,7 +164,8 @@ def bitonic_sort_vector(ctx: VectorContext, all_keys: np.ndarray,
     group (the cube permutation ``rank ^ bit``) plus one axis-1 sort —
     bit-identical supersteps and results.  Returns the sorted stack, so
     callers (sample sort's splitter phase) can keep working on it; use
-    :func:`bitonic_vector_program` for the per-rank-list form.
+    :func:`bitonic_vector_program` for the per-rank-list form.  A
+    structure-only pass reads ``all_keys``' shape alone.
     """
     if variant not in VARIANTS:
         raise ExperimentError(f"unknown bitonic variant {variant!r}")
@@ -196,7 +210,7 @@ def bitonic_sort_vector(ctx: VectorContext, all_keys: np.ndarray,
                     chunk_no += 1
                     yield ctx.sync(f"merge-{d}.{j}.{chunk_no}")
 
-            theirs = mine[partner]
+            theirs = mine if ctx.structure_only else mine[partner]
             mine = _merge_keep_rows(ctx, mine, theirs, keep_min)
     return mine
 
@@ -209,7 +223,19 @@ def bitonic_vector_program(ctx: VectorContext, all_keys: np.ndarray,
                                            sync_every=sync_every,
                                            key_bits=key_bits,
                                            group_words=group_words)
-    return [mine[p] for p in range(ctx.P)]
+    return None if ctx.structure_only else [mine[p] for p in range(ctx.P)]
+
+
+def key_params(M: int, *, variant: str = "bsp", seed: int = 0,
+               sync_every: int = 256, key_bits: int = 32,
+               group_words: int = 1) -> dict:
+    """The IR key params :func:`run` records under.
+
+    The network is data-oblivious, so ``seed`` does not shape the
+    recording and is left out: every seed of one shape shares it.
+    """
+    return {"M": M, "variant": variant, "sync_every": sync_every,
+            "key_bits": key_bits, "group_words": group_words}
 
 
 def run(machine: Machine, M: int, *, variant: str = "bsp",
@@ -218,22 +244,26 @@ def run(machine: Machine, M: int, *, variant: str = "bsp",
         engine: str = "auto") -> RunResult:
     """Sort ``P * M`` random keys on ``machine``; ``M`` keys per processor."""
     P = P or machine.P
-    rng = np.random.default_rng(seed)
-    all_keys = rng.integers(0, 1 << key_bits, size=(P, M), dtype=np.uint64)
+
+    def inputs() -> np.ndarray:
+        return np.random.default_rng(seed).integers(
+            0, 1 << key_bits, size=(P, M), dtype=np.uint64)
 
     eng = resolve_engine(engine)
     if eng == "ir":
-        result = run_lowered(machine, bitonic_vector_program, all_keys,
-                             variant, sync_every=sync_every,
-                             key_bits=key_bits, group_words=group_words,
-                             P=P, label=f"bitonic-{variant}-M{M}",
-                             algorithm="bitonic",
-                             key_params={"M": M, "variant": variant,
-                                         "seed": seed,
-                                         "sync_every": sync_every,
-                                         "key_bits": key_bits,
-                                         "group_words": group_words})
-    elif eng == "vector":
+        return run_lowered(machine, bitonic_vector_program, variant,
+                           sync_every=sync_every, key_bits=key_bits,
+                           group_words=group_words, P=P,
+                           label=f"bitonic-{variant}-M{M}",
+                           algorithm="bitonic",
+                           key_params=key_params(
+                               M, variant=variant, seed=seed,
+                               sync_every=sync_every, key_bits=key_bits,
+                               group_words=group_words),
+                           inputs=inputs,
+                           stand_in=stand_in((P, M), np.uint64))
+    all_keys = inputs()
+    if eng == "vector":
         result = run_spmd_vector(machine, bitonic_vector_program, all_keys,
                                  variant, sync_every=sync_every,
                                  key_bits=key_bits, group_words=group_words,
@@ -246,7 +276,7 @@ def run(machine: Machine, M: int, *, variant: str = "bsp",
 
         result = run_spmd(machine, program, P=P,
                           label=f"bitonic-{variant}-M{M}")
-    result.inputs = all_keys  # type: ignore[attr-defined]
+    result.inputs = all_keys
     return result
 
 

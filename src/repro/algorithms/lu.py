@@ -34,7 +34,10 @@ differently:
 
 Pivoting is deliberately omitted (runs use diagonally dominant
 matrices): partial pivoting adds a max-reduction per step but no new
-communication structure.
+communication structure.  Without it LU is data-oblivious — what it
+sends and charges depends on ``N`` and ``P`` alone — so its IR
+recordings are keyed without the data seed and made in a
+structure-only pass (:func:`repro.simulator.lower.run_lowered`).
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ from ..machines.base import Machine
 from ..simulator import RunResult, run_spmd, run_spmd_vector
 from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
-from ..simulator.vector import VectorContext, resolve_engine
+from ..simulator.vector import VectorContext, resolve_engine, stand_in
 
-__all__ = ["run", "lu_program", "lu_vector_program", "assemble",
-           "reference_lu", "random_dd_matrix"]
+__all__ = ["run", "key_params", "lu_program", "lu_vector_program",
+           "assemble", "reference_lu", "random_dd_matrix"]
 
 
 def random_dd_matrix(N: int, rng: np.random.Generator) -> np.ndarray:
@@ -173,6 +176,8 @@ def lu_vector_program(ctx: VectorContext, A: np.ndarray):
     column), each updated with one uniform slice operation; every element
     still sees the identical divide / multiply-subtract as the per-rank
     program, so results, supersteps and work batches are bit-identical.
+    A structure-only pass reads ``A``'s shape alone and skips the
+    arithmetic.
     """
     P = ctx.P
     N = A.shape[0]
@@ -185,8 +190,10 @@ def lu_vector_program(ctx: VectorContext, A: np.ndarray):
     w = ctx.word_bytes
     ranks = ctx.ranks()
     r, c = np.divmod(ranks, side)
-    blocks = (A.astype(float).reshape(side, M, side, M)
-              .transpose(0, 2, 1, 3).reshape(P, M, M).copy())
+    data = not ctx.structure_only
+    if data:
+        blocks = (A.astype(float).reshape(side, M, side, M)
+                  .transpose(0, 2, 1, 3).reshape(P, M, M).copy())
     rows = np.arange(side)
     piv_cache: dict[int, tuple] = {}  # pivot fan-out depends on kb only
 
@@ -210,14 +217,15 @@ def lu_vector_program(ctx: VectorContext, A: np.ndarray):
         # rows below k held by processor row rr: M for rr > kb, M-ki-1
         # for rr == kb, none above.
         nr = np.where(rows > kb, M, np.where(rows == kb, M - t, 0))
-        piv = float(blocks[diag, ki, ki])
         below = rows[nr > 0]
         if below.size:
             own = below * side + kb
-            if t < M:
-                blocks[diag, t:, ki] /= piv
-            gt = (rows[rows > kb]) * side + kb
-            blocks[gt, :, ki] /= piv
+            if data:
+                piv = float(blocks[diag, ki, ki])
+                if t < M:
+                    blocks[diag, t:, ki] /= piv
+                gt = (rows[rows > kb]) * side + kb
+                blocks[gt, :, ki] /= piv
             ctx.charge_flops(own, nr[below])
             if side > 1:
                 for s in range(1, side):
@@ -238,43 +246,56 @@ def lu_vector_program(ctx: VectorContext, A: np.ndarray):
         yield ctx.sync(f"row-bcast-{k}")
 
         # ---- trailing update of every block ----
-        col_all = blocks[r * side + kb][:, :, ki]  # (P, M) multipliers
-        row_all = blocks[kb * side + c][:, ki, :]  # (P, M) pivot row
-        m_full = (r > kb) & (c > kb)
-        if m_full.any():
-            blocks[m_full] -= (col_all[m_full][:, :, None]
-                               * row_all[m_full][:, None, :])
-        if t < M:
-            m_prow = (r == kb) & (c > kb)
-            blocks[m_prow, t:, :] -= (col_all[m_prow][:, t:, None]
-                                      * row_all[m_prow][:, None, :])
-            m_pcol = (r > kb) & (c == kb)
-            blocks[m_pcol, :, t:] -= (col_all[m_pcol][:, :, None]
-                                      * row_all[m_pcol][:, None, t:])
-            blocks[diag, t:, t:] -= np.outer(col_all[diag, t:],
-                                             row_all[diag, t:])
+        if data:
+            col_all = blocks[r * side + kb][:, :, ki]  # (P, M) multipliers
+            row_all = blocks[kb * side + c][:, ki, :]  # (P, M) pivot row
+            m_full = (r > kb) & (c > kb)
+            if m_full.any():
+                blocks[m_full] -= (col_all[m_full][:, :, None]
+                                   * row_all[m_full][:, None, :])
+            if t < M:
+                m_prow = (r == kb) & (c > kb)
+                blocks[m_prow, t:, :] -= (col_all[m_prow][:, t:, None]
+                                          * row_all[m_prow][:, None, :])
+                m_pcol = (r > kb) & (c == kb)
+                blocks[m_pcol, :, t:] -= (col_all[m_pcol][:, :, None]
+                                          * row_all[m_pcol][:, None, t:])
+                blocks[diag, t:, t:] -= np.outer(col_all[diag, t:],
+                                                 row_all[diag, t:])
         nr_p = nr[r]
         nc_p = nc[c]
         upd = (nr_p > 0) & (nc_p > 0)
         if upd.any():
             ctx.charge_flops(ranks[upd], (nr_p * nc_p)[upd])
 
-    return [blocks[p] for p in range(P)]
+    return [blocks[p] for p in range(P)] if data else None
+
+
+def key_params(N: int, *, seed: int = 0) -> dict:
+    """The IR key params :func:`run` records under.
+
+    The program is data-oblivious, so ``seed`` does not shape the
+    recording and is left out: every seed of one size shares it.
+    """
+    return {"N": N}
 
 
 def run(machine: Machine, N: int, *, P: int | None = None,
         seed: int = 0, engine: str = "auto") -> RunResult:
     """Factor a random diagonally dominant ``N x N`` matrix."""
     P = P or machine.P
-    rng = np.random.default_rng(seed)
-    A = random_dd_matrix(N, rng)
+
+    def inputs() -> np.ndarray:
+        return random_dd_matrix(N, np.random.default_rng(seed))
 
     eng = resolve_engine(engine)
     if eng == "ir":
-        result = run_lowered(machine, lu_vector_program, A, P=P,
-                             label=f"lu-N{N}", algorithm="lu",
-                             key_params={"N": N, "seed": seed})
-    elif eng == "vector":
+        return run_lowered(machine, lu_vector_program, P=P,
+                           label=f"lu-N{N}", algorithm="lu",
+                           key_params=key_params(N, seed=seed),
+                           inputs=inputs, stand_in=stand_in((N, N)))
+    A = inputs()
+    if eng == "vector":
         result = run_spmd_vector(machine, lu_vector_program, A, P=P,
                                  label=f"lu-N{N}")
     else:
@@ -282,7 +303,7 @@ def run(machine: Machine, N: int, *, P: int | None = None,
             return lu_program(ctx, A)
 
         result = run_spmd(machine, program, P=P, label=f"lu-N{N}")
-    result.inputs = A  # type: ignore[attr-defined]
+    result.inputs = A
     return result
 
 

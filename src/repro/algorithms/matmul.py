@@ -25,6 +25,12 @@ Variants:
 ``"bpram"``
     one block message per destination (the MP-BPRAM version, §4.1),
     staggered.
+
+Every variant is data-oblivious: what it sends and charges depends on
+``N``, ``P`` and the variant alone, never on the matrix entries — the
+reason §4.1 prices it in closed form.  Its IR recordings are therefore
+keyed without the data seed and made in a structure-only pass
+(:func:`repro.simulator.lower.run_lowered`).
 """
 
 from __future__ import annotations
@@ -39,11 +45,11 @@ from ..machines.base import Machine
 from ..simulator import RunResult, run_spmd, run_spmd_vector
 from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
-from ..simulator.vector import VectorContext, resolve_engine
+from ..simulator.vector import VectorContext, resolve_engine, stand_in
 from .local import local_matmul
 
-__all__ = ["run", "matmul_program", "matmul_vector_program", "MatmulSetup",
-           "VARIANTS"]
+__all__ = ["run", "key_params", "matmul_program", "matmul_vector_program",
+           "MatmulSetup", "VARIANTS"]
 
 VARIANTS = ("bsp", "bsp-staggered", "bpram")
 
@@ -235,15 +241,17 @@ def matmul_program(ctx: ProcContext, setup: MatmulSetup, A: np.ndarray,
     return total
 
 
-def matmul_vector_program(ctx: VectorContext, setup: MatmulSetup,
-                          A: np.ndarray, B: np.ndarray, variant: str):
+def matmul_vector_program(ctx: VectorContext, operands: tuple,
+                          setup: MatmulSetup, variant: str):
     """Lockstep vector port of :func:`matmul_program` (3D-native layouts).
 
-    One message group per replicate/exchange step (with MIMD self-sends
-    masked out, as the per-rank program elides them); the local products
-    run per rank on contiguous blocks so the floating-point results stay
-    bit-identical to the per-rank path.  The row-strip
-    :data:`LAYOUT_VARIANTS` are not ported — use the generator engine.
+    ``operands`` is the ``(A, B)`` pair.  One message group per
+    replicate/exchange step (with MIMD self-sends masked out, as the
+    per-rank program elides them); the local products run per rank on
+    contiguous blocks so the floating-point results stay bit-identical
+    to the per-rank path.  A structure-only pass never reads the
+    operands.  The row-strip :data:`LAYOUT_VARIANTS` are not ported —
+    use the generator engine.
     """
     if variant not in VARIANTS:
         raise ExperimentError(
@@ -283,12 +291,15 @@ def matmul_vector_program(ctx: VectorContext, setup: MatmulSetup,
     # every rank now holds A_ij and B_jk — contiguous copies so the
     # per-rank GEMMs see the same operands as the vstack'ed per-rank path
     ctx.charge_matmul(ranks, sub, sub, sub)
-    Chat = np.empty((P, sub, sub))
-    for p in range(P):
-        i, j, k = int(i_arr[p]), int(j_arr[p]), int(k_arr[p])
-        A_ij = A[i * sub:(i + 1) * sub, j * sub:(j + 1) * sub].copy()
-        B_jk = B[j * sub:(j + 1) * sub, k * sub:(k + 1) * sub].copy()
-        Chat[p] = A_ij @ B_jk
+    data = not ctx.structure_only
+    if data:
+        A, B = operands
+        Chat = np.empty((P, sub, sub))
+        for p in range(P):
+            i, j, k = int(i_arr[p]), int(j_arr[p]), int(k_arr[p])
+            A_ij = A[i * sub:(i + 1) * sub, j * sub:(j + 1) * sub].copy()
+            B_jk = B[j * sub:(j + 1) * sub, k * sub:(k + 1) * sub].copy()
+            Chat[p] = A_ij @ B_jk
 
     # ---- superstep 2: exchange partial result blocks ----
     for s in range(q):
@@ -297,13 +308,25 @@ def matmul_vector_program(ctx: VectorContext, setup: MatmulSetup,
     yield ctx.sync("exchange-partials", stagger=staggered)
 
     # ---- sum the q partial blocks (jj ascending, like the per-rank sum)
+    ctx.charge_copy(ranks, (q - 1) * rows * sub)
+    if not data:
+        return None
     Chat4 = Chat.reshape(P, q, rows, sub)
     total = np.zeros((P, rows, sub))
     for jj in range(q):
         senders = rank_of(i_arr, jj, j_arr)
         total += Chat4[senders, k_arr]
-    ctx.charge_copy(ranks, (q - 1) * rows * sub)
     return [total[p] for p in range(P)]
+
+
+def key_params(N: int, *, variant: str = "bsp-staggered",
+               seed: int = 0) -> dict:
+    """The IR key params :func:`run` records under.
+
+    The program is data-oblivious, so ``seed`` does not shape the
+    recording and is left out: every seed of one shape shares it.
+    """
+    return {"N": N, "variant": variant}
 
 
 def run(machine: Machine, N: int, *, variant: str = "bsp-staggered",
@@ -319,23 +342,31 @@ def run(machine: Machine, N: int, *, variant: str = "bsp-staggered",
     """
     P = P or machine.P
     setup = MatmulSetup.create(N, P)
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((N, N))
-    B = rng.standard_normal((N, N))
+    label = f"matmul-{variant}-N{N}"
+
+    def inputs() -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((N, N))
+        return A, rng.standard_normal((N, N))
+
     eng = resolve_engine(engine, vector_ok=variant in VARIANTS)
     if eng == "ir":
-        result = run_lowered(machine, matmul_vector_program, setup, A, B,
-                             variant, P=P, label=f"matmul-{variant}-N{N}",
-                             algorithm="matmul",
-                             key_params={"N": N, "variant": variant,
-                                         "seed": seed})
-    elif eng == "vector":
-        result = run_spmd_vector(machine, matmul_vector_program, setup, A, B,
-                                 variant, P=P, label=f"matmul-{variant}-N{N}")
+        result = run_lowered(machine, matmul_vector_program, setup, variant,
+                             P=P, label=label, algorithm="matmul",
+                             key_params=key_params(N, variant=variant,
+                                                   seed=seed),
+                             inputs=inputs,
+                             stand_in=(stand_in((N, N)), stand_in((N, N))))
     else:
-        result = run_spmd(machine, matmul_program, setup, A, B, variant,
-                          P=P, label=f"matmul-{variant}-N{N}")
-    result.inputs = (A, B)  # type: ignore[attr-defined]
+        operands = inputs()
+        if eng == "vector":
+            result = run_spmd_vector(machine, matmul_vector_program,
+                                     operands, setup, variant, P=P,
+                                     label=label)
+        else:
+            result = run_spmd(machine, matmul_program, setup, *operands,
+                              variant, P=P, label=label)
+        result.inputs = operands
     result.setup = setup  # type: ignore[attr-defined]
     return result
 

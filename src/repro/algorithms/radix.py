@@ -29,6 +29,11 @@ Variants:
 
 Both variants need a power-of-two ``P`` (the digit is a bit field);
 ``"bpram"`` additionally needs a square ``P`` for the grid.
+
+Radix sort is data-dependent: bucket sizes, and with them the routed
+messages, follow the keys' top digits.  Its IR recordings are therefore
+keyed by the data seed and made in a full pass over the run's keys
+(:func:`repro.simulator.lower.run_lowered`).
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ from .local import radix_sort
 from .primitives import multiscan, multiscan_vector
 from .samplesort import _drain_keys, _grid_route, _grid_route_vector
 
-__all__ = ["run", "radix_sort_program", "radix_sort_vector_program",
-           "VARIANTS"]
+__all__ = ["run", "key_params", "radix_sort_program",
+           "radix_sort_vector_program", "VARIANTS"]
 
 VARIANTS = ("bsp", "bpram")
 
@@ -165,24 +170,37 @@ def radix_sort_vector_program(ctx: VectorContext, all_keys: np.ndarray,
     return [srt[bounds[p]:bounds[p + 1]] for p in range(P)]
 
 
+def key_params(M: int, *, variant: str = "bpram", seed: int = 0,
+               key_bits: int = 32) -> dict:
+    """The IR key params :func:`run` records under.
+
+    Bucket sizes follow the keys, so the data ``seed`` shapes the
+    recording and is part of the key.
+    """
+    return {"M": M, "variant": variant, "seed": seed, "key_bits": key_bits}
+
+
 def run(machine: Machine, M: int, *, variant: str = "bpram",
         P: int | None = None, seed: int = 0, key_bits: int = 32,
         engine: str = "auto") -> RunResult:
     """Radix-sort ``P * M`` random keys on ``machine``."""
     P = P or machine.P
-    rng = np.random.default_rng(seed)
-    all_keys = rng.integers(0, 1 << key_bits, size=(P, M), dtype=np.uint64)
+
+    def inputs() -> np.ndarray:
+        return np.random.default_rng(seed).integers(
+            0, 1 << key_bits, size=(P, M), dtype=np.uint64)
 
     eng = resolve_engine(engine)
     if eng == "ir":
-        result = run_lowered(machine, radix_sort_vector_program,
-                             all_keys, variant, key_bits=key_bits, P=P,
-                             label=f"radix-{variant}-M{M}",
-                             algorithm="radix",
-                             key_params={"M": M, "variant": variant,
-                                         "seed": seed,
-                                         "key_bits": key_bits})
-    elif eng == "vector":
+        return run_lowered(machine, radix_sort_vector_program, variant,
+                           key_bits=key_bits, P=P,
+                           label=f"radix-{variant}-M{M}", algorithm="radix",
+                           key_params=key_params(M, variant=variant,
+                                                 seed=seed,
+                                                 key_bits=key_bits),
+                           inputs=inputs)
+    all_keys = inputs()
+    if eng == "vector":
         result = run_spmd_vector(machine, radix_sort_vector_program,
                                  all_keys, variant, key_bits=key_bits, P=P,
                                  label=f"radix-{variant}-M{M}")
@@ -193,5 +211,5 @@ def run(machine: Machine, M: int, *, variant: str = "bpram",
 
         result = run_spmd(machine, program, P=P,
                           label=f"radix-{variant}-M{M}")
-    result.inputs = all_keys  # type: ignore[attr-defined]
+    result.inputs = all_keys
     return result

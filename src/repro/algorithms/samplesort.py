@@ -29,6 +29,11 @@ Variants (all deliver a correct global sort):
     the paper's "Staggered" curve: pack the keys per destination bucket
     and send each packet directly (staggered).  May violate the
     single-port restriction, but is about twice as fast.
+
+Sample sort is data-dependent: the splitters, and with them every
+bucket's size and message, follow the keys.  Its IR recordings are
+therefore keyed by the data seed and made in a full pass over the run's
+keys (:func:`repro.simulator.lower.run_lowered`).
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ from .local import classify_keys, radix_sort
 from .primitives import (alltoall_words, alltoall_words_vector, grid_side,
                          multiscan, multiscan_vector)
 
-__all__ = ["run", "sample_sort_program", "sample_sort_vector_program",
-           "VARIANTS"]
+__all__ = ["run", "key_params", "sample_sort_program",
+           "sample_sort_vector_program", "VARIANTS"]
 
 VARIANTS = ("bsp", "bpram", "bpram-staggered")
 
@@ -332,26 +337,39 @@ def _grid_route_vector(ctx: VectorContext, M: int, cache: dict):
         ctx.charge_merge(ranks, cap)  # final unpack
 
 
+def key_params(M: int, *, variant: str = "bpram", oversample: int = 32,
+               seed: int = 0, key_bits: int = 32) -> dict:
+    """The IR key params :func:`run` records under.
+
+    The splitters follow the keys, so the data ``seed`` shapes the
+    recording and is part of the key.
+    """
+    return {"M": M, "variant": variant, "oversample": oversample,
+            "seed": seed, "key_bits": key_bits}
+
+
 def run(machine: Machine, M: int, *, variant: str = "bpram",
         oversample: int = 32, P: int | None = None, seed: int = 0,
         key_bits: int = 32, engine: str = "auto") -> RunResult:
     """Sample-sort ``P * M`` random keys on ``machine``."""
     P = P or machine.P
-    rng = np.random.default_rng(seed)
-    all_keys = rng.integers(0, 1 << key_bits, size=(P, M), dtype=np.uint64)
+
+    def inputs() -> np.ndarray:
+        return np.random.default_rng(seed).integers(
+            0, 1 << key_bits, size=(P, M), dtype=np.uint64)
 
     eng = resolve_engine(engine)
     if eng == "ir":
-        result = run_lowered(machine, sample_sort_vector_program,
-                             all_keys, variant, oversample,
-                             key_bits=key_bits, sample_seed=seed, P=P,
-                             label=f"samplesort-{variant}-M{M}",
-                             algorithm="samplesort",
-                             key_params={"M": M, "variant": variant,
-                                         "oversample": oversample,
-                                         "seed": seed,
-                                         "key_bits": key_bits})
-    elif eng == "vector":
+        return run_lowered(machine, sample_sort_vector_program, variant,
+                           oversample, key_bits=key_bits, sample_seed=seed,
+                           P=P, label=f"samplesort-{variant}-M{M}",
+                           algorithm="samplesort",
+                           key_params=key_params(
+                               M, variant=variant, oversample=oversample,
+                               seed=seed, key_bits=key_bits),
+                           inputs=inputs)
+    all_keys = inputs()
+    if eng == "vector":
         result = run_spmd_vector(machine, sample_sort_vector_program,
                                  all_keys, variant, oversample,
                                  key_bits=key_bits, sample_seed=seed, P=P,
@@ -364,5 +382,5 @@ def run(machine: Machine, M: int, *, variant: str = "bpram",
 
         result = run_spmd(machine, program, P=P,
                           label=f"samplesort-{variant}-M{M}")
-    result.inputs = all_keys  # type: ignore[attr-defined]
+    result.inputs = all_keys
     return result

@@ -111,7 +111,7 @@ def run(machine: Machine, N: int, iters: int, *, P: int | None = None,
 
     result = run_spmd(machine, program, P=P,
                       label=f"stencil-N{N}-it{iters}")
-    result.inputs = grid  # type: ignore[attr-defined]
+    result.inputs = grid
     return result
 
 

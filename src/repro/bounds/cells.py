@@ -2,13 +2,13 @@
 
 A :class:`BoundCell` names one (algorithm, variant, machine) point of
 the comparison matrix together with its problem-size schedule and
-bound family.  The glue functions below duplicate — deliberately and
-verbatim — the ``key_params`` dictionaries the algorithm ``run()``
-bodies pass to :func:`repro.simulator.lower.run_lowered`, so the warm
-measurement path can look step programs up in the IR store without
-running anything.  The warm-path spy test pins this duplication: if a
-``run()`` signature drifts, the lookup misses, the measurement falls
-back to a live run, and the spy fails.
+bound family.  The glue functions below call each algorithm module's own
+``key_params`` — the dictionary its ``run()`` passes to
+:func:`repro.simulator.lower.run_lowered` — so the warm measurement
+path can look step programs up in the IR store without running
+anything.  The warm-path spy test pins the match: if a ``run()``
+signature drifts, the lookup misses, the measurement falls back to a
+live run, and the spy fails.
 """
 
 from __future__ import annotations
@@ -106,52 +106,40 @@ def resolve_bound_cells(names=None) -> tuple[BoundCell, ...]:
     return tuple(c for c in _CELLS if c.name in wanted)
 
 
+#: algorithm name -> (module, the vector program its run() records).
+_ALGORITHMS = {
+    "matmul": (matmul, matmul.matmul_vector_program),
+    "lu": (lu, lu.lu_vector_program),
+    "apsp": (apsp, apsp.apsp_vector_program),
+    "bitonic": (bitonic, bitonic.bitonic_vector_program),
+    "samplesort": (samplesort, samplesort.sample_sort_vector_program),
+    "radix": (radix, radix.radix_sort_vector_program),
+}
+
+
+def _algorithm(cell: BoundCell):
+    try:
+        return _ALGORITHMS[cell.algorithm]
+    except KeyError:
+        raise BoundsError(f"unknown algorithm {cell.algorithm!r}") from None
+
+
+def _variant(cell: BoundCell) -> dict:
+    return {} if cell.variant is None else {"variant": cell.variant}
+
+
 def cell_key_params(cell: BoundCell, n: int, seed: int) -> dict:
     """The exact ``key_params`` the algorithm's run() records under."""
-    alg = cell.algorithm
-    if alg == "matmul":
-        return {"N": n, "variant": cell.variant, "seed": seed}
-    if alg == "lu":
-        return {"N": n, "seed": seed}
-    if alg == "apsp":
-        return {"N": n, "seed": seed, "density": 0.3}
-    if alg == "bitonic":
-        return {"M": n, "variant": cell.variant, "seed": seed,
-                "sync_every": 256, "key_bits": 32, "group_words": 1}
-    if alg == "samplesort":
-        return {"M": n, "variant": cell.variant, "oversample": 32,
-                "seed": seed, "key_bits": 32}
-    if alg == "radix":
-        return {"M": n, "variant": cell.variant, "seed": seed,
-                "key_bits": 32}
-    raise BoundsError(f"unknown algorithm {alg!r}")
+    module, _ = _algorithm(cell)
+    return module.key_params(n, seed=seed, **_variant(cell))
 
 
 def cell_program(cell: BoundCell):
     """The vector program whose source fingerprint keys the IR store."""
-    return {
-        "matmul": matmul.matmul_vector_program,
-        "lu": lu.lu_vector_program,
-        "apsp": apsp.apsp_vector_program,
-        "bitonic": bitonic.bitonic_vector_program,
-        "samplesort": samplesort.sample_sort_vector_program,
-        "radix": radix.radix_sort_vector_program,
-    }[cell.algorithm]
+    return _algorithm(cell)[1]
 
 
 def cell_run(cell: BoundCell, machine, n: int, seed: int):
     """Run the cell's algorithm live (records IR under the ir engine)."""
-    alg = cell.algorithm
-    if alg == "matmul":
-        return matmul.run(machine, n, variant=cell.variant, seed=seed)
-    if alg == "lu":
-        return lu.run(machine, n, seed=seed)
-    if alg == "apsp":
-        return apsp.run(machine, n, seed=seed)
-    if alg == "bitonic":
-        return bitonic.run(machine, n, variant=cell.variant, seed=seed)
-    if alg == "samplesort":
-        return samplesort.run(machine, n, variant=cell.variant, seed=seed)
-    if alg == "radix":
-        return radix.run(machine, n, variant=cell.variant, seed=seed)
-    raise BoundsError(f"unknown algorithm {alg!r}")
+    module, _ = _algorithm(cell)
+    return module.run(machine, n, seed=seed, **_variant(cell))

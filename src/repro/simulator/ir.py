@@ -6,11 +6,13 @@ much work each rank charges per superstep) never changes, only the
 pricing.  This module captures that structure as a :class:`StepProgram`:
 per-superstep records of interned :class:`~repro.core.relations.CommPhase`
 objects and interned ``WorkBatch`` lists, plus barrier/label metadata.
-Recording happens on the first execution of an (algorithm, variant, P,
-n, structure-seed) configuration; every later run — any machine of the
-same shape, any seed, any ``disable=`` ablation subset — replays the
-program through :func:`repro.simulator.replay.replay` with zero
-generator resumption.
+Recording happens on the first execution of a configuration — the
+algorithm's ``key_params`` (sizes and variant; the data seed too, but
+only for data-dependent programs such as sample sort) on one machine
+shape; every later run — any machine of that shape, any machine seed,
+any ``disable=`` ablation subset, and for data-oblivious programs any
+data seed — replays the program through
+:func:`repro.simulator.replay.replay` with zero generator resumption.
 
 Interning is aggressive and *value-based*: two supersteps whose batch
 lists carry identical kinds, ranks and parameters share one record, so
@@ -26,9 +28,10 @@ the IR schema version and the recording algorithm's source fingerprint,
 so editing an algorithm or bumping the schema invalidates stale
 recordings.  Blobs carry a SHA-256 checksum; corrupt files are
 quarantined and transparently re-recorded (byte-identically, since
-serialisation is canonical).  On-disk blobs store structure only — the
-per-rank *results* of a disk-hit run are regenerated by a data-only
-program pass (see :mod:`repro.simulator.lower`).
+serialisation is canonical).  Programs, in memory and on disk, store
+structure only — the inputs and per-rank *results* of a run belong to
+that run alone and are produced per call by a data-only program pass
+(see :mod:`repro.simulator.lower`).
 """
 
 from __future__ import annotations
@@ -108,24 +111,20 @@ class StepProgram:
 
     ``phases``/``batchlists`` hold the distinct structures; the per-step
     columns ``phase_idx``/``batch_idx`` (``-1`` = no work) index into
-    them, with ``barriers``/``labels`` alongside.  ``returns`` is the
-    program's per-rank result list, kept in memory only
-    (``has_returns`` distinguishes a legitimate ``None`` return from a
-    structure-only disk load).  Machine-independent pricing prep per
-    batchlist — rank-major item order and the trace work dict — is
-    cached on the program and shared by every replay.
+    them, with ``barriers``/``labels`` alongside.  A program holds no
+    data: one recording may serve runs at many data seeds.
+    Machine-independent pricing prep per batchlist — rank-major item
+    order and the trace work dict — is cached on the program and shared
+    by every replay.
     """
 
     __slots__ = ("P", "word_bytes", "simd", "phases", "batchlists",
-                 "phase_idx", "batch_idx", "barriers", "labels",
-                 "returns", "has_returns", "_preps")
+                 "phase_idx", "batch_idx", "barriers", "labels", "_preps")
 
     def __init__(self, *, P: int, word_bytes: int, simd: bool,
                  phases: list[CommPhase], batchlists: list[list[WorkBatch]],
                  phase_idx: list[int], batch_idx: list[int],
-                 barriers: list[bool], labels: list[str],
-                 returns: list[Any] | None = None,
-                 has_returns: bool = False):
+                 barriers: list[bool], labels: list[str]):
         self.P = P
         self.word_bytes = word_bytes
         self.simd = simd
@@ -135,8 +134,6 @@ class StepProgram:
         self.batch_idx = batch_idx
         self.barriers = barriers
         self.labels = labels
-        self.returns = returns
-        self.has_returns = has_returns
         self._preps: list = [None] * len(batchlists)
 
     @property
@@ -210,8 +207,7 @@ class StepProgram:
             phase_idx=_unpack(steps["phase"]).tolist(),
             batch_idx=_unpack(steps["batch"]).tolist(),
             barriers=[bool(x) for x in _unpack(steps["barrier"])],
-            labels=[table[i] for i in _unpack(steps["label"])],
-            returns=None, has_returns=False)
+            labels=[table[i] for i in _unpack(steps["label"])])
 
 
 def _phase_doc(ph: CommPhase) -> dict:
@@ -250,8 +246,8 @@ def _batch_from_doc(doc: dict) -> WorkBatch:
 # Recording: intern pass-1 step records into a program
 # ----------------------------------------------------------------------
 def build_program(*, P: int, word_bytes: int, simd: bool,
-                  steps: list[tuple[CommPhase, list[WorkBatch], bool, str]],
-                  returns: list[Any] | None) -> StepProgram:
+                  steps: list[tuple[CommPhase, list[WorkBatch], bool, str]]
+                  ) -> StepProgram:
     """Intern :func:`~repro.simulator.vector.collect_steps` records.
 
     Phases dedup by identity (the collector already interns repeated
@@ -308,8 +304,7 @@ def build_program(*, P: int, word_bytes: int, simd: bool,
         labels.append(label)
     return StepProgram(P=P, word_bytes=word_bytes, simd=simd, phases=phases,
                        batchlists=batchlists, phase_idx=phase_idx,
-                       batch_idx=batch_idx, barriers=barriers, labels=labels,
-                       returns=returns, has_returns=True)
+                       batch_idx=batch_idx, barriers=barriers, labels=labels)
 
 
 def program_comm_volume(prog: StepProgram) -> dict:
@@ -348,10 +343,11 @@ def ir_key(*, algorithm: str, fingerprint: str, P: int, word_bytes: int,
     """Content address of a recording configuration.
 
     ``params`` must be the JSON-serialisable structure parameters of the
-    run (sizes, variant, structure seed, ...); ``fingerprint`` the
-    recording algorithm's source hash.  Schema version and machine shape
-    (``P``, word size, SIMD) are part of the key, so a replayed program
-    always matches the requesting machine's shape.
+    run (sizes, variant, the data seed of a data-dependent program, ...);
+    ``fingerprint`` the recording algorithm's source hash.  Schema
+    version and machine shape (``P``, word size, SIMD) are part of the
+    key, so a replayed program always matches the requesting machine's
+    shape.
     """
     doc = {"schema": IR_SCHEMA, "algorithm": algorithm, "code": fingerprint,
            "P": int(P), "word_bytes": int(word_bytes), "simd": bool(simd),
@@ -398,8 +394,8 @@ def _decode_blob(raw: bytes) -> dict:
 class IRStore:
     """In-memory + on-disk store of recorded step programs.
 
-    Memory entries carry ``returns``; disk blobs are structure-only.
-    Disk persistence is best-effort (an unwritable cache directory never
+    Memory entries and disk blobs alike are structure-only.  Disk
+    persistence is best-effort (an unwritable cache directory never
     fails a run) and every read verifies the checksum envelope —
     corrupt or unreadable blobs are quarantined so the caller re-records.
     """

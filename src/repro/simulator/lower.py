@@ -3,10 +3,9 @@
 :func:`run_lowered` is what an algorithm's ``run()`` calls for
 ``engine="ir"``.  It content-addresses the requested configuration
 (:func:`~repro.simulator.ir.ir_key` over algorithm name, source
-fingerprint, machine shape and structure parameters), consults the
-process-wide :func:`~repro.simulator.ir.ir_store`, records the step
-program on a miss (one pass-1 execution, identical to the vector
-engine's collection pass) and replays it for pricing.
+fingerprint, machine shape and the algorithm's ``key_params``), consults
+the process-wide :func:`~repro.simulator.ir.ir_store`, records the step
+program on a miss and replays it for pricing.
 
 The source fingerprint hashes the module file that defines the vector
 program plus the same-package kernel modules it binds from (sample sort
@@ -15,23 +14,38 @@ invalidates its recordings — the same staleness discipline as the result
 cache's package fingerprint, but per-algorithm so unrelated edits keep
 recordings warm.
 
-On-disk IR blobs store structure only.  When a disk hit must also
-produce per-rank *results* (the first run of a fresh process), the
-program re-executes once against a :class:`_DataOnlyContext` — a
-write-only :class:`~repro.simulator.vector.VectorContext` whose
-``put_group``/``charge_batch`` are no-ops.  Vector programs move their
-data through numpy themselves and never observe clocks, so this data
-pass returns bit-identical results at none of the bookkeeping cost.
+A miss records in one of two ways:
+
+* a **data-oblivious** program (matmul, bitonic sort, APSP, LU: what
+  they send and charge depends on sizes alone, never on the values)
+  records in a *structure-only* pass — a
+  :class:`~repro.simulator.vector.VectorContext` with
+  ``structure_only`` set, handed a shape-only stand-in for its data, so
+  it draws no inputs and runs none of its numeric kernels.  Its key
+  carries no data seed, so one recording serves every seed of a shape;
+* a **data-dependent** program (sample sort, radix sort: bucket sizes
+  follow the keys) records in a *full* pass over the run's real inputs
+  and hands that pass's per-rank results to its own caller.
+
+Step programs hold structure only, in memory as on disk.  A run's
+inputs and results are its own: every replayed run gets ``inputs`` and
+``returns`` as lazy per-call values — drawing the inputs, and a data
+pass that re-executes the program against a :class:`_DataOnlyContext`
+(a write-only context whose ``put_group``/``charge_batch`` are no-ops).
+Vector programs move their data through numpy themselves and never
+observe clocks, so this pass returns bit-identical results at none of
+the bookkeeping cost, and only if someone reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import sys
 import types
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..core.errors import SimulationError
 from .ir import build_program, ir_key, ir_store
@@ -110,13 +124,25 @@ def _execute(ctx: VectorContext, program, args, kwargs,
 
 
 def run_lowered(machine, program, *args: Any, algorithm: str,
-                key_params: dict, P: int | None = None, label: str = "",
+                key_params: dict, inputs: Callable[[], Any] | None = None,
+                stand_in: Any = None, P: int | None = None, label: str = "",
                 max_supersteps: int = 1_000_000, **kwargs: Any) -> RunResult:
     """Run ``program`` through the IR store: record on miss, then replay.
 
-    ``key_params`` must determine the program's structure *and* data —
-    every ``run()`` keyword that reaches the program or its input
-    generation (sizes, variant, structure seed, ...) belongs in it.
+    ``key_params`` must determine the recorded structure — every
+    ``run()`` keyword that reaches the program's messages or work
+    (sizes, variant, ...), and the data seed only if the structure
+    depends on the data.  ``inputs``, if given, draws the run's data:
+    the program takes it as its first argument after the context, and
+    the result carries it as ``inputs``.  It is drawn at most once per
+    call, and only when a pass or a reader needs it.
+
+    ``stand_in`` declares the program data-oblivious: it is a value
+    shaped like the data (see :func:`~repro.simulator.vector.stand_in`),
+    and a miss records from it in a structure-only pass.  Without it a
+    miss records in a full pass, whose results this call returns.  Every
+    other call's ``returns`` is a lazy per-call data pass.
+
     Bit-identical to :func:`~repro.simulator.run_spmd_vector` with the
     same arguments.
     """
@@ -126,32 +152,34 @@ def run_lowered(machine, program, *args: Any, algorithm: str,
             f"requested P={P} processors on a {machine.P}-processor machine")
     word_bytes = machine.nominal.w
     simd = machine.simd
+    draw = None if inputs is None else functools.cache(inputs)
+
+    def data_args():
+        return args if draw is None else (draw(), *args)
+
+    def data_pass():
+        ctx = _DataOnlyContext(P, word_bytes, simd=simd)
+        return _execute(ctx, program, data_args(), kwargs, max_supersteps)[1]
+
+    returns: Any = data_pass
     store = ir_store()
     key = ir_key(algorithm=algorithm,
                  fingerprint=algorithm_fingerprint(program),
                  P=P, word_bytes=word_bytes, simd=simd, params=key_params)
     prog = store.get(key)
     if prog is None:
-        ctx = VectorContext(P, word_bytes, simd=simd)
-        steps, returns = _execute(ctx, program, args, kwargs, max_supersteps)
-        prog = build_program(P=P, word_bytes=word_bytes, simd=simd,
-                             steps=steps, returns=returns)
-        store.put(key, prog)
-    if not prog.has_returns:
-        # Structure came from disk; per-rank results are regenerated
-        # lazily — the thunk lands in RunResult.returns and runs the
-        # data pass only if someone reads it (most experiments never
-        # do), backfilling the cached program so it runs at most once.
-        this = prog
-
-        def data_pass(prog=this):
-            if callable(prog.returns):  # not yet forced by a sibling
-                ctx = _DataOnlyContext(P, word_bytes, simd=simd)
-                _, returns = _execute(ctx, program, args, kwargs,
+        if stand_in is None:
+            ctx = VectorContext(P, word_bytes, simd=simd)
+            steps, returns = _execute(ctx, program, data_args(), kwargs,
                                       max_supersteps)
-                prog.returns = returns
-            return prog.returns
-
-        prog.returns = data_pass
-        prog.has_returns = True
-    return replay(machine, prog, label=label)
+        else:
+            ctx = VectorContext(P, word_bytes, simd=simd, structure_only=True)
+            steps, _ = _execute(ctx, program, (stand_in, *args), kwargs,
+                                max_supersteps)
+        prog = build_program(P=P, word_bytes=word_bytes, simd=simd,
+                             steps=steps)
+        store.put(key, prog)
+    result = replay(machine, prog, label=label)
+    result.inputs = draw
+    result.returns = returns
+    return result

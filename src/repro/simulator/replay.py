@@ -115,8 +115,7 @@ def _replay_fused(prog: StepProgram, phases, costs: np.ndarray,
         append(Superstep(phase=phases[i], work=work, label=labels[i],
                          measured_us=t2 - T))
         T = t2
-    return RunResult(time_us=T, clocks=np.full(P, T), trace=trace,
-                     returns=prog.returns)
+    return RunResult(time_us=T, clocks=np.full(P, T), trace=trace)
 
 
 def _replay_generic(machine, prog: StepProgram, phases, pricer,
@@ -150,5 +149,4 @@ def _replay_generic(machine, prog: StepProgram, phases, pricer,
                 f"{clocks.shape}, expected ({P},)")
         append(Superstep(phase=phases[i], work=work, label=labels[i],
                          measured_us=float(clocks.max()) - start_max))
-    return RunResult(time_us=float(clocks.max()), clocks=clocks, trace=trace,
-                     returns=prog.returns)
+    return RunResult(time_us=float(clocks.max()), clocks=clocks, trace=trace)

@@ -17,15 +17,17 @@ class RunResult:
     ``time_us`` is the virtual wall-clock of the run (maximum final
     processor clock); ``clocks`` the per-processor finish times;
     ``returns`` the per-processor return values of the SPMD program
-    (used for end-to-end correctness checks); ``trace`` the superstep
-    trace that cost models can re-price.
+    (used for end-to-end correctness checks); ``inputs`` the data the
+    algorithm drew for the run (``None`` when it draws none); ``trace``
+    the superstep trace that cost models can re-price.
 
-    ``returns`` may be constructed from a zero-argument callable: it is
-    then materialised on first access.  The IR engine uses this so a
-    replay from an on-disk step program only pays the (pricing-free)
-    data-reconstruction pass when someone actually reads the returns —
+    ``returns`` and ``inputs`` may each be set to a zero-argument
+    callable: it is then materialised on first access.
+    The IR engine uses this so a replayed run only draws its inputs and
+    pays its (pricing-free) data pass when someone actually reads them —
     most experiments never do.  Program return values are per-rank data
-    lists, never bare callables, so the two cases cannot collide.
+    lists and inputs are arrays, never bare callables, so the two cases
+    cannot collide.
     """
 
     def __init__(self, time_us: float, clocks: np.ndarray, trace: Trace,
@@ -34,6 +36,7 @@ class RunResult:
         self.clocks = clocks
         self.trace = trace
         self._returns = [] if returns is None else returns
+        self._inputs: Any = None
 
     @property
     def returns(self) -> list[Any]:
@@ -43,7 +46,17 @@ class RunResult:
 
     @returns.setter
     def returns(self, value: Any) -> None:
-        self._returns = value
+        self._returns = [] if value is None else value
+
+    @property
+    def inputs(self) -> Any:
+        if callable(self._inputs):
+            self._inputs = self._inputs()
+        return self._inputs
+
+    @inputs.setter
+    def inputs(self, value: Any) -> None:
+        self._inputs = value
 
     @property
     def P(self) -> int:

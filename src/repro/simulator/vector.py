@@ -47,7 +47,7 @@ from .commands import SyncToken
 from .result import RunResult
 
 __all__ = ["VectorContext", "run_spmd_vector", "resolve_engine",
-           "collect_steps", "ENGINES", "engine_scope"]
+           "collect_steps", "stand_in", "ENGINES", "engine_scope"]
 
 #: every ``engine=`` argument and ``--engine`` flag accepts exactly these.
 ENGINES = ("auto", "generator", "vector", "ir")
@@ -130,18 +130,36 @@ def _column(x, shape: tuple) -> np.ndarray:
     return np.full(shape, a) if a.ndim == 0 else np.broadcast_to(a, shape)
 
 
+def stand_in(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A read-only zero array of ``shape`` that allocates nothing.
+
+    A structure-only pass hands it to a data-oblivious program in place
+    of its data: the program reads the shape, never the values.
+    """
+    return np.broadcast_to(np.zeros((), dtype=dtype), shape)
+
+
 class VectorContext:
-    """The view a vector program has of all ``P`` processors at once."""
+    """The view a vector program has of all ``P`` processors at once.
 
-    __slots__ = ("P", "word_bytes", "simd", "_groups", "_batches",
-                 "_put_cache")
+    ``structure_only`` marks a pass that records structure alone: the
+    program still emits every message group and work batch, but skips
+    its numeric kernels, and its data arguments are :func:`stand_in`
+    arrays whose values it must not read.  Only data-oblivious programs
+    run such a pass (see :func:`repro.simulator.lower.run_lowered`).
+    """
 
-    def __init__(self, P: int, word_bytes: int, simd: bool = False):
+    __slots__ = ("P", "word_bytes", "simd", "structure_only", "_groups",
+                 "_batches", "_put_cache")
+
+    def __init__(self, P: int, word_bytes: int, simd: bool = False, *,
+                 structure_only: bool = False):
         if P < 1:
             raise SimulationError(f"need at least one processor, got P={P}")
         self.P = P
         self.word_bytes = word_bytes
         self.simd = simd
+        self.structure_only = structure_only
         # per-superstep accumulators, drained by the engine at each sync:
         self._groups: list[tuple[np.ndarray, ...]] = []
         self._batches: list[WorkBatch] = []

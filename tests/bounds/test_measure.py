@@ -70,8 +70,8 @@ class TestWarmPath:
 
     def test_cold_measurement_records_under_the_cells_ir_key(self):
         """The key the measurement probes is the key run() records
-        under — pins the deliberate key_params duplication in
-        bounds/cells.py against run()-signature drift, per cell."""
+        under — pins bounds/cells.py's calls to each algorithm module's
+        own key_params against run()-signature drift, per cell."""
         for name in DEFAULT_CELLS:
             cell = BOUND_CELLS[name]
             n = cell.size(0.3)

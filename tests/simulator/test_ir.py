@@ -193,9 +193,9 @@ class TestBlobRoundTrip:
             0, 1 << 32, size=(16, n), dtype=np.uint64)
         ctx = VectorContext(16, machine.nominal.w, simd=machine.simd)
         gen = bitonic.bitonic_vector_program(ctx, keys, "bsp")
-        steps, returns = collect_steps(ctx, gen, max_supersteps=10_000)
+        steps, _ = collect_steps(ctx, gen, max_supersteps=10_000)
         return build_program(P=16, word_bytes=machine.nominal.w,
-                             simd=machine.simd, steps=steps, returns=returns)
+                             simd=machine.simd, steps=steps)
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
