@@ -17,7 +17,6 @@ from ..core.errors import AblationError
 from ..faults import Clock, FaultPlan, RetryPolicy
 from ..runner.cache import ResultCache
 from ..runner.fingerprint import source_fingerprint
-from ..simulator.vector import ENGINES, engine_scope
 from .components import resolve_cells, resolve_components
 from .evaluate import evaluate_matrix
 from .report import build_report
@@ -40,13 +39,11 @@ class AblateRequest:
     cells: tuple[str, ...] | None = None
     scale: float = 0.3
     seed: int = 0
-    # execution knobs (not part of the request identity; engines are
-    # observationally identical, so engine is one too)
+    # execution knobs (not part of the request identity)
     jobs: int = 1
     cache_dir: str | None = None
     use_cache: bool = True
     force: bool = False
-    engine: str = "auto"
 
     @classmethod
     def from_json(cls, doc: dict) -> "AblateRequest":
@@ -79,12 +76,8 @@ class AblateRequest:
                 or not 0 <= seed < 2 ** 31:
             raise AblationError(f"seed must be a non-negative int, "
                                 f"got {seed!r}")
-        engine = doc.get("engine", "auto")
-        if not isinstance(engine, str) or engine not in ENGINES:
-            raise AblationError(f"engine must be one of {list(ENGINES)}, "
-                                f"got {engine!r}")
         return cls(components=components, cells=cells, scale=float(scale),
-                   seed=seed, engine=engine)
+                   seed=seed)
 
     @property
     def key(self) -> tuple:
@@ -101,9 +94,6 @@ def ablate(req: AblateRequest, *, faults: FaultPlan | str | None = None,
            exec_timeout_s: float | None = None,
            clock: Clock | None = None) -> dict:
     """Run the ablation described by ``req``; returns the report dict."""
-    if req.engine not in ENGINES:
-        raise AblationError(f"unknown engine {req.engine!r}; "
-                            f"expected one of {ENGINES}")
     components = resolve_components(req.components)
     cells = resolve_cells(req.cells)
     if not cells:
@@ -111,10 +101,9 @@ def ablate(req: AblateRequest, *, faults: FaultPlan | str | None = None,
     runs = run_matrix(components, cells, scale=req.scale, seed=req.seed,
                       fingerprint=source_fingerprint())
     cache = ResultCache(req.cache_dir) if req.use_cache else None
-    with engine_scope(req.engine):
-        docs = evaluate_matrix(runs, scale=req.scale, seed=req.seed,
-                               jobs=req.jobs, cache=cache, force=req.force,
-                               faults=faults, retry=retry,
-                               exec_timeout_s=exec_timeout_s, clock=clock)
+    docs = evaluate_matrix(runs, scale=req.scale, seed=req.seed,
+                           jobs=req.jobs, cache=cache, force=req.force,
+                           faults=faults, retry=retry,
+                           exec_timeout_s=exec_timeout_s, clock=clock)
     return build_report(runs, docs, components=components, cells=cells,
                         scale=req.scale, seed=req.seed)

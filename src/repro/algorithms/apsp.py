@@ -38,10 +38,10 @@ import numpy as np
 
 from ..core.errors import ExperimentError
 from ..machines.base import Machine
-from ..simulator import RunResult, run_spmd, run_spmd_vector
+from ..simulator import RunResult
 from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
-from ..simulator.vector import VectorContext, resolve_engine, stand_in
+from ..simulator.vector import VectorContext, stand_in
 
 __all__ = ["run", "key_params", "apsp_program", "apsp_vector_program",
            "assemble", "random_digraph", "reference_apsp", "INF"]
@@ -360,31 +360,17 @@ def key_params(N: int, *, seed: int = 0, density: float = 0.3) -> dict:
 
 
 def run(machine: Machine, N: int, *, P: int | None = None, seed: int = 0,
-        density: float = 0.3, engine: str = "auto") -> RunResult:
+        density: float = 0.3) -> RunResult:
     """Solve APSP for a random digraph of ``N`` vertices on ``machine``."""
     P = P or machine.P
 
     def inputs() -> np.ndarray:
         return random_digraph(N, density, np.random.default_rng(seed))
 
-    eng = resolve_engine(engine)
-    if eng == "ir":
-        return run_lowered(machine, apsp_vector_program, P=P,
-                           label=f"apsp-N{N}", algorithm="apsp",
-                           key_params=key_params(N, seed=seed,
-                                                 density=density),
-                           inputs=inputs, stand_in=stand_in((N, N)))
-    D = inputs()
-    if eng == "vector":
-        result = run_spmd_vector(machine, apsp_vector_program, D, P=P,
-                                 label=f"apsp-N{N}")
-    else:
-        def program(ctx: ProcContext):
-            return apsp_program(ctx, D)
-
-        result = run_spmd(machine, program, P=P, label=f"apsp-N{N}")
-    result.inputs = D
-    return result
+    return run_lowered(machine, apsp_vector_program, P=P, label=f"apsp-N{N}",
+                       algorithm="apsp",
+                       key_params=key_params(N, seed=seed, density=density),
+                       inputs=inputs, stand_in=stand_in((N, N)))
 
 
 def assemble(P: int, N: int, returns: list[np.ndarray]) -> np.ndarray:

@@ -39,14 +39,14 @@ import numpy as np
 
 from ..core.errors import ExperimentError, SimulationError
 from ..machines.base import Machine
-from ..simulator import RunResult, run_spmd, run_spmd_vector
+from ..simulator import RunResult
 from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
-from ..simulator.vector import VectorContext, resolve_engine, stand_in
+from ..simulator.vector import VectorContext, stand_in
 from .local import merge_keep, radix_sort
 
 __all__ = ["run", "key_params", "bitonic_program", "bitonic_vector_program",
-           "bitonic_sort_vector", "VARIANTS"]
+           "bitonic_sort", "bitonic_sort_vector", "VARIANTS"]
 
 VARIANTS = ("bsp", "bsp-nosync", "bsp-sync", "bpram")
 
@@ -57,10 +57,22 @@ def _ilog2(n: int) -> int:
     return n.bit_length() - 1
 
 
-def bitonic_program(ctx: ProcContext, keys: np.ndarray, variant: str,
+def bitonic_program(ctx: ProcContext, all_keys: np.ndarray, variant: str,
                     sync_every: int = 256, key_bits: int = 32,
                     group_words: int = 1):
-    """SPMD block bitonic sort; returns this processor's sorted run.
+    """SPMD block bitonic sort of the ``(P, M)`` key stack; returns this
+    processor's sorted run (row ``ctx.rank`` is its input)."""
+    return (yield from bitonic_sort(ctx, all_keys[ctx.rank], variant,
+                                    sync_every=sync_every,
+                                    key_bits=key_bits,
+                                    group_words=group_words))
+
+
+def bitonic_sort(ctx: ProcContext, keys: np.ndarray, variant: str,
+                 sync_every: int = 256, key_bits: int = 32,
+                 group_words: int = 1):
+    """Per-rank core of :func:`bitonic_program`: sorts this processor's
+    ``keys`` and returns its run (sample sort sorts its samples with it).
 
     ``group_words > 1`` makes the fine-grain variants pack that many keys
     into each message — the "fixed size short messages, but larger than
@@ -158,7 +170,7 @@ def _merge_keep_rows(ctx: VectorContext, mine: np.ndarray, theirs: np.ndarray,
 def bitonic_sort_vector(ctx: VectorContext, all_keys: np.ndarray,
                         variant: str, sync_every: int = 256,
                         key_bits: int = 32, group_words: int = 1):
-    """Lockstep vector core of :func:`bitonic_program` (all ranks at once).
+    """Lockstep vector core of :func:`bitonic_sort` (all ranks at once).
 
     Keys live in one ``(P, M)`` stack; every merge step is one message
     group (the cube permutation ``rank ^ bit``) plus one axis-1 sort —
@@ -240,8 +252,7 @@ def key_params(M: int, *, variant: str = "bsp", seed: int = 0,
 
 def run(machine: Machine, M: int, *, variant: str = "bsp",
         P: int | None = None, seed: int = 0, sync_every: int = 256,
-        key_bits: int = 32, group_words: int = 1,
-        engine: str = "auto") -> RunResult:
+        key_bits: int = 32, group_words: int = 1) -> RunResult:
     """Sort ``P * M`` random keys on ``machine``; ``M`` keys per processor."""
     P = P or machine.P
 
@@ -249,35 +260,15 @@ def run(machine: Machine, M: int, *, variant: str = "bsp",
         return np.random.default_rng(seed).integers(
             0, 1 << key_bits, size=(P, M), dtype=np.uint64)
 
-    eng = resolve_engine(engine)
-    if eng == "ir":
-        return run_lowered(machine, bitonic_vector_program, variant,
+    return run_lowered(machine, bitonic_vector_program, variant,
+                       sync_every=sync_every, key_bits=key_bits,
+                       group_words=group_words, P=P,
+                       label=f"bitonic-{variant}-M{M}", algorithm="bitonic",
+                       key_params=key_params(
+                           M, variant=variant, seed=seed,
                            sync_every=sync_every, key_bits=key_bits,
-                           group_words=group_words, P=P,
-                           label=f"bitonic-{variant}-M{M}",
-                           algorithm="bitonic",
-                           key_params=key_params(
-                               M, variant=variant, seed=seed,
-                               sync_every=sync_every, key_bits=key_bits,
-                               group_words=group_words),
-                           inputs=inputs,
-                           stand_in=stand_in((P, M), np.uint64))
-    all_keys = inputs()
-    if eng == "vector":
-        result = run_spmd_vector(machine, bitonic_vector_program, all_keys,
-                                 variant, sync_every=sync_every,
-                                 key_bits=key_bits, group_words=group_words,
-                                 P=P, label=f"bitonic-{variant}-M{M}")
-    else:
-        def program(ctx: ProcContext):
-            return bitonic_program(ctx, all_keys[ctx.rank], variant,
-                                   sync_every=sync_every, key_bits=key_bits,
-                                   group_words=group_words)
-
-        result = run_spmd(machine, program, P=P,
-                          label=f"bitonic-{variant}-M{M}")
-    result.inputs = all_keys
-    return result
+                           group_words=group_words),
+                       inputs=inputs, stand_in=stand_in((P, M), np.uint64))
 
 
 def is_globally_sorted(returns: list[np.ndarray]) -> bool:

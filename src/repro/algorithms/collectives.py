@@ -21,6 +21,13 @@ simulated machines:
 All are generator subroutines (``yield from`` them inside an SPMD
 program) operating on real data, so tests verify both the costs and the
 answers.
+
+The broadcasts also run whole, through the IR store:
+:func:`run_broadcast` (the vector broadcast from processor 0) and
+:func:`run_row_broadcast` (every grid row's first processor broadcasts
+a segment along its row, directly or by APSP's scatter+allgather).
+Both are data-oblivious, so their recordings carry no data and serve
+every run of one shape.
 """
 
 from __future__ import annotations
@@ -30,9 +37,17 @@ import math
 import numpy as np
 
 from ..core.errors import ExperimentError
+from ..machines.base import Machine
+from ..simulator import RunResult
 from ..simulator.context import ProcContext
+from ..simulator.lower import run_lowered
+from ..simulator.vector import VectorContext, stand_in
+from .apsp import _broadcast_line, _emit_broadcast_vector
 
-__all__ = ["broadcast", "reduce_vector", "prefix_sum"]
+__all__ = ["broadcast", "reduce_vector", "prefix_sum", "run_broadcast",
+           "broadcast_program", "broadcast_vector_program",
+           "run_row_broadcast", "row_broadcast_program",
+           "row_broadcast_vector_program"]
 
 
 def _check_vec(vec, P: int) -> np.ndarray:
@@ -93,6 +108,129 @@ def broadcast(ctx: ProcContext, vec, root: int, tag: str,
             ctx.get(src=src, tag=(tag, "g", src)))
         out[src * piece:(src + 1) * piece] = part
     return out
+
+
+def broadcast_program(ctx: ProcContext, vec, strategy: str):
+    """SPMD program: :func:`broadcast` ``vec`` from processor 0 (tag
+    ``b``); every rank returns the vector."""
+    return (yield from broadcast(ctx, vec if ctx.rank == 0 else None, 0,
+                                 "b", strategy))
+
+
+def broadcast_vector_program(ctx: VectorContext, vec, strategy: str):
+    """Lockstep vector port of :func:`broadcast_program`.
+
+    The root's sends form one group in step order; the allgather is one
+    group per step.  A structure-only pass reads ``vec``'s shape alone.
+    """
+    P = ctx.P
+    w = ctx.word_bytes
+    v = _check_vec(vec, P)
+    n = v.size
+    root = np.zeros(P - 1, dtype=np.int64)
+    others = np.arange(1, P)  # destination s goes out at step s
+    if strategy == "naive":
+        ctx.put_group(root, others, nbytes=n * w, count=n, step=others)
+        yield ctx.sync("b-bcast-naive")
+    elif strategy == "two-phase":
+        piece = n // P
+        ctx.put_group(root, others, nbytes=piece * w, count=piece,
+                      step=others)
+        yield ctx.sync("b-bcast-scatter")
+        ranks = ctx.ranks()
+        for s in range(1, P):
+            ctx.put_group(ranks, (ranks + s) % P, nbytes=piece * w,
+                          count=piece, step=s)
+        yield ctx.sync("b-bcast-allgather")
+    else:
+        raise ExperimentError(f"unknown broadcast strategy {strategy!r}")
+    return None if ctx.structure_only else [v.copy() for _ in range(P)]
+
+
+def run_broadcast(machine: Machine, n: int, *, strategy: str,
+                  P: int | None = None) -> RunResult:
+    """Broadcast the ``n``-word vector ``0, 1, ..., n-1`` from
+    processor 0."""
+    P = P or machine.P
+    return run_lowered(machine, broadcast_vector_program, strategy, P=P,
+                       label=f"broadcast-{strategy}-n{n}",
+                       algorithm="broadcast",
+                       key_params={"n": n, "strategy": strategy},
+                       inputs=lambda: np.arange(n, dtype=np.float64),
+                       stand_in=stand_in((n,)))
+
+
+def _row_grid(segs, P: int) -> tuple[int, int]:
+    """``(sqrt(P), M)`` of a row broadcast's ``(sqrt(P), M)`` segments."""
+    side = math.isqrt(P)
+    if side * side != P or np.ndim(segs) != 2 or len(segs) != side:
+        raise ExperimentError(
+            f"row broadcast needs a square grid and one segment per row "
+            f"(P={P}, segments {np.shape(segs)})")
+    return side, np.shape(segs)[1]
+
+
+def row_broadcast_program(ctx: ProcContext, segs: np.ndarray,
+                          strategy: str):
+    """SPMD row broadcast on the ``sqrt(P) x sqrt(P)`` grid: processor
+    ``<r, 0>`` delivers ``segs[r]`` to its row-mates, ``"direct"`` (one
+    whole-segment message each) or ``"two-phase"`` (APSP's
+    scatter+allgather).  Every processor returns its row's segment."""
+    side, M = _row_grid(segs, ctx.P)
+    r, c = divmod(ctx.rank, side)
+    if strategy == "two-phase":
+        return (yield from _broadcast_line(
+            ctx, segs[r] if c == 0 else None, owner_line=0, line=c,
+            addr=lambda ll: r * side + ll, side=side, M=M, tag="b"))
+    if strategy != "direct":
+        raise ExperimentError(f"unknown row broadcast strategy {strategy!r}")
+    if c == 0:
+        for s in range(1, side):
+            ctx.put(r * side + s, segs[r], nbytes=M * ctx.word_bytes,
+                    count=M, tag="seg", step=s)
+    yield ctx.sync("direct-bcast")
+    if c == 0:
+        return segs[r]
+    return np.asarray(ctx.get(src=r * side, tag="seg"))
+
+
+def row_broadcast_vector_program(ctx: VectorContext, segs: np.ndarray,
+                                 strategy: str):
+    """Lockstep vector port of :func:`row_broadcast_program`; a
+    structure-only pass reads ``segs``' shape alone."""
+    side, M = _row_grid(segs, ctx.P)
+    ranks = ctx.ranks()
+    r, c = np.divmod(ranks, side)
+    if strategy == "two-phase":
+        yield from _emit_broadcast_vector(ctx, c, lambda ll: r * side + ll,
+                                          0, side, M, "b", {})
+    elif strategy == "direct":
+        owners = ranks[c == 0]
+        for s in range(1, side):
+            ctx.put_group(owners, owners + s, nbytes=M * ctx.word_bytes,
+                          count=M, step=s)
+        yield ctx.sync("direct-bcast")
+    else:
+        raise ExperimentError(f"unknown row broadcast strategy {strategy!r}")
+    if ctx.structure_only:
+        return None
+    return [np.array(segs[rr], dtype=np.float64) for rr in r.tolist()]
+
+
+def run_row_broadcast(machine: Machine, M: int, *, strategy: str,
+                      P: int | None = None) -> RunResult:
+    """Row-broadcast segment ``r`` = ``r, r+1, ..., r+M-1`` on every row."""
+    P = P or machine.P
+    side = math.isqrt(P)
+
+    def inputs() -> np.ndarray:
+        return np.arange(M, dtype=np.float64) + np.arange(side)[:, None]
+
+    return run_lowered(machine, row_broadcast_vector_program, strategy, P=P,
+                       label=f"row-broadcast-{strategy}-M{M}",
+                       algorithm="row-broadcast",
+                       key_params={"M": M, "strategy": strategy},
+                       inputs=inputs, stand_in=stand_in((side, M)))
 
 
 def reduce_vector(ctx: ProcContext, vec, root: int, tag: str,

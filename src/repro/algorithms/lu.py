@@ -48,10 +48,10 @@ import numpy as np
 
 from ..core.errors import ExperimentError
 from ..machines.base import Machine
-from ..simulator import RunResult, run_spmd, run_spmd_vector
+from ..simulator import RunResult
 from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
-from ..simulator.vector import VectorContext, resolve_engine, stand_in
+from ..simulator.vector import VectorContext, stand_in
 
 __all__ = ["run", "key_params", "lu_program", "lu_vector_program",
            "assemble", "reference_lu", "random_dd_matrix"]
@@ -281,30 +281,16 @@ def key_params(N: int, *, seed: int = 0) -> dict:
 
 
 def run(machine: Machine, N: int, *, P: int | None = None,
-        seed: int = 0, engine: str = "auto") -> RunResult:
+        seed: int = 0) -> RunResult:
     """Factor a random diagonally dominant ``N x N`` matrix."""
     P = P or machine.P
 
     def inputs() -> np.ndarray:
         return random_dd_matrix(N, np.random.default_rng(seed))
 
-    eng = resolve_engine(engine)
-    if eng == "ir":
-        return run_lowered(machine, lu_vector_program, P=P,
-                           label=f"lu-N{N}", algorithm="lu",
-                           key_params=key_params(N, seed=seed),
-                           inputs=inputs, stand_in=stand_in((N, N)))
-    A = inputs()
-    if eng == "vector":
-        result = run_spmd_vector(machine, lu_vector_program, A, P=P,
-                                 label=f"lu-N{N}")
-    else:
-        def program(ctx: ProcContext):
-            return lu_program(ctx, A)
-
-        result = run_spmd(machine, program, P=P, label=f"lu-N{N}")
-    result.inputs = A
-    return result
+    return run_lowered(machine, lu_vector_program, P=P, label=f"lu-N{N}",
+                       algorithm="lu", key_params=key_params(N, seed=seed),
+                       inputs=inputs, stand_in=stand_in((N, N)))
 
 
 def assemble(P: int, N: int, returns: list[np.ndarray]) -> np.ndarray:

@@ -42,10 +42,10 @@ import numpy as np
 from ..core.errors import ExperimentError
 from ..core.predictions import cube_root_procs
 from ..machines.base import Machine
-from ..simulator import RunResult, run_spmd, run_spmd_vector
+from ..simulator import RunResult
 from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
-from ..simulator.vector import VectorContext, resolve_engine, stand_in
+from ..simulator.vector import VectorContext, stand_in
 from .local import local_matmul
 
 __all__ = ["run", "key_params", "matmul_program", "matmul_vector_program",
@@ -95,9 +95,11 @@ class MatmulSetup:
         return self.N // (self.q * self.q)
 
 
-def matmul_program(ctx: ProcContext, setup: MatmulSetup, A: np.ndarray,
-                   B: np.ndarray, variant: str):
-    """SPMD matmul; returns this processor's ``C_ij^k`` block."""
+def matmul_program(ctx: ProcContext, operands: tuple, setup: MatmulSetup,
+                   variant: str):
+    """SPMD matmul of the ``(A, B)`` pair ``operands``; returns this
+    processor's ``C_ij^k`` block."""
+    A, B = operands
     if variant not in VARIANTS + LAYOUT_VARIANTS:
         raise ExperimentError(f"unknown matmul variant {variant!r}")
     layout_2d = variant in LAYOUT_VARIANTS
@@ -243,19 +245,22 @@ def matmul_program(ctx: ProcContext, setup: MatmulSetup, A: np.ndarray,
 
 def matmul_vector_program(ctx: VectorContext, operands: tuple,
                           setup: MatmulSetup, variant: str):
-    """Lockstep vector port of :func:`matmul_program` (3D-native layouts).
+    """Lockstep vector port of :func:`matmul_program`.
 
     ``operands`` is the ``(A, B)`` pair.  One message group per
     replicate/exchange step (with MIMD self-sends masked out, as the
     per-rank program elides them); the local products run per rank on
     contiguous blocks so the floating-point results stay bit-identical
-    to the per-rank path.  A structure-only pass never reads the
-    operands.  The row-strip :data:`LAYOUT_VARIANTS` are not ported —
-    use the generator engine.
+    to the per-rank path.  A row-strip start (:data:`LAYOUT_VARIANTS`)
+    emits its own first superstep and then runs as its native variant:
+    either way every rank ends up holding ``A_ij`` and ``B_jk``.  A
+    structure-only pass never reads the operands.
     """
-    if variant not in VARIANTS:
-        raise ExperimentError(
-            f"vector matmul supports {VARIANTS}, got {variant!r}")
+    if variant not in VARIANTS + LAYOUT_VARIANTS:
+        raise ExperimentError(f"unknown matmul variant {variant!r}")
+    layout_2d = variant in LAYOUT_VARIANTS
+    if layout_2d:
+        variant = "bpram" if variant == "bpram-2d" else "bsp-staggered"
     fine = variant != "bpram"
     staggered = variant != "bsp"
     q, sub, rows = setup.q, setup.sub, setup.rows
@@ -265,6 +270,9 @@ def matmul_vector_program(ctx: VectorContext, operands: tuple,
     i_arr = ranks // (q * q)
     j_arr = (ranks // q) % q
     k_arr = ranks % q
+    if layout_2d and setup.N % setup.P:
+        raise ExperimentError(
+            f"2d layout needs P | N (N={setup.N}, P={setup.P})")
 
     blk_words = rows * sub
     count = blk_words if fine else 1
@@ -281,12 +289,39 @@ def matmul_vector_program(ctx: VectorContext, operands: tuple,
             ctx.put_group(ranks[m], dst[m], nbytes=blk_words * w,
                           count=count, step=step)
 
-    # ---- superstep 1: replicate A along k, B along i ----
-    for s in range(q):
-        m = (k_arr + s) % q if staggered else np.full(P, s, dtype=np.int64)
-        emit(rank_of(i_arr, j_arr, m), s)
-        emit(rank_of(m, i_arr, j_arr), s)
-    yield ctx.sync("replicate", stagger=staggered)
+    if layout_2d:
+        # rank p's strip (rows p*N/P.. of A and B) lies in the (i_s, k_s)
+        # row band: i_s, k_s, s_s = i_arr, j_arr, k_arr.  The per-rank
+        # program ships strip chunks with a plain put, so self-sends are
+        # real on MIMD too.
+        strip_words = setup.N // setup.P * sub
+        if fine:
+            # BSP: every chunk straight to its final consumers
+            for jj in range(q):
+                for m in range(q):
+                    mm = (k_arr + m) % q
+                    for dst in (rank_of(i_arr, jj, mm),
+                                rank_of(mm, i_arr, jj)):
+                        ctx.put_group(ranks, dst, nbytes=strip_words * w,
+                                      count=strip_words, step=m * q + jj)
+            yield ctx.sync("replicate-2d", stagger=staggered)
+        else:
+            # MP-BPRAM: an extra block superstep rebuilds the 3D layout
+            for jj in range(q):
+                dst = rank_of(i_arr, (k_arr + jj) % q, j_arr)
+                for step in (jj, q + jj):
+                    ctx.put_group(ranks, dst, nbytes=strip_words * w,
+                                  count=1, step=step)
+            yield ctx.sync("redistribute")
+
+    if not (layout_2d and fine):
+        # ---- superstep 1: replicate A along k, B along i ----
+        for s in range(q):
+            m = (k_arr + s) % q if staggered \
+                else np.full(P, s, dtype=np.int64)
+            emit(rank_of(i_arr, j_arr, m), s)
+            emit(rank_of(m, i_arr, j_arr), s)
+        yield ctx.sync("replicate", stagger=staggered)
 
     # every rank now holds A_ij and B_jk — contiguous copies so the
     # per-rank GEMMs see the same operands as the vstack'ed per-rank path
@@ -330,8 +365,7 @@ def key_params(N: int, *, variant: str = "bsp-staggered",
 
 
 def run(machine: Machine, N: int, *, variant: str = "bsp-staggered",
-        P: int | None = None, seed: int = 0,
-        engine: str = "auto") -> RunResult:
+        P: int | None = None, seed: int = 0) -> RunResult:
     """Multiply two random ``N x N`` matrices on ``machine``.
 
     ``variant`` is one of :data:`VARIANTS` (3D-native initial layout) or
@@ -349,24 +383,11 @@ def run(machine: Machine, N: int, *, variant: str = "bsp-staggered",
         A = rng.standard_normal((N, N))
         return A, rng.standard_normal((N, N))
 
-    eng = resolve_engine(engine, vector_ok=variant in VARIANTS)
-    if eng == "ir":
-        result = run_lowered(machine, matmul_vector_program, setup, variant,
-                             P=P, label=label, algorithm="matmul",
-                             key_params=key_params(N, variant=variant,
-                                                   seed=seed),
-                             inputs=inputs,
-                             stand_in=(stand_in((N, N)), stand_in((N, N))))
-    else:
-        operands = inputs()
-        if eng == "vector":
-            result = run_spmd_vector(machine, matmul_vector_program,
-                                     operands, setup, variant, P=P,
-                                     label=label)
-        else:
-            result = run_spmd(machine, matmul_program, setup, *operands,
-                              variant, P=P, label=label)
-        result.inputs = operands
+    result = run_lowered(machine, matmul_vector_program, setup, variant,
+                         P=P, label=label, algorithm="matmul",
+                         key_params=key_params(N, variant=variant, seed=seed),
+                         inputs=inputs,
+                         stand_in=(stand_in((N, N)), stand_in((N, N))))
     result.setup = setup  # type: ignore[attr-defined]
     return result
 

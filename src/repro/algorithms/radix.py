@@ -42,10 +42,10 @@ import numpy as np
 
 from ..core.errors import ExperimentError
 from ..machines.base import Machine
-from ..simulator import RunResult, run_spmd, run_spmd_vector
+from ..simulator import RunResult
 from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
-from ..simulator.vector import VectorContext, resolve_engine
+from ..simulator.vector import VectorContext
 from .bitonic import _radix_sort_rows
 from .local import radix_sort
 from .primitives import multiscan, multiscan_vector
@@ -68,12 +68,14 @@ def _digit_bits(P: int, key_bits: int) -> int:
     return log_p
 
 
-def radix_sort_program(ctx: ProcContext, keys: np.ndarray, variant: str,
+def radix_sort_program(ctx: ProcContext, all_keys: np.ndarray, variant: str,
                        key_bits: int = 32):
-    """SPMD radix sort; returns this processor's sorted bucket."""
+    """SPMD radix sort of the ``(P, M)`` key stack; returns this
+    processor's sorted bucket (row ``ctx.rank`` is its input)."""
     if variant not in VARIANTS:
         raise ExperimentError(f"unknown radix sort variant {variant!r}")
     P, rank = ctx.P, ctx.rank
+    keys = all_keys[rank]
     M = keys.size
     w = ctx.word_bytes
     log_p = _digit_bits(P, key_bits)
@@ -181,8 +183,7 @@ def key_params(M: int, *, variant: str = "bpram", seed: int = 0,
 
 
 def run(machine: Machine, M: int, *, variant: str = "bpram",
-        P: int | None = None, seed: int = 0, key_bits: int = 32,
-        engine: str = "auto") -> RunResult:
+        P: int | None = None, seed: int = 0, key_bits: int = 32) -> RunResult:
     """Radix-sort ``P * M`` random keys on ``machine``."""
     P = P or machine.P
 
@@ -190,26 +191,9 @@ def run(machine: Machine, M: int, *, variant: str = "bpram",
         return np.random.default_rng(seed).integers(
             0, 1 << key_bits, size=(P, M), dtype=np.uint64)
 
-    eng = resolve_engine(engine)
-    if eng == "ir":
-        return run_lowered(machine, radix_sort_vector_program, variant,
-                           key_bits=key_bits, P=P,
-                           label=f"radix-{variant}-M{M}", algorithm="radix",
-                           key_params=key_params(M, variant=variant,
-                                                 seed=seed,
-                                                 key_bits=key_bits),
-                           inputs=inputs)
-    all_keys = inputs()
-    if eng == "vector":
-        result = run_spmd_vector(machine, radix_sort_vector_program,
-                                 all_keys, variant, key_bits=key_bits, P=P,
-                                 label=f"radix-{variant}-M{M}")
-    else:
-        def program(ctx: ProcContext):
-            return radix_sort_program(ctx, all_keys[ctx.rank], variant,
-                                      key_bits=key_bits)
-
-        result = run_spmd(machine, program, P=P,
-                          label=f"radix-{variant}-M{M}")
-    result.inputs = all_keys
-    return result
+    return run_lowered(machine, radix_sort_vector_program, variant,
+                       key_bits=key_bits, P=P, label=f"radix-{variant}-M{M}",
+                       algorithm="radix",
+                       key_params=key_params(M, variant=variant, seed=seed,
+                                             key_bits=key_bits),
+                       inputs=inputs)

@@ -42,11 +42,11 @@ import numpy as np
 
 from ..core.errors import ExperimentError
 from ..machines.base import Machine
-from ..simulator import RunResult, run_spmd, run_spmd_vector
+from ..simulator import RunResult
 from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
-from ..simulator.vector import VectorContext, resolve_engine
-from .bitonic import _radix_sort_rows, bitonic_program, bitonic_sort_vector
+from ..simulator.vector import VectorContext
+from .bitonic import _radix_sort_rows, bitonic_sort, bitonic_sort_vector
 from .local import classify_keys, radix_sort
 from .primitives import (alltoall_words, alltoall_words_vector, grid_side,
                          multiscan, multiscan_vector)
@@ -62,12 +62,15 @@ VARIANTS = ("bsp", "bpram", "bpram-staggered")
 PAD = 4
 
 
-def sample_sort_program(ctx: ProcContext, keys: np.ndarray, variant: str,
-                        oversample: int, key_bits: int = 32,
+def sample_sort_program(ctx: ProcContext, all_keys: np.ndarray,
+                        variant: str, oversample: int, key_bits: int = 32,
                         sample_seed: int = 0):
+    """SPMD sample sort of the ``(P, M)`` key stack; returns this
+    processor's sorted bucket (row ``ctx.rank`` is its input)."""
     if variant not in VARIANTS:
         raise ExperimentError(f"unknown sample sort variant {variant!r}")
     P, rank = ctx.P, ctx.rank
+    keys = all_keys[rank]
     M = keys.size
     w = ctx.word_bytes
     S = oversample
@@ -81,8 +84,8 @@ def sample_sort_program(ctx: ProcContext, keys: np.ndarray, variant: str,
     rng = np.random.default_rng(sample_seed + 7919 * rank)
     samples = rng.choice(keys, size=S, replace=False).astype(np.uint64)
     ctx.charge_us(0.2 * S)  # sample selection
-    sorted_samples = yield from bitonic_program(ctx, samples, bitonic_variant,
-                                                key_bits=key_bits)
+    sorted_samples = yield from bitonic_sort(ctx, samples, bitonic_variant,
+                                             key_bits=key_bits)
     # After bitonic, this processor holds the samples of global ranks
     # [rank*S, (rank+1)*S); the splitter it owns is its first sample.
     my_splitter = int(sorted_samples[0])  # rank * S
@@ -350,7 +353,7 @@ def key_params(M: int, *, variant: str = "bpram", oversample: int = 32,
 
 def run(machine: Machine, M: int, *, variant: str = "bpram",
         oversample: int = 32, P: int | None = None, seed: int = 0,
-        key_bits: int = 32, engine: str = "auto") -> RunResult:
+        key_bits: int = 32) -> RunResult:
     """Sample-sort ``P * M`` random keys on ``machine``."""
     P = P or machine.P
 
@@ -358,29 +361,11 @@ def run(machine: Machine, M: int, *, variant: str = "bpram",
         return np.random.default_rng(seed).integers(
             0, 1 << key_bits, size=(P, M), dtype=np.uint64)
 
-    eng = resolve_engine(engine)
-    if eng == "ir":
-        return run_lowered(machine, sample_sort_vector_program, variant,
-                           oversample, key_bits=key_bits, sample_seed=seed,
-                           P=P, label=f"samplesort-{variant}-M{M}",
-                           algorithm="samplesort",
-                           key_params=key_params(
-                               M, variant=variant, oversample=oversample,
-                               seed=seed, key_bits=key_bits),
-                           inputs=inputs)
-    all_keys = inputs()
-    if eng == "vector":
-        result = run_spmd_vector(machine, sample_sort_vector_program,
-                                 all_keys, variant, oversample,
-                                 key_bits=key_bits, sample_seed=seed, P=P,
-                                 label=f"samplesort-{variant}-M{M}")
-    else:
-        def program(ctx: ProcContext):
-            return sample_sort_program(ctx, all_keys[ctx.rank], variant,
-                                       oversample, key_bits=key_bits,
-                                       sample_seed=seed)
-
-        result = run_spmd(machine, program, P=P,
-                          label=f"samplesort-{variant}-M{M}")
-    result.inputs = all_keys
-    return result
+    return run_lowered(machine, sample_sort_vector_program, variant,
+                       oversample, key_bits=key_bits, sample_seed=seed, P=P,
+                       label=f"samplesort-{variant}-M{M}",
+                       algorithm="samplesort",
+                       key_params=key_params(
+                           M, variant=variant, oversample=oversample,
+                           seed=seed, key_bits=key_bits),
+                       inputs=inputs)

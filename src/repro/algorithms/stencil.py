@@ -9,6 +9,11 @@ hop, so the flat-``g`` BSP charge (calibrated on random patterns)
 systematically *overestimates* it — the "general locality" error that
 :class:`~repro.core.ebsp.LocalityAwareBSP` fixes and the ext-t800
 experiment measures.
+
+The stencil is data-oblivious: what it sends and charges depends on
+``N``, ``P`` and the sweep count alone, never on the grid values.  Its
+IR recordings are therefore keyed without the data seed and made in a
+structure-only pass (:func:`repro.simulator.lower.run_lowered`).
 """
 
 from __future__ import annotations
@@ -19,10 +24,13 @@ import numpy as np
 
 from ..core.errors import ExperimentError
 from ..machines.base import Machine
-from ..simulator import RunResult, run_spmd
+from ..simulator import RunResult
 from ..simulator.context import ProcContext
+from ..simulator.lower import run_lowered
+from ..simulator.vector import VectorContext, stand_in
 
-__all__ = ["run", "stencil_program", "assemble", "reference_jacobi"]
+__all__ = ["run", "key_params", "stencil_program", "stencil_vector_program",
+           "assemble", "reference_jacobi"]
 
 
 def reference_jacobi(grid: np.ndarray, iters: int) -> np.ndarray:
@@ -36,16 +44,20 @@ def reference_jacobi(grid: np.ndarray, iters: int) -> np.ndarray:
     return a
 
 
-def stencil_program(ctx: ProcContext, grid: np.ndarray, iters: int):
-    """SPMD Jacobi; returns this processor's final ``M x M`` block."""
-    P, rank = ctx.P, ctx.rank
-    N = grid.shape[0]
+def _block_side(N: int, P: int) -> tuple[int, int]:
+    """``(sqrt(P), N / sqrt(P))``, validated."""
     side = math.isqrt(P)
     if side * side != P:
         raise ExperimentError(f"stencil needs a square grid, got P={P}")
     if N % side:
         raise ExperimentError(f"stencil needs sqrt(P) | N (N={N})")
-    M = N // side
+    return side, N // side
+
+
+def stencil_program(ctx: ProcContext, grid: np.ndarray, iters: int):
+    """SPMD Jacobi; returns this processor's final ``M x M`` block."""
+    P, rank = ctx.P, ctx.rank
+    side, M = _block_side(grid.shape[0], P)
     w = ctx.word_bytes
     r, c = divmod(rank, side)
     block = grid[r * M:(r + 1) * M, c * M:(c + 1) * M].astype(float).copy()
@@ -99,20 +111,67 @@ def stencil_program(ctx: ProcContext, grid: np.ndarray, iters: int):
     return block
 
 
+def stencil_vector_program(ctx: VectorContext, grid: np.ndarray, iters: int):
+    """Lockstep vector port of :func:`stencil_program`.
+
+    One message group per halo direction (north, south, west, east: the
+    per-rank emission order), built once and re-emitted every sweep.
+    The update runs on the whole grid: each interior point sums the same
+    four neighbours in the same order as the per-rank padded block, so
+    the blocks it returns are bit-identical.  A structure-only pass
+    reads ``grid``'s shape alone and skips the update.
+    """
+    P = ctx.P
+    side, M = _block_side(grid.shape[0], P)
+    w = ctx.word_bytes
+    ranks = ctx.ranks()
+    r, c = np.divmod(ranks, side)
+    halos = []
+    for has, offset in ((r > 0, -side), (r < side - 1, side),
+                        (c > 0, -1), (c < side - 1, 1)):
+        halos.append((ranks[has], ranks[has] + offset))
+    data = not ctx.structure_only
+    if data:
+        a = grid.astype(float)
+
+    for it in range(iters):
+        for step, (src, dst) in enumerate(halos):
+            ctx.put_group(src, dst, nbytes=M * w, count=M, step=step)
+        yield ctx.sync(f"halo-{it}")
+        if data:
+            b = a.copy()
+            b[1:-1, 1:-1] = 0.25 * (a[:-2, 1:-1] + a[2:, 1:-1]
+                                    + a[1:-1, :-2] + a[1:-1, 2:])
+            a = b
+        ctx.charge_flops(ranks, 2 * M * M)
+
+    if not data:
+        return None
+    return [a[rr * M:(rr + 1) * M, cc * M:(cc + 1) * M].copy()
+            for rr, cc in zip(r.tolist(), c.tolist())]
+
+
+def key_params(N: int, iters: int, *, seed: int = 0) -> dict:
+    """The IR key params :func:`run` records under.
+
+    The stencil is data-oblivious, so ``seed`` does not shape the
+    recording and is left out: every seed of one shape shares it.
+    """
+    return {"N": N, "iters": iters}
+
+
 def run(machine: Machine, N: int, iters: int, *, P: int | None = None,
         seed: int = 0) -> RunResult:
     """Run ``iters`` Jacobi sweeps on a random ``N x N`` grid."""
     P = P or machine.P
-    rng = np.random.default_rng(seed)
-    grid = rng.random((N, N))
 
-    def program(ctx: ProcContext):
-        return stencil_program(ctx, grid, iters)
+    def inputs() -> np.ndarray:
+        return np.random.default_rng(seed).random((N, N))
 
-    result = run_spmd(machine, program, P=P,
-                      label=f"stencil-N{N}-it{iters}")
-    result.inputs = grid
-    return result
+    return run_lowered(machine, stencil_vector_program, iters, P=P,
+                       label=f"stencil-N{N}-it{iters}", algorithm="stencil",
+                       key_params=key_params(N, iters, seed=seed),
+                       inputs=inputs, stand_in=stand_in((N, N)))
 
 
 def assemble(P: int, N: int, returns: list[np.ndarray]) -> np.ndarray:

@@ -21,7 +21,6 @@ from ..faults import RetryPolicy, SYSTEM_CLOCK
 from ..runner.cache import ResultCache
 from ..runner.fingerprint import source_fingerprint
 from ..runner.pool import collect_resilient, shutdown_pool, warm_pool
-from ..simulator.vector import ENGINES, engine_scope
 from .analytic import cell_bound
 from .cells import (
     BOUND_CELLS,
@@ -57,13 +56,11 @@ class BoundsRequest:
     scale: float = 0.3
     seed: int = 0
     threshold: float = DEFAULT_THRESHOLD
-    # execution knobs (not part of the request identity; engines are
-    # observationally identical, so engine is one too)
+    # execution knobs (not part of the request identity)
     jobs: int = 1
     cache_dir: str | None = None
     use_cache: bool = True
     force: bool = False
-    engine: str = "auto"
 
     @classmethod
     def from_json(cls, doc: dict) -> "BoundsRequest":
@@ -94,12 +91,8 @@ class BoundsRequest:
                 or not math.isfinite(threshold) or threshold <= 0:
             raise BoundsError(f"threshold must be a positive finite "
                               f"number, got {threshold!r}")
-        engine = doc.get("engine", "auto")
-        if not isinstance(engine, str) or engine not in ENGINES:
-            raise BoundsError(f"engine must be one of {list(ENGINES)}, "
-                              f"got {engine!r}")
         return cls(cells=cells, scale=float(scale), seed=seed,
-                   threshold=float(threshold), engine=engine)
+                   threshold=float(threshold))
 
     @property
     def key(self) -> tuple:
@@ -204,14 +197,10 @@ def evaluate_cells(cells: tuple[BoundCell, ...], *, scale: float, seed: int,
 
 def bounds(req: BoundsRequest) -> dict:
     """Run the optimality scoreboard described by ``req``."""
-    if req.engine not in ENGINES:
-        raise BoundsError(f"unknown engine {req.engine!r}; "
-                          f"expected one of {ENGINES}")
     cells = resolve_bound_cells(req.cells)
     cache = ResultCache(req.cache_dir) if req.use_cache else None
-    with engine_scope(req.engine):
-        docs = evaluate_cells(cells, scale=req.scale, seed=req.seed,
-                              jobs=req.jobs, cache=cache, force=req.force)
+    docs = evaluate_cells(cells, scale=req.scale, seed=req.seed,
+                          jobs=req.jobs, cache=cache, force=req.force)
     return build_report(cells, docs, scale=req.scale, seed=req.seed,
                         threshold=req.threshold)
 

@@ -140,6 +140,6 @@ def cell_program(cell: BoundCell):
 
 
 def cell_run(cell: BoundCell, machine, n: int, seed: int):
-    """Run the cell's algorithm live (records IR under the ir engine)."""
+    """Run the cell's algorithm live (recording its IR on a miss)."""
     module, _ = _algorithm(cell)
     return module.run(machine, n, seed=seed, **_variant(cell))

@@ -4,8 +4,8 @@ The warm path reads recorded step programs straight out of the IR
 store — phase byte vectors times superstep multiplicity, zero replay,
 zero simulation (:func:`repro.simulator.ir.program_comm_volume`).  Only
 when no recording exists does :func:`measure_cell` fall back to a live
-run (which, under the default ``ir`` engine, records the program as a
-side effect, so the next measurement is warm).
+run (which records the program as a side effect, so the next
+measurement is warm).
 
 The reported ``max_traffic_words`` is the largest per-processor
 sent-plus-received volume.  The analytic bounds constrain words

@@ -3,7 +3,7 @@
 ``build_report`` is deterministic given its inputs — entries are sorted
 by descending ratio (name-tiebroken) and every number derives from the
 cell docs and the pure analytic bounds — so the report JSON is stable
-across cache states, engines and process boundaries.
+across cache states and process boundaries.
 """
 
 from __future__ import annotations

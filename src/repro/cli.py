@@ -39,7 +39,6 @@ from . import __version__
 from .calibration import calibrate_all, render_table1
 from .experiments import all_experiments
 from .machines import machine_catalog
-from .simulator.vector import ENGINES, engine_scope
 from .validation.textfig import render_result
 
 __all__ = ["main", "build_parser"]
@@ -142,9 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="deterministic fault-injection plan, e.g. "
                           "'worker-crash:p=0.2,seed=7' (default: "
                           "$REPRO_FAULTS; see docs/TESTING.md)")
-    run.add_argument("--engine", choices=ENGINES, default=None,
-                     help="simulation engine (default: $REPRO_ENGINE or "
-                          "'auto'; see docs/DESIGN.md)")
 
     bench = sub.add_parser(
         "bench",
@@ -232,9 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request deadline on /predict and "
                             "/compare; past it the client gets 503 + "
                             "Retry-After (default 30 s)")
-    serve.add_argument("--engine", choices=ENGINES, default="auto",
-                       help="simulation engine for experiment evaluation "
-                            "(default auto)")
 
     lt = sub.add_parser(
         "loadtest",
@@ -297,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--faults", default=None, metavar="PLAN",
                     help="fault plan for the run (also honours "
                          "$REPRO_FAULTS)")
-    ab.add_argument("--engine", choices=ENGINES, default="auto",
-                    help="simulation engine for cell evaluation "
-                         "(default auto)")
 
     bo = sub.add_parser(
         "bounds",
@@ -328,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     bo.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="cache root (default: $REPRO_CACHE_DIR or "
                          "~/.cache/repro)")
-    bo.add_argument("--engine", choices=ENGINES, default="auto",
-                    help="simulation engine for live measurements "
-                         "(default auto)")
 
     at = sub.add_parser(
         "attribute",
@@ -366,8 +353,7 @@ def _cmd_run(ids: list[str], scale: float, seed: int, plot: bool,
              use_cache: bool = True, force: bool = False,
              cache_dir: str | None = None, profile: bool = False,
              timing_summary: bool = False,
-             faults: str | None = None,
-             engine: str | None = None) -> int:
+             faults: str | None = None) -> int:
     from .core.errors import ExperimentError, FaultError
     from .faults import FaultPlan, plan_from_env
     from .runner import ResultCache, run_experiments
@@ -383,11 +369,11 @@ def _cmd_run(ids: list[str], scale: float, seed: int, plot: bool,
         plan = FaultPlan.parse(faults) if faults else plan_from_env()
         if profile:
             outcomes = _run_profiled(ids, scale=scale, seed=seed,
-                                     cache_dir=cache_dir, engine=engine)
+                                     cache_dir=cache_dir)
         else:
             outcomes = run_experiments(ids, scale=scale, seed=seed,
                                        jobs=jobs, cache=cache, force=force,
-                                       faults=plan, engine=engine)
+                                       faults=plan)
     except (ExperimentError, FaultError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -429,7 +415,7 @@ def _timing_summary(outcomes, top: int = 5) -> str:
 
 
 def _run_profiled(ids: list[str], *, scale: float, seed: int,
-                  cache_dir: str | None, engine: str | None = None):
+                  cache_dir: str | None):
     """``repro run --profile``: in-process, cProfile dump per experiment."""
     import time
 
@@ -439,16 +425,14 @@ def _run_profiled(ids: list[str], *, scale: float, seed: int,
     profile_dir = os.path.join(str(cache_dir or default_cache_root()),
                                "profiles")
     outcomes = []
-    with engine_scope(engine):
-        for exp_id in resolve_ids(ids):
-            t0 = time.perf_counter()
-            result, path = profiled_run(exp_id, scale=scale, seed=seed,
-                                        profile_dir=profile_dir)
-            outcomes.append(RunOutcome(id=exp_id, result=result,
-                                       cached=False,
-                                       elapsed_s=time.perf_counter() - t0))
-            print(f"profile: {path}", file=sys.stderr)
-            print(render_ir_phases(path), file=sys.stderr)
+    for exp_id in resolve_ids(ids):
+        t0 = time.perf_counter()
+        result, path = profiled_run(exp_id, scale=scale, seed=seed,
+                                    profile_dir=profile_dir)
+        outcomes.append(RunOutcome(id=exp_id, result=result, cached=False,
+                                   elapsed_s=time.perf_counter() - t0))
+        print(f"profile: {path}", file=sys.stderr)
+        print(render_ir_phases(path), file=sys.stderr)
     return outcomes
 
 
@@ -564,7 +548,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             cells=tuple(args.cells) if args.cells else None,
             scale=args.scale, seed=args.seed, jobs=args.jobs,
             cache_dir=args.cache_dir, use_cache=not args.no_cache,
-            force=args.force, engine=args.engine)
+            force=args.force)
         report = ablate(req, faults=plan)
     except (AblationError, FaultError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -597,8 +581,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             threshold=(DEFAULT_THRESHOLD if args.threshold is None
                        else args.threshold),
             jobs=args.jobs, cache_dir=args.cache_dir,
-            use_cache=not args.no_cache, force=args.force,
-            engine=args.engine)
+            use_cache=not args.no_cache, force=args.force)
         report = bounds(req)
     except BoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -704,8 +687,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         warm=not args.no_warm,
         faults=plan.render() if plan else None,
         request_timeout_s=args.request_timeout,
-        processes=args.processes,
-        engine=args.engine))
+        processes=args.processes))
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
@@ -753,8 +735,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                         args.json, jobs=args.jobs,
                         use_cache=not args.no_cache, force=args.force,
                         cache_dir=args.cache_dir, profile=args.profile,
-                        timing_summary=args.run_all, faults=args.faults,
-                        engine=args.engine)
+                        timing_summary=args.run_all, faults=args.faults)
     if args.command == "bench":
         return _cmd_bench(args.ids, quick=args.quick, scale=args.scale,
                           seed=args.seed, out=args.out, label=args.label,

@@ -5,50 +5,17 @@ Both the fused IR replay path and the MasPar batched pricer need "sum
 ``i``" with *scalar-loop float semantics*: each segment's partial sums
 must associate ``((t0 + t1) + t2) ...`` exactly like the per-phase
 ``cost += term`` loop they replace.  ``np.add.reduceat`` (pairwise
-summation) would not preserve that association, so the NumPy fallback
-sweeps column-by-column: iteration ``k`` adds every segment's ``k``-th
+summation) would not preserve that association, so this kernel sweeps
+column-by-column: iteration ``k`` adds every segment's ``k``-th
 term, which keeps each segment's accumulation strictly left-to-right
 while doing one vector operation per column.
-
-When the optional ``repro[jit]`` extra is installed, a numba kernel does
-the same sequential accumulation per segment in compiled code — the
-operations are identical IEEE double adds in the identical order, so the
-result is bit-identical (no fastmath).  The NumPy path is the required
-default; numba never changes results, only speed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["segment_sums", "HAVE_NUMBA"]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit  # type: ignore
-
-    @_njit(cache=True)
-    def _segment_sums_jit(terms, starts, lens, out):  # pragma: no cover
-        for i in range(starts.size):
-            c = 0.0
-            for k in range(lens[i]):
-                c += terms[starts[i] + k]
-            out[i] = c
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - numba absent or broken
-    _segment_sums_jit = None
-    HAVE_NUMBA = False
-
-
-def _segment_sums_numpy(terms: np.ndarray, starts: np.ndarray,
-                        lens: np.ndarray, out: np.ndarray) -> None:
-    maxlen = int(lens.max())
-    if maxlen == 1 and lens.min() == 1:
-        out[:] = terms[starts]
-        return
-    for k in range(maxlen):
-        mask = lens > k
-        out[mask] += terms[starts[mask] + k]
+__all__ = ["segment_sums"]
 
 
 def segment_sums(terms: np.ndarray, starts: np.ndarray,
@@ -60,11 +27,13 @@ def segment_sums(terms: np.ndarray, starts: np.ndarray,
     exactly ``0.0``.
     """
     out = np.zeros(lens.size)
-    if terms.size and lens.size:
-        if _segment_sums_jit is not None:  # pragma: no cover - numba only
-            _segment_sums_jit(np.ascontiguousarray(terms),
-                              np.ascontiguousarray(starts),
-                              np.ascontiguousarray(lens), out)
-        else:
-            _segment_sums_numpy(terms, starts, lens, out)
+    if not (terms.size and lens.size):
+        return out
+    maxlen = int(lens.max())
+    if maxlen == 1 and lens.min() == 1:
+        out[:] = terms[starts]
+        return out
+    for k in range(maxlen):
+        mask = lens > k
+        out[mask] += terms[starts[mask] + k]
     return out

@@ -92,8 +92,7 @@ def ext_models(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
           "(extension)", "extension of reference [16] (IPL '95)",
           machines=("cm5",))
 def ext_primitives(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    from ..algorithms.collectives import broadcast
-    from ..simulator import run_spmd
+    from ..algorithms.collectives import run_broadcast
 
     machine_name = "cm5"
     machine = machine_for(machine_name, seed=seed)
@@ -104,14 +103,8 @@ def ext_primitives(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     ns = sorted({max(P, (n // P) * P) for n in ns})
 
     def bcast_time(n, strategy):
-        vec = np.zeros(n)
-
-        def prog(ctx):
-            out = yield from broadcast(
-                ctx, vec if ctx.rank == 0 else None, 0, "b", strategy)
-            return out
-
-        return run_spmd(machine_for(machine_name, seed=seed), prog).time_us
+        return run_broadcast(machine_for(machine_name, seed=seed), n,
+                             strategy=strategy).time_us
 
     naive = np.array([bcast_time(n, "naive") for n in ns])
     smart = np.array([bcast_time(n, "two-phase") for n in ns])
@@ -173,9 +166,8 @@ def ext_misranking(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     """
     import math
 
-    from ..algorithms.apsp import _broadcast_line
+    from ..algorithms.collectives import run_row_broadcast
     from ..core.ebsp import ScatterAwareBSP
-    from ..simulator import run_spmd
 
     machine = machine_for("gcel", seed=seed)
     cal = calibrated(machine, seed=seed)
@@ -185,32 +177,11 @@ def ext_misranking(*, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
                             or params.g / 9.1)
     side = math.isqrt(machine.P)
     M = max(side, int(64 * scale) // side * side)
-    w = params.w
-
-    def direct_prog(ctx):
-        r, c = divmod(ctx.rank, side)
-        if c == 0:
-            seg = np.arange(M, dtype=float) + r
-            for s in range(1, side):
-                ctx.put(r * side + s, seg, nbytes=M * w, count=M,
-                        tag="seg", step=s)
-        yield ctx.sync("direct-bcast")
-        if c == 0:
-            return np.arange(M, dtype=float) + r
-        return np.asarray(ctx.get(src=r * side, tag="seg"))
-
-    def two_phase_prog(ctx):
-        r, c = divmod(ctx.rank, side)
-        seg = (np.arange(M, dtype=float) + r) if c == 0 else None
-        out = yield from _broadcast_line(
-            ctx, seg, owner_line=0, line=c,
-            addr=lambda ll: r * side + ll, side=side, M=M, tag="b")
-        return out
 
     results = {}
-    for strategy, prog in (("direct", direct_prog),
-                           ("two-phase", two_phase_prog)):
-        res = run_spmd(machine_for("gcel", seed=seed), prog)
+    for strategy in ("direct", "two-phase"):
+        res = run_row_broadcast(machine_for("gcel", seed=seed), M,
+                                strategy=strategy)
         # both must actually deliver the segment
         expected0 = np.arange(M, dtype=float)
         assert np.allclose(res.returns[1], expected0)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -78,7 +77,6 @@ _RETRYABLE = (FaultInjected, BrokenProcessPool, FutureTimeout)
 _pool: ProcessPoolExecutor | None = None
 _pool_workers: int | None = None
 _pool_plan: str | None = None
-_pool_engine: str | None = None
 
 # one process-wide atexit guard, registered at import: however the pool
 # is (re)built later, interpreter exit always reaps it.
@@ -131,13 +129,10 @@ def warm_pool(jobs: int, *, seed: int = 0) -> ProcessPoolExecutor:
     then fit that seed's calibrations once each on demand (still
     memoised per worker process).
     """
-    global _pool, _pool_workers, _pool_plan, _pool_engine
+    global _pool, _pool_workers, _pool_plan
     plan_text = _plan_signature()
-    # forked workers resolve engine="auto" through the $REPRO_ENGINE they
-    # inherited, so a changed engine needs a fresh pool
-    engine = os.environ.get("REPRO_ENGINE")
     if _pool is not None and _pool_workers == jobs \
-            and _pool_plan == plan_text and _pool_engine == engine:
+            and _pool_plan == plan_text:
         return _pool
     shutdown_pool()
     try:
@@ -151,19 +146,17 @@ def warm_pool(jobs: int, *, seed: int = 0) -> ProcessPoolExecutor:
                                 initializer=_child_init, initargs=initargs)
     _pool_workers = jobs
     _pool_plan = plan_text
-    _pool_engine = engine
     return _pool
 
 
 def shutdown_pool() -> None:
     """Stop the persistent pool (no-op when none is running)."""
-    global _pool, _pool_workers, _pool_plan, _pool_engine
+    global _pool, _pool_workers, _pool_plan
     if _pool is not None:
         _pool.shutdown(wait=True, cancel_futures=True)
         _pool = None
         _pool_workers = None
         _pool_plan = None
-        _pool_engine = None
 
 
 @dataclass
@@ -270,8 +263,7 @@ def run_experiments(ids: list[str], *, scale: float = 1.0, seed: int = 0,
                     faults: FaultPlan | str | None = None,
                     retry: RetryPolicy | None = None,
                     exec_timeout_s: float | None = None,
-                    clock: Clock | None = None,
-                    engine: str | None = None) -> list[RunOutcome]:
+                    clock: Clock | None = None) -> list[RunOutcome]:
     """Run a batch of experiments, using ``cache`` and ``jobs`` workers.
 
     ``cache=None`` disables caching entirely; ``force=True`` recomputes
@@ -283,20 +275,11 @@ def run_experiments(ids: list[str], *, scale: float = 1.0, seed: int = 0,
     ``retry``/``exec_timeout_s``/``clock`` tune the recovery path —
     bounded backoff attempts per worker task, a per-task deadline, and
     the clock the backoff sleeps against (a ``FakeClock`` in tests).
-
-    ``engine`` pins the simulation engine for the batch (``None`` /
-    ``"auto"`` keep the ambient default).  Engines are observationally
-    identical, so the cache key does not include it; an unknown name
-    raises :class:`ExperimentError` before anything runs.
     """
     from ..experiments import all_experiments
-    from ..simulator.vector import ENGINES, engine_scope
 
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-    if engine is not None and engine not in ENGINES:
-        raise ExperimentError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}")
     if isinstance(faults, str):
         faults = FaultPlan.parse(faults)
     ids = resolve_ids(ids)
@@ -305,7 +288,7 @@ def run_experiments(ids: list[str], *, scale: float = 1.0, seed: int = 0,
     policy = retry or RetryPolicy(max_attempts=3, base_delay_s=0.05,
                                   max_delay_s=1.0, seed=seed)
 
-    with faults_active(faults), engine_scope(engine):
+    with faults_active(faults):
         fingerprint = source_fingerprint()
         keys = {exp_id: experiment_key(
             exp_id, scale=scale, seed=seed, fingerprint=fingerprint,

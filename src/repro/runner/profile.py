@@ -61,7 +61,7 @@ _IR_SECTIONS = (
 
 
 def render_ir_phases(path: str | Path, *, top: int = 6) -> str:
-    """Record-vs-replay attribution of an ``engine="ir"`` profile.
+    """Record-vs-replay attribution of an IR run's profile.
 
     Two cProfile sections restricted to the lowering and replay modules:
     the ``cumtime`` of ``run_lowered`` (record side: pass-1 program

@@ -1,16 +1,15 @@
 """The prediction oracle behind ``POST /predict`` and ``POST /compare``.
 
 A request names a machine, a cost model, an algorithm and a problem size;
-the oracle runs the workload on the simulated machine (``engine="auto"``,
-so the vector fast path is taken whenever a port exists), prices the
-resulting trace under the requested model with *calibrated* parameters,
+the oracle runs the workload on the simulated machine (through the IR
+store, like every experiment), prices the resulting trace under the requested model with *calibrated* parameters,
 and returns the measured/predicted times plus a comp/comm/sync breakdown.
 
 Two evaluation paths exist on purpose:
 
 * :func:`predict_offline` — the scalar reference: one request, priced via
   :meth:`CostModel.trace_cost`.  This is byte-for-byte the offline
-  ``engine="auto"`` pipeline every experiment uses.
+  pipeline every experiment uses.
 * :func:`evaluate_batch` — the serving path: the micro-batcher hands it a
   coalesced batch; requests sharing a ``(machine, model)`` pair are priced
   by **one** :meth:`CostModel.comm_cost_batch` call over the concatenated

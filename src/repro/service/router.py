@@ -100,14 +100,11 @@ async def experiments_index(app, request: Request) -> Response:
 
 async def capabilities(app, request: Request) -> Response:
     """What /predict accepts — lets clients build forms without docs."""
-    from ..simulator.vector import ENGINES
-
     return Response.json({
         "machines": sorted(m["name"] for m in machine_catalog()),
         "models": list(MODELS),
         "algorithms": {name: {"default_size": size}
                        for name, (size, _) in ALGORITHMS.items()},
-        "engines": list(ENGINES),
         "ablation": {
             "components": [c.to_dict() for c in COMPONENTS.values()],
             "cells": list(CELL_SPECS),

@@ -70,23 +70,14 @@ class ServiceConfig:
     #: before a half-open probe.
     breaker_threshold: int = 5
     breaker_reset_s: float = 30.0
-    #: simulation engine pinned for all evaluation in this process (and
-    #: fleet workers, which re-read it from their own config copy);
-    #: ``"auto"`` keeps the ambient default.
-    engine: str = "auto"
 
 
 class ServiceApp:
     """Shared handler state (what :mod:`.router` handlers see as ``app``)."""
 
     def __init__(self, config: ServiceConfig, *, board=None):
-        from ..simulator.vector import ENGINES, engine_scope
-
         self.config = config
         self.board = board
-        if config.engine not in ENGINES:
-            raise ValueError(f"unknown engine {config.engine!r}; "
-                             f"expected one of {ENGINES}")
         self.metrics = ServiceMetrics(version=__version__)
         self._injector = None
         if config.faults:
@@ -119,12 +110,6 @@ class ServiceApp:
         from ..runner import ResultCache
         self.experiments = all_experiments()
         self.result_cache = ResultCache(config.cache_dir)
-        # process-wide pin until close(), taken last so a failed
-        # constructor leaves none behind: evaluation paths resolve
-        # engine="auto" through $REPRO_ENGINE (fleet workers get their
-        # own copy of the config and re-pin in their own process)
-        self._pins = contextlib.ExitStack()
-        self._pins.enter_context(engine_scope(config.engine))
 
     @property
     def uptime_s(self) -> float:
@@ -164,12 +149,10 @@ class ServiceApp:
 
     def close(self) -> None:
         """Release process-global state installed at boot: the fault
-        plan and the ``$REPRO_ENGINE`` pin (restored to its prior
-        value)."""
+        plan."""
         if self._injector is not None:
             deactivate()
             self._injector = None
-        self._pins.close()
 
     def run_experiment(self, exp_id: str, scale: float, seed: int):
         """Blocking experiment run (executor thread), via the runner cache."""

@@ -13,8 +13,8 @@ from .ir import IRStore, StepProgram, ir_store
 from .lower import run_lowered
 from .replay import replay
 from .result import RunResult
-from .vector import ENGINES, VectorContext, run_spmd_vector
+from .vector import VectorContext, run_spmd_vector
 
 __all__ = ["run_spmd", "run_spmd_vector", "run_lowered", "replay",
            "ProcContext", "VectorContext", "WorkBatch", "SyncToken",
-           "RunResult", "StepProgram", "IRStore", "ir_store", "ENGINES"]
+           "RunResult", "StepProgram", "IRStore", "ir_store"]

@@ -504,7 +504,8 @@ _STORE: IRStore | None = None
 
 
 def ir_store() -> IRStore:
-    """The process-wide store used by ``engine="ir"`` runs."""
+    """The process-wide store every
+    :func:`~repro.simulator.lower.run_lowered` call uses."""
     global _STORE
     if _STORE is None:
         _STORE = IRStore()

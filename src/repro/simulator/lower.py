@@ -1,7 +1,7 @@
 """Record-once lowering: turn an (algorithm, config) run into IR replay.
 
-:func:`run_lowered` is what an algorithm's ``run()`` calls for
-``engine="ir"``.  It content-addresses the requested configuration
+:func:`run_lowered` is the one engine every algorithm's ``run()`` calls.
+It content-addresses the requested configuration
 (:func:`~repro.simulator.ir.ir_key` over algorithm name, source
 fingerprint, machine shape and the algorithm's ``key_params``), consults
 the process-wide :func:`~repro.simulator.ir.ir_store`, records the step
@@ -16,8 +16,9 @@ recordings warm.
 
 A miss records in one of two ways:
 
-* a **data-oblivious** program (matmul, bitonic sort, APSP, LU: what
-  they send and charge depends on sizes alone, never on the values)
+* a **data-oblivious** program (matmul, bitonic sort, APSP, LU, the
+  stencil and the broadcasts: what they send and charge depends on sizes
+  alone, never on the values)
   records in a *structure-only* pass — a
   :class:`~repro.simulator.vector.VectorContext` with
   ``structure_only`` set, handed a shape-only stand-in for its data, so

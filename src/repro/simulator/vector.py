@@ -28,12 +28,15 @@ Vector programs must keep *their* half: emit groups and batches in the
 same per-rank order as the per-rank program, and keep per-rank
 floating-point operations in the same association order (e.g. loop over
 partial sums rather than ``np.sum`` along an axis).
+
+Every algorithm's ``run()`` drives its vector program through
+:func:`collect_steps` inside :func:`repro.simulator.lower.run_lowered`;
+:func:`run_spmd_vector` prices the same steps in line, for custom
+programs and the equivalence tests.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -46,75 +49,7 @@ from .batch import WorkBatch, charge_batches
 from .commands import SyncToken
 from .result import RunResult
 
-__all__ = ["VectorContext", "run_spmd_vector", "resolve_engine",
-           "collect_steps", "stand_in", "ENGINES", "engine_scope"]
-
-#: every ``engine=`` argument and ``--engine`` flag accepts exactly these.
-ENGINES = ("auto", "generator", "vector", "ir")
-
-
-def default_engine() -> str:
-    """The engine ``"auto"`` resolves to: ``$REPRO_ENGINE``, or ``"ir"``.
-
-    The environment variable is how the CLI / service / ablation layers
-    pin an engine process-wide (it survives into pool workers); an unset
-    or ``"auto"`` value picks the IR record/replay fast path.
-    """
-    env = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    if not env or env == "auto":
-        return "ir"
-    if env not in ENGINES:
-        raise SimulationError(
-            f"$REPRO_ENGINE={env!r} is not a known engine; "
-            f"expected one of {ENGINES}")
-    return env
-
-
-def resolve_engine(engine: str, *, vector_ok: bool = True) -> str:
-    """Pick the engine for an ``engine=`` algorithm argument.
-
-    ``"auto"`` resolves through :func:`default_engine` (``$REPRO_ENGINE``
-    or the IR record/replay engine) and silently degrades to the
-    generator when the algorithm has no vector port for the requested
-    configuration (``vector_ok``); requesting ``"vector"`` or ``"ir"``
-    explicitly without one is an error.
-    """
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine == "auto":
-        engine = default_engine()
-        return engine if vector_ok or engine == "generator" else "generator"
-    if engine != "generator" and not vector_ok:
-        raise SimulationError(
-            "no vector port for this configuration; use engine='generator'")
-    return engine
-
-
-@contextmanager
-def engine_scope(engine: str | None):
-    """Pin ``$REPRO_ENGINE`` for a block so ``engine="auto"`` resolves to
-    ``engine`` in this process *and* in workers forked inside the block.
-
-    ``None``/``"auto"`` leave the environment untouched; an unknown name
-    raises :class:`SimulationError` before anything runs.
-    """
-    if engine is None or engine == "auto":
-        yield
-        return
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}")
-    prior = os.environ.get("REPRO_ENGINE")
-    os.environ["REPRO_ENGINE"] = engine
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_ENGINE", None)
-        else:
-            os.environ["REPRO_ENGINE"] = prior
-
+__all__ = ["VectorContext", "run_spmd_vector", "collect_steps", "stand_in"]
 
 VectorProgram = Callable[..., Iterator[SyncToken]]
 

@@ -37,11 +37,8 @@ class TestCorrectness:
         keys = np.full((P, M), (7 << 28) + 1, dtype=np.uint64)
         keys[0, :5] = [1, 2, 3, 4, 5]
 
-        def program(ctx):
-            return radix.radix_sort_program(ctx, keys[ctx.rank], variant)
-
         from repro.simulator import run_spmd
-        res = run_spmd(cm5, program, P=P)
+        res = run_spmd(cm5, radix.radix_sort_program, keys, variant, P=P)
         flat = np.concatenate([np.asarray(r) for r in res.returns])
         assert np.array_equal(np.sort(flat), np.sort(keys.ravel()))
         assert np.all(flat[:-1] <= flat[1:])
@@ -71,8 +68,7 @@ class TestRadixTrick:
         """The routed keys share their top digit, so the last local
         sort is over ``key_bits - log2 P`` bits — visible in the trace
         as a RadixSort work item narrower than the 32-bit opener."""
-        res = radix.run(cm5, 64, variant="bpram", P=16, seed=1,
-                        engine="generator")
+        res = radix.run(cm5, 64, variant="bpram", P=16, seed=1)
         widths = [w.bits for s in res.trace for items in s.work.values()
                   for w in items if isinstance(w, RadixSort)]
         assert 32 in widths          # the opening full-key sort

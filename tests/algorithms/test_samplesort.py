@@ -31,12 +31,9 @@ class TestCorrectness:
         keys = np.full((P, M), 7, dtype=np.uint64)
         keys[0, :5] = [1, 2, 3, 4, 5]
 
-        def program(ctx):
-            return samplesort.sample_sort_program(
-                ctx, keys[ctx.rank], variant, 8, sample_seed=1)
-
         from repro.simulator import run_spmd
-        res = run_spmd(cm5, program)
+        res = run_spmd(cm5, samplesort.sample_sort_program, keys, variant, 8,
+                       sample_seed=1)
         flat = np.concatenate([np.asarray(r) for r in res.returns])
         assert np.array_equal(np.sort(flat), np.sort(keys.ravel()))
         assert np.all(flat[:-1] <= flat[1:])

@@ -18,7 +18,6 @@ from repro.bounds import (
 from repro.bounds.cells import cell_run
 from repro.experiments.common import machine_for
 from repro.simulator.ir import IRStore, ir_store_scope
-from repro.simulator.vector import engine_scope
 
 
 def report_bytes(report: dict) -> bytes:
@@ -77,8 +76,7 @@ class TestWarmPath:
             n = cell.size(0.3)
             machine = machine_for(cell.machine, seed=0)
             with ir_store_scope(IRStore(disk=False)) as store:
-                with engine_scope("ir"):
-                    cell_run(cell, machine, n, 0)
+                cell_run(cell, machine, n, 0)
                 assert cell_ir_key(cell, machine, n, 0) in store.memory, \
                     f"key mismatch for {name}"
 
@@ -89,17 +87,15 @@ class TestVolumeParity:
                                       "matmul/cm5"])
     def test_program_extraction_equals_live_trace(self, name):
         """The warm (structure-only) numbers are the live-trace numbers:
-        record under the IR engine, then compare the store extraction
-        against a vector-engine trace of the same configuration."""
+        a live run records the program, then the store extraction must
+        match that run's replayed trace."""
         cell = BOUND_CELLS[name]
         n = cell.size(0.3)
         machine = machine_for(cell.machine, seed=0)
         with ir_store_scope(IRStore(disk=False)):
-            with engine_scope("vector"):
-                live = trace_comm_volume(
-                    cell_run(cell, machine, n, 0).trace, machine.nominal.w)
-            with engine_scope("ir"):
-                warm = measure_cell(cell, scale=0.3, seed=0)
+            live = trace_comm_volume(
+                cell_run(cell, machine, n, 0).trace, machine.nominal.w)
+            warm = measure_cell(cell, scale=0.3, seed=0)
         assert warm["volume"] == live
         assert warm["n"] == n
 

@@ -19,7 +19,7 @@ pytestmark = pytest.mark.chaos
 
 
 def run_ir(seed=3):
-    return bitonic.run(CM5(seed=seed), 64, P=16, seed=1, engine="ir")
+    return bitonic.run(CM5(seed=seed), 64, P=16, seed=1)
 
 
 def blob_paths(root):
@@ -87,8 +87,7 @@ class TestPoisonedBlobQuarantine:
         from repro.machines import ModernCluster
 
         def run_radix():
-            return radix.run(ModernCluster(seed=2), 256, P=16, seed=11,
-                             engine="ir")
+            return radix.run(ModernCluster(seed=2), 256, P=16, seed=11)
 
         root = tmp_path / "ir"
         with ir_store_scope(IRStore(root)) as store:

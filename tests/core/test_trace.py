@@ -122,9 +122,8 @@ class TestWorkTerms:
         from repro.simulator.ir import IRStore, ir_store_scope
 
         with ir_store_scope(IRStore()) as store:
-            bitonic.run(MasParMP1(seed=0), 128, P=16, seed=5, engine="ir")
-            res = bitonic.run(MasParMP1(seed=1), 128, P=16, seed=5,
-                              engine="ir")
+            bitonic.run(MasParMP1(seed=0), 128, P=16, seed=5)
+            res = bitonic.run(MasParMP1(seed=1), 128, P=16, seed=5)
             assert store.memory_hits == 1
         trace = res.trace
         distinct = {id(s.work) for s in trace if s.work}

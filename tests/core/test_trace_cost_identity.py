@@ -3,8 +3,9 @@
 :meth:`CostModel.trace_cost` prices each distinct work dict once
 (:meth:`Trace.work_terms`).  These tests pin its result, exactly, to the
 per-superstep formula it replaced, for every scoreboard model and for
-traces from every engine: generator, vector, IR record, IR memory hit
-and IR disk hit (whose supersteps share the work dicts the replay
+traces from every engine: the generator and vector programs (through
+``run_spmd`` and ``run_spmd_vector``), IR record, IR memory hit and IR
+disk hit (whose supersteps share the work dicts the replay
 prepped per batch list).  The consumers routed through the helper --
 ``attribute_error`` row totals and ``BSF.p_max`` -- are pinned the same
 way.
@@ -18,34 +19,46 @@ from repro.algorithms import bitonic, lu, radix
 from repro.calibration.table1 import calibration_for
 from repro.core.bsf import BSF
 from repro.machines import make_machine
+from repro.simulator import run_spmd, run_spmd_vector
 from repro.simulator.ir import IRStore, ir_store_scope
 from repro.validation.attribution import _family, attribute_error
 from repro.validation.scoreboard import _models_for
 
+#: case -> (machine, IR run, generator program, vector program, program
+#: arguments after the inputs).
 CASES = {
-    "maspar/bitonic": ("maspar", lambda m, e: bitonic.run(
-        m, 128, P=16, seed=5, engine=e)),
-    "gcel/lu": ("gcel", lambda m, e: lu.run(m, 16, P=16, seed=7, engine=e)),
-    "modern/radix": ("modern", lambda m, e: radix.run(
-        m, 256, P=16, seed=17, variant="bpram", engine=e)),
+    "maspar/bitonic": ("maspar", lambda m: bitonic.run(m, 128, P=16, seed=5),
+                       bitonic.bitonic_program,
+                       bitonic.bitonic_vector_program, ("bsp",)),
+    "gcel/lu": ("gcel", lambda m: lu.run(m, 16, P=16, seed=7),
+                lu.lu_program, lu.lu_vector_program, ()),
+    "modern/radix": ("modern", lambda m: radix.run(
+        m, 256, P=16, seed=17, variant="bpram"), radix.radix_sort_program,
+        radix.radix_sort_vector_program, ("bpram",)),
 }
 
 
 def traces(case, tmp_path):
     """``engine -> trace`` for one case, including a disk-hit replay."""
-    machine_name, run = CASES[case]
+    machine_name, run, generator, vector, args = CASES[case]
 
-    def once(engine):
-        return run(make_machine(machine_name, seed=1), engine).trace
+    def machine():
+        return make_machine(machine_name, seed=1)
 
-    out = {"generator": once("generator"), "vector": once("vector")}
+    out = {}
     with ir_store_scope(IRStore(tmp_path)) as store:
-        out["ir-record"] = once("ir")
-        out["ir-memory"] = once("ir")
+        res = run(machine())
+        out["ir-record"] = res.trace
+        out["ir-memory"] = run(machine()).trace
         assert store.recorded == 1 and store.memory_hits == 1
     with ir_store_scope(IRStore(tmp_path)) as store:
-        out["ir-disk"] = once("ir")
+        out["ir-disk"] = run(machine()).trace
         assert store.disk_hits == 1 and store.recorded == 0
+    P = res.clocks.size
+    out["generator"] = run_spmd(machine(), generator, res.inputs, *args,
+                                P=P).trace
+    out["vector"] = run_spmd_vector(machine(), vector, res.inputs, *args,
+                                    P=P).trace
     return out
 
 

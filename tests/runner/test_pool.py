@@ -180,18 +180,6 @@ class TestCacheSpeedup:
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ExperimentError, match="unknown engine"):
+        """There is one engine: a batch takes no engine to choose."""
+        with pytest.raises(TypeError, match="engine"):
             run_experiments(["fig14"], scale=0.3, cache=None, engine="turbo")
-
-    @pytest.mark.parametrize("engine", ["generator", "ir"])
-    def test_explicit_engine_matches_default(self, engine):
-        (a,) = run_experiments(["fig14"], scale=0.3, cache=None)
-        (b,) = run_experiments(["fig14"], scale=0.3, cache=None,
-                               engine=engine)
-        assert a.result.to_dict() == b.result.to_dict()
-
-    def test_engine_scope_is_restored(self, monkeypatch):
-        import os
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        run_experiments(["fig14"], scale=0.3, cache=None, engine="generator")
-        assert "REPRO_ENGINE" not in os.environ

@@ -37,7 +37,7 @@ class TestHealthAndCatalogues:
         assert "bsf" in doc["models"]
         assert doc["algorithms"]["bitonic"]["default_size"] > 0
         assert doc["algorithms"]["radix"]["default_size"] > 0
-        assert doc["engines"] == ["auto", "generator", "vector", "ir"]
+        assert "engines" not in doc  # one engine: nothing to choose
 
     def test_experiments_index(self, service_thread):
         status, doc, _ = http(service_thread.port, "GET", "/experiments")
@@ -201,18 +201,3 @@ class TestLifecycle:
             pass
         thread.stop()  # second stop must be harmless
 
-    @pytest.mark.parametrize("prior", [None, "ir"])
-    def test_engine_pin_is_restored_on_stop(self, prior, tmp_path,
-                                            monkeypatch):
-        import os
-
-        if prior is None:
-            monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_ENGINE", prior)
-        config = ServiceConfig(port=0, workers=1, warm=False,
-                               engine="vector",
-                               cache_dir=str(tmp_path / "cache"))
-        with ServiceThread(config):
-            assert os.environ["REPRO_ENGINE"] == "vector"
-        assert os.environ.get("REPRO_ENGINE") == prior

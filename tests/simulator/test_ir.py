@@ -1,11 +1,12 @@
 """Step-program IR engine: record-once / price-many, bit-identically.
 
-The IR engine's contract extends the vector engine's: for every
-algorithm with a vector port, ``engine="ir"`` must produce exactly the
-same clocks, trace and per-rank results as the generator engine — on
-the recording run, on memory hits, on disk hits (structure-only blobs
+The IR engine's contract extends the vector engine's: every algorithm's
+``run()`` must produce exactly the same clocks, trace and per-rank
+results as :func:`~repro.simulator.run_spmd` on its generator program —
+on the recording run, on memory hits, on disk hits (structure-only blobs
 whose returns regenerate lazily), and under any ``disable=`` ablation
-subset.  These tests enforce the full engine equivalence matrix, the
+subset.  These tests enforce the full engine equivalence matrix (with
+:func:`~repro.simulator.run_spmd_vector` as the third engine), the
 store's record-once discipline, canonical (byte-identical) blob
 round-trips, and the key's staleness rules (schema version + algorithm
 source fingerprint).
@@ -20,8 +21,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import apsp, bitonic, lu, matmul, radix, samplesort
+from repro.algorithms import (apsp, bitonic, collectives, lu, matmul, radix,
+                              samplesort, stencil)
 from repro.machines import CM5, GCel, MasParMP1, ModernCluster, T800Grid
+from repro.simulator import run_spmd, run_spmd_vector
 from repro.simulator.ir import (IR_SCHEMA, IRStore, StepProgram, _decode_blob,
                                 _encode_blob, build_program, ir_key,
                                 ir_store_scope)
@@ -41,21 +44,76 @@ MACHINES = {
     "modern": ModernCluster,
 }
 
-# One representative configuration per algorithm, sized for test speed.
+
+def _matmul_2d(variant, N, P):
+    return (lambda m: matmul.run(m, N, variant=variant, P=P, seed=3),
+            matmul.matmul_program, matmul.matmul_vector_program,
+            lambda r: (r.setup, variant))
+
+
+def _broadcast(strategy):
+    return (lambda m: collectives.run_broadcast(m, 64, strategy=strategy,
+                                                P=16),
+            collectives.broadcast_program,
+            collectives.broadcast_vector_program, lambda r: (strategy,))
+
+
+def _row_broadcast(strategy):
+    return (lambda m: collectives.run_row_broadcast(m, 8, strategy=strategy,
+                                                    P=16),
+            collectives.row_broadcast_program,
+            collectives.row_broadcast_vector_program, lambda r: (strategy,))
+
+
+#: One representative configuration per algorithm, sized for test speed:
+#: case -> (its IR run on a machine, generator program, vector program,
+#: program arguments after the inputs, from the IR run's result).
 CASES = {
-    "matmul": lambda m, e: matmul.run(m, 12, P=8, seed=3, engine=e),
-    "bitonic": lambda m, e: bitonic.run(m, 128, P=16, seed=5, engine=e),
-    "lu": lambda m, e: lu.run(m, 16, P=16, seed=7, engine=e),
-    "apsp": lambda m, e: apsp.run(m, 16, P=16, seed=11, engine=e),
-    "samplesort": lambda m, e: samplesort.run(m, 256, P=16, seed=13,
-                                              engine=e),
-    "radix": lambda m, e: radix.run(m, 256, P=16, seed=17, engine=e),
+    "matmul": (lambda m: matmul.run(m, 12, P=8, seed=3),
+               matmul.matmul_program, matmul.matmul_vector_program,
+               lambda r: (r.setup, "bsp-staggered")),
+    "matmul-bsp-2d-p8": _matmul_2d("bsp-2d", 16, 8),
+    "matmul-bsp-2d-p64": _matmul_2d("bsp-2d", 64, 64),
+    "matmul-bpram-2d-p8": _matmul_2d("bpram-2d", 16, 8),
+    "matmul-bpram-2d-p64": _matmul_2d("bpram-2d", 64, 64),
+    "bitonic": (lambda m: bitonic.run(m, 128, P=16, seed=5),
+                bitonic.bitonic_program, bitonic.bitonic_vector_program,
+                lambda r: ("bsp",)),
+    "lu": (lambda m: lu.run(m, 16, P=16, seed=7), lu.lu_program,
+           lu.lu_vector_program, lambda r: ()),
+    "apsp": (lambda m: apsp.run(m, 16, P=16, seed=11), apsp.apsp_program,
+             apsp.apsp_vector_program, lambda r: ()),
+    "samplesort": (lambda m: samplesort.run(m, 256, P=16, seed=13),
+                   samplesort.sample_sort_program,
+                   samplesort.sample_sort_vector_program,
+                   lambda r: ("bpram", 32, 32, 13)),
+    "radix": (lambda m: radix.run(m, 256, P=16, seed=17),
+              radix.radix_sort_program, radix.radix_sort_vector_program,
+              lambda r: ("bpram",)),
+    "stencil": (lambda m: stencil.run(m, 16, 4, P=16, seed=19),
+                stencil.stencil_program, stencil.stencil_vector_program,
+                lambda r: (4,)),
+    "broadcast-naive": _broadcast("naive"),
+    "broadcast-two-phase": _broadcast("two-phase"),
+    "row-broadcast-direct": _row_broadcast("direct"),
+    "row-broadcast-two-phase": _row_broadcast("two-phase"),
 }
 
 
-def run_engine(machine_name, algorithm, engine, *, seed=1, disable=()):
+def run_engine(machine_name, algorithm, engine, *, seed=1, disable=(),
+               like=None):
+    """``algorithm``'s case on a fresh machine: its ``run()`` for
+    ``"ir"``; for ``"generator"``/``"vector"``, its generator program
+    through ``run_spmd`` / its vector program through ``run_spmd_vector``
+    on the inputs of the IR result ``like``."""
+    run, generator, vector, args = CASES[algorithm]
     machine = MACHINES[machine_name](seed=seed, disable=disable)
-    return CASES[algorithm](machine, engine)
+    if engine == "ir":
+        return run(machine)
+    engine_fn, program = ((run_spmd, generator) if engine == "generator"
+                          else (run_spmd_vector, vector))
+    return engine_fn(machine, program, like.inputs, *args(like),
+                     P=like.clocks.size)
 
 
 def assert_runs_identical(g, v):
@@ -93,15 +151,79 @@ class TestEngineEquivalenceMatrix:
             monkeypatch.setattr(replay_module, "_replay_generic",
                                 _no_generic_replay)
         with ir_store_scope(IRStore()) as store:
-            g = run_engine(machine, algorithm, "generator")
-            v = run_engine(machine, algorithm, "vector")
             i1 = run_engine(machine, algorithm, "ir")  # records
             i2 = run_engine(machine, algorithm, "ir")  # memory hit
+            g = run_engine(machine, algorithm, "generator", like=i1)
+            v = run_engine(machine, algorithm, "vector", like=i1)
             assert_runs_identical(g, v)
             assert_runs_identical(g, i1)
             assert_runs_identical(g, i2)
             assert store.recorded == 1
             assert store.memory_hits >= 1
+
+
+def _spy_on_generator_engine(monkeypatch) -> list:
+    """Count calls of ``repro.simulator.engine.run_spmd`` under every name
+    a loaded ``repro`` module binds it to."""
+    from repro.simulator import engine
+
+    calls = []
+    real = engine.run_spmd
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" \
+                and getattr(mod, "run_spmd", None) is real:
+            monkeypatch.setattr(mod, "run_spmd", spy)
+    return calls
+
+
+class TestOneProductionEngine:
+    """The last workloads the generator engine ran now record into IR."""
+
+    def test_ported_experiments_never_call_the_generator_engine(
+            self, monkeypatch):
+        from repro.runner import run_experiments
+
+        calls = _spy_on_generator_engine(monkeypatch)
+        ids = ["ext-t800", "ext-primitives", "abl-layout", "ext-misranking"]
+        with ir_store_scope(IRStore(disk=False)) as store:
+            outcomes = run_experiments(ids, scale=0.3, cache=None)
+        assert [o.id for o in outcomes] == ids
+        assert calls == []
+        assert store.recorded > 0
+
+    def test_nothing_takes_an_engine(self):
+        import dataclasses
+        import inspect
+
+        from repro.ablation import AblateRequest
+        from repro.bounds import BoundsRequest
+        from repro.runner import run_experiments
+        from repro.service import ServiceConfig
+
+        for cls in (AblateRequest, BoundsRequest, ServiceConfig):
+            assert "engine" not in {f.name for f in dataclasses.fields(cls)}
+        for fn in (run_experiments, apsp.run, bitonic.run, lu.run,
+                   matmul.run, radix.run, samplesort.run, stencil.run,
+                   collectives.run_broadcast, collectives.run_row_broadcast):
+            assert "engine" not in inspect.signature(fn).parameters, fn
+
+    @pytest.mark.parametrize("machine", ["gcel", "cm5"])
+    def test_stencil_predict_never_calls_the_generator_engine(
+            self, machine, monkeypatch):
+        from repro.service.oracle import predict_offline
+
+        calls = _spy_on_generator_engine(monkeypatch)
+        with ir_store_scope(IRStore(disk=False)) as store:
+            doc = predict_offline({"machine": machine, "model": "bsp",
+                                   "algorithm": "stencil"})
+        assert doc["measured_us"] > 0
+        assert calls == []
+        assert store.recorded == 1
 
 
 class TestRecordOncePriceMany:
@@ -113,17 +235,16 @@ class TestRecordOncePriceMany:
         with ir_store_scope(IRStore()) as store:
             for seed in (0, 9):
                 for disable in subsets:
-                    g = run_engine("cm5", "bitonic", "generator",
-                                   seed=seed, disable=disable)
                     i = run_engine("cm5", "bitonic", "ir",
                                    seed=seed, disable=disable)
+                    g = run_engine("cm5", "bitonic", "generator",
+                                   seed=seed, disable=disable, like=i)
                     assert_runs_identical(g, i)
             assert store.recorded == 1
 
     def test_disk_hit_replays_identically_with_lazy_returns(self, tmp_path):
         """A fresh process (new store) loads structure from disk; the
         per-rank returns regenerate lazily and still match exactly."""
-        g = run_engine("gcel", "lu", "generator")
         with ir_store_scope(IRStore(tmp_path)) as store:
             run_engine("gcel", "lu", "ir")
             assert store.recorded == 1
@@ -132,12 +253,12 @@ class TestRecordOncePriceMany:
             assert store2.disk_hits == 1
             assert store2.recorded == 0
             # reading .returns forces the data-only pass
+            g = run_engine("gcel", "lu", "generator", like=i)
             assert_runs_identical(g, i)
 
     def test_radix_disk_hit_on_modern(self, tmp_path):
         """The new scenario axes together: a radix recording made on the
         fat-tree profile replays bit-identically from disk."""
-        g = run_engine("modern", "radix", "generator")
         with ir_store_scope(IRStore(tmp_path)) as store:
             run_engine("modern", "radix", "ir")
             assert store.recorded == 1
@@ -145,6 +266,7 @@ class TestRecordOncePriceMany:
             i = run_engine("modern", "radix", "ir")
             assert store2.disk_hits == 1
             assert store2.recorded == 0
+            g = run_engine("modern", "radix", "generator", like=i)
             assert_runs_identical(g, i)
 
     def test_radix_ablation_subsets_on_modern(self):
@@ -156,10 +278,10 @@ class TestRecordOncePriceMany:
         with ir_store_scope(IRStore()) as store:
             for seed in (0, 9):
                 for disable in subsets:
-                    g = run_engine("modern", "radix", "generator",
-                                   seed=seed, disable=disable)
                     i = run_engine("modern", "radix", "ir",
                                    seed=seed, disable=disable)
+                    g = run_engine("modern", "radix", "generator",
+                                   seed=seed, disable=disable, like=i)
                     assert_runs_identical(g, i)
             assert store.recorded == 1
 

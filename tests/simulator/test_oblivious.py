@@ -1,7 +1,8 @@
 """Data-oblivious recording: one structure-only recording per shape.
 
-Matmul, bitonic sort, APSP and LU send and charge the same whatever
-their data, so the IR engine records them once per shape — keyed
+Matmul (row-strip starts included), bitonic sort, APSP, LU, the Jacobi
+stencil and the broadcasts send and charge the same whatever their
+data, so the IR engine records them once per shape — keyed
 without the data seed, in a structure-only pass that skips the numeric
 kernels and draws no inputs.  These tests hold that pass to the full
 record byte for byte, check that a recording shared across seeds still
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import apsp, bitonic, lu, matmul, radix, samplesort
+from repro.algorithms import (apsp, bitonic, collectives, lu, matmul, radix,
+                              samplesort, stencil)
 from repro.experiments import get
 from repro.machines import CM5, GCel, MasParMP1, ModernCluster, T800Grid
-from repro.simulator import lower
+from repro.simulator import lower, run_spmd
 from repro.simulator.ir import IRStore, _encode_blob, ir_store_scope
 
 MACHINES = {
@@ -29,19 +31,30 @@ MACHINES = {
 }
 
 #: oblivious algorithm -> (module, sizes, variants, runner(machine, n,
-#: variant, seed, engine)).  Sizes span both APSP broadcast regimes and
-#: bitonic's chunked ``bsp-sync`` steps.
+#: variant, seed)).  Sizes span both APSP broadcast regimes (also the row
+#: broadcast's) and bitonic's chunked ``bsp-sync`` steps; a stencil's
+#: variant is its sweep count.  The broadcasts draw no seeded data.
 OBLIVIOUS = {
     "matmul": (matmul, (4, 8, 12), matmul.VARIANTS,
-               lambda m, n, v, s, e: matmul.run(m, n, variant=v, P=8,
-                                                seed=s, engine=e)),
+               lambda m, n, v, s: matmul.run(m, n, variant=v, P=8, seed=s)),
+    "matmul-2d": (matmul, (8, 16, 24), matmul.LAYOUT_VARIANTS,
+                  lambda m, n, v, s: matmul.run(m, n, variant=v, P=8,
+                                                seed=s)),
     "bitonic": (bitonic, (8, 64, 300), bitonic.VARIANTS,
-                lambda m, n, v, s, e: bitonic.run(m, n, variant=v, P=16,
-                                                  seed=s, engine=e)),
+                lambda m, n, v, s: bitonic.run(m, n, variant=v, P=16,
+                                               seed=s)),
     "apsp": (apsp, (4, 8, 24), (None,),
-             lambda m, n, v, s, e: apsp.run(m, n, P=16, seed=s, engine=e)),
+             lambda m, n, v, s: apsp.run(m, n, P=16, seed=s)),
     "lu": (lu, (8, 16, 24), (None,),
-           lambda m, n, v, s, e: lu.run(m, n, P=16, seed=s, engine=e)),
+           lambda m, n, v, s: lu.run(m, n, P=16, seed=s)),
+    "stencil": (stencil, (4, 8, 16), (1, 3),
+                lambda m, n, v, s: stencil.run(m, n, v, P=16, seed=s)),
+    "broadcast": (collectives, (16, 48), ("naive", "two-phase"),
+                  lambda m, n, v, s: collectives.run_broadcast(
+                      m, n, strategy=v, P=16)),
+    "row-broadcast": (collectives, (2, 4, 8), ("direct", "two-phase"),
+                      lambda m, n, v, s: collectives.run_row_broadcast(
+                          m, n, strategy=v, P=16)),
 }
 
 
@@ -61,9 +74,19 @@ def _blob(case, machine_name, n, variant, seed, *, full: bool) -> bytes:
         if full:
             mp.setattr(module, "run_lowered", full_record)
         with ir_store_scope(IRStore(disk=False)) as store:
-            runner(MACHINES[machine_name](seed=0), n, variant, seed, "ir")
+            runner(MACHINES[machine_name](seed=0), n, variant, seed)
     (prog,) = store.memory.values()
     return _encode_blob(prog.to_doc())
+
+
+#: algorithm -> its key_params at a data seed (the broadcasts take none).
+SEEDED_KEYS = {
+    "apsp": lambda s: apsp.key_params(16, seed=s),
+    "bitonic": lambda s: bitonic.key_params(16, seed=s),
+    "lu": lambda s: lu.key_params(16, seed=s),
+    "matmul": lambda s: matmul.key_params(16, seed=s),
+    "stencil": lambda s: stencil.key_params(16, 4, seed=s),
+}
 
 
 @st.composite
@@ -75,7 +98,7 @@ def shapes(draw):
 
 
 class TestStructureOnlyRecording:
-    @settings(max_examples=30, deadline=None,
+    @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(shape=shapes(),
            seeds=st.lists(st.integers(min_value=0, max_value=2 ** 16),
@@ -91,11 +114,11 @@ class TestStructureOnlyRecording:
             blobs.add(structure)
         assert len(blobs) == 1, shape
 
-    @pytest.mark.parametrize("case", sorted(OBLIVIOUS))
+    @pytest.mark.parametrize("case", sorted(SEEDED_KEYS))
     def test_key_params_leave_the_seed_out(self, case):
-        module = OBLIVIOUS[case][0]
-        assert module.key_params(16, seed=1) == module.key_params(16, seed=2)
-        assert "seed" not in module.key_params(16, seed=1)
+        key_params = SEEDED_KEYS[case]
+        assert key_params(1) == key_params(2)
+        assert "seed" not in key_params(1)
 
     @pytest.mark.parametrize("module", [samplesort, radix])
     def test_data_dependent_key_params_keep_the_seed(self, module):
@@ -128,12 +151,22 @@ def _arrays(inputs) -> tuple:
     return inputs if isinstance(inputs, tuple) else (inputs,)
 
 
-#: algorithm -> (size, independent check of a run's inputs and returns).
+def _check_stencil(res, n):
+    ref = stencil.reference_jacobi(res.inputs, 1)
+    assert np.allclose(stencil.assemble(16, n, res.returns), ref)
+
+
+#: algorithm -> (size, independent check of a run's inputs and returns,
+#: generator program, its arguments after the inputs).
 CROSS_SEED = {
-    "apsp": (16, _check_apsp),
-    "lu": (16, _check_lu),
-    "bitonic": (64, _check_bitonic),
-    "matmul": (8, _check_matmul),
+    "apsp": (16, _check_apsp, apsp.apsp_program, lambda r: ()),
+    "lu": (16, _check_lu, lu.lu_program, lambda r: ()),
+    "bitonic": (64, _check_bitonic, bitonic.bitonic_program,
+                lambda r: ("bsp",)),
+    "matmul": (8, _check_matmul, matmul.matmul_program,
+               lambda r: (r.setup, "bsp")),
+    "stencil": (16, _check_stencil, stencil.stencil_program,
+                lambda r: (1,)),
 }
 
 
@@ -144,25 +177,28 @@ class TestPerCallData:
                                                              machine):
         """Record at seed j, run seed k as a memory hit: the hit gets
         seed k's inputs and results — checked against the numpy
-        reference and the vector engine — and the recording call keeps
-        seed j's."""
-        n, check = CROSS_SEED[case]
+        reference, and against the generator program on a fresh record
+        of seed k — and the recording call keeps seed j's."""
+        n, check, program, args = CROSS_SEED[case]
         variant = OBLIVIOUS[case][2][0]
         runner = OBLIVIOUS[case][3]
         cls = MACHINES[machine]
         with ir_store_scope(IRStore(disk=False)) as store:
-            first = runner(cls(seed=0), n, variant, 3, "ir")
-            hit = runner(cls(seed=0), n, variant, 4, "ir")
+            first = runner(cls(seed=0), n, variant, 3)
+            hit = runner(cls(seed=0), n, variant, 4)
             assert store.recorded == 1
             assert store.memory_hits == 1
-        vec = runner(cls(seed=0), n, variant, 4, "vector")
+        with ir_store_scope(IRStore(disk=False)):
+            fresh = runner(cls(seed=0), n, variant, 4)
+        ref = run_spmd(cls(seed=0), program, fresh.inputs, *args(fresh),
+                       P=fresh.clocks.size)
         check(hit, n)
-        assert hit.time_us == vec.time_us
-        assert len(hit.returns) == len(vec.returns)
-        for a, b in zip(hit.returns, vec.returns):
+        assert hit.time_us == ref.time_us
+        assert len(hit.returns) == len(ref.returns)
+        for a, b in zip(hit.returns, ref.returns):
             assert np.array_equal(a, b)
         hit_in = _arrays(hit.inputs)
-        for a, b in zip(hit_in, _arrays(vec.inputs)):
+        for a, b in zip(hit_in, _arrays(fresh.inputs)):
             assert np.array_equal(a, b)
         check(first, n)
         assert not np.array_equal(_arrays(first.inputs)[0], hit_in[0])
@@ -178,15 +214,15 @@ class TestPerCallData:
 
         monkeypatch.setattr(apsp, "random_digraph", counting)
         with ir_store_scope(IRStore(disk=False)):
-            apsp.run(GCel(seed=0), 16, P=16, seed=3, engine="ir")
-            hit = apsp.run(GCel(seed=0), 16, P=16, seed=4, engine="ir")
+            apsp.run(GCel(seed=0), 16, P=16, seed=3)
+            hit = apsp.run(GCel(seed=0), 16, P=16, seed=4)
         assert draws == []
         _check_apsp(hit, 16)  # reads the inputs and the data pass's returns
         assert len(draws) == 1
 
     @pytest.mark.parametrize("run", [
-        lambda m, s: samplesort.run(m, 64, P=16, seed=s, engine="ir"),
-        lambda m, s: radix.run(m, 64, P=16, seed=s, engine="ir"),
+        lambda m, s: samplesort.run(m, 64, P=16, seed=s),
+        lambda m, s: radix.run(m, 64, P=16, seed=s),
     ])
     def test_data_dependent_programs_record_per_seed(self, run):
         with ir_store_scope(IRStore(disk=False)) as store:

@@ -1,13 +1,14 @@
-"""Vector fast path vs generator engine: exact equivalence.
+"""Vector programs vs their generator reference: exact equivalence.
 
-The contract of :func:`repro.simulator.run_spmd_vector` is *bit
-identity*: for every algorithm with a vector port, running it through
-the vector engine must produce exactly the same clocks, trace
-(phases, work items, labels, measured times) and per-rank results as
-the per-rank generator engine — same machine seed, same draws, same
-floating point.  These tests enforce that across machines, processor
-counts and seeds, plus property-style sweeps over randomly drawn
-configurations.
+The contract of every vector program is *bit identity* with its
+per-rank generator twin: driven through
+:func:`repro.simulator.run_spmd_vector`, or recorded and replayed by the
+algorithm's own ``run()``, it must produce exactly the same clocks,
+trace (phases, work items, labels, measured times) and per-rank results
+as :func:`repro.simulator.run_spmd` on the generator program — same
+machine seed, same inputs, same floating point.  These tests enforce
+that across machines, processor counts and seeds, plus property-style
+sweeps over randomly drawn configurations.
 """
 
 import numpy as np
@@ -16,9 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import apsp, bitonic, lu, matmul, radix, samplesort
-from repro.core.errors import SimulationError
 from repro.machines import CM5, GCel, MasParMP1, ModernCluster, T800Grid
-from repro.simulator.vector import resolve_engine
+from repro.simulator import run_spmd, run_spmd_vector
+from repro.simulator.ir import IRStore, ir_store_scope
 
 MACHINES = {
     "maspar": MasParMP1,
@@ -52,11 +53,45 @@ def assert_runs_identical(g, v):
                 f"phase field {field} differs in superstep {a.label!r}"
 
 
+#: run() -> (generator program, vector program, program arguments
+#: after the inputs, from the run's result and keywords).
+TWINS = {
+    apsp.run: (apsp.apsp_program, apsp.apsp_vector_program,
+               lambda res, **kw: ()),
+    lu.run: (lu.lu_program, lu.lu_vector_program, lambda res, **kw: ()),
+    bitonic.run: (bitonic.bitonic_program, bitonic.bitonic_vector_program,
+                  lambda res, variant="bsp", sync_every=256, key_bits=32,
+                  group_words=1, **kw: (variant, sync_every, key_bits,
+                                        group_words)),
+    matmul.run: (matmul.matmul_program, matmul.matmul_vector_program,
+                 lambda res, variant="bsp-staggered", **kw:
+                 (res.setup, variant)),
+    samplesort.run: (samplesort.sample_sort_program,
+                     samplesort.sample_sort_vector_program,
+                     lambda res, variant="bpram", oversample=32,
+                     key_bits=32, seed=0, **kw:
+                     (variant, oversample, key_bits, seed)),
+    radix.run: (radix.radix_sort_program, radix.radix_sort_vector_program,
+                lambda res, variant="bpram", key_bits=32, **kw:
+                (variant, key_bits)),
+}
+
+
 def both(run_fn, machine_name, machine_seed, *args, **kwargs):
-    g = run_fn(fresh(machine_name, machine_seed), *args,
-               engine="generator", **kwargs)
-    v = run_fn(fresh(machine_name, machine_seed), *args,
-               engine="vector", **kwargs)
+    """The generator reference and the vector engine, each run on the
+    inputs and program arguments of one ``run_fn`` call — whose own
+    (IR) result must match them too."""
+    with ir_store_scope(IRStore(disk=False)):
+        res = run_fn(fresh(machine_name, machine_seed), *args, **kwargs)
+    gen, vec, program_args = TWINS[run_fn]
+    pargs = program_args(res, **kwargs)
+    P = res.clocks.size
+    g = run_spmd(fresh(machine_name, machine_seed), gen, res.inputs, *pargs,
+                 P=P)
+    v = run_spmd_vector(fresh(machine_name, machine_seed), vec, res.inputs,
+                        *pargs, P=P)
+    assert_runs_identical(g, res)
+    g.inputs = v.inputs = res.inputs
     return g, v
 
 
@@ -76,7 +111,7 @@ class TestApspEquivalence:
         assert_runs_identical(g, v)
 
     def test_result_is_correct(self):
-        v = apsp.run(fresh("cm5", 0), 32, P=16, seed=5, engine="vector")
+        _, v = both(apsp.run, "cm5", 0, 32, P=16, seed=5)
         D = v.inputs
         got = apsp.assemble(16, 32, v.returns)
         assert np.array_equal(got, apsp.reference_apsp(D))
@@ -114,8 +149,8 @@ class TestBitonicEquivalence:
         assert_runs_identical(g, v)
 
     def test_result_is_sorted(self):
-        v = bitonic.run(fresh("maspar", 0), 16, variant="bsp", P=64,
-                        seed=9, engine="vector")
+        _, v = both(bitonic.run, "maspar", 0, 16, variant="bsp", P=64,
+                    seed=9)
         assert bitonic.is_globally_sorted(v.returns)
 
     @settings(max_examples=8, deadline=None,
@@ -147,23 +182,14 @@ class TestMatmulEquivalence:
         assert_runs_identical(g, v)
 
     def test_result_is_correct(self):
-        v = matmul.run(fresh("cm5", 0), 64, variant="bsp-staggered",
-                       seed=6, engine="vector")
-        A, B = v.inputs
-        got = matmul.assemble(v.setup, v.returns)
-        assert np.array_equal(got, matmul.assemble(
-            v.setup, matmul.run(fresh("cm5", 0), 64,
-                                variant="bsp-staggered", seed=6,
-                                engine="generator").returns))
+        res = matmul.run(fresh("cm5", 0), 64, variant="bsp-staggered",
+                         seed=6)
+        A, B = res.inputs
+        got = matmul.assemble(res.setup, res.returns)
+        ref = run_spmd(fresh("cm5", 0), matmul.matmul_program, res.inputs,
+                       res.setup, "bsp-staggered", P=64)
+        assert np.array_equal(got, matmul.assemble(res.setup, ref.returns))
         assert np.allclose(got, A @ B)
-
-    def test_layout_variants_fall_back(self):
-        with pytest.raises(SimulationError, match="vector"):
-            matmul.run(fresh("cm5", 0), 64, variant="bsp-2d",
-                       engine="vector")
-        # auto silently picks the generator engine for layout variants
-        r = matmul.run(fresh("cm5", 0), 64, variant="bsp-2d", engine="auto")
-        assert r.time_us > 0
 
 
 class TestSampleSortEquivalence:
@@ -189,8 +215,8 @@ class TestSampleSortEquivalence:
         assert_runs_identical(g, v)
 
     def test_result_is_sorted_permutation(self):
-        v = samplesort.run(fresh("maspar", 0), 64, variant="bpram",
-                           oversample=8, P=16, seed=9, engine="vector")
+        _, v = both(samplesort.run, "maspar", 0, 64, variant="bpram",
+                    oversample=8, P=16, seed=9)
         out = np.concatenate([np.asarray(b).ravel() for b in v.returns])
         assert np.array_equal(out, np.sort(out))  # globally sorted
         assert np.array_equal(np.sort(out),
@@ -241,8 +267,8 @@ class TestRadixEquivalence:
         assert_runs_identical(g, v)
 
     def test_result_is_sorted_permutation(self):
-        v = radix.run(fresh("maspar", 0), 64, variant="bpram", P=16,
-                      seed=9, engine="vector")
+        _, v = both(radix.run, "maspar", 0, 64, variant="bpram", P=16,
+                    seed=9)
         out = np.concatenate([np.asarray(b).ravel() for b in v.returns])
         assert np.array_equal(out, np.sort(out))  # globally sorted
         assert np.array_equal(np.sort(out),
@@ -282,7 +308,7 @@ class TestLuEquivalence:
         assert_runs_identical(g, v)
 
     def test_result_is_correct(self):
-        v = lu.run(fresh("cm5", 0), 32, P=16, seed=5, engine="vector")
+        _, v = both(lu.run, "cm5", 0, 32, P=16, seed=5)
         A = v.inputs
         got = lu.assemble(16, 32, v.returns)
         L, U = lu.reference_lu(A)
@@ -299,28 +325,3 @@ class TestLuEquivalence:
         N, P = side * mult, side * side
         g, v = both(lu.run, machine, seed, N, P=P, seed=seed)
         assert_runs_identical(g, v)
-
-
-class TestResolveEngine:
-    def test_auto_prefers_ir(self):
-        assert resolve_engine("auto") == "ir"
-        assert resolve_engine("auto", vector_ok=False) == "generator"
-
-    def test_explicit(self):
-        assert resolve_engine("generator") == "generator"
-        assert resolve_engine("vector") == "vector"
-        assert resolve_engine("ir") == "ir"
-
-    def test_ir_requires_vector_port(self):
-        # Programs that opt out of the vector context can't be lowered
-        # either; explicit "ir" without a port errors like "vector".
-        with pytest.raises(SimulationError):
-            resolve_engine("ir", vector_ok=False)
-
-    def test_unknown_engine(self):
-        with pytest.raises(SimulationError, match="unknown engine"):
-            resolve_engine("turbo")
-
-    def test_vector_unsupported_raises(self):
-        with pytest.raises(SimulationError):
-            resolve_engine("vector", vector_ok=False)

@@ -373,33 +373,14 @@ class TestFleetArguments:
 
 
 class TestEngineFlag:
-    @pytest.mark.parametrize("argv", [
-        ["run", "fig14", "--engine", "turbo"],
-        ["serve", "--engine", "turbo"],
-        ["ablate", "--engine", "turbo"],
-    ])
-    def test_unknown_engine_exits_2_listing_valid(self, argv, capsys):
+    @pytest.mark.parametrize("command", [["run", "fig14"], ["serve"],
+                                         ["ablate"], ["bounds"]])
+    def test_engine_flag_is_gone(self, command, capsys):
+        """One engine runs every workload: no command takes ``--engine``."""
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
+            build_parser().parse_args(command + ["--engine", "ir"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        for name in ("auto", "generator", "vector", "ir"):
-            assert name in err
-
-    @pytest.mark.parametrize("engine", ["auto", "generator", "vector", "ir"])
-    def test_run_accepts_every_engine(self, engine, capsys):
-        code = main(["run", "fig14", "--scale", "0.3", "--no-plot",
-                     "--no-cache", "--engine", engine])
-        assert code == 0
-        assert "fig14" in capsys.readouterr().out
-
-    def test_engine_flag_defaults_to_ambient(self):
-        args = build_parser().parse_args(["run", "fig14"])
-        assert args.engine is None
-        args = build_parser().parse_args(["serve"])
-        assert args.engine == "auto"
-        args = build_parser().parse_args(["ablate"])
-        assert args.engine == "auto"
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_cache_clear_reports_step_programs(self, capsys):
         main(["run", "fig14", "--scale", "0.3", "--no-plot"])

@@ -63,10 +63,7 @@ class TestAdversarialInputs:
         machine = CM5(seed=0)
         keys = np.full((16, 8), 42, dtype=np.uint64)
 
-        def prog(ctx):
-            return bitonic.bitonic_program(ctx, keys[ctx.rank], "bsp")
-
-        res = run_spmd(machine, prog, P=16)
+        res = run_spmd(machine, bitonic.bitonic_program, keys, "bsp", P=16)
         assert all(np.asarray(r).size == 8 for r in res.returns)
         flat = np.concatenate(res.returns)
         assert np.all(flat == 42)
@@ -76,11 +73,8 @@ class TestAdversarialInputs:
         for order in (1, -1):
             base = np.arange(16 * 8, dtype=np.uint64)[::order].reshape(16, 8)
 
-            def prog(ctx):
-                return bitonic.bitonic_program(ctx, base[ctx.rank].copy(),
-                                               "bpram")
-
-            res = run_spmd(machine, prog, P=16)
+            res = run_spmd(machine, bitonic.bitonic_program, base.copy(),
+                           "bpram", P=16)
             flat = np.concatenate(res.returns)
             assert np.array_equal(flat, np.sort(base.ravel()))
 
@@ -90,11 +84,8 @@ class TestAdversarialInputs:
         machine = CM5(seed=0)
         keys = np.full((16, 32), 7, dtype=np.uint64)
 
-        def prog(ctx):
-            return samplesort.sample_sort_program(ctx, keys[ctx.rank],
-                                                  "bpram", 8, sample_seed=0)
-
-        res = run_spmd(machine, prog, P=16)
+        res = run_spmd(machine, samplesort.sample_sort_program, keys,
+                       "bpram", 8, sample_seed=0, P=16)
         flat = np.concatenate([np.asarray(r) for r in res.returns])
         assert flat.size == 16 * 32 and np.all(flat == 7)
 
