@@ -321,10 +321,11 @@ def apsp_vector_program(ctx: VectorContext, D: np.ndarray):
     lines = np.arange(side, dtype=np.int64)
     data = not ctx.structure_only
     if data:
-        # blocks[rank] == D[r*M:(r+1)*M, c*M:(c+1)*M]
-        blocks = np.ascontiguousarray(
-            D.reshape(side, M, side, M).transpose(0, 2, 1, 3)
-            .reshape(P, M, M))
+        # blocks[rank] == D[r*M:(r+1)*M, c*M:(c+1)*M]; a copy, since the
+        # reshape is a view of D when M == 1 or P == 1 and the in-place
+        # relaxation below must not touch the caller's matrix
+        blocks = (D.reshape(side, M, side, M).transpose(0, 2, 1, 3)
+                  .reshape(P, M, M).copy())
     col_cache: dict = {}
     row_cache: dict = {}
 

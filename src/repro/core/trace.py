@@ -22,7 +22,7 @@ import numpy as np
 from .errors import TraceError
 from .params import ModelParams
 from .relations import CommPhase
-from .work import Work, nominal_time
+from .work import NO_WORK, StepWork, Work
 
 __all__ = ["Superstep", "Trace"]
 
@@ -32,7 +32,8 @@ class Superstep:
     """One superstep: per-processor local work, then one communication phase."""
 
     phase: CommPhase
-    work: dict[int, list[Work]] = field(default_factory=dict)
+    #: the local work, an immutable columnar record (see :class:`StepWork`).
+    work: StepWork = NO_WORK
     label: str = ""
     #: duration charged by the machine model during simulation (max across
     #: processors), filled in by the engine; ``nan`` if never simulated.
@@ -43,16 +44,15 @@ class Superstep:
         return self.phase.P
 
     def add_work(self, proc: int, item: Work) -> None:
+        """Charge ``item`` last on ``proc``.  This superstep gets a new
+        record; a record other supersteps share is never edited."""
         if not 0 <= proc < self.P:
             raise TraceError(f"processor {proc} out of range for P={self.P}")
-        self.work.setdefault(proc, []).append(item)
+        self.work = self.work.plus(proc, item)
 
     def work_nominal_us(self, params: ModelParams) -> np.ndarray:
         """Per-processor nominal local-computation time, shape ``(P,)``."""
-        out = np.zeros(self.P)
-        for proc, items in self.work.items():
-            out[proc] = sum(nominal_time(item, params) for item in items)
-        return out
+        return self.work.nominal_us(params, self.P)
 
     def max_work_nominal_us(self, params: ModelParams) -> float:
         """The model's ``c`` term: maximum local computation of any processor."""
@@ -88,24 +88,24 @@ class Trace:
         """Every superstep's ``c`` term, in trace order.
 
         Equal to ``[s.max_work_nominal_us(params) for s in trace]``, but
-        each distinct work dict *object* is priced once per call: IR
-        replay hands every superstep of one batch list the same dict,
+        each distinct work record *object* is priced once per call: IR
+        replay hands every superstep of one batch list the same record,
         just as the vector engine interns phases for
-        :meth:`CostModel.comm_cost_batch`.  Nothing outlives the call,
-        so a dict mutated through :meth:`Superstep.add_work` is re-priced.
+        :meth:`CostModel.comm_cost_batch`.  Records are immutable, and
+        :meth:`Superstep.add_work` swaps in a new one.
         """
-        return self._per_work_dict(
+        return self._per_record(
             lambda s: s.max_work_nominal_us(params))
 
     def work_totals(self, params: ModelParams) -> list[float]:
         """Every superstep's aggregate work (summed over processors), in
-        trace order, deduplicated by work dict like :meth:`work_terms`."""
-        return self._per_work_dict(
+        trace order, deduplicated by record like :meth:`work_terms`."""
+        return self._per_record(
             lambda s: float(s.work_nominal_us(params).sum()))
 
-    def _per_work_dict(self, price) -> list[float]:
+    def _per_record(self, price) -> list[float]:
         """``[price(s) for s in self]``, calling ``price`` once per
-        distinct non-empty work dict; an empty dict prices as ``0.0``."""
+        distinct non-empty work record; empty work prices as ``0.0``."""
         seen: dict[int, float] = {}
         out: list[float] = []
         for s in self.supersteps:

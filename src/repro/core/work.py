@@ -7,18 +7,26 @@ keys" — which are priced twice:
 * by a **cost model** (:func:`nominal_time`) using the constant
   coefficients of :class:`~repro.core.params.ModelParams` — this is what
   the paper's closed-form predictions do (e.g. ``alpha * N^3 / P``);
-* by a **machine model** (:meth:`repro.machines.base.Machine.compute_time`)
-  which may deviate from the constants, e.g. the CM-5 local matrix multiply
-  slows down once the working set spills out of the 64 KB cache
-  (paper §5.1: "the primary source of error is in the local computation").
+* by a **machine model**
+  (:meth:`repro.machines.base.Machine.compute_time_batch`) which may
+  deviate from the constants, e.g. the CM-5 local matrix multiply slows
+  down once the working set spills out of the 64 KB cache (paper §5.1:
+  "the primary source of error is in the local computation").
 
 Keeping work symbolic until pricing is what lets the reproduction show
 *why* predictions go wrong, rather than baking the answer in.
+
+A superstep records its work as one immutable :class:`StepWork`: columns
+of same-kind items (:class:`WorkBatch`) plus their rank-major order.
+Machines and models price the same record the same way — one array
+price per batch, gathered into rank-major order, summed left to right
+per rank (:func:`_accumulate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -35,6 +43,9 @@ __all__ = [
     "Copy",
     "Generic",
     "WORK_FIELDS",
+    "WorkBatch",
+    "StepWork",
+    "NO_WORK",
     "nominal_time",
     "nominal_time_batch",
     "work_fields",
@@ -209,14 +220,13 @@ def work_fields(kind: type) -> tuple[str, ...]:
 
 
 def nominal_time_batch(kind: type, params: dict[str, np.ndarray],
-                       mp: ModelParams) -> np.ndarray | None:
+                       mp: ModelParams) -> np.ndarray:
     """Vectorised :func:`nominal_time` over a batch of same-kind items.
 
     ``params`` maps field names (see :data:`WORK_FIELDS`) to equal-length
     arrays.  Returns per-item microseconds, elementwise bit-identical to
-    the scalar function (same operations in the same order), or ``None``
-    for kinds this function does not know — callers then fall back to
-    per-item scalar pricing.
+    the scalar function (same operations in the same order); an unknown
+    kind raises :class:`ModelError`, as the scalar function does.
     """
     if kind is Flops:
         return mp.alpha * np.asarray(params["n"])
@@ -236,4 +246,173 @@ def nominal_time_batch(kind: type, params: dict[str, np.ndarray],
         return mp.beta_copy * np.asarray(params["n"])
     if kind is Generic:
         return np.asarray(params["us"], dtype=np.float64)
-    return None
+    raise ModelError(f"cannot price work descriptor of type {kind.__name__}")
+
+
+# ----------------------------------------------------------------------
+# Recorded work: columns plus rank-major order
+# ----------------------------------------------------------------------
+class WorkBatch:
+    """One homogeneous charge: ``kind`` items with vector parameters.
+
+    ``params`` maps the kind's field names to equal-length sequences;
+    ``ranks`` holds the owning processor of each item.  Emitted by
+    vector programs via ``VectorContext.charge_batch``.
+    """
+
+    __slots__ = ("kind", "params", "ranks")
+
+    def __init__(self, kind: type, params: dict[str, Any], ranks: np.ndarray):
+        self.kind = kind
+        self.ranks = np.asarray(ranks, dtype=np.int64)
+        self.params = {
+            f: np.broadcast_to(np.asarray(params[f]), self.ranks.shape)
+            for f in work_fields(kind)}
+
+    @classmethod
+    def of_items(cls, items: Sequence[Work], ranks) -> "WorkBatch":
+        """The batch of same-kind ``items``, owned by ``ranks``."""
+        kind = type(items[0])
+        return cls(kind, {f: np.array([getattr(w, f) for w in items])
+                          for f in work_fields(kind)}, ranks)
+
+    def __len__(self) -> int:
+        return int(self.ranks.size)
+
+
+def flat_rank_order(batches: Sequence[WorkBatch],
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Flatten non-empty batches into rank-major item order.
+
+    Returns ``(ranks, order)``: ``ranks`` is the rank-major rank of each
+    flat item, ``order`` the stable argsort that produced it (``None``
+    when the concatenation was already rank-major, so gathers can be
+    skipped).  Ties keep batch emission order — a rank's items in the
+    order it charged them.
+    """
+    flat = np.concatenate([b.ranks for b in batches])
+    if bool((np.diff(flat) >= 0).all()):
+        return flat, None  # already rank-major: skip the sort and gathers
+    order = np.argsort(flat, kind="stable")
+    return flat[order], order
+
+
+def _accumulate(clocks: np.ndarray, ranks: np.ndarray,
+                times: np.ndarray) -> None:
+    """``clocks[r] += sum(times of r)`` with scalar-path float semantics.
+
+    ``ranks`` must be rank-major (non-decreasing).  Totals are summed
+    left-to-right per rank and added to the clock in one operation.
+    """
+    n = ranks.size
+    if n == 0:
+        return
+    change = np.nonzero(np.diff(ranks))[0] + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change, [n]))
+    lengths = ends - starts
+    single = lengths == 1
+    if single.all():
+        clocks[ranks[starts]] += times[starts]
+        return
+    clocks[ranks[starts[single]]] += times[starts[single]]
+    for s, e in zip(starts[~single], ends[~single]):
+        clocks[ranks[s]] += sum(times[s:e])
+
+
+@dataclass(frozen=True, eq=False)
+class StepWork:
+    """One superstep's local work, immutable and columnar.
+
+    ``batches`` hold the items; ``ranks`` is the owner of each item in
+    rank-major order, and ``order`` gathers the batches' concatenated
+    items into that order (``None`` when they already are).  Within a
+    rank, items keep the order the rank charged them.  Equality is
+    identity: supersteps replayed from one batch list share one record,
+    which is what :meth:`~repro.core.trace.Trace.work_terms` dedups by.
+    """
+
+    batches: tuple[WorkBatch, ...]
+    ranks: np.ndarray
+    order: np.ndarray | None = None
+
+    @classmethod
+    def of_batches(cls, batches: Sequence[WorkBatch]) -> "StepWork":
+        """The record of a vector superstep's batches (empty ones dropped)."""
+        live = tuple(b for b in batches if len(b))
+        if not live:
+            return NO_WORK
+        return cls(live, *flat_rank_order(live))
+
+    @classmethod
+    def of_items(cls, items: Sequence[Work],
+                 ranks: Sequence[int]) -> "StepWork":
+        """The record of items listed rank-major, each rank's in charge order.
+
+        Items are grouped into one batch per kind; ``order`` keeps every
+        item's flat position, so a rank that charges several kinds in
+        one superstep keeps its charge order.
+        """
+        if not items:
+            return NO_WORK
+        by_kind: dict[type, list[int]] = {}
+        for i, item in enumerate(items):
+            by_kind.setdefault(type(item), []).append(i)
+        rank_arr = np.asarray(ranks, dtype=np.int64)
+        batches = tuple(
+            WorkBatch.of_items([items[i] for i in pos], rank_arr[pos])
+            for pos in by_kind.values())
+        flat = np.concatenate([np.asarray(p) for p in by_kind.values()])
+        order = None if bool((np.diff(flat) > 0).all()) else np.argsort(flat)
+        return cls(batches, rank_arr, order)
+
+    def __bool__(self) -> bool:
+        return bool(self.batches)
+
+    def plus(self, rank: int, item: Work) -> "StepWork":
+        """A new record: this one with ``item`` charged last on ``rank``."""
+        n = self.ranks.size
+        at = int(np.searchsorted(self.ranks, rank, side="right"))
+        order = np.arange(n) if self.order is None else self.order
+        return StepWork(self.batches + (WorkBatch.of_items([item], [rank]),),
+                        np.insert(self.ranks, at, rank),
+                        np.insert(order, at, n))
+
+    def prices(self, price: Callable[[WorkBatch], np.ndarray]) -> np.ndarray:
+        """``price(batch)`` of every batch, as one rank-major item column."""
+        cols = [price(b) for b in self.batches]
+        flat = cols[0] if len(cols) == 1 else np.concatenate(cols)
+        return flat if self.order is None else flat[self.order]
+
+    def per_rank(self, times: np.ndarray, P: int) -> np.ndarray:
+        """Rank-major item ``times`` summed left to right per rank, ``(P,)``."""
+        out = np.zeros(P)
+        _accumulate(out, self.ranks, times)
+        return out
+
+    def nominal_us(self, params: ModelParams, P: int) -> np.ndarray:
+        """Per-processor nominal work time, shape ``(P,)``."""
+        if not self:
+            return np.zeros(P)
+        return self.per_rank(self.prices(
+            lambda b: nominal_time_batch(b.kind, b.params, params)), P)
+
+    def by_rank(self) -> dict[int, list[Work]]:
+        """The items as ``{rank: [Work, ...]}``, each rank's in charge order.
+
+        A view for readers that iterate items; pricing never builds it.
+        """
+        flat: list[Work] = []
+        for b in self.batches:
+            cols = [c.tolist() for c in b.params.values()]
+            flat.extend(b.kind(*args) for args in zip(*cols))
+        if self.order is not None:
+            flat = [flat[i] for i in self.order.tolist()]
+        out: dict[int, list[Work]] = {}
+        for rank, item in zip(self.ranks.tolist(), flat):
+            out.setdefault(rank, []).append(item)
+        return out
+
+
+#: the record of a superstep without local work.
+NO_WORK = StepWork((), np.zeros(0, dtype=np.int64))

@@ -1,7 +1,7 @@
 """Machine model base class.
 
 A :class:`Machine` is the simulator's substitute for real hardware: it
-prices local work (:meth:`compute_time`) and communication phases
+prices local work (:meth:`compute_time_batch`) and communication phases
 (:meth:`comm_time`), advancing per-processor virtual clocks.  Machine
 models are deliberately *richer* than the cost models under test — they
 know about endpoint contention, router cluster conflicts, partial-pattern
@@ -21,7 +21,7 @@ import numpy as np
 from ..core.errors import SimulationError
 from ..core.params import ModelParams
 from ..core.relations import CommPhase, PhaseStack, unique_phases
-from ..core.work import Work, nominal_time, nominal_time_batch
+from ..core.work import Work, WorkBatch, nominal_time_batch
 
 __all__ = ["Machine", "CommPricer"]
 
@@ -108,35 +108,28 @@ class Machine(ABC):
     # ------------------------------------------------------------------
     # Local computation
     # ------------------------------------------------------------------
-    def compute_time_base(self, work: Work, rank: int) -> float:
-        """Deterministic time one processor needs for ``work``, in us.
-
-        The default prices work with the nominal model coefficients;
-        machines override this to model cache effects etc.  Measurement
-        noise is *not* applied here — :meth:`compute_time` multiplies in
-        one jitter factor per item, and the batched path draws the same
-        factors as one vector (bit-identical stream).
-        """
-        return nominal_time(work, self.nominal)
-
-    def compute_time(self, work: Work, rank: int) -> float:
-        """Time one processor needs for ``work``, in microseconds."""
-        t = self.compute_time_base(work, rank)
-        if self.compute_noise:
-            t *= self.jitter(self.compute_noise)
-        return t
-
-    def compute_time_batch(self, kind: type, params: dict, ranks) -> "np.ndarray | None":
-        """Deterministic prices of a batch of same-kind work items.
+    def compute_time_batch(self, kind: type, params: dict,
+                           ranks) -> np.ndarray:
+        """Deterministic prices of a batch of same-kind work items, in us.
 
         ``params`` maps the kind's field names to equal-length arrays (one
         entry per item); ``ranks`` is the owning processor of each item.
-        Returns per-item microseconds matching
-        :meth:`compute_time_base` bit-for-bit, or ``None`` when the kind
-        needs per-item (scalar) pricing.  Jitter is applied by the engine
-        (in flat item order), never here.
+        The default prices work with the nominal model coefficients;
+        machines override this to model cache effects etc.  Measurement
+        noise is *not* applied here: the engines draw one jitter factor
+        per item, as one vector in flat item order.
         """
         return nominal_time_batch(kind, params, self.nominal)
+
+    def compute_time(self, work: Work, rank: int) -> float:
+        """Time one processor needs for ``work``, in microseconds: the
+        one-item :meth:`compute_time_batch` price times one
+        ``jitter(compute_noise)`` draw."""
+        b = WorkBatch.of_items([work], [rank])
+        t = float(self.compute_time_batch(b.kind, b.params, b.ranks)[0])
+        if self.compute_noise:
+            t *= self.jitter(self.compute_noise)
+        return t
 
     # ------------------------------------------------------------------
     # Communication

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.params import ModelParams, paper_params
 from ..core.relations import CommPhase, PhaseStack
-from ..core.work import MatmulBlock, Work, nominal_time
+from ..core.work import MatmulBlock
 from .base import Machine
 
 __all__ = ["CM5"]
@@ -87,46 +87,23 @@ class CM5(Machine):
     # ------------------------------------------------------------------
     # Local computation with cache effects (§4.1.1)
     # ------------------------------------------------------------------
-    def matmul_mflops(self, work: MatmulBlock) -> float:
-        """Sustained Mflops of the assembly kernel on one block."""
-        flops = work.flops
-        if flops == 0:
-            return 7.4
-        if flops < 2048:
-            return 3.8  # call / loop overhead dominates tiny blocks
-        if flops < 8192:
-            return 4.0  # short inner loops, little register reuse
-        if flops < 32768:
-            return 5.8
-        ws = work.working_set_bytes
-        if ws <= self.cache_bytes:
-            return 7.4
-        if ws <= 3 * self.cache_bytes:
-            return 6.9
-        if ws <= 12 * self.cache_bytes:
-            return 6.2
-        return 5.2
-
-    def compute_time_base(self, work: Work, rank: int) -> float:
-        if isinstance(work, MatmulBlock) and self.cache_sensitive:
-            # time per compound op = 2 flops / rate
-            alpha_eff = 2.0 / self.matmul_mflops(work)
-            return alpha_eff * work.flops
-        return nominal_time(work, self.nominal)
-
-    def compute_time_batch(self, kind: type, params: dict, ranks) -> np.ndarray | None:
+    def compute_time_batch(self, kind: type, params: dict,
+                           ranks) -> np.ndarray:
         if kind is MatmulBlock and self.cache_sensitive:
             m = np.asarray(params["m"], dtype=np.int64)
             k = np.asarray(params["k"], dtype=np.int64)
             n = np.asarray(params["n"], dtype=np.int64)
             flops = m * k * n
-            ws = 8 * (m * k + k * n + m * n)
-            # the matmul_mflops ladder, first-match-wins (np.select order)
+            ws = 8 * (m * k + k * n + m * n)  # 8-byte elements, 3 operands
+            # Sustained Mflops of the assembly kernel by block size, then
+            # by working set against the cache; first match wins.  Tiny
+            # blocks pay call/loop overhead, small ones short inner loops.
             rate = np.select(
                 [flops == 0, flops < 2048, flops < 8192, flops < 32768,
                  ws <= self.cache_bytes, ws <= 3 * self.cache_bytes,
                  ws <= 12 * self.cache_bytes],
                 [7.4, 3.8, 4.0, 5.8, 7.4, 6.9, 6.2], default=5.2)
+            # time per compound op = 2 flops / rate
             return (2.0 / rate) * flops
         return super().compute_time_batch(kind, params, ranks)
 

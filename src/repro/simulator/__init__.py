@@ -5,7 +5,7 @@ NumPy data) on virtual processors while a machine model charges virtual
 time — the substitute for the paper's MasPar / GCel / CM-5 testbeds.
 """
 
-from .batch import WorkBatch
+from ..core.work import WorkBatch
 from .commands import SyncToken
 from .context import ProcContext
 from .engine import run_spmd

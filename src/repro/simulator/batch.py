@@ -1,16 +1,18 @@
-"""Batched work accounting shared by the generator and vector engines.
+"""Machine pricing of recorded work, shared by every engine.
 
 The inner loop the paper's big sweeps used to pay for —
 ``sum(machine.compute_time(w, rank) for w in items)`` per processor per
-superstep — is replaced here by array pricing: items are grouped by work
-kind, priced through :meth:`Machine.compute_time_batch` as parameter
-vectors, jittered with *one* vectorised noise draw, and accumulated into
-the clocks.
+superstep — is replaced here by array pricing of a superstep's
+:class:`~repro.core.work.StepWork` record: each same-kind batch is priced
+through :meth:`Machine.compute_time_batch` as parameter vectors, the
+prices are gathered into rank-major order, jittered with *one* vectorised
+noise draw, and accumulated into the clocks.
 
 Bit-identity contract (the golden figures depend on it):
 
-* per-item deterministic prices equal ``compute_time_base`` exactly
-  (same IEEE operations elementwise);
+* per-item deterministic prices are the same IEEE operations whichever
+  engine recorded the batch (:meth:`Machine.compute_time` is the
+  one-item view of the same function);
 * the noise stream is consumed in flat ``(rank, charge-order)`` item
   order — ``rng.normal(size=n)`` draws the same sequence as ``n``
   scalar ``rng.normal()`` calls;
@@ -21,191 +23,30 @@ Bit-identity contract (the golden figures depend on it):
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
 import numpy as np
 
-from ..core.errors import SimulationError
-from ..core.work import WORK_FIELDS, Work
+from ..core.work import StepWork, _accumulate
 
-__all__ = ["WorkBatch", "charge_work_dict", "charge_batches",
-           "flat_rank_order", "price_batches", "materialize_work"]
+__all__ = ["charge_batches", "price_batches"]
 
 
-class WorkBatch:
-    """One homogeneous charge: ``kind`` items with vector parameters.
-
-    ``params`` maps the kind's field names to equal-length sequences;
-    ``ranks`` holds the owning processor of each item.  Emitted by
-    vector programs via :meth:`VectorContext.charge_batch`.
-    """
-
-    __slots__ = ("kind", "params", "ranks")
-
-    def __init__(self, kind: type, params: dict[str, Any], ranks: np.ndarray):
-        self.kind = kind
-        self.ranks = np.asarray(ranks, dtype=np.int64)
-        fields = WORK_FIELDS.get(kind)
-        if fields is None:
-            raise SimulationError(
-                f"work kind {kind.__name__} has no WORK_FIELDS entry; "
-                "vector programs can only batch registered kinds")
-        self.params = {
-            f: np.broadcast_to(np.asarray(params[f]), self.ranks.shape)
-            for f in fields}
-
-    def __len__(self) -> int:
-        return int(self.ranks.size)
+def price_batches(machine, work: StepWork) -> np.ndarray:
+    """Deterministic per-item prices of ``work``, in rank-major order."""
+    return work.prices(
+        lambda b: machine.compute_time_batch(b.kind, b.params, b.ranks))
 
 
-def _price_flat(machine, items: Sequence[Work],
-                ranks: np.ndarray) -> np.ndarray:
-    """Deterministic per-item prices, preserving item order."""
-    base = np.empty(len(items))
-    by_kind: dict[type, list[int]] = {}
-    for i, item in enumerate(items):
-        by_kind.setdefault(type(item), []).append(i)
-    for kind, positions in by_kind.items():
-        idx = np.asarray(positions, dtype=np.intp)
-        prices = None
-        fields = WORK_FIELDS.get(kind)
-        if fields is not None:
-            params = {f: np.array([getattr(items[i], f) for i in positions])
-                      for f in fields}
-            prices = machine.compute_time_batch(kind, params, ranks[idx])
-        if prices is None:  # exotic kind: per-item scalar fallback
-            for i in positions:
-                base[i] = machine.compute_time_base(items[i], int(ranks[i]))
-        else:
-            base[idx] = prices
-    return base
+def charge_batches(machine, work: StepWork, clocks: np.ndarray) -> None:
+    """Charge one superstep's work to ``clocks``, noise included.
 
-
-def _accumulate(clocks: np.ndarray, ranks: np.ndarray,
-                times: np.ndarray) -> None:
-    """``clocks[r] += sum(times of r)`` with scalar-path float semantics.
-
-    ``ranks`` must be rank-major (non-decreasing).  Totals are summed
-    left-to-right per rank and added to the clock in one operation.
-    """
-    n = ranks.size
-    if n == 0:
-        return
-    change = np.nonzero(np.diff(ranks))[0] + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [n]))
-    lengths = ends - starts
-    single = lengths == 1
-    if single.all():
-        clocks[ranks[starts]] += times[starts]
-        return
-    clocks[ranks[starts[single]]] += times[starts[single]]
-    for s, e in zip(starts[~single], ends[~single]):
-        clocks[ranks[s]] += sum(times[s:e])
-
-
-def charge_work_dict(machine, work: dict[int, list[Work]],
-                     clocks: np.ndarray) -> None:
-    """Charge the generator engine's per-rank work lists, batched.
-
-    ``work`` must iterate in ascending rank order (the engine drains
-    contexts in rank order), with each rank's items in charge order.
+    Every engine charges through here (replay caches the deterministic
+    prices per batch list), so prices, noise draws and clock updates are
+    the same whether a generator or a vector program emitted the work.
     """
     if not work:
         return
-    items: list[Work] = []
-    rank_list: list[int] = []
-    for rank, rank_items in work.items():
-        items.extend(rank_items)
-        rank_list.extend([rank] * len(rank_items))
-    ranks = np.asarray(rank_list, dtype=np.int64)
-    times = _price_flat(machine, items, ranks)
+    times = price_batches(machine, work)
     if machine.compute_noise:
         times = times * (1.0 + machine.rng.normal(
             0.0, machine.compute_noise, size=times.size))
-    _accumulate(clocks, ranks, times)
-
-
-def flat_rank_order(batches: Sequence[WorkBatch],
-                    ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Flatten non-empty batches into the generator path's item order.
-
-    Returns ``(ranks, order)``: ``ranks`` is the rank-major rank of each
-    flat item, ``order`` the stable argsort that produced it (``None``
-    when the concatenation was already rank-major, so gathers can be
-    skipped).
-    """
-    flat = np.concatenate([b.ranks for b in batches])
-    if bool((np.diff(flat) >= 0).all()):
-        return flat, None  # already rank-major: skip the sort and gathers
-    order = np.argsort(flat, kind="stable")
-    return flat[order], order
-
-
-def price_batches(machine, batches: Sequence[WorkBatch]) -> np.ndarray:
-    """Deterministic per-item prices in flat (batch emission) order."""
-    base = np.empty(sum(len(b) for b in batches))
-    pos = 0
-    for b in batches:
-        prices = machine.compute_time_batch(b.kind, b.params, b.ranks)
-        if prices is None:
-            prices = np.array([
-                machine.compute_time_base(
-                    b.kind(*(b.params[f][i] for f in b.params)), int(r))
-                for i, r in enumerate(b.ranks)])
-        base[pos:pos + len(b)] = prices
-        pos += len(b)
-    return base
-
-
-def materialize_work(batches: Sequence[WorkBatch], rank_seq: list[int],
-                     order: np.ndarray | None) -> dict[int, list[Work]]:
-    """Materialise the trace's ``{rank: [Work, ...]}`` dict for batches.
-
-    The dict is built in rank order with each rank's items in emission
-    order — what the generator engine would have recorded.  Work items
-    are frozen and compared by value, so a batch with uniform parameters
-    (0-stride broadcast columns) shares one instance across its items.
-    ``rank_seq``/``order`` come from :func:`flat_rank_order`
-    (``rank_seq = ranks.tolist()``).
-    """
-    work: dict[int, list[Work]] = {}
-    flat_objs: list[Work] = []
-    for b in batches:
-        cols = [b.params[f] for f in b.params]
-        if all(not any(c.strides) for c in cols):
-            one = b.kind(*(c.flat[0].item() for c in cols))
-            flat_objs.extend([one] * len(b))
-        else:
-            flat_objs.extend(
-                b.kind(*args) for args in zip(*(c.tolist() for c in cols)))
-    if order is None:
-        for j, obj in enumerate(flat_objs):
-            work.setdefault(rank_seq[j], []).append(obj)
-    else:
-        for j, flat_i in enumerate(order.tolist()):
-            work.setdefault(rank_seq[j], []).append(flat_objs[flat_i])
-    return work
-
-
-def charge_batches(machine, batches: Sequence[WorkBatch],
-                   clocks: np.ndarray) -> dict[int, list[Work]]:
-    """Charge a vector superstep's work batches; return the trace dict.
-
-    Batches are flattened into the generator path's flat order — items
-    sorted by rank, ties broken by batch emission order — so prices,
-    noise draws and clock updates are bit-identical to running the
-    equivalent per-rank program.  The returned ``{rank: [Work, ...]}``
-    dict matches what the generator engine records in the trace.
-    """
-    batches = [b for b in batches if len(b)]
-    if not batches:
-        return {}
-    ranks, order = flat_rank_order(batches)
-    base = price_batches(machine, batches)
-    times = base if order is None else base[order]
-    if machine.compute_noise:
-        times = times * (1.0 + machine.rng.normal(
-            0.0, machine.compute_noise, size=times.size))
-    _accumulate(clocks, ranks, times)
-    return materialize_work(batches, ranks.tolist(), order)
+    _accumulate(clocks, work.ranks, times)

@@ -28,7 +28,8 @@ import numpy as np
 from ..core.errors import DeadlockError, SimulationError
 from ..core.relations import CommPhase
 from ..core.trace import Superstep, Trace
-from .batch import charge_work_dict
+from ..core.work import StepWork
+from .batch import charge_batches
 from .commands import SyncToken
 from .context import ProcContext
 from .result import RunResult
@@ -111,11 +112,13 @@ def run_spmd(machine, program: Program, *args: Any, P: int | None = None,
         send_payloads: list[Any] = []
         src_runs: list[int] = []   # rank of each contiguous run of sends
         run_lens: list[int] = []
-        work: dict[int, list] = {}
+        work_ranks: list[int] = []  # rank-major, each rank's charge order
+        work_items: list = []
         for rank, ctx in enumerate(contexts):
             vals, tags, payloads, items = ctx._drain()
             if items:
-                work[rank] = items
+                work_ranks += [rank] * len(items)
+                work_items += items
             if tags:
                 send_vals += vals
                 send_tags += tags
@@ -124,7 +127,7 @@ def run_spmd(machine, program: Program, *args: Any, P: int | None = None,
                 run_lens.append(len(tags))
 
         live_tokens = [t for t in tokens if t is not None]
-        if not live_tokens and not send_tags and not work:
+        if not live_tokens and not send_tags and not work_items:
             continue  # every processor returned without trailing activity
 
         stagger = True
@@ -153,7 +156,8 @@ def run_spmd(machine, program: Program, *args: Any, P: int | None = None,
 
         # ---- charge local computation (batched across all ranks) ----
         start_max = float(clocks.max())
-        charge_work_dict(machine, work, clocks)
+        work = StepWork.of_items(work_items, work_ranks)
+        charge_batches(machine, work, clocks)
 
         # ---- price communication, advance clocks, deliver payloads ----
         clocks = machine.comm_time(phase, clocks, barrier=barrier)

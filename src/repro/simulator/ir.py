@@ -16,8 +16,8 @@ data seed — replays the program through
 
 Interning is aggressive and *value-based*: two supersteps whose batch
 lists carry identical kinds, ranks and parameters share one record, so
-the per-batchlist pricing/work-dict materialisation (the former hot
-spot) runs once per distinct structure instead of once per superstep.
+the per-batchlist rank ordering and pricing run once per distinct
+structure instead of once per superstep.
 Content hashes (not object ids) key the dedup, so programs that rebuild
 equal arrays each iteration still fold.
 
@@ -48,8 +48,7 @@ import numpy as np
 
 from ..core.errors import SimulationError
 from ..core.relations import CommPhase
-from ..core.work import WORK_FIELDS, Work
-from .batch import WorkBatch, flat_rank_order, materialize_work
+from ..core.work import WORK_FIELDS, StepWork, WorkBatch
 
 __all__ = ["IR_SCHEMA", "StepProgram", "IRStore", "build_program", "ir_key",
            "ir_store", "set_ir_store", "ir_store_scope", "default_ir_root",
@@ -112,14 +111,14 @@ class StepProgram:
     ``phases``/``batchlists`` hold the distinct structures; the per-step
     columns ``phase_idx``/``batch_idx`` (``-1`` = no work) index into
     them, with ``barriers``/``labels`` alongside.  A program holds no
-    data: one recording may serve runs at many data seeds.
-    Machine-independent pricing prep per batchlist — rank-major item
-    order and the trace work dict — is cached on the program and shared
-    by every replay.
+    data: one recording may serve runs at many data seeds.  Each
+    batchlist's :class:`~repro.core.work.StepWork` record (its rank-major
+    item order) is built once, cached on the program and shared by
+    every replay and every superstep of the batchlist.
     """
 
     __slots__ = ("P", "word_bytes", "simd", "phases", "batchlists",
-                 "phase_idx", "batch_idx", "barriers", "labels", "_preps")
+                 "phase_idx", "batch_idx", "barriers", "labels", "_works")
 
     def __init__(self, *, P: int, word_bytes: int, simd: bool,
                  phases: list[CommPhase], batchlists: list[list[WorkBatch]],
@@ -134,30 +133,18 @@ class StepProgram:
         self.batch_idx = batch_idx
         self.barriers = barriers
         self.labels = labels
-        self._preps: list = [None] * len(batchlists)
+        self._works: list[StepWork | None] = [None] * len(batchlists)
 
     @property
     def n_steps(self) -> int:
         return len(self.phase_idx)
 
-    def prep(self, j: int) -> tuple[np.ndarray, np.ndarray | None,
-                                    dict[int, list[Work]]]:
-        """Machine-independent prep of batchlist ``j`` (cached).
-
-        Returns ``(ranks, order, work)``: the rank-major flat ranks, the
-        stable sort that produced them (``None`` if already rank-major)
-        and the trace's ``{rank: [Work, ...]}`` dict — exactly what
-        :func:`~repro.simulator.batch.charge_batches` would rebuild per
-        superstep.
-        """
-        prep = self._preps[j]
-        if prep is None:
-            batches = self.batchlists[j]
-            ranks, order = flat_rank_order(batches)
-            work = materialize_work(batches, ranks.tolist(), order)
-            prep = (ranks, order, work)
-            self._preps[j] = prep
-        return prep
+    def work(self, j: int) -> StepWork:
+        """The work record of batchlist ``j`` (built once, then cached)."""
+        work = self._works[j]
+        if work is None:
+            work = self._works[j] = StepWork.of_batches(self.batchlists[j])
+        return work
 
     # ------------------------------------------------------------------
     # Serialisation (structure only; canonical, so re-records are
@@ -253,8 +240,7 @@ def build_program(*, P: int, word_bytes: int, simd: bool,
     Phases dedup by identity (the collector already interns repeated
     patterns); batch lists dedup by *content* — kind, rank array and
     parameter columns hashed by value — so supersteps that rebuild equal
-    arrays every iteration still share one record, one pricing pass and
-    one work dict.
+    arrays every iteration still share one record and one pricing pass.
     """
     digests: dict[int, tuple[Any, bytes]] = {}
 

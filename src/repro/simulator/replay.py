@@ -2,11 +2,12 @@
 
 Replay is the "price-many" half of the IR engine: no generator ever
 resumes, no ``put_group``/``charge_batch`` bookkeeping re-runs.  The
-machine-independent prep (rank-major item order, trace work dicts) is
-cached on the program; per replay only the machine-dependent pieces are
-computed — one deterministic pricing pass per *distinct* batchlist, one
-batched comm pricer for the phase sequence — and the per-superstep loop
-reduces to RNG-ordered noise application plus clock advancement.
+machine-independent prep (each batchlist's work record, with its
+rank-major item order) is cached on the program; per replay only the
+machine-dependent pieces are computed — one deterministic pricing pass
+per *distinct* batchlist, one batched comm pricer for the phase
+sequence — and the per-superstep loop reduces to RNG-ordered noise
+application plus clock advancement.
 
 Two paths, both bit-identical to the generator and vector engines:
 
@@ -30,24 +31,13 @@ import numpy as np
 
 from ..core.errors import SimulationError
 from ..core.trace import Superstep, Trace
+from ..core.work import NO_WORK, _accumulate
 from ..machines.base import Machine
-from .batch import _accumulate, price_batches
+from .batch import price_batches
 from .ir import StepProgram
 from .result import RunResult
 
 __all__ = ["replay"]
-
-
-class _Priced:
-    """Machine-dependent pricing state of one distinct batchlist."""
-
-    __slots__ = ("ranks", "work", "base", "wmax")
-
-    def __init__(self, ranks, work, base):
-        self.ranks = ranks
-        self.work = work
-        self.base = base      # deterministic prices, rank-major order
-        self.wmax = 0.0       # max per-rank total (fused path only)
 
 
 def _fused_ok(machine) -> bool:
@@ -76,27 +66,22 @@ def replay(machine, prog: StepProgram, *, label: str = "") -> RunResult:
     phases = [prog.phases[j] for j in prog.phase_idx]
     pricer = machine.comm_time_batch(phases)
 
-    priced: list[_Priced] = []
-    for j, batches in enumerate(prog.batchlists):
-        ranks, order, work = prog.prep(j)
-        base = price_batches(machine, batches)
-        if order is not None:
-            base = base[order]
-        priced.append(_Priced(ranks, work, base))
+    works = [prog.work(j) for j in range(len(prog.batchlists))]
+    # deterministic prices per distinct batchlist, rank-major order
+    bases = [price_batches(machine, work) for work in works]
 
     if _fused_ok(machine):
-        return _replay_fused(prog, phases, pricer.sequence_costs(), priced,
-                             label)
-    return _replay_generic(machine, prog, phases, pricer, priced, label)
+        return _replay_fused(prog, phases, pricer.sequence_costs(), works,
+                             bases, label)
+    return _replay_generic(machine, prog, phases, pricer, works, bases,
+                           label)
 
 
-def _replay_fused(prog: StepProgram, phases, costs: np.ndarray,
-                  priced: list[_Priced], label: str) -> RunResult:
+def _replay_fused(prog: StepProgram, phases, costs: np.ndarray, works,
+                  bases, label: str) -> RunResult:
     P = prog.P
-    for pb in priced:
-        w = np.zeros(P)
-        _accumulate(w, pb.ranks, pb.base)
-        pb.wmax = float(w.max())
+    wmax = [float(work.per_rank(base, P).max())
+            for work, base in zip(works, bases)]
     trace = Trace(P=P, label=label)
     append = trace.append
     batch_idx = prog.batch_idx
@@ -106,11 +91,11 @@ def _replay_fused(prog: StepProgram, phases, costs: np.ndarray,
     for i in range(prog.n_steps):
         j = batch_idx[i]
         if j >= 0:
-            t1 = T + priced[j].wmax
-            work = priced[j].work
+            t1 = T + wmax[j]
+            work = works[j]
         else:
             t1 = T
-            work = {}
+            work = NO_WORK
         t2 = t1 + cost_list[i]
         append(Superstep(phase=phases[i], work=work, label=labels[i],
                          measured_us=t2 - T))
@@ -118,8 +103,8 @@ def _replay_fused(prog: StepProgram, phases, costs: np.ndarray,
     return RunResult(time_us=T, clocks=np.full(P, T), trace=trace)
 
 
-def _replay_generic(machine, prog: StepProgram, phases, pricer,
-                    priced: list[_Priced], label: str) -> RunResult:
+def _replay_generic(machine, prog: StepProgram, phases, pricer, works,
+                    bases, label: str) -> RunResult:
     P = prog.P
     clocks = np.zeros(P)
     trace = Trace(P=P, label=label)
@@ -133,15 +118,14 @@ def _replay_generic(machine, prog: StepProgram, phases, pricer,
         start_max = float(clocks.max())
         j = batch_idx[i]
         if j >= 0:
-            pb = priced[j]
-            times = pb.base
+            work = works[j]
+            times = bases[j]
             if noise:
                 times = times * (1.0 + rng.normal(0.0, noise,
                                                   size=times.size))
-            _accumulate(clocks, pb.ranks, times)
-            work = pb.work
+            _accumulate(clocks, work.ranks, times)
         else:
-            work = {}
+            work = NO_WORK
         clocks = pricer.comm_time(i, clocks, barrier=barriers[i])
         if clocks.shape != (P,):
             raise SimulationError(

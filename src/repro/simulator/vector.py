@@ -7,7 +7,7 @@ different data.  :func:`run_spmd_vector` exploits that: ONE generator (a
 "vector program") executes each superstep for all ``P`` ranks at once on
 stacked arrays, emitting sends as whole message *groups*
 (:meth:`VectorContext.put_group`) and work as homogeneous batches
-(:class:`~repro.simulator.batch.WorkBatch`).
+(:class:`~repro.core.work.WorkBatch`).
 
 The contract is strict bit-identity with the generator engine: given the
 same machine (same seed), a vector program and its per-rank counterpart
@@ -17,9 +17,10 @@ its half of the bargain by
 * ordering each superstep's message groups rank-major (source ascending,
   emission order within a source) via a stable sort — the order in which
   the generator engine drains per-rank contexts;
-* charging work through :func:`~repro.simulator.batch.charge_batches`,
-  which prices, jitters and accumulates in the generator path's flat
-  item order;
+* charging each superstep's work as one
+  :class:`~repro.core.work.StepWork` record through
+  :func:`~repro.simulator.batch.charge_batches`, which prices, jitters
+  and accumulates in the generator path's flat item order;
 * mirroring the generator engine's superstep bookkeeping exactly: the
   stagger/barrier/label resolution, the empty-phase barrier, and the
   trailing superstep that drains work charged after the last ``sync``.
@@ -44,8 +45,9 @@ import numpy as np
 from ..core.errors import DeadlockError, SimulationError
 from ..core.relations import CommPhase
 from ..core.trace import Superstep, Trace
-from ..core.work import Compare, Copy, Flops, Generic, MatmulBlock, Merge, RadixSort
-from .batch import WorkBatch, charge_batches
+from ..core.work import (Compare, Copy, Flops, Generic, MatmulBlock, Merge,
+                         RadixSort, StepWork, WorkBatch)
+from .batch import charge_batches
 from .commands import SyncToken
 from .result import RunResult
 
@@ -336,7 +338,8 @@ def run_spmd_vector(machine, program: VectorProgram, *args: Any,
     pricer = machine.comm_time_batch([s[0] for s in steps])
     for i, (phase, batches, barrier, step_label) in enumerate(steps):
         start_max = float(clocks.max())
-        work = charge_batches(machine, batches, clocks)
+        work = StepWork.of_batches(batches)
+        charge_batches(machine, work, clocks)
 
         clocks = pricer.comm_time(i, clocks, barrier=barrier)
         if clocks.shape != (P,):

@@ -69,7 +69,8 @@ class TestRadixTrick:
         sort is over ``key_bits - log2 P`` bits — visible in the trace
         as a RadixSort work item narrower than the 32-bit opener."""
         res = radix.run(cm5, 64, variant="bpram", P=16, seed=1)
-        widths = [w.bits for s in res.trace for items in s.work.values()
+        widths = [w.bits for s in res.trace
+                  for items in s.work.by_rank().values()
                   for w in items if isinstance(w, RadixSort)]
         assert 32 in widths          # the opening full-key sort
         assert 32 - 4 in widths      # the finishing sort, P=16 -> 4 bits

@@ -7,7 +7,7 @@ from repro.core.errors import TraceError
 from repro.core.params import paper_params
 from repro.core.relations import CommPhase
 from repro.core.trace import Superstep, Trace
-from repro.core.work import Flops, Generic
+from repro.core.work import NO_WORK, Flops, Generic, StepWork
 
 CM5 = paper_params("cm5")
 
@@ -77,11 +77,12 @@ class TestTrace:
 
 
 def shared_work_trace():
-    """Five supersteps: three share one work dict, two carry none."""
-    shared = {0: [Flops(100), Generic(5.0)], 3: [Flops(50)]}
-    own = {1: [Flops(7)]}
+    """Six supersteps: three share one work record, two carry none."""
+    shared = StepWork.of_items([Flops(100), Generic(5.0), Flops(50)],
+                               [0, 0, 3])
+    own = StepWork.of_items([Flops(7)], [1])
     tr = Trace(P=8)
-    for work in (shared, {}, shared, own, shared, None):
+    for work in (shared, NO_WORK, shared, own, shared, None):
         step = simple_step()
         if work is not None:
             step.work = work
@@ -105,15 +106,42 @@ class TestWorkTerms:
         assert Trace(P=8).work_terms(CM5) == []
 
     def test_shared_dict_mutated_between_calls_is_repriced(self):
+        """``add_work`` on a superstep sharing a record re-prices that
+        superstep alone: it gets a new record, the shared one is
+        untouched."""
         tr, shared = shared_work_trace()
         before = tr.work_terms(CM5)
         tr[0].add_work(3, Flops(10_000))
         after = tr.work_terms(CM5)
-        assert after != before
         assert after == [s.max_work_nominal_us(CM5) for s in tr]
-        # the mutation reaches every superstep sharing the dict
-        for i in (0, 2, 4):
-            assert after[i] == pytest.approx(10_050 * CM5.alpha)
+        assert after[0] == pytest.approx(10_050 * CM5.alpha)
+        assert after[1:] == before[1:]
+        assert tr[0].work is not shared
+        assert tr[2].work is shared and tr[4].work is shared
+        assert shared.by_rank() == {0: [Flops(100), Generic(5.0)],
+                                    3: [Flops(50)]}
+
+    def test_add_work_on_a_replay_leaves_other_runs_alone(self):
+        """Replays of one program share its cached work records;
+        ``add_work`` on one run's superstep must not reach another run,
+        nor a run made afterwards."""
+        from repro.algorithms import bitonic
+        from repro.machines import GCel
+        from repro.simulator.ir import IRStore, ir_store_scope
+
+        def run(seed):
+            return bitonic.run(GCel(seed=seed), 128, P=16, seed=5).trace
+
+        with ir_store_scope(IRStore(disk=False)) as store:
+            first, second = run(0), run(1)
+            before = second.work_terms(CM5)
+            i = next(i for i, s in enumerate(first) if s.work)
+            first[i].add_work(0, Flops(10_000))
+            third = run(2)
+            assert store.recorded == 1 and store.memory_hits == 2
+        assert first.work_terms(CM5)[i] > before[i]
+        assert second.work_terms(CM5) == before
+        assert third.work_terms(CM5) == before
 
     def test_replayed_trace_prices_each_distinct_dict_once(self,
                                                            monkeypatch):
@@ -128,7 +156,7 @@ class TestWorkTerms:
         trace = res.trace
         distinct = {id(s.work) for s in trace if s.work}
         steps = sum(1 for s in trace if s.work)
-        assert 0 < len(distinct) < steps  # replay shares work dicts
+        assert 0 < len(distinct) < steps  # replay shares work records
 
         calls = []
         original = Superstep.max_work_nominal_us

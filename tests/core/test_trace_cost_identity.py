@@ -1,23 +1,26 @@
-"""Deduplicated work pricing is bit-identical to the per-step formula.
+"""Columnar, deduplicated work pricing is bit-identical to a scalar sum.
 
-:meth:`CostModel.trace_cost` prices each distinct work dict once
-(:meth:`Trace.work_terms`).  These tests pin its result, exactly, to the
-per-superstep formula it replaced, for every scoreboard model and for
+:meth:`CostModel.trace_cost` prices each distinct work record once
+(:meth:`Trace.work_terms`), columnar.  These tests pin its result,
+exactly, to an independent per-superstep formula: every item of
+``step.work.by_rank()`` priced with the scalar ``nominal_time`` and
+summed per rank left to right.  They cover every scoreboard model and
 traces from every engine: the generator and vector programs (through
 ``run_spmd`` and ``run_spmd_vector``), IR record, IR memory hit and IR
-disk hit (whose supersteps share the work dicts the replay
-prepped per batch list).  The consumers routed through the helper --
-``attribute_error`` row totals and ``BSF.p_max`` -- are pinned the same
-way.
+disk hit (whose supersteps share the record the replay cached per batch
+list).  The consumers routed through the helper -- ``attribute_error``
+row totals and ``BSF.p_max`` -- are pinned the same way.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.algorithms import bitonic, lu, radix
 from repro.calibration.table1 import calibration_for
 from repro.core.bsf import BSF
+from repro.core.work import nominal_time
 from repro.machines import make_machine
 from repro.simulator import run_spmd, run_spmd_vector
 from repro.simulator.ir import IRStore, ir_store_scope
@@ -62,11 +65,22 @@ def traces(case, tmp_path):
     return out
 
 
+def scalar_work_us(step, params):
+    """Per-rank nominal work of ``step``, item by item, shape ``(P,)``."""
+    out = np.zeros(step.P)
+    for rank, items in step.work.by_rank().items():
+        out[rank] += sum(nominal_time(item, params) for item in items)
+    return out
+
+
+def scalar_c(step, params):
+    return float(scalar_work_us(step, params).max()) if step.work else 0.0
+
+
 def seed_trace_cost(model, trace):
-    """The per-superstep formula ``trace_cost`` used before deduplication."""
+    """The per-superstep formula, ``c`` priced item by item."""
     comm = model.comm_cost_batch([s.phase for s in trace])
-    return sum(s.max_work_nominal_us(model.params) + c
-               for s, c in zip(trace, comm))
+    return sum(scalar_c(s, model.params) + c for s, c in zip(trace, comm))
 
 
 def seed_attribution(model, trace):
@@ -74,12 +88,13 @@ def seed_attribution(model, trace):
     out: dict[str, float] = {}
     for step in trace:
         key = _family(step.label)
-        out[key] = out.get(key, 0.0) + model.superstep_cost(step)
+        cost = scalar_c(step, model.params) + model.comm_cost(step.phase)
+        out[key] = out.get(key, 0.0) + cost
     return out
 
 
 def seed_p_max(bsf, trace):
-    tc = float(sum(float(s.work_nominal_us(bsf.params).sum())
+    tc = float(sum(float(scalar_work_us(s, bsf.params).sum())
                    for s in trace))
     ti = bsf.t_interact(trace)
     return float("inf") if ti <= 0.0 else math.sqrt(tc / ti)
@@ -108,7 +123,7 @@ def test_trace_cost_matches_seed_formula_exactly(case, tmp_path):
 
 def test_replayed_traces_share_work_dicts(tmp_path):
     """The dedup has something to do: replay hands supersteps of one
-    batch list the same dict, on memory and disk hits alike."""
+    batch list the same record, on memory and disk hits alike."""
     out = traces("maspar/bitonic", tmp_path)
     for engine in ("ir-memory", "ir-disk"):
         steps = [s for s in out[engine] if s.work]

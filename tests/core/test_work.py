@@ -1,11 +1,15 @@
 """Tests for work descriptors and their nominal pricing."""
 
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.errors import ModelError
 from repro.core.params import paper_params
 from repro.core.work import (
+    WORK_FIELDS,
     Compare,
     Copy,
     Flops,
@@ -13,10 +17,19 @@ from repro.core.work import (
     MatmulBlock,
     Merge,
     RadixSort,
+    Work,
+    WorkBatch,
     nominal_time,
+    nominal_time_batch,
 )
+from repro.machines import make_machine
 
 CM5 = paper_params("cm5")
+
+#: every machine's nominal coefficients (the paper machines' are their
+#: ``paper_params``).
+MACHINE_PARAMS = [make_machine(name).nominal
+                  for name in ("maspar", "gcel", "cm5", "t800", "modern")]
 
 
 class TestDescriptors:
@@ -97,3 +110,57 @@ class TestProperties:
         t1 = nominal_time(RadixSort(n, bits=bits, radix_bits=radix), CM5)
         t2 = nominal_time(RadixSort(n + 1, bits=bits, radix_bits=radix), CM5)
         assert t2 >= t1
+
+
+def item_of(kind):
+    """A strategy for one ``kind`` item; counts are integer or float."""
+    num = st.one_of(st.integers(0, 10**9),
+                    st.floats(0, 1e9, allow_nan=False))
+    if kind is MatmulBlock:
+        dim = st.integers(0, 2000)
+        return st.builds(MatmulBlock, dim, dim, dim)
+    if kind is RadixSort:
+        return st.builds(RadixSort, num, st.integers(16, 64),
+                         st.integers(1, 16))
+    return st.builds(kind, num)
+
+
+@st.composite
+def batches(draw):
+    """``(kind, items, params)``: array columns, or broadcast scalars
+    when every item is the same."""
+    kind = draw(st.sampled_from(sorted(WORK_FIELDS, key=lambda k: k.__name__)))
+    n = draw(st.integers(1, 6))
+    fields = WORK_FIELDS[kind]
+    if draw(st.booleans()):
+        one = draw(item_of(kind))
+        items = [one] * n
+        params = WorkBatch(kind, {f: getattr(one, f) for f in fields},
+                           np.zeros(n, dtype=np.int64)).params
+    else:
+        items = draw(st.lists(item_of(kind), min_size=n, max_size=n))
+        params = {f: np.array([getattr(w, f) for w in items])
+                  for f in fields}
+    return kind, items, params
+
+
+class TestBatchPricing:
+    """``nominal_time_batch`` is the price every model's ``c`` term uses;
+    the scalar ``nominal_time`` is its item-by-item reference."""
+
+    @given(batch=batches(), mp=st.sampled_from(MACHINE_PARAMS))
+    def test_equals_scalar_price_exactly(self, batch, mp):
+        kind, items, params = batch
+        got = nominal_time_batch(kind, params, mp)
+        assert got.tolist() == [nominal_time(w, mp) for w in items]
+
+    @pytest.mark.parametrize("mp", MACHINE_PARAMS, ids=lambda p: p.machine)
+    def test_unregistered_kind_raises_from_both(self, mp):
+        @dataclass(frozen=True)
+        class Strange(Work):
+            n: int = 1
+
+        with pytest.raises(ModelError):
+            nominal_time(Strange(), mp)
+        with pytest.raises(ModelError):
+            nominal_time_batch(Strange, {"n": np.ones(2)}, mp)

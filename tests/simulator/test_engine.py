@@ -75,7 +75,8 @@ class TestComputeCharging:
             yield ctx.sync()
 
         res = run_spmd(cm5, prog)
-        assert all(isinstance(w, Flops) for w in res.trace[0].work[0])
+        assert res.trace[0].work.by_rank() == {r: [Flops(500)]
+                                                for r in range(cm5.P)}
 
 
 class TestMultiSuperstep:
