@@ -17,7 +17,6 @@ Front-ends: ``repro ablate`` and the service's ``POST /ablate``.  See
 from .api import AblateRequest, ablate
 from .components import COMPONENTS, Component, resolve_cells, \
     resolve_components
-from .evaluate import evaluate_matrix
 from .report import SCHEMA, build_report, render_report
 from .runs import CellRun, canonical_disabled, cell_run_id, run_matrix
 
@@ -31,7 +30,6 @@ __all__ = [
     "build_report",
     "canonical_disabled",
     "cell_run_id",
-    "evaluate_matrix",
     "render_report",
     "resolve_cells",
     "resolve_components",

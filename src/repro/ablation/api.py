@@ -2,23 +2,25 @@
 
 :func:`ablate` is the one function both front-ends call: resolve the
 component/cell selection, generate the pruned run matrix, evaluate it
-(cache-aware, optionally parallel, optionally under a fault plan) and
-assemble the importance report.  The served path runs it with
-``jobs=1`` inside a batch worker; the CLI may fan the matrix out over
-the persistent pool.  Both produce byte-identical reports — the
+on the job runner (cache-aware, optionally parallel, optionally under a
+fault plan) and assemble the importance report.  The served path runs
+it with ``jobs=1`` inside a batch worker; the CLI may fan the matrix out
+over the persistent pool.  Both produce byte-identical reports — the
 acceptance oracle of the service tests.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..core.errors import AblationError
 from ..faults import Clock, FaultPlan, RetryPolicy
 from ..runner.cache import ResultCache
 from ..runner.fingerprint import source_fingerprint
+from ..runner.pool import Job, run_jobs
+from ..validation.scoreboard import run_cell
 from .components import resolve_cells, resolve_components
-from .evaluate import evaluate_matrix
 from .report import build_report
 from .runs import run_matrix
 
@@ -89,21 +91,42 @@ class AblateRequest:
         return (comps, cells, self.scale, self.seed)
 
 
+def _cell_doc(cell: str, disable: tuple[str, ...], scale: float,
+              seed: int) -> dict:
+    """Run one ablated scoreboard cell; JSON-safe document."""
+    cells = run_cell(cell, scale=scale, seed=seed, disable=disable)
+    return {"cell": cell, "disable": list(disable),
+            "models": [c.to_dict() for c in cells]}
+
+
 def ablate(req: AblateRequest, *, faults: FaultPlan | str | None = None,
            retry: RetryPolicy | None = None,
            exec_timeout_s: float | None = None,
            clock: Clock | None = None) -> dict:
-    """Run the ablation described by ``req``; returns the report dict."""
+    """Run the ablation described by ``req``; returns the report dict.
+
+    Every cell run is one :func:`~repro.runner.pool.run_jobs` job keyed
+    by its run ID; ``faults``/``retry``/``exec_timeout_s``/``clock`` are
+    the runner's.
+    """
     components = resolve_components(req.components)
     cells = resolve_cells(req.cells)
     if not cells:
         raise AblationError("no scoreboard cells selected")
+    fingerprint = source_fingerprint()
     runs = run_matrix(components, cells, scale=req.scale, seed=req.seed,
-                      fingerprint=source_fingerprint())
-    cache = ResultCache(req.cache_dir) if req.use_cache else None
-    docs = evaluate_matrix(runs, scale=req.scale, seed=req.seed,
-                           jobs=req.jobs, cache=cache, force=req.force,
-                           faults=faults, retry=retry,
-                           exec_timeout_s=exec_timeout_s, clock=clock)
+                      fingerprint=fingerprint)
+    done = run_jobs(
+        [Job(run.run_id, {"experiment": f"ablate:{run.cell}",
+                          "disable": list(run.disable), "scale": req.scale,
+                          "seed": req.seed, "code": fingerprint},
+             functools.partial(_cell_doc, run.cell, run.disable, req.scale,
+                               req.seed))
+         for run in runs],
+        workers=req.jobs, seed=req.seed,
+        cache=ResultCache(req.cache_dir) if req.use_cache else None,
+        force=req.force, faults=faults, retry=retry,
+        exec_timeout_s=exec_timeout_s, clock=clock)
+    docs = {run_id: out.doc for run_id, out in done.items()}
     return build_report(runs, docs, components=components, cells=cells,
                         scale=req.scale, seed=req.seed)

@@ -14,8 +14,9 @@ flagged ``harmful``.  Components are ranked by ``|importance|``
 (name-tiebroken), so both strongly helpful and strongly harmful
 phenomena surface at the top.
 
-Everything here is pure arithmetic over the JSON cell documents of
-:mod:`repro.ablation.evaluate` in a deterministic order, so the report
+Everything here is pure arithmetic over the JSON cell documents that
+:func:`repro.ablation.ablate` collects from the job runner, in a
+deterministic order, so the report
 — and its rendered table — is byte-identical across runs, job counts
 and cache states.
 """

@@ -1,33 +1,27 @@
 """Validated entry point shared by ``repro bounds`` and ``POST /bounds``.
 
 :func:`bounds` is the one function both front-ends call: resolve the
-cell selection, measure every cell (IR-store warm path, cache-aware,
-optionally parallel) and assemble the ranked headroom report.  The
-served path runs it with ``jobs=1`` inside a batch worker; the CLI may
-fan cells out over the persistent pool.  Both produce byte-identical
-reports — the acceptance oracle of the service tests.
+cell selection, measure every cell on the job runner (IR-store warm
+path, cache-aware, optionally parallel) and assemble the ranked headroom
+report.  The served path runs it with ``jobs=1`` inside a batch worker;
+the CLI may fan cells out over the persistent pool.  Both produce
+byte-identical reports — the acceptance oracle of the service tests.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass
 
 from ..core.errors import BoundsError
-from ..faults import RetryPolicy, SYSTEM_CLOCK
 from ..runner.cache import ResultCache
 from ..runner.fingerprint import source_fingerprint
-from ..runner.pool import collect_resilient, shutdown_pool, warm_pool
+from ..runner.pool import Job, run_jobs
 from .analytic import cell_bound
-from .cells import (
-    BOUND_CELLS,
-    BoundCell,
-    SCOREBOARD_BOUND_CELLS,
-    resolve_bound_cells,
-)
+from .cells import BOUND_CELLS, SCOREBOARD_BOUND_CELLS, resolve_bound_cells
 from .measure import measure_cell
 from .report import build_report
 
@@ -116,91 +110,30 @@ def bound_run_id(cell: str, *, scale: float, seed: int,
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _bounds_worker(name: str, scale: float, seed: int) -> tuple[dict, float]:
-    """Pool-side cell measurement."""
-    t0 = time.perf_counter()
-    doc = measure_cell(BOUND_CELLS[name], scale=scale, seed=seed)
-    return doc, time.perf_counter() - t0
-
-
-def evaluate_cells(cells: tuple[BoundCell, ...], *, scale: float, seed: int,
-                   jobs: int = 1, cache: ResultCache | None = None,
-                   force: bool = False) -> dict[str, dict]:
-    """Measure every cell; returns ``cell name -> measurement doc``.
-
-    Mirrors the ablation evaluator: probe the result cache, measure the
-    misses (inline for ``jobs == 1``, else on the persistent pool with
-    in-process fallback), round-trip fresh docs through JSON so fresh
-    and cached reports are byte-identical, store them.
-    """
-    if jobs < 1:
-        raise BoundsError(f"jobs must be >= 1, got {jobs}")
-    fingerprint = source_fingerprint()
-    docs: dict[str, dict] = {}
-    misses: list[tuple[BoundCell, str]] = []
-    for cell in cells:
-        run_id = bound_run_id(cell.name, scale=scale, seed=seed,
-                              fingerprint=fingerprint)
-        label = f"bounds:{cell.name}"
-        if cache is not None and not force:
-            hit = cache.get_doc(run_id, label)
-            if hit is not None:
-                docs[cell.name] = hit
-                continue
-        misses.append((cell, run_id))
-
-    if misses:
-        if jobs == 1 or len(misses) == 1:
-            fresh = {cell.name: measure_cell(cell, scale=scale, seed=seed)
-                     for cell, _ in misses}
-        else:
-            fresh = {}
-            policy = RetryPolicy(max_attempts=3, base_delay_s=0.05,
-                                 max_delay_s=1.0, seed=seed)
-            ex = warm_pool(jobs, seed=seed)
-            futures = {cell.name: ex.submit(_bounds_worker, cell.name,
-                                            scale, seed)
-                       for cell, _ in misses}
-            by_name = {cell.name: cell for cell, _ in misses}
-            try:
-                for name, fut in futures.items():
-                    cell = by_name[name]
-
-                    def fallback(cell=cell):
-                        t0 = time.perf_counter()
-                        doc = measure_cell(cell, scale=scale, seed=seed)
-                        return doc, time.perf_counter() - t0
-
-                    doc, _ = collect_resilient(
-                        _bounds_worker, (name, scale, seed), fut,
-                        fallback=fallback, jobs=jobs, seed=seed,
-                        policy=policy, clock=SYSTEM_CLOCK, timeout_s=None)
-                    fresh[name] = doc
-            except BaseException:
-                for pending in futures.values():
-                    pending.cancel()
-                shutdown_pool()
-                raise
-        for (cell, run_id) in misses:
-            # round-trip so fresh == cached byte for byte downstream
-            doc = json.loads(json.dumps(fresh[cell.name]))
-            if cache is not None:
-                if force:
-                    cache.stats.record(f"bounds:{cell.name}", hit=False)
-                cache.put_doc(run_id, doc, meta={
-                    "experiment": f"bounds:{cell.name}",
-                    "scale": scale, "seed": seed, "code": fingerprint})
-            docs[cell.name] = doc
-
-    return docs
-
-
 def bounds(req: BoundsRequest) -> dict:
-    """Run the optimality scoreboard described by ``req``."""
+    """Run the optimality scoreboard described by ``req``.
+
+    Every cell measurement is one :func:`~repro.runner.pool.run_jobs`
+    job keyed by :func:`bound_run_id`.
+    """
     cells = resolve_bound_cells(req.cells)
-    cache = ResultCache(req.cache_dir) if req.use_cache else None
-    docs = evaluate_cells(cells, scale=req.scale, seed=req.seed,
-                          jobs=req.jobs, cache=cache, force=req.force)
+    if req.jobs < 1:
+        raise BoundsError(f"jobs must be >= 1, got {req.jobs}")
+    fingerprint = source_fingerprint()
+    run_ids = [bound_run_id(cell.name, scale=req.scale, seed=req.seed,
+                            fingerprint=fingerprint) for cell in cells]
+    done = run_jobs(
+        [Job(run_id, {"experiment": f"bounds:{cell.name}",
+                      "scale": req.scale, "seed": req.seed,
+                      "code": fingerprint},
+             functools.partial(measure_cell, cell, scale=req.scale,
+                               seed=req.seed))
+         for cell, run_id in zip(cells, run_ids)],
+        workers=req.jobs, seed=req.seed,
+        cache=ResultCache(req.cache_dir) if req.use_cache else None,
+        force=req.force)
+    docs = {cell.name: done[run_id].doc
+            for cell, run_id in zip(cells, run_ids)}
     return build_report(cells, docs, scale=req.scale, seed=req.seed,
                         threshold=req.threshold)
 

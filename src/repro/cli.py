@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .calibration import calibrate_all, render_table1
@@ -713,9 +714,38 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _cache_root(cache_dir: str | None):
+    """Make ``--cache-dir`` the one cache root for a command.
+
+    The result cache, the step-program store and every pool or fleet
+    worker resolve their root from ``$REPRO_CACHE_DIR``, so the command
+    exports it and installs a fresh process-wide step-program store
+    (whose memory holds only what this root serves); both are restored
+    afterwards.
+    """
+    if cache_dir is None:
+        yield
+        return
+    from .simulator.ir import IRStore, ir_store_scope
+
+    previous = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = cache_dir
+    try:
+        with ir_store_scope(IRStore()):
+            yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_CACHE_DIR", None)
+        else:
+            os.environ["REPRO_CACHE_DIR"] = previous
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        return _dispatch(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
+        with _cache_root(getattr(args, "cache_dir", None)):
+            return _dispatch(args)
     except BrokenPipeError:
         # Reader of a `repro ... | head`-style pipe went away; exit with
         # the conventional SIGPIPE status instead of a traceback.  Point

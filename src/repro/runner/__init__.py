@@ -1,4 +1,5 @@
-"""Parallel, cache-aware experiment execution (``repro run --jobs N``)."""
+"""Parallel, cache-aware job execution: one runner for the experiments
+(``repro run --jobs N``), the ablation cells and the bounds cells."""
 
 from .bench import (
     BenchRecord,

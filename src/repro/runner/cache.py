@@ -1,21 +1,24 @@
-"""Content-addressed on-disk cache of experiment results.
+"""Content-addressed on-disk cache of job documents.
 
 Layout: one JSON file per entry under ``<root>/results/<key[:2]>/<key>.json``
 holding a metadata header (experiment id, scale, seed, code fingerprint)
-next to the full :class:`~repro.validation.series.ExperimentResult`
-serialisation.  JSON round-trips ``float64`` exactly (``repr`` is the
-shortest round-tripping decimal), so cached series are bit-identical to
-freshly computed ones — which the golden tests assert.
+next to the job's JSON document — a serialised
+:class:`~repro.validation.series.ExperimentResult`, an ablation cell or a
+bounds cell (see :func:`repro.runner.pool.run_jobs`).  JSON round-trips
+``float64`` exactly (``repr`` is the shortest round-tripping decimal), so
+cached series are bit-identical to freshly computed ones — which the
+golden tests assert.
 
-The default root is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.  Writes
-are atomic (temp file + ``os.replace``) so a crashed run never leaves a
-truncated entry behind.
+The default root is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``; recorded
+step programs live under its ``ir/`` (:mod:`repro.simulator.ir`).
+Writes are atomic (temp file + ``os.replace``) so a crashed run never
+leaves a truncated entry behind.
 
 Self-healing reads: every entry stores a SHA-256 checksum of its result
-payload, verified on ``get``.  An entry that fails to parse or to verify
+payload, verified on ``get_doc``.  An entry that fails to parse or to verify
 (bit-rot, torn write, stale checksum) is *quarantined* — moved aside
 under ``<root>/quarantine/`` for post-mortems — and reported as a miss,
-so the caller recomputes and the next ``put`` heals the slot.  The
+so the caller recomputes and the next ``put_doc`` heals the slot.  The
 chaos suite drives this path via the ``cache-corrupt``/``cache-truncate``
 /``cache-stale`` fault points, which mangle the payload between
 serialisation and the atomic rename.
@@ -32,7 +35,6 @@ from pathlib import Path
 
 from ..core.errors import ExperimentError
 from ..faults import fault_flag
-from ..validation.series import ExperimentResult
 
 __all__ = ["CacheStats", "ResultCache", "default_cache_root"]
 
@@ -121,12 +123,12 @@ class ResultCache:
         return doc
 
     def get_doc(self, key: str, label: str = "?") -> dict | None:
-        """The raw JSON payload cached under ``key``, or None.
+        """The JSON document cached under ``key``, or None.
 
-        The generic sibling of :meth:`get` — same verification and
-        quarantine behaviour, but the payload is handed back as parsed
-        JSON instead of an :class:`ExperimentResult` (the ablation
-        harness caches per-cell scoreboard documents this way).
+        Corrupt entries — unparseable JSON, wrong format, or a checksum
+        mismatch — are quarantined and reported as a miss, so callers
+        transparently recompute.  ``label`` names the entry in
+        :attr:`stats`.
         """
         path = self._path(key)
         try:
@@ -143,37 +145,11 @@ class ResultCache:
         self.stats.record(label, hit=True)
         return doc["result"]
 
-    def get(self, key: str, exp_id: str = "?") -> ExperimentResult | None:
-        """The cached result under ``key``, or None.
-
-        Corrupt entries — unparseable JSON, wrong format, or a checksum
-        mismatch — are quarantined and reported as a miss, so callers
-        transparently recompute.
-        """
-        result_doc = self.get_doc(key, exp_id)
-        if result_doc is None:
-            return None
-        try:
-            return ExperimentResult.from_dict(result_doc)
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(self._path(key))
-            self.stats.hits -= 1
-            self.stats.record(exp_id, hit=False)
-            return None
-
-    def put(self, key: str, result: ExperimentResult, *,
-            meta: dict | None = None) -> Path:
-        """Store ``result`` under ``key`` atomically; returns the path."""
-        return self.put_doc(key, result.to_dict(), meta=meta)
-
     def put_doc(self, key: str, result_doc: dict, *,
                 meta: dict | None = None) -> Path:
-        """Store a raw JSON payload under ``key`` atomically.
-
-        Everything :meth:`put` layers on top of the payload — checksum,
-        fault points, atomic rename — lives here, so generic documents
-        get the same corruption handling as experiment results.
-        """
+        """Store a JSON document under ``key`` atomically; returns the
+        path.  The entry carries the document's checksum, so a mangled
+        write (the ``cache-*`` fault points) is caught on read."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         checksum = _result_checksum(result_doc)

@@ -39,9 +39,9 @@ def price_batches(machine, work: StepWork) -> np.ndarray:
 def charge_batches(machine, work: StepWork, clocks: np.ndarray) -> None:
     """Charge one superstep's work to ``clocks``, noise included.
 
-    Every engine charges through here (replay caches the deterministic
-    prices per batch list), so prices, noise draws and clock updates are
-    the same whether a generator or a vector program emitted the work.
+    The generator engine charges through here; replay applies the same
+    prices, noise draw and clock update to the prices it caches per
+    batch list, so the work costs the same whichever program emitted it.
     """
     if not work:
         return

@@ -22,13 +22,13 @@ Content hashes (not object ids) key the dedup, so programs that rebuild
 equal arrays each iteration still fold.
 
 The :class:`IRStore` keeps programs in memory and, content-addressed by
-:func:`ir_key`, on disk next to the result cache
-(``$REPRO_CACHE_DIR``/``~/.cache/repro`` under ``ir/``).  Keys include
-the IR schema version and the recording algorithm's source fingerprint,
-so editing an algorithm or bumping the schema invalidates stale
-recordings.  Blobs carry a SHA-256 checksum; corrupt files are
-quarantined and transparently re-recorded (byte-identically, since
-serialisation is canonical).  Programs, in memory and on disk, store
+:func:`ir_key`, on disk under ``ir/`` of the result cache's root
+(``$REPRO_CACHE_DIR``/``~/.cache/repro``, or a command's
+``--cache-dir``).  Keys include the IR schema version and the recording
+algorithm's source fingerprint, so editing an algorithm or bumping the
+schema invalidates stale recordings.  Blobs carry a SHA-256 checksum;
+corrupt files are quarantined and transparently re-recorded
+(byte-identically, since serialisation is canonical).  Programs, in memory and on disk, store
 structure only — the inputs and per-rank *results* of a run belong to
 that run alone and are produced per call by a data-only program pass
 (see :mod:`repro.simulator.lower`).
@@ -343,10 +343,11 @@ def ir_key(*, algorithm: str, fingerprint: str, P: int, word_bytes: int,
 
 
 def default_ir_root() -> Path:
-    """``<result-cache root>/ir`` (honours ``$REPRO_CACHE_DIR``)."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    base = Path(env).expanduser() if env else Path.home() / ".cache" / "repro"
-    return base / "ir"
+    """``ir/`` under the one cache root,
+    :func:`repro.runner.cache.default_cache_root`."""
+    from ..runner.cache import default_cache_root
+
+    return default_cache_root() / "ir"
 
 
 def _encode_blob(payload: dict) -> bytes:

@@ -52,7 +52,7 @@ from ..core.errors import SimulationError
 from .ir import build_program, ir_key, ir_store
 from .replay import replay
 from .result import RunResult
-from .vector import VectorContext, collect_steps
+from .vector import VectorContext, _execute
 
 __all__ = ["run_lowered", "algorithm_fingerprint",
            "clear_algorithm_fingerprints"]
@@ -109,19 +109,6 @@ class _DataOnlyContext(VectorContext):
 
     def charge_batch(self, kind, ranks, **params) -> None:
         return None
-
-
-def _execute(ctx: VectorContext, program, args, kwargs,
-             max_supersteps: int):
-    gen = program(ctx, *args, **kwargs)
-    if not hasattr(gen, "__next__"):
-        raise SimulationError(
-            "vector program must be a generator function (got "
-            f"{type(gen).__name__}); did you forget a 'yield ctx.sync()'?")
-    steps, returns = collect_steps(ctx, gen, max_supersteps=max_supersteps)
-    if returns is not None and not isinstance(returns, list):
-        returns = list(returns)
-    return steps, returns
 
 
 def run_lowered(machine, program, *args: Any, algorithm: str,

@@ -17,10 +17,10 @@ its half of the bargain by
 * ordering each superstep's message groups rank-major (source ascending,
   emission order within a source) via a stable sort — the order in which
   the generator engine drains per-rank contexts;
-* charging each superstep's work as one
-  :class:`~repro.core.work.StepWork` record through
-  :func:`~repro.simulator.batch.charge_batches`, which prices, jitters
-  and accumulates in the generator path's flat item order;
+* handing each superstep's work batches, in emission order, to the
+  step program, whose replay prices, jitters and accumulates them in
+  the generator path's flat item order
+  (:mod:`repro.simulator.replay`);
 * mirroring the generator engine's superstep bookkeeping exactly: the
   stagger/barrier/label resolution, the empty-phase barrier, and the
   trailing superstep that drains work charged after the last ``sync``.
@@ -32,8 +32,8 @@ partial sums rather than ``np.sum`` along an axis).
 
 Every algorithm's ``run()`` drives its vector program through
 :func:`collect_steps` inside :func:`repro.simulator.lower.run_lowered`;
-:func:`run_spmd_vector` prices the same steps in line, for custom
-programs and the equivalence tests.
+:func:`run_spmd_vector` records and replays the same steps without the
+store, for custom programs and the equivalence tests.
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ import numpy as np
 
 from ..core.errors import DeadlockError, SimulationError
 from ..core.relations import CommPhase
-from ..core.trace import Superstep, Trace
 from ..core.work import (Compare, Copy, Flops, Generic, MatmulBlock, Merge,
-                         RadixSort, StepWork, WorkBatch)
-from .batch import charge_batches
+                         RadixSort, WorkBatch)
 from .commands import SyncToken
+from .ir import build_program
+from .replay import replay
 from .result import RunResult
 
 __all__ = ["VectorContext", "run_spmd_vector", "collect_steps", "stand_in"]
@@ -229,10 +229,11 @@ def collect_steps(ctx: VectorContext, gen: Iterator[SyncToken], *,
     ``(phase, batches, barrier, label)`` record per superstep.
 
     SPMD programs never observe the clocks, and nothing here touches the
-    machine RNG, so execution is machine-independent: the same records
-    feed :func:`run_spmd_vector`'s in-line pricing pass and the IR
-    recorder (:mod:`repro.simulator.lower`).  Returns ``(steps,
-    returns)`` with ``returns`` the program's return value (unconverted).
+    machine RNG, so execution is machine-independent: the records feed
+    the IR recorder (:func:`~repro.simulator.ir.build_program`) for
+    :func:`run_spmd_vector` and :mod:`repro.simulator.lower` alike.
+    Returns ``(steps, returns)`` with ``returns`` the program's return
+    value (unconverted).
     """
     P = ctx.P
     steps: list[tuple[CommPhase, list[WorkBatch], bool, str]] = []
@@ -305,6 +306,21 @@ def collect_steps(ctx: VectorContext, gen: Iterator[SyncToken], *,
     return steps, returns
 
 
+def _execute(ctx: VectorContext, program: VectorProgram, args, kwargs,
+             max_supersteps: int):
+    """Run ``program`` on ``ctx`` through :func:`collect_steps`; returns
+    ``(steps, returns)`` with ``returns`` as a list (or None)."""
+    gen = program(ctx, *args, **kwargs)
+    if not hasattr(gen, "__next__"):
+        raise SimulationError(
+            "vector program must be a generator function (got "
+            f"{type(gen).__name__}); did you forget a 'yield ctx.sync()'?")
+    steps, returns = collect_steps(ctx, gen, max_supersteps=max_supersteps)
+    if returns is not None and not isinstance(returns, list):
+        returns = list(returns)
+    return steps, returns
+
+
 def run_spmd_vector(machine, program: VectorProgram, *args: Any,
                     P: int | None = None, label: str = "",
                     max_supersteps: int = 1_000_000,
@@ -314,43 +330,17 @@ def run_spmd_vector(machine, program: VectorProgram, *args: Any,
     Drop-in replacement for :func:`run_spmd` given the vector port of a
     per-rank program: same :class:`RunResult` (``returns`` is the list
     the program returns, one entry per rank), bit-identical clocks and
-    trace.
+    trace.  It is :func:`~repro.simulator.lower.run_lowered` without the
+    store: execute, intern the steps into a program, replay it.
     """
     P = machine.P if P is None else P
     if not 0 < P <= machine.P:
         raise SimulationError(
             f"requested P={P} processors on a {machine.P}-processor machine")
-
     ctx = VectorContext(P, machine.nominal.w, simd=machine.simd)
-    gen = program(ctx, *args, **kwargs)
-    if not hasattr(gen, "__next__"):
-        raise SimulationError(
-            "vector program must be a generator function (got "
-            f"{type(gen).__name__}); did you forget a 'yield ctx.sync()'?")
-
-    steps, returns = collect_steps(ctx, gen, max_supersteps=max_supersteps)
-
-    # Pass 2 — price every superstep in order: work first, then the
-    # phase, exactly as the interleaved scalar loop would, so the machine
-    # RNG stream is consumed identically.
-    clocks = np.zeros(P)
-    trace = Trace(P=P, label=label)
-    pricer = machine.comm_time_batch([s[0] for s in steps])
-    for i, (phase, batches, barrier, step_label) in enumerate(steps):
-        start_max = float(clocks.max())
-        work = StepWork.of_batches(batches)
-        charge_batches(machine, work, clocks)
-
-        clocks = pricer.comm_time(i, clocks, barrier=barrier)
-        if clocks.shape != (P,):
-            raise SimulationError(
-                f"machine {machine.name} returned clocks of shape "
-                f"{clocks.shape}, expected ({P},)")
-
-        trace.append(Superstep(phase=phase, work=work, label=step_label,
-                               measured_us=float(clocks.max()) - start_max))
-
-    if returns is not None and not isinstance(returns, list):
-        returns = list(returns)
-    return RunResult(time_us=float(clocks.max()), clocks=clocks,
-                     trace=trace, returns=returns)
+    steps, returns = _execute(ctx, program, args, kwargs, max_supersteps)
+    prog = build_program(P=P, word_bytes=ctx.word_bytes, simd=ctx.simd,
+                         steps=steps)
+    result = replay(machine, prog, label=label)
+    result.returns = returns
+    return result

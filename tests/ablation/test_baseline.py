@@ -13,7 +13,7 @@ Two properties make every importance number trustworthy:
 
 import pytest
 
-from repro.ablation.evaluate import _cell_doc
+from repro.ablation.api import _cell_doc
 from repro.core.errors import SimulationError
 from repro.machines import make_machine
 from repro.validation.scoreboard import CELL_SPECS, build_scoreboard, \

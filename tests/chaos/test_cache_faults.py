@@ -13,6 +13,7 @@ import pytest
 from repro.experiments import get
 from repro.faults import faults_active
 from repro.runner import ResultCache, run_experiments
+from repro.validation.series import ExperimentResult
 
 pytestmark = pytest.mark.chaos
 
@@ -32,33 +33,35 @@ class TestQuarantineAndHeal:
                                                    point):
         cache = ResultCache(tmp_path)
         with faults_active(f"{point}:count=1"):
-            cache.put(KEY, result)
+            cache.put_doc(KEY, result.to_dict())
             # the poisoned entry is detected, moved aside, and missed
-            assert cache.get(KEY) is None
+            assert cache.get_doc(KEY) is None
             assert cache.stats.quarantined == 1
             assert len(cache.quarantined()) == 1
             # recompute-and-store heals the slot (count is exhausted)
-            cache.put(KEY, result)
-        healed = cache.get(KEY)
-        assert healed is not None and healed.identical(result)
+            cache.put_doc(KEY, result.to_dict())
+        healed = cache.get_doc(KEY)
+        assert healed is not None
+        assert ExperimentResult.from_dict(healed).identical(result)
         assert cache.stats.quarantined == 1  # no second quarantine
 
     def test_healed_entry_is_byte_identical_to_clean(self, tmp_path, result):
         clean = ResultCache(tmp_path / "clean")
         faulted = ResultCache(tmp_path / "faulted")
-        clean_path = clean.put(KEY, result, meta={"experiment": "fig14"})
+        doc, meta = result.to_dict(), {"experiment": "fig14"}
+        clean_path = clean.put_doc(KEY, doc, meta=meta)
         with faults_active("cache-corrupt:count=1"):
-            faulted.put(KEY, result, meta={"experiment": "fig14"})
-            faulted.get(KEY)  # quarantine
-            healed_path = faulted.put(KEY, result,
-                                      meta={"experiment": "fig14"})
+            faulted.put_doc(KEY, doc, meta=meta)
+            faulted.get_doc(KEY)  # quarantine
+            healed_path = faulted.put_doc(KEY, doc, meta=meta)
         assert healed_path.read_bytes() == clean_path.read_bytes()
 
     def test_clean_entries_verify_and_stay_put(self, tmp_path, result):
         cache = ResultCache(tmp_path)
-        cache.put(KEY, result)
-        got = cache.get(KEY)
-        assert got is not None and got.identical(result)
+        cache.put_doc(KEY, result.to_dict())
+        got = cache.get_doc(KEY)
+        assert got is not None
+        assert ExperimentResult.from_dict(got).identical(result)
         assert cache.stats.quarantined == 0
         assert cache.quarantined() == []
 
@@ -66,13 +69,13 @@ class TestQuarantineAndHeal:
         """Checksum verification catches bit-rot, not just injected
         faults: flip one character on disk by hand."""
         cache = ResultCache(tmp_path)
-        path = cache.put(KEY, result)
+        path = cache.put_doc(KEY, result.to_dict())
         raw = path.read_text()
         i = raw.index('"result"') + 20
         flipped = raw[:i] + ("1" if raw[i] != "1" else "2") + raw[i + 1:]
         assert json.loads(flipped)  # still valid JSON — only the sum fails
         path.write_text(flipped)
-        assert cache.get(KEY) is None
+        assert cache.get_doc(KEY) is None
         assert cache.stats.quarantined == 1
 
 
@@ -101,6 +104,6 @@ class TestRunnerEndToEnd:
     def test_stats_summary_reports_quarantine(self, tmp_path, result):
         cache = ResultCache(tmp_path)
         with faults_active("cache-truncate:count=1"):
-            cache.put(KEY, result)
-        cache.get(KEY)
+            cache.put_doc(KEY, result.to_dict())
+        cache.get_doc(KEY)
         assert "1 quarantined" in cache.stats.summary()

@@ -7,9 +7,11 @@ exactly (or at most) its budgeted attempts — measured on a FakeClock,
 so no test actually sleeps through a backoff schedule.
 """
 
+import json
+
 import pytest
 
-from repro.faults import FakeClock, RetryPolicy
+from repro.faults import FakeClock, RetryPolicy, faults_active
 from repro.runner import run_experiments
 
 pytestmark = [pytest.mark.chaos, pytest.mark.slow]
@@ -56,6 +58,28 @@ class TestWorkerCrash:
         for out in outs:
             assert out.result.identical(baseline[out.id]), out.id
         assert fake_clock.sleeps == POLICY.delays() * len(IDS)
+
+    def test_certain_crash_in_bounds_cells_falls_back_in_process(
+            self, monkeypatch):
+        """Bounds cells run on the same pool path as experiments: every
+        pool attempt crashes, the in-process fallback measures each cell,
+        and the report matches the fault-free one byte for byte."""
+        from repro.bounds import BoundsRequest, bounds
+        from repro.runner import pool
+
+        cells = ("apsp/gcel", "bitonic/maspar")
+        clean = bounds(BoundsRequest(cells=cells, scale=0.3,
+                                     use_cache=False))
+        clock = FakeClock()  # bounds backs off on the runner's clock
+        monkeypatch.setattr(pool, "SYSTEM_CLOCK", clock)
+        with faults_active("worker-crash:p=1"):
+            report = bounds(BoundsRequest(cells=cells, scale=0.3, jobs=2,
+                                          use_cache=False))
+        assert json.dumps(report, sort_keys=True) \
+            == json.dumps(clean, sort_keys=True)
+        # the crash fired: each cell spent the runner's default backoff
+        # (three attempts, two sleeps) before falling back
+        assert len(clock.sleeps) == 2 * len(cells)
 
     def test_faulted_results_land_in_cache_and_heal(self, baseline,
                                                     fake_clock, tmp_path):

@@ -38,44 +38,45 @@ class TestRoundTrip:
     def test_put_get_bit_identical(self, tmp_path):
         cache = ResultCache(tmp_path)
         res = _result()
-        cache.put(KEY, res, meta={"experiment": "figX"})
-        got = cache.get(KEY)
-        assert got is not None
+        cache.put_doc(KEY, res.to_dict(), meta={"experiment": "figX"})
+        doc = cache.get_doc(KEY)
+        assert doc is not None
+        got = ExperimentResult.from_dict(doc)
         assert got.identical(res)
         # bitwise, not approximately
         assert got.series[0].ys.tobytes() == res.series[0].ys.tobytes()
 
     def test_miss_returns_none(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.get(KEY) is None
+        assert cache.get_doc(KEY) is None
         assert cache.stats.misses == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        path = cache.put(KEY, _result())
+        path = cache.put_doc(KEY, _result().to_dict())
         path.write_text("{ truncated")
-        assert cache.get(KEY) is None
+        assert cache.get_doc(KEY) is None
 
     def test_unknown_format_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        path = cache.put(KEY, _result())
+        path = cache.put_doc(KEY, _result().to_dict())
         doc = json.loads(path.read_text())
         doc["format"] = 999
         path.write_text(json.dumps(doc))
-        assert cache.get(KEY) is None
+        assert cache.get_doc(KEY) is None
 
     def test_malformed_key_rejected(self, tmp_path):
         cache = ResultCache(tmp_path)
         with pytest.raises(ExperimentError, match="malformed"):
-            cache.get("../../../etc/passwd")
+            cache.get_doc("../../../etc/passwd")
 
 
 class TestStatsAndListing:
     def test_stats_track_outcomes(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put(KEY, _result())
-        cache.get(KEY, "figX")
-        cache.get(KEY2, "figY")
+        cache.put_doc(KEY, _result().to_dict())
+        cache.get_doc(KEY, "figX")
+        cache.get_doc(KEY2, "figY")
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
@@ -84,8 +85,10 @@ class TestStatsAndListing:
 
     def test_entries_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put(KEY, _result(), meta={"experiment": "figX", "seed": 0})
-        cache.put(KEY2, _result(), meta={"experiment": "figY", "seed": 1})
+        cache.put_doc(KEY, _result().to_dict(),
+                      meta={"experiment": "figX", "seed": 0})
+        cache.put_doc(KEY2, _result().to_dict(),
+                      meta={"experiment": "figY", "seed": 1})
         entries = cache.entries()
         assert [e["experiment"] for e in entries] == ["figX", "figY"]
         assert all(e["bytes"] > 0 for e in entries)

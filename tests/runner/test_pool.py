@@ -125,7 +125,8 @@ class TestWarmPool:
 
 
 def _boom(exp_id, scale, seed):
-    """Stand-in worker raising a deterministic (non-retryable) error."""
+    """Stand-in experiment job raising a deterministic (non-retryable)
+    error."""
     raise RuntimeError(f"injected pool failure for {exp_id}")
 
 
@@ -136,7 +137,7 @@ class TestPoolErrorCleanup:
         error must still propagate, but the pool must be shut down."""
         from repro.runner import pool as pool_mod
 
-        monkeypatch.setattr(pool_mod, "_worker", _boom)
+        monkeypatch.setattr(pool_mod, "_experiment_doc", _boom)
         with pytest.raises(RuntimeError, match="injected pool failure"):
             run_experiments(BATCH, scale=0.3, jobs=2, cache=None)
         assert pool_mod._pool is None  # reaped, not leaked
@@ -144,7 +145,7 @@ class TestPoolErrorCleanup:
     def test_pool_usable_again_after_cleanup(self, monkeypatch):
         from repro.runner import pool as pool_mod
 
-        monkeypatch.setattr(pool_mod, "_worker", _boom)
+        monkeypatch.setattr(pool_mod, "_experiment_doc", _boom)
         with pytest.raises(RuntimeError):
             run_experiments(BATCH, scale=0.3, jobs=2, cache=None)
         monkeypatch.undo()

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -388,3 +392,53 @@ class TestEngineFlag:
         assert main(["cache", "clear"]) == 0
         out = capsys.readouterr().out
         assert "step program(s)" in out
+
+
+class TestCacheDir:
+    def test_cache_dir_roots_results_and_step_programs(self, tmp_path):
+        """``--cache-dir A`` is the one root of a command's stores, pool
+        workers included, even when ``$REPRO_CACHE_DIR`` names another;
+        ``cache info`` and ``cache clear`` on ``A`` see its programs."""
+        a, b = tmp_path / "A", tmp_path / "B"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, REPRO_CACHE_DIR=str(b), PYTHONPATH=src)
+
+        def repro(*argv: str) -> str:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *argv], env=env,
+                capture_output=True, text=True, check=True).stdout
+
+        repro("run", "fig5", "--cache-dir", str(a), "--jobs", "2",
+              "--no-plot")
+        assert list((a / "results").rglob("*.json"))
+        assert list((a / "ir").rglob("*.irp"))
+        assert not list(b.rglob("*.irp"))
+        info = json.loads(repro("cache", "info", "--cache-dir", str(a),
+                                "--json"))
+        assert info["ir"]["count"] > 0
+        repro("cache", "clear", "--cache-dir", str(a))
+        assert not list((a / "ir").rglob("*.irp"))
+
+    def test_in_process_command_moves_the_pool_and_restores(self,
+                                                            tmp_path,
+                                                            capsys):
+        """In-process, ``--cache-dir`` also reaches a pool forked before
+        the command (it is rebuilt under the new root), and the command
+        leaves ``$REPRO_CACHE_DIR`` and the process-wide store as it
+        found them."""
+        from repro.runner.pool import shutdown_pool, warm_pool
+        from repro.simulator.ir import ir_store
+
+        before_env = os.environ["REPRO_CACHE_DIR"]
+        before_store = ir_store()
+        warm_pool(2).submit(int).result()  # workers forked here
+        try:
+            # two misses: both run on the pool, so only workers record
+            assert main(["run", "fig5", "fig12", "--scale", "0.3",
+                         "--jobs", "2", "--no-plot",
+                         "--cache-dir", str(tmp_path / "A")]) == 0
+        finally:
+            shutdown_pool()
+        assert os.environ["REPRO_CACHE_DIR"] == before_env
+        assert ir_store() is before_store
+        assert list((tmp_path / "A" / "ir").rglob("*.irp"))

@@ -63,8 +63,9 @@ class TestGoldenCacheRoundTrip:
         fresh = get(exp_id).run(scale=doc["scale"], seed=doc["seed"])
         key = experiment_key(exp_id, scale=doc["scale"], seed=doc["seed"],
                              fingerprint="golden-test")
-        cache.put(key, fresh)
-        hit = cache.get(key)
-        assert hit is not None
+        cache.put_doc(key, fresh.to_dict())
+        hit_doc = cache.get_doc(key)
+        assert hit_doc is not None
+        hit = ExperimentResult.from_dict(hit_doc)
         assert hit.identical(fresh)
         assert hit.to_dict() == doc["result"]
