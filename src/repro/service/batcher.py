@@ -1,28 +1,29 @@
 """The micro-batching dispatcher — the serving hot path.
 
-Concurrent ``/predict`` (and ``/compare``) requests are not evaluated
-one by one: a collector task coalesces everything that arrives within a
-small window (default 2 ms) or until ``max_batch`` requests are waiting,
-then dispatches the whole batch at once — the serve-side analogue of the
-master-worker batching in the BSF pipeline literature, pointed at the
-cost oracle.
+Every ``/predict`` (and ``/compare``, ``/ablate``, ``/bounds``) request
+is first probed against a keyed **LRU** on arrival, on the event loop:
+a previously answered key resolves at once and never meets the batching
+window.  Only misses go further:
 
-Per batch, in order:
-
-1. an **LRU probe** on the event loop: previously answered keys resolve
-   immediately (this is what makes the cached path sub-millisecond);
-2. **dedup**: identical missed keys collapse into one job;
-3. the surviving jobs go to one of ``workers`` sharded worker tasks,
-   which runs the oracle's batched evaluator
+1. **single-flight**: a miss whose key is already queued or being
+   evaluated joins that evaluation instead of starting another, across
+   batches as well as within one;
+2. a collector task coalesces the remaining misses that arrive within a
+   small window (default 2 ms) or until ``max_batch`` are waiting, then
+   dispatches them at once — the serve-side analogue of the
+   master-worker batching in the BSF pipeline literature, pointed at
+   the cost oracle;
+3. each batch goes to one of ``workers`` sharded worker tasks, which
+   runs the oracle's batched evaluator
    (:func:`repro.service.oracle.evaluate_batch`) inside a thread-pool
    executor so the event loop never blocks on a simulation.
 
-Every request passes through the collector — cache hits included — so
-``repro_batch_size`` measures true arrival coalescing, and a hit ratio
-near 1.0 keeps batches cheap rather than bypassing them.
+BSF's cost analysis says batching pays only when the work a batch
+shares outweighs the wait.  A hit shares no work, so it never waits,
+and ``repro_batch_size`` measures the coalescing of misses alone.
 
-All bookkeeping (LRU, metrics, futures) happens on the event-loop
-thread; executor threads only ever see immutable job lists.
+All bookkeeping (LRU, in-flight map, metrics, futures) happens on the
+event-loop thread; executor threads only ever see immutable job lists.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class LRUCache:
 
 
 class MicroBatcher:
-    """Window-based request coalescing over a sharded worker pool.
+    """LRU-first dispatch, window-based coalescing of the misses over a
+    sharded worker pool.
 
     ``evaluate`` is a plain function ``list[(kind, key, payload)] ->
     {key: result | Exception}`` run inside the executor; per-key
@@ -110,6 +112,9 @@ class MicroBatcher:
         self._job_q: asyncio.Queue = asyncio.Queue()
         self._tasks: list[asyncio.Task] = []
         self._pending: set[asyncio.Future] = set()
+        #: missed key -> the futures of every caller waiting for it, from
+        #: its first miss until its evaluation resolves them
+        self._inflight: dict[tuple, list[asyncio.Future]] = {}
         self._executor: ThreadPoolExecutor | None = None
         self._started = False
 
@@ -148,14 +153,45 @@ class MicroBatcher:
         self._started = False
 
     # ------------------------------------------------------------------
+    def probe(self, kind: str, key: tuple):
+        """The arrival-time LRU lookup: the cached answer or ``None``.
+
+        Each request is counted once here, as a hit or a miss; the
+        ``lru-storm`` fault empties the LRU just before the lookup.
+        """
+        if fault_flag("lru-storm"):
+            # simulated eviction storm: every cached answer vanishes at
+            # once, so this request recomputes (bit-identically)
+            self.cache.clear()
+        hit = self.cache.get(key)
+        if self.metrics is not None:
+            counter = (self.metrics.lru_hits if hit is not None
+                       else self.metrics.lru_misses)
+            counter.inc(kind=kind)
+        return hit
+
     async def submit(self, kind: str, key: tuple, payload):
-        """Enqueue one request; resolves to its result (or raises)."""
+        """Answer one request; resolves to its result (or raises).
+
+        A hit returns at once.  A miss joins its key's evaluation if one
+        is queued or running, and otherwise enqueues one.  Nothing
+        awaits between the probe and the in-flight check, so a key
+        cannot complete in between.
+        """
         if not self._started:
             raise RuntimeError("MicroBatcher.submit() before start()")
+        hit = self.probe(kind, key)
+        if hit is not None:
+            return hit
         fut = asyncio.get_running_loop().create_future()
         self._pending.add(fut)
         fut.add_done_callback(self._pending.discard)
-        await self._in_q.put((kind, key, payload, fut))
+        waiters = self._inflight.get(key)
+        if waiters is not None:
+            waiters.append(fut)
+        else:
+            self._inflight[key] = [fut]
+            self._in_q.put_nowait((kind, key, payload))
         return await fut
 
     # ------------------------------------------------------------------
@@ -179,42 +215,27 @@ class MicroBatcher:
         if self.metrics is not None:
             self.metrics.batch_size.observe(len(batch))
             self.metrics.batches.inc()
-        if fault_flag("lru-storm"):
-            # simulated eviction storm: every cached answer vanishes at
-            # once, so this whole batch recomputes (bit-identically)
-            self.cache.clear()
-        jobs: dict[tuple, list] = {}
-        kinds: dict[tuple, str] = {}
-        for kind, key, payload, fut in batch:
-            if fut.cancelled():
-                continue
-            hit = self.cache.get(key)
-            if self.metrics is not None:
-                counter = (self.metrics.lru_hits if hit is not None
-                           else self.metrics.lru_misses)
-                counter.inc(kind=kind)
-            if hit is not None:
-                fut.set_result(hit)
-                continue
-            jobs.setdefault(key, [None, []])[1].append(fut)
-            jobs[key][0] = payload
-            kinds[key] = kind
-        if jobs:
-            self._job_q.put_nowait((jobs, kinds))
+        items = []
+        for kind, key, payload in batch:
+            if all(fut.cancelled() for fut in self._inflight[key]):
+                # every waiter gave up before dispatch: drop the key
+                del self._inflight[key]
+            else:
+                items.append((kind, key, payload))
+        if items:
+            self._job_q.put_nowait(items)
 
     async def _work(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            jobs, kinds = await self._job_q.get()
-            items = [(kinds[key], key, payload)
-                     for key, (payload, _) in jobs.items()]
+            items = await self._job_q.get()
             results = await self._evaluate_resilient(loop, items)
-            for key, (_, futs) in jobs.items():
+            for _, key, _ in items:
                 got = results.get(
                     key, KeyError(f"evaluator returned nothing for {key!r}"))
                 if not isinstance(got, Exception):
                     self.cache.put(key, got)
-                for fut in futs:
+                for fut in self._inflight.pop(key):
                     if fut.cancelled():
                         continue
                     if isinstance(got, Exception):

@@ -4,12 +4,13 @@
 requests back-to-back for ``duration`` seconds, drawing endpoints from a
 weighted ``predict:compare:experiment`` mix over a fixed pool of small
 workloads (so the server's LRU warms within the first second and the
-steady state measures the cached serving path — the regime the
-acceptance targets: >= 1k req/s, p95 < 50 ms, mean batch > 1).
+steady state measures the cached serving path: repeats are LRU hits,
+answered on arrival without waiting for a batch).
 
 The report combines client-side latency percentiles with the server's
-own ``/metrics``: batch-size distribution and LRU hit ratio, so one run
-shows whether the micro-batcher actually coalesced.  ``--out`` appends a
+own ``/metrics``: LRU hit ratio and the batch-size distribution, which
+counts misses only, so one run shows how many requests reached the
+micro-batcher and how well they coalesced.  ``--out`` appends a
 ``kind: "service"`` record to the bench trajectory file
 (``BENCH_sweep.json``), tracking serving throughput across PRs the same
 way the sweep tracks cold experiment times.

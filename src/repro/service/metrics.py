@@ -45,9 +45,10 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "ServiceMetrics", "parse_histogram", "merge_snapshots",
            "render_snapshot"]
 
-#: default latency buckets, in seconds (1 ms ... 10 s).
-LATENCY_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
-                   0.5, 1.0, 2.5, 5.0, 10.0)
+#: default latency buckets, in seconds (100 us ... 10 s); the
+#: sub-millisecond edges resolve LRU hits, which are answered on arrival.
+LATENCY_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
+                   0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 #: batch-size buckets (powers of two up to the default max batch).
 BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 

@@ -5,7 +5,8 @@ A route maps ``METHOD /path/{param}`` onto an async handler
 :class:`repro.service.server.ServiceApp` carrying the batcher, metrics,
 result cache and registries.  Handlers never run simulations on the
 event loop: predictions go through the micro-batcher, experiment runs
-through an executor.
+through an executor.  Repeats of either are answered from the
+batcher's LRU on arrival.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import math
+import time
 
 from .. import __version__
 from ..ablation import AblateRequest, COMPONENTS
@@ -127,31 +129,71 @@ def _float_param(request: Request, name: str, default: float) -> float:
                         "number") from None
 
 
+def _seed_param(request: Request) -> int:
+    """``?seed=``: like ``/predict``'s seed, an int in ``[0, 2**31)``."""
+    raw = request.query.get("seed", "0")
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 2 ** 31:
+        raise HttpError(400, f"query parameter seed={raw!r} is not a "
+                        "non-negative integer below 2**31")
+    return seed
+
+
+async def _run_experiment(app, key: tuple):
+    """Run ``key``'s experiment on the experiment executor.
+
+    Single-flight per key: concurrent identical requests queue on one
+    lock instead of stampeding the executor, and the lock's entry goes
+    when its last user leaves.
+    """
+    locks = app.experiment_locks
+    entry = locks.setdefault(key, [asyncio.Lock(), 0])
+    entry[1] += 1
+    try:
+        async with entry[0]:
+            return await asyncio.get_running_loop().run_in_executor(
+                app.executor, app.run_experiment, *key[1:])
+    except ExperimentError as exc:
+        raise HttpError(422, str(exc)) from exc
+    finally:
+        entry[1] -= 1
+        if not entry[1]:
+            del locks[key]
+
+
 async def experiment_detail(app, request: Request, id: str) -> Response:
-    """Run one registered experiment through the runner's result cache."""
+    """Run one registered experiment through the runner's result cache.
+
+    A repeat is answered from the batcher's LRU on the event loop; its
+    ``elapsed_s`` is that read's duration, as for any cache hit.
+    """
     if id not in app.experiments:
         raise HttpError(404, f"unknown experiment {id!r}")
     scale = _float_param(request, "scale", 1.0)
-    seed = int(_float_param(request, "seed", 0))
+    seed = _seed_param(request)
     if not 0 < scale <= 1:
         raise HttpError(400, f"scale must be in (0, 1], got {scale}")
 
-    # single-flight per (id, scale, seed): concurrent identical requests
-    # share one computation instead of stampeding the executor
-    lock = app.experiment_locks.setdefault((id, scale, seed), asyncio.Lock())
-    async with lock:
-        try:
-            outcome = await asyncio.get_running_loop().run_in_executor(
-                app.executor, app.run_experiment, id, scale, seed)
-        except ExperimentError as exc:
-            raise HttpError(422, str(exc)) from exc
+    key = ("experiment", id, scale, seed)
+    t0 = time.perf_counter()
+    result = app.batcher.probe("experiment", key)
+    if result is not None:
+        cached, elapsed_s = True, time.perf_counter() - t0
+    else:
+        outcome = await _run_experiment(app, key)
+        result = outcome.result.to_dict()
+        app.batcher.cache.put(key, result)
+        cached, elapsed_s = outcome.cached, outcome.elapsed_s
     return Response.json({
         "id": id,
         "scale": scale,
         "seed": seed,
-        "cached": outcome.cached,
-        "elapsed_s": round(outcome.elapsed_s, 6),
-        "result": outcome.result.to_dict(),
+        "cached": cached,
+        "elapsed_s": round(elapsed_s, 6),
+        "result": result,
     })
 
 
@@ -171,8 +213,12 @@ async def _submit_guarded(app, kind: str, key: tuple, req) -> Response:
     2. dispatcher saturation: too many in-flight futures → shed load
        immediately rather than queue unboundedly;
     3. per-request deadline: a submit that outlives
-       ``request_timeout_s`` is abandoned (its future is cancelled, so
-       the batcher skips it) and answered 503 + Retry-After.
+       ``request_timeout_s`` is abandoned (only its own future is
+       cancelled; the key's evaluation goes on for any other waiter)
+       and answered 503 + Retry-After.
+
+    An LRU hit passes the same ladder and is answered inside the
+    submit, without waiting for a batch.
 
     Successes and failures feed the breaker, so repeated evaluator
     faults on one key trip it while other keys keep flowing.

@@ -103,7 +103,9 @@ class ServiceApp:
         self.executor = ThreadPoolExecutor(
             max_workers=max(1, config.workers // 2),
             thread_name_prefix="repro-exp")
-        self.experiment_locks: dict[tuple, asyncio.Lock] = {}
+        #: experiment key -> [its single-flight lock, requests holding
+        #: or awaiting it]; an entry goes when its count reaches zero.
+        self.experiment_locks: dict[tuple, list] = {}
         self._started_at = time.monotonic()
 
         from ..experiments import all_experiments

@@ -1,6 +1,8 @@
 """Micro-batcher unit tests (controlled evaluator, no simulator)."""
 
 import asyncio
+import threading
+import time
 
 import pytest
 
@@ -41,6 +43,30 @@ def _echo_evaluate(calls):
         calls.append([key for _, key, _ in items])
         return {key: {"payload": payload} for _, key, payload in items}
     return evaluate
+
+
+class _GatedEvaluate:
+    """An echo evaluator that blocks until :meth:`release` (executor
+    thread), so a test can act while a batch is being evaluated."""
+
+    def __init__(self):
+        self.calls = []
+        self._entered = threading.Event()
+        self._release = threading.Event()
+
+    def __call__(self, items):
+        self.calls.append([key for _, key, _ in items])
+        self._entered.set()
+        self._release.wait(timeout=10)
+        return {key: {"payload": payload} for _, key, payload in items}
+
+    async def entered(self):
+        """Wait until a batch has reached the evaluator."""
+        await asyncio.get_running_loop().run_in_executor(
+            None, self._entered.wait, 10)
+
+    def release(self):
+        self._release.set()
 
 
 class TestMicroBatcher:
@@ -201,6 +227,106 @@ class TestMicroBatcher:
         assert metrics.batch_size.mean() > 1
         assert metrics.lru_hits.total() >= 1
         assert metrics.lru_misses.total() >= 2
+
+    def test_hit_never_waits_for_the_window(self):
+        metrics = ServiceMetrics(version="test")
+
+        async def scenario():
+            b = MicroBatcher(_echo_evaluate([]), window_s=0.0, workers=1,
+                             metrics=metrics)
+            await b.start()
+            try:
+                first = await b.submit("predict", ("k",), 1)
+                # from here on a miss would wait 5 s for company
+                b.window_s = 5.0
+                batches = metrics.batches.total()
+                t0 = time.perf_counter()
+                again = await asyncio.wait_for(
+                    b.submit("predict", ("k",), 1), 2.0)
+                elapsed = time.perf_counter() - t0
+            finally:
+                await b.stop()
+            return first, again, elapsed, batches
+
+        first, again, elapsed, batches = _run(scenario())
+        assert again == first
+        assert elapsed < 0.5
+        assert metrics.batches.total() == batches
+
+    def test_single_flight_across_batches(self):
+        evaluate = _GatedEvaluate()
+
+        async def scenario():
+            b = MicroBatcher(evaluate, window_s=0.01, workers=2)
+            await b.start()
+            try:
+                first = asyncio.create_task(b.submit("predict", ("k",), 1))
+                await evaluate.entered()
+                # k's batch is being evaluated; a second miss on k
+                # arrives well past the window that dispatched it
+                second = asyncio.create_task(b.submit("predict", ("k",), 1))
+                await asyncio.sleep(0.05)
+                evaluate.release()
+                return await asyncio.gather(first, second)
+            finally:
+                evaluate.release()
+                await b.stop()
+
+        assert _run(scenario()) == [{"payload": 1}, {"payload": 1}]
+        assert evaluate.calls == [[("k",)]]
+
+    def test_cancelled_waiter_leaves_the_shared_evaluation(self):
+        evaluate = _GatedEvaluate()
+
+        async def scenario():
+            b = MicroBatcher(evaluate, window_s=0.01, workers=2)
+            await b.start()
+            try:
+                a = asyncio.create_task(b.submit("predict", ("k",), 1))
+                await evaluate.entered()
+                b_task = asyncio.create_task(
+                    b.submit("predict", ("k",), 1))
+                await asyncio.sleep(0.05)
+                a.cancel()
+                await asyncio.gather(a, return_exceptions=True)
+                evaluate.release()
+                return a.cancelled(), await b_task
+            finally:
+                evaluate.release()
+                await b.stop()
+
+        a_cancelled, got = _run(scenario())
+        assert a_cancelled
+        assert got == {"payload": 1}
+        assert evaluate.calls == [[("k",)]]
+
+    def test_key_with_every_waiter_cancelled_is_dropped(self):
+        calls = []
+        metrics = ServiceMetrics(version="test")
+
+        async def scenario():
+            b = MicroBatcher(_echo_evaluate(calls), window_s=0.05,
+                             workers=1, metrics=metrics)
+            await b.start()
+            try:
+                waiters = [asyncio.create_task(b.submit("predict", ("k",), 1))
+                           for _ in range(2)]
+                await asyncio.sleep(0)  # both are waiting in the window
+                for task in waiters:
+                    task.cancel()
+                await asyncio.gather(*waiters, return_exceptions=True)
+                for _ in range(500):  # until the window closes (5 s at most)
+                    if metrics.batches.total():
+                        break
+                    await asyncio.sleep(0.01)
+                # the key was dropped at dispatch, so a later miss starts
+                # afresh (joining the old flight would answer payload 1)
+                return await b.submit("predict", ("k",), 2)
+            finally:
+                await b.stop()
+
+        assert _run(scenario()) == {"payload": 2}
+        assert calls == [[("k",)]]
 
     def test_submit_before_start_is_an_error(self):
         async def scenario():

@@ -71,6 +71,57 @@ class TestExperimentDetail:
         assert second["cached"] is True
         assert second["result"] == first["result"]
 
+    @pytest.mark.parametrize("seed", ["inf", "nan", "-1", "3.7", "1e30",
+                                      "2147483648"])
+    def test_bad_seed_is_400(self, service_thread, seed):
+        status, doc, _ = http(service_thread.port, "GET",
+                              f"/experiments/fig1?scale=0.1&seed={seed}")
+        assert status == 400
+        assert "seed" in doc["error"]
+
+    def test_repeat_is_answered_from_memory(self, service_thread,
+                                            monkeypatch):
+        app = service_thread.service.app
+        runs = []
+        run = app.run_experiment
+
+        def spy(*args):
+            runs.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(app, "run_experiment", spy)
+        path = "/experiments/fig1?scale=0.1&seed=7"
+        status, first, _ = http(service_thread.port, "GET", path,
+                                timeout=300.0)
+        assert status == 200 and runs == [("fig1", 0.1, 7)]
+        status, second, _ = http(service_thread.port, "GET", path)
+        assert status == 200
+        assert runs == [("fig1", 0.1, 7)]  # no second run, not even a read
+        assert second["cached"] is True
+        assert second["result"] == first["result"]
+        _, text, _ = http(service_thread.port, "GET", "/metrics")
+        assert 'repro_lru_hits_total{kind="experiment"}' in text
+        # with the LRU emptied the same request is a disk-cache hit, and
+        # the memory hit answered exactly what that answers
+        app.batcher.cache.clear()
+        status, from_disk, _ = http(service_thread.port, "GET", path)
+        assert status == 200 and len(runs) == 2
+        fields = ("id", "scale", "seed", "cached", "result")
+        assert {k: from_disk[k] for k in fields} == \
+            {k: second[k] for k in fields}
+
+    def test_single_flight_locks_do_not_accumulate(self, service_thread):
+        """Each distinct key's lock goes once its last request leaves."""
+        paths = [f"/experiments/fig1?scale=0.1&seed={100 + i}"
+                 for i in range(20)]
+        with ThreadPoolExecutor(8) as pool:
+            served = list(pool.map(
+                lambda p: http(service_thread.port, "GET", p,
+                               timeout=300.0),
+                paths + paths))
+        assert all(status == 200 for status, _, _ in served)
+        assert service_thread.service.app.experiment_locks == {}
+
 
 class TestPredict:
     def test_bit_identical_to_offline(self, service_thread):
