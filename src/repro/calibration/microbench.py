@@ -10,11 +10,12 @@ vs. h-relations), Fig. 14 (multinode scatter) and Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..core.errors import CalibrationError
-from ..core.relations import CommPhase
+from ..core.relations import CommPhase, PhaseStack
 from ..machines.base import Machine
 
 __all__ = [
@@ -56,70 +57,144 @@ class TimingSeries:
 
 
 # ----------------------------------------------------------------------
-# Pattern generators
+# Pattern generators.  Each pattern has one column generator: it draws
+# one phase per entry of ``xs``, in order, straight into stacked group
+# columns.  A public per-phase function is its one-phase case, validated
+# once as a CommPhase; a sweep stacks all of its phases at once, in
+# range by construction, without per-phase validation.
 # ----------------------------------------------------------------------
+
+class _Columns(NamedTuple):
+    """Unit-count message groups of consecutive phases on ``P`` PEs."""
+
+    P: int
+    groups: np.ndarray      #: groups of each phase
+    src: np.ndarray
+    dst: np.ndarray
+    msg_bytes: np.ndarray
+
+    def phase(self) -> CommPhase:
+        """The single phase these columns hold, validated."""
+        return CommPhase(P=self.P, src=self.src, dst=self.dst,
+                         count=np.ones(self.src.size, dtype=np.int64),
+                         msg_bytes=self.msg_bytes)
+
+    def stack(self) -> PhaseStack:
+        n = self.src.size
+        return PhaseStack.from_columns(
+            self.P, self.groups, self.src, self.dst,
+            np.ones(n, dtype=np.int64), self.msg_bytes,
+            np.full(n, -1, dtype=np.int64))
+
+
+def _derange(perm: np.ndarray) -> None:
+    """Move ``perm``'s fixed points in place (P = 1 keeps its one)."""
+    fixed = np.nonzero(perm == np.arange(perm.size))[0]
+    if fixed.size == 1:
+        other = (fixed[0] + 1) % perm.size
+        perm[fixed[0]], perm[other] = perm[other], perm[fixed[0]]
+    elif fixed.size > 1:
+        perm[fixed] = np.roll(perm[fixed], 1)
+
+
+def _permutation_columns(P: int, sizes, rng: np.random.Generator
+                         ) -> _Columns:
+    # one rng.permutation(P) per phase, drawn as the rows of one call
+    sizes = np.asarray(sizes, dtype=np.int64)
+    perms = rng.permuted(np.tile(np.arange(P), (sizes.size, 1)), axis=1)
+    for row in np.flatnonzero((perms == np.arange(P)).any(axis=1)):
+        _derange(perms[row])
+    sends = perms != np.arange(P)
+    groups = sends.sum(axis=1)
+    return _Columns(P, groups, np.nonzero(sends)[1], perms[sends],
+                    np.repeat(sizes, groups))
+
+
+def _partial_columns(P: int, actives, rng: np.random.Generator,
+                     msg_bytes: int) -> _Columns:
+    actives = np.asarray(actives, dtype=np.int64)
+    bad = actives[(actives <= 0) | (actives > P)]
+    if bad.size:
+        raise CalibrationError(f"active must be in (0, {P}], got {bad[0]}")
+    src, dst = [], []
+    for a in actives.tolist():
+        src.append(rng.choice(P, size=a, replace=False))
+        dst.append(rng.choice(P, size=a, replace=False))
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    return _Columns(P, actives, src, dst,
+                    np.full(src.size, msg_bytes, dtype=np.int64))
+
+
+def _h_relation_columns(P: int, hs, rng: np.random.Generator,
+                        msg_bytes: int) -> _Columns:
+    # h rng.permutation(P) calls per phase, drawn as the rows of one call
+    hs = np.asarray(hs, dtype=np.int64)
+    rows = int(hs.sum())
+    dst = rng.permuted(np.tile(np.arange(P), (rows, 1)), axis=1).ravel()
+    return _Columns(P, hs * P, np.tile(np.arange(P), rows), dst,
+                    np.full(dst.size, msg_bytes, dtype=np.int64))
+
+
+def _one_h_columns(P: int, hs, rng: np.random.Generator,
+                   msg_bytes: int) -> _Columns:
+    hs = np.asarray(hs, dtype=np.int64)
+    n_dest = -(-P // hs)
+    dests = np.concatenate([rng.choice(P, size=k, replace=False)
+                            for k in n_dest.tolist()])
+    # PE i of a phase sends to that phase's destination i // h
+    pe = np.tile(np.arange(P), hs.size)
+    first = np.cumsum(n_dest) - n_dest
+    dst = dests[np.repeat(first, P) + pe // np.repeat(hs, P)]
+    return _Columns(P, np.full(hs.size, P), pe, dst,
+                    np.full(pe.size, msg_bytes, dtype=np.int64))
+
+
+def _scatter_columns(P: int, hs, rng: np.random.Generator,
+                     msg_bytes: int) -> _Columns:
+    hs = np.asarray(hs, dtype=np.int64)
+    root = int(round(P ** 0.5))
+    n_recv = P - root
+    offsets = np.array([rng.integers(0, n_recv) for _ in range(hs.size)],
+                       dtype=np.int64)
+    groups = root * hs
+    # group k of a phase: source k // h, receiver (k + offset) mod n_recv
+    k = np.arange(int(groups.sum())) - np.repeat(np.cumsum(groups) - groups,
+                                                 groups)
+    return _Columns(P, groups, k // np.repeat(hs, groups),
+                    root + (k + np.repeat(offsets, groups)) % n_recv,
+                    np.full(k.size, msg_bytes, dtype=np.int64))
+
 
 def random_permutation(P: int, rng: np.random.Generator,
                        msg_bytes: int = 4) -> CommPhase:
     """A random full permutation without fixed points (all PEs active)."""
-    perm = rng.permutation(P)
-    fixed = np.nonzero(perm == np.arange(P))[0]
-    if fixed.size == 1:
-        other = (fixed[0] + 1) % P
-        perm[fixed[0]], perm[other] = perm[other], perm[fixed[0]]
-    elif fixed.size > 1:
-        perm[fixed] = np.roll(perm[fixed], 1)
-    return CommPhase.permutation(perm, msg_bytes)
+    return _permutation_columns(P, [msg_bytes], rng).phase()
 
 
 def random_partial_permutation(P: int, active: int, rng: np.random.Generator,
                                msg_bytes: int = 4) -> CommPhase:
     """``active`` random senders paired with ``active`` random recipients."""
-    if not 0 < active <= P:
-        raise CalibrationError(f"active must be in (0, {P}], got {active}")
-    senders = rng.choice(P, size=active, replace=False)
-    recipients = rng.choice(P, size=active, replace=False)
-    ones = np.ones(active, dtype=np.int64)
-    return CommPhase(P=P, src=senders, dst=recipients, count=ones,
-                     msg_bytes=np.full(active, msg_bytes, dtype=np.int64))
+    return _partial_columns(P, [active], rng, msg_bytes).phase()
 
 
 def random_h_relation(P: int, h: int, rng: np.random.Generator,
                       msg_bytes: int = 4) -> CommPhase:
     """A random full h-relation: ``h`` random permutations overlaid."""
-    src = np.tile(np.arange(P), h)
-    dst = np.concatenate([rng.permutation(P) for _ in range(h)])
-    n = P * h
-    return CommPhase(P=P, src=src, dst=dst,
-                     count=np.ones(n, dtype=np.int64),
-                     msg_bytes=np.full(n, msg_bytes, dtype=np.int64))
+    return _h_relation_columns(P, [h], rng, msg_bytes).phase()
 
 
 def one_h_relation(P: int, h: int, rng: np.random.Generator,
                    msg_bytes: int = 4) -> CommPhase:
     """The Fig. 1 pattern: every PE sends one message; ``ceil(P/h)``
     random destinations receive ``h`` (the last one possibly fewer)."""
-    n_dest = -(-P // h)
-    dests = rng.choice(P, size=n_dest, replace=False)
-    dst = np.repeat(dests, h)[:P]
-    return CommPhase(P=P, src=np.arange(P), dst=dst,
-                     count=np.ones(P, dtype=np.int64),
-                     msg_bytes=np.full(P, msg_bytes, dtype=np.int64))
+    return _one_h_columns(P, [h], rng, msg_bytes).phase()
 
 
 def multinode_scatter(P: int, h: int, rng: np.random.Generator,
                       msg_bytes: int = 4) -> CommPhase:
     """The Fig. 14 pattern: ``sqrt(P)`` sources scatter ``h`` messages
     each over the remaining processors, receives balanced."""
-    root = int(round(P ** 0.5))
-    src = np.repeat(np.arange(root), h)
-    receivers = np.arange(root, P)
-    offset = int(rng.integers(0, receivers.size))
-    dst = receivers[(np.arange(root * h) + offset) % receivers.size]
-    n = src.size
-    return CommPhase(P=P, src=src, dst=dst,
-                     count=np.ones(n, dtype=np.int64),
-                     msg_bytes=np.full(n, msg_bytes, dtype=np.int64))
+    return _scatter_columns(P, [h], rng, msg_bytes).phase()
 
 
 # ----------------------------------------------------------------------
@@ -133,25 +208,35 @@ def time_phase(machine: Machine, phase: CommPhase, *,
     return float(machine.comm_time(phase, clocks, barrier=barrier).max())
 
 
-def _sweep(machine, make_phase, xs, trials, rng, name, **kw) -> TimingSeries:
-    # One batched pricer for the whole sweep: the pattern analysis is
-    # hoisted across all xs*trials phases, while phase construction and
-    # machine-noise draws happen in the exact scalar order (the two RNG
-    # streams are separate, and CommPricer advances consume machine.rng
-    # bit-identically to per-phase machine.comm_time calls).
-    phases = [make_phase(int(x), rng) for x in xs for _ in range(trials)]
-    pricer = machine.comm_time_batch(phases)
-    flat = [float(pricer.comm_time(i, np.zeros(machine.P), **kw).max())
-            for i in range(len(phases))]
-    means, los, his = [], [], []
-    for k in range(len(xs)):
-        times = flat[k * trials:(k + 1) * trials]
-        means.append(np.mean(times))
-        los.append(np.min(times))
-        his.append(np.max(times))
+def _sweep(machine, columns, xs, trials, rng, name, *,
+           barrier: bool = True) -> TimingSeries:
+    """Time ``trials`` fresh patterns per x, each from zero clocks.
+
+    ``columns(P, xs, rng)`` draws every phase, x-major, into one stack
+    and the machine prices it with one pricer (the pattern and machine
+    RNG streams are separate).  Where the pricer has
+    ``sequence_costs``, one noise draw prices every phase, and the
+    zero-clock time is ``Machine._advance`` from zero: the cost, plus a
+    barrier on a MIMD machine.  Otherwise each phase advances in turn;
+    either way the machine RNG moves exactly as per-phase
+    ``machine.comm_time`` calls would move it.
+    """
+    stack = columns(machine.P,
+                    np.repeat(np.asarray(xs, dtype=np.int64), trials),
+                    rng).stack()
+    pricer = machine.comm_time_batch(stack)
+    if getattr(pricer, "sequence_costs", None) is not None:
+        times = pricer.sequence_costs()
+        if barrier and not machine.simd:
+            times = times + machine.barrier_time()
+    else:
+        zeros = np.zeros(machine.P)
+        times = np.array([pricer.comm_time(i, zeros, barrier=barrier).max()
+                          for i in range(len(stack))])
+    rows = times.reshape(len(xs), trials)
     return TimingSeries(name=name, xs=np.asarray(xs, dtype=float),
-                        mean=np.array(means), lo=np.array(los),
-                        hi=np.array(his))
+                        mean=np.array([np.mean(r) for r in rows]),
+                        lo=rows.min(axis=1), hi=rows.max(axis=1))
 
 
 def one_h_relation_experiment(machine: Machine, hs, *, trials: int = 20,
@@ -159,8 +244,7 @@ def one_h_relation_experiment(machine: Machine, hs, *, trials: int = 20,
                               msg_bytes: int | None = None) -> TimingSeries:
     """Fig. 1: time of routing 1-h relations vs ``h``."""
     mb = msg_bytes or machine.nominal.w
-    return _sweep(machine,
-                  lambda h, r: one_h_relation(machine.P, h, r, mb),
+    return _sweep(machine, lambda P, x, r: _one_h_columns(P, x, r, mb),
                   hs, trials, rng, "1-h relations")
 
 
@@ -169,8 +253,7 @@ def partial_permutation_experiment(machine: Machine, actives, *,
                                    rng: np.random.Generator) -> TimingSeries:
     """Fig. 2: time of partial permutations vs active PEs."""
     mb = machine.nominal.w
-    return _sweep(machine,
-                  lambda a, r: random_partial_permutation(machine.P, a, r, mb),
+    return _sweep(machine, lambda P, x, r: _partial_columns(P, x, r, mb),
                   actives, trials, rng, "partial permutations")
 
 
@@ -178,8 +261,7 @@ def full_h_relation_experiment(machine: Machine, hs, *, trials: int = 5,
                                rng: np.random.Generator) -> TimingSeries:
     """Random full h-relations — the (g, L) calibration run (§3.2/§3.3)."""
     mb = machine.nominal.w
-    return _sweep(machine,
-                  lambda h, r: random_h_relation(machine.P, h, r, mb),
+    return _sweep(machine, lambda P, x, r: _h_relation_columns(P, x, r, mb),
                   hs, trials, rng, "full h-relations")
 
 
@@ -187,8 +269,7 @@ def block_permutation_experiment(machine: Machine, sizes, *, trials: int = 5,
                                  rng: np.random.Generator,
                                  barrier: bool = True) -> TimingSeries:
     """Full block permutations — the (sigma, ell) calibration run."""
-    return _sweep(machine,
-                  lambda s, r: random_permutation(machine.P, r, s),
+    return _sweep(machine, _permutation_columns,
                   sizes, trials, rng, "block permutations", barrier=barrier)
 
 
@@ -236,6 +317,5 @@ def multinode_scatter_experiment(machine: Machine, hs, *, trials: int = 5,
                                  rng: np.random.Generator) -> TimingSeries:
     """Fig. 14: multinode scatter times vs ``h``."""
     mb = machine.nominal.w
-    return _sweep(machine,
-                  lambda h, r: multinode_scatter(machine.P, h, r, mb),
+    return _sweep(machine, lambda P, x, r: _scatter_columns(P, x, r, mb),
                   hs, trials, rng, "multinode scatter")

@@ -12,6 +12,8 @@ the paper ran it.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,10 +146,18 @@ def calibrate(machine: Machine, *, seed: int = 0,
 # process.  Keys carry the machine-construction seed separately from the
 # calibration seed so call sites with different seeding conventions never
 # alias.  Returned objects are shared: treat them as frozen.
+#
+# The memo keeps the _MEMO_SIZE most recently used fits.  A seed-0
+# `repro run --all` uses 8 keys; a server adds one per fresh-seed predict
+# and would otherwise grow for its whole life.  An eviction costs only a
+# re-fit, which is observationally identical to the hit it replaces.
 # ----------------------------------------------------------------------
 
-_MEMO: dict[tuple, Calibration] = {}
+_MEMO_SIZE = 64
+_MEMO: "OrderedDict[tuple, Calibration]" = OrderedDict()
 _MEMO_STATS = {"hits": 0, "misses": 0}
+# the service calibrates on several executor threads at once
+_MEMO_LOCK = threading.Lock()
 
 
 def calibration_for(name: str, *, P: int | None = None, machine_seed: int = 0,
@@ -161,25 +171,32 @@ def calibration_for(name: str, *, P: int | None = None, machine_seed: int = 0,
     kwargs = {} if P is None else {"P": P}
     machine = make_machine(name, seed=machine_seed, **kwargs)
     key = (name, machine.P, machine_seed, seed, trials)
-    cal = _MEMO.get(key)
-    if cal is not None:
-        _MEMO_STATS["hits"] += 1
-        return cal
-    _MEMO_STATS["misses"] += 1
+    with _MEMO_LOCK:
+        cal = _MEMO.get(key)
+        if cal is not None:
+            _MEMO.move_to_end(key)
+            _MEMO_STATS["hits"] += 1
+            return cal
+        _MEMO_STATS["misses"] += 1
     cal = calibrate(machine, seed=seed, trials=trials)
-    _MEMO[key] = cal
+    with _MEMO_LOCK:
+        _MEMO[key] = cal
+        if len(_MEMO) > _MEMO_SIZE:
+            _MEMO.popitem(last=False)
     return cal
 
 
 def calibration_memo_stats() -> dict[str, int]:
     """Copy of the process-wide memo hit/miss counters."""
-    return dict(_MEMO_STATS)
+    with _MEMO_LOCK:
+        return dict(_MEMO_STATS)
 
 
 def clear_calibration_memo() -> None:
     """Drop every memoised calibration and reset the counters."""
-    _MEMO.clear()
-    _MEMO_STATS["hits"] = _MEMO_STATS["misses"] = 0
+    with _MEMO_LOCK:
+        _MEMO.clear()
+        _MEMO_STATS["hits"] = _MEMO_STATS["misses"] = 0
 
 
 def calibrate_all(*, seed: int = 0, trials: int = 10) -> dict[str, Calibration]:

@@ -440,24 +440,63 @@ class PhaseStack:
     tables are ``(n, P)`` with ``P`` the largest phase ``P``: a narrower
     phase leaves its extra columns zero, so phases of different ``P``
     stack without a fallback.
+
+    :meth:`from_columns` builds a stack straight from group columns, as
+    the calibration sweeps generate their patterns; ``len(stack)`` is
+    the phase count.
     """
 
     def __init__(self, phases: "list[CommPhase]"):
-        self.phases = phases
-        self.n = len(phases)
-        self.P = max((ph.P for ph in phases), default=1)
-        #: phases with at least one message
-        self.live = np.array([not ph.is_empty for ph in phases], dtype=bool)
         live = [ph for ph in phases if not ph.is_empty]
         if live:
-            self.src, self.dst, self.count, self.msg_bytes, self.step = (
-                np.concatenate([getattr(ph, name) for ph in live])
-                for name in ("src", "dst", "count", "msg_bytes", "step"))
+            cols = [np.concatenate([getattr(ph, name) for ph in live])
+                    for name in ("src", "dst", "count", "msg_bytes", "step")]
         else:
-            self.src = self.dst = self.count = self.msg_bytes = self.step = (
-                np.zeros(0, dtype=np.int64))
-        self.pid = np.repeat(np.flatnonzero(self.live),
-                             [ph.n_groups for ph in live]).astype(np.int64)
+            cols = [np.zeros(0, dtype=np.int64)] * 5
+        self._stack(max((ph.P for ph in phases), default=1),
+                    [0 if ph.is_empty else ph.n_groups for ph in phases],
+                    *cols)
+        self.phases = phases
+
+    @classmethod
+    def from_columns(cls, P: int, groups, src: np.ndarray, dst: np.ndarray,
+                     count: np.ndarray, msg_bytes: np.ndarray,
+                     step: np.ndarray) -> "PhaseStack":
+        """A stack of ``len(groups)`` phases on ``P`` processors.
+
+        Phase ``i`` owns the next ``groups[i]`` rows of the ``int64``
+        group columns.  The rows must already be valid (endpoints in
+        range, counts ``>= 1``): nothing is checked.  ``phases`` are
+        staggered :meth:`CommPhase._trusted` views into the columns.
+        """
+        self = object.__new__(cls)
+        self._stack(P, groups, src, dst, count, msg_bytes, step)
+        ends = np.cumsum(groups, dtype=np.int64).tolist()
+        self.phases = []
+        for a, b in zip([0] + ends[:-1], ends):
+            ph = CommPhase._trusted(P, src[a:b], dst[a:b], count[a:b],
+                                    msg_bytes[a:b], step[a:b], True)
+            # every row counts >= 1 message: a phase is empty iff it owns
+            # no rows, so the per-phase advance need not sum its counts
+            ph.__dict__["is_empty"] = a == b
+            self.phases.append(ph)
+        return self
+
+    def _stack(self, P: int, groups, src, dst, count, msg_bytes,
+               step) -> None:
+        """The stacked state of both constructors; an empty phase owns
+        no rows."""
+        groups = np.asarray(groups, dtype=np.int64)
+        self.n = int(groups.size)
+        self.P = P
+        #: phases with at least one message
+        self.live = groups > 0
+        self.src, self.dst, self.count = src, dst, count
+        self.msg_bytes, self.step = msg_bytes, step
+        self.pid = np.repeat(np.arange(self.n, dtype=np.int64), groups)
+
+    def __len__(self) -> int:
+        return self.n
 
     @property
     def size(self) -> int:

@@ -36,23 +36,35 @@ class CommPricer:
     order.  The scalar ``comm_time`` stays the reference the tests hold
     every pricer to.
 
-    The pricer analyses each distinct phase object once
-    (:func:`~repro.core.relations.unique_phases`), over one
-    :class:`~repro.core.relations.PhaseStack` of their groups.  This base
+    The pricer analyses each distinct phase once, over one
+    :class:`~repro.core.relations.PhaseStack` of their groups.  A phase
+    list is deduplicated by object identity first
+    (:func:`~repro.core.relations.unique_phases`); a stack's phases are
+    distinct by construction and are priced as they stand.  This base
     class is the bulk-synchronous layout (CM-5, T800, modern cluster):
     :meth:`Machine.phase_cost_batch` gives each phase's deterministic
     cost, and each advance multiplies in one ``jitter(machine.noise)``
     draw — the draw the scalar ``phase_cost`` ends with — and lands the
-    clocks through :meth:`Machine._advance`.  The MasPar (sub-step
-    segments) and the GCel (per-node times with drift) subclass it.
+    clocks through :meth:`Machine._advance`.  :meth:`sequence_costs`
+    takes every phase's jittered cost from one draw instead.  The MasPar
+    (sub-step segments) and the GCel (per-node times with drift)
+    subclass it.
     """
 
-    def __init__(self, machine: "Machine", phases: "list[CommPhase]"):
+    def __init__(self, machine: "Machine",
+                 phases: "list[CommPhase] | PhaseStack"):
         self.machine = machine
-        self.phases = phases
-        uniq, idx = unique_phases(phases)
-        self._idx = np.asarray(idx, dtype=np.int64)
-        self._prep(PhaseStack(uniq))
+        if isinstance(phases, PhaseStack):
+            stack = phases
+            self.phases = stack.phases
+            self._idx = np.arange(stack.n, dtype=np.int64)
+        else:
+            self.phases = phases
+            uniq, idx = unique_phases(phases)
+            self._idx = np.asarray(idx, dtype=np.int64)
+            stack = PhaseStack(uniq)
+        self._live = stack.live
+        self._prep(stack)
 
     def _prep(self, stack: PhaseStack) -> None:
         self._det = self.machine.phase_cost_batch(stack)
@@ -61,6 +73,23 @@ class CommPricer:
         """Noise-jittered cost of non-empty phase ``i``."""
         m = self.machine
         return float(self._det[self._idx[i]]) * m.jitter(m.noise)
+
+    def sequence_costs(self) -> np.ndarray:
+        """Every phase's jittered cost, from one noise draw.
+
+        Entry ``i`` is what ``comm_time(i, ...)`` would add to the
+        clocks' running maximum (``0.0`` for an empty phase, which draws
+        no noise).  One ``rng.normal(0, noise, size=live)`` call consumes
+        the RNG stream exactly as the per-phase ``jitter`` calls would,
+        so the caller advances the clocks itself instead of calling
+        :meth:`comm_time`.
+        """
+        m = self.machine
+        live = self._live[self._idx]
+        costs = np.zeros(self._idx.size)
+        z = m.rng.normal(0.0, m.noise, size=int(live.sum()))
+        costs[live] = self._det[self._idx[live]] * (1.0 + z)
+        return costs
 
     def comm_time(self, i: int, clocks: np.ndarray, *,
                   barrier: bool = True) -> np.ndarray:
@@ -175,14 +204,19 @@ class Machine(ABC):
         new[mask] = total
         return new
 
-    def comm_time_batch(self, phases: "list[CommPhase]") -> CommPricer:
+    def comm_time_batch(self, phases: "list[CommPhase] | PhaseStack"
+                        ) -> CommPricer:
         """A pricer for a whole run's communication phases.
 
-        Each machine has two implementations of its communication law:
-        the scalar reference (:meth:`comm_time` and :meth:`phase_cost`)
-        and one columnar analysis behind this pricer, bit-identical to
-        it (see :class:`CommPricer`).  The default is the base
-        bulk-synchronous pricer over :meth:`phase_cost_batch`.
+        ``phases`` is the run's phase sequence, or a
+        :class:`~repro.core.relations.PhaseStack` of distinct phases
+        built from columns; ``len(phases)`` is the phase count either
+        way.  Each machine has two implementations of its communication
+        law: the scalar reference (:meth:`comm_time` and
+        :meth:`phase_cost`) and one columnar analysis behind this
+        pricer, bit-identical to it (see :class:`CommPricer`).  The
+        default is the base bulk-synchronous pricer over
+        :meth:`phase_cost_batch`.
         """
         return CommPricer(self, phases)
 

@@ -155,7 +155,8 @@ class GCel(Machine):
         new += self._drift_extra(steps, participants)
         return np.maximum(new, clocks)
 
-    def comm_time_batch(self, phases: list[CommPhase]) -> CommPricer:
+    def comm_time_batch(self, phases: list[CommPhase] | PhaseStack
+                        ) -> CommPricer:
         return _GCelCommPricer(self, phases)
 
 
@@ -169,6 +170,11 @@ class _GCelCommPricer(CommPricer):
     exact integer sums).  The advance step mirrors ``GCel.comm_time``
     bit for bit, drawing its jitter/drift noise per phase in call order.
     """
+
+    #: no fused costs: a barrier-free advance lands each node on its own
+    #: time, with per-node noise and drift, so a phase's price is not one
+    #: cost added to the clocks' running maximum.
+    sequence_costs = None
 
     def _prep(self, stack: PhaseStack) -> None:
         m: GCel = self.machine

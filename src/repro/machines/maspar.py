@@ -213,7 +213,8 @@ class MasParMP1(Machine):
         # The ACU keeps PEs in lockstep; synchronisation is free.
         return 0.0
 
-    def comm_time_batch(self, phases: list[CommPhase]) -> CommPricer:
+    def comm_time_batch(self, phases: list[CommPhase] | PhaseStack
+                        ) -> CommPricer:
         return _MasParCommPricer(self, phases)
 
 
@@ -390,7 +391,7 @@ class _MasParCommPricer(CommPricer):
         Entry ``i`` is the (noise-jittered) cost ``comm_time(i, ...)``
         would add to the clocks' running maximum.  Computing them
         consumes the machine RNG stream, so the caller advances the
-        clocks itself (the IR replay engine's fused scan) instead of
-        calling :meth:`comm_time`.
+        clocks itself (the IR replay engine's fused scan, a calibration
+        sweep) instead of calling :meth:`comm_time`.
         """
         return self._costs(self._idx)

@@ -49,7 +49,7 @@ import json
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -202,6 +202,22 @@ def _pool_task(call: Callable[[], dict]) -> tuple[dict, float]:
     return _timed(call)
 
 
+def _submit(ex: ProcessPoolExecutor, call: Callable[[], dict]) -> Future:
+    """``ex.submit`` of one pool task that never raises a broken pool.
+
+    A worker that dies while the batch is still being submitted breaks
+    the pool, and every later ``submit`` raises at once.  That error is
+    handed back as a failed future, so :func:`collect_resilient` rebuilds,
+    retries and falls back exactly as for a task the break killed.
+    """
+    try:
+        return ex.submit(_pool_task, call)
+    except BrokenProcessPool as exc:
+        fut: Future = Future()
+        fut.set_exception(exc)
+        return fut
+
+
 def collect_resilient(call: Callable[[], dict], first_fut, *, workers: int,
                       seed: int, policy: RetryPolicy, clock: Clock,
                       timeout_s: float | None) -> tuple[dict, float]:
@@ -279,7 +295,7 @@ def run_jobs(jobs: list[Job], *, workers: int, seed: int,
             fresh = [_timed(job.call) for job in misses]
         else:
             ex = warm_pool(workers, seed=seed)
-            futures = [ex.submit(_pool_task, job.call) for job in misses]
+            futures = [_submit(ex, job.call) for job in misses]
             try:
                 fresh = [collect_resilient(
                     job.call, fut, workers=workers, seed=seed,

@@ -71,3 +71,36 @@ class TestSharedAcrossCallSites:
         b = calibrated(machine_for("maspar", P=64, seed=0), seed=0)
         assert a is not b
         assert a.params.P == 1024 and b.params.P == 64
+
+
+class TestBoundedMemo:
+    """The memo keeps the most recently used fits up to a fixed bound, so
+    a long-running server's fresh seeds cannot grow it without end."""
+
+    def test_holds_the_bound_and_refits_identically(self, monkeypatch):
+        from repro.calibration import table1
+
+        monkeypatch.setattr(table1, "_MEMO_SIZE", 3)
+        first = calibration_for("maspar", P=64, seed=0, trials=3)
+        for seed in range(1, 6):
+            calibration_for("maspar", P=64, seed=seed, trials=3)
+        assert len(table1._MEMO) == 3
+        refit = calibration_for("maspar", P=64, seed=0, trials=3)
+        assert refit is not first  # evicted, then fitted again
+        assert refit.params == first.params
+        assert refit.g_fit == first.g_fit
+        assert refit.block_fit == first.block_fit
+        assert refit.unb == first.unb and refit.unb is not None
+        assert refit.notes == first.notes
+        assert calibration_memo_stats() == {"hits": 0, "misses": 7}
+
+    def test_a_hit_is_recently_used(self, monkeypatch):
+        from repro.calibration import table1
+
+        monkeypatch.setattr(table1, "_MEMO_SIZE", 2)
+        a = calibration_for("gcel", seed=0, trials=4)
+        calibration_for("gcel", seed=1, trials=4)
+        assert calibration_for("gcel", seed=0, trials=4) is a
+        calibration_for("gcel", seed=2, trials=4)  # evicts seed 1
+        assert calibration_for("gcel", seed=0, trials=4) is a
+        assert calibration_memo_stats() == {"hits": 2, "misses": 3}

@@ -199,3 +199,51 @@ class TestAblatedMachineBatchAgreement:
             m_batch.rng.bit_generator.state
         if machine == "maspar":
             assert_fused_costs_match(cls, P, seed, seq, disable)
+
+
+def assert_base_sequence_costs_match(cls, P, seed, seq, disable=()):
+    """The base pricer's one-draw ``sequence_costs`` against the scalar
+    loop: with a barrier on every phase, ``T = (T + cost) + barrier``
+    must reach every clock the scalar ``comm_time`` loop reaches, and
+    the two machines must draw the same noise."""
+    m_scalar = cls(P=P, seed=seed, disable=disable)
+    m_fused = cls(P=P, seed=seed, disable=disable)
+    costs = m_fused.comm_time_batch(seq).sequence_costs()
+    assert costs.shape == (len(seq),)
+    barrier = m_scalar.barrier_time()
+    clocks = np.zeros(P)
+    T = 0.0
+    for i, (ph, cost) in enumerate(zip(seq, costs.tolist())):
+        clocks = m_scalar.comm_time(ph, clocks, barrier=True)
+        T = (T + cost) + barrier
+        assert T == clocks.max(), f"fused cost diverged at phase {i}"
+    assert m_scalar.rng.bit_generator.state == \
+        m_fused.rng.bit_generator.state
+
+
+class TestBaseSequenceCosts:
+    """The bulk-synchronous pricer (CM-5, T800, modern cluster) prices a
+    whole sequence from one noise draw, which calibration sweeps use."""
+
+    @pytest.mark.parametrize("machine", ["cm5", "t800", "modern"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_sequence_costs_equal_scalar_loop(self, machine, data):
+        cls = MACHINES[machine]
+        P = data.draw(st.sampled_from([16, 64]))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        disable = tuple(data.draw(st.sets(
+            st.sampled_from(sorted(cls.PHENOMENA))))) if cls.PHENOMENA else ()
+        seq = draw_sequence(data.draw, P)
+        # empty phases draw no noise, wherever they sit in the sequence
+        for _ in range(data.draw(st.integers(1, 3))):
+            seq.insert(data.draw(st.integers(0, len(seq))),
+                       CommPhase.empty(P))
+        assert_base_sequence_costs_match(cls, P, seed, seq, disable)
+
+    def test_gcel_pricer_has_no_sequence_costs(self):
+        """A barrier-free GCel advance draws per-node noise and drift, so
+        its pricer must not inherit the one-draw costs."""
+        pricer = GCel(P=16, seed=0).comm_time_batch([CommPhase.empty(16)])
+        assert getattr(pricer, "sequence_costs", None) is None

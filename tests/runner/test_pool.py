@@ -3,10 +3,13 @@ parallel == serial bit-identically, and a warm cache serves a repeat batch
 at least 5x faster than the cold run)."""
 
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.core.errors import ExperimentError
+from repro.faults import FakeClock, RetryPolicy
 from repro.runner import ResultCache, resolve_ids, run_experiments
 from repro.runner.pool import shutdown_pool, warm_pool
 
@@ -155,6 +158,45 @@ class TestPoolErrorCleanup:
             assert [o.id for o in outs] == ["fig1", "fig14"]
         finally:
             shutdown_pool()
+
+
+class _BreaksOnSecondSubmit:
+    """Stand-in executor: runs each task at submit time, except that the
+    second submit finds the pool broken, as when a worker dies while a
+    batch is still being submitted."""
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.submits == 2:
+            raise BrokenProcessPool("a worker died during submission")
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+class TestBrokenSubmit:
+    def test_submit_into_broken_pool_is_retried(self, monkeypatch):
+        """Regression: a pool that broke between two submits raised out
+        of the batch; the failed submit must be retried like a task the
+        break killed, and every document must equal the inline run's."""
+        from repro.runner import pool as pool_mod
+
+        inline = run_experiments(BATCH, scale=0.3, jobs=1, cache=None)
+        stub = _BreaksOnSecondSubmit()
+        monkeypatch.setattr(pool_mod, "warm_pool",
+                            lambda workers, seed=0: stub)
+        clock = FakeClock()
+        outs = run_experiments(
+            BATCH, scale=0.3, jobs=2, cache=None, clock=clock,
+            retry=RetryPolicy(max_attempts=3, base_delay_s=0.05, seed=0))
+        assert [o.id for o in outs] == BATCH
+        for a, b in zip(outs, inline):
+            assert a.result.to_dict() == b.result.to_dict(), a.id
+        assert stub.submits == len(BATCH) + 1  # one retried submit
+        assert len(clock.sleeps) == 1
 
 
 class TestCacheSpeedup:
