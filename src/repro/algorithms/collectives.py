@@ -3,24 +3,15 @@
 Sample sort's multi-scan cites "Communication Primitives for BSP
 Computers" (Juurlink & Wijshoff, IPL '95) — the companion paper in which
 the authors derive optimal BSP collectives.  This module implements the
-classic strategy pairs so their crossovers can be measured on the
-simulated machines:
+classic broadcast strategy pair so its crossover can be measured on the
+simulated machines: **vector broadcast** — ``naive`` (the root sends the
+whole vector to everybody: ``g n (P-1) + L``) vs ``two-phase`` (scatter
+the vector, then allgather the pieces: ``~ 2 (g n + L)``), the textbook
+optimal BSP broadcast for large vectors.
 
-* **vector broadcast** — ``naive`` (the root sends the whole vector to
-  everybody: ``g n (P-1) + L``) vs ``two-phase`` (scatter the vector,
-  then allgather the pieces: ``~ 2 (g n + L)``), the textbook optimal
-  BSP broadcast for large vectors;
-* **vector reduction** — ``naive`` (everyone sends to the root, which
-  combines: ``g n (P-1) + L``) vs ``two-phase`` (reduce-scatter by
-  pieces, then gather: ``~ 2 (g n + L)``);
-* **prefix sums** — ``tree`` (pointer-doubling, ``log P`` supersteps of
-  one word: ``(g + L) log P``) vs ``direct`` (every processor sends its
-  value to all higher-ranked ones: ``g (P-1) + L``) — the trade the
-  multi-scan of §4.3 navigates.
-
-All are generator subroutines (``yield from`` them inside an SPMD
-program) operating on real data, so tests verify both the costs and the
-answers.
+:func:`broadcast` is a generator subroutine (``yield from`` it inside an
+SPMD program) operating on real data, so tests verify both the costs
+and the answers.
 
 The broadcasts also run whole, through the IR store:
 :func:`run_broadcast` (the vector broadcast from processor 0) and
@@ -44,10 +35,9 @@ from ..simulator.lower import run_lowered
 from ..simulator.vector import VectorContext, stand_in
 from .apsp import _broadcast_line, _emit_broadcast_vector
 
-__all__ = ["broadcast", "reduce_vector", "prefix_sum", "run_broadcast",
-           "broadcast_program", "broadcast_vector_program",
-           "run_row_broadcast", "row_broadcast_program",
-           "row_broadcast_vector_program"]
+__all__ = ["broadcast", "run_broadcast", "broadcast_program",
+           "broadcast_vector_program", "run_row_broadcast",
+           "row_broadcast_program", "row_broadcast_vector_program"]
 
 
 def _check_vec(vec, P: int) -> np.ndarray:
@@ -232,95 +222,3 @@ def run_row_broadcast(machine: Machine, M: int, *, strategy: str,
                        key_params={"M": M, "strategy": strategy},
                        inputs=inputs, stand_in=stand_in((side, M)))
 
-
-def reduce_vector(ctx: ProcContext, vec, root: int, tag: str,
-                  strategy: str = "two-phase"):
-    """Element-wise sum of every processor's ``vec``, result at ``root``.
-
-    Returns the reduced vector on ``root`` and ``None`` elsewhere.
-    """
-    P, rank = ctx.P, ctx.rank
-    w = ctx.word_bytes
-    v = _check_vec(vec, P)
-    n = v.size
-    if strategy == "naive":
-        if rank != root:
-            ctx.put(root, v, nbytes=n * w, count=n, tag=(tag, "r", rank),
-                    step=(rank - root) % P)
-        yield ctx.sync(f"{tag}-reduce-naive")
-        if rank != root:
-            return None
-        total = v.copy()
-        for src in range(P):
-            if src != root:
-                total += np.asarray(ctx.get(src=src, tag=(tag, "r", src)))
-        ctx.charge_flops((P - 1) * n)
-        return total
-
-    if strategy != "two-phase":
-        raise ExperimentError(f"unknown reduce strategy {strategy!r}")
-
-    piece = n // P
-    # phase 1: reduce-scatter — processor j combines piece j
-    for s in range(1, P):
-        dst = (rank + s) % P
-        ctx.put(dst, v[dst * piece:(dst + 1) * piece], nbytes=piece * w,
-                count=piece, tag=(tag, "rs", rank), step=s)
-    yield ctx.sync(f"{tag}-reduce-scatter")
-    mine = v[rank * piece:(rank + 1) * piece].copy()
-    for src in range(P):
-        if src != rank:
-            mine += np.asarray(ctx.get(src=src, tag=(tag, "rs", src)))
-    ctx.charge_flops((P - 1) * piece)
-    # phase 2: gather the combined pieces at the root
-    if rank != root:
-        ctx.put(root, mine, nbytes=piece * w, count=piece,
-                tag=(tag, "gt", rank), step=(rank - root) % P)
-    yield ctx.sync(f"{tag}-reduce-gather")
-    if rank != root:
-        return None
-    total = np.empty(n)
-    for src in range(P):
-        part = mine if src == rank else np.asarray(
-            ctx.get(src=src, tag=(tag, "gt", src)))
-        total[src * piece:(src + 1) * piece] = part
-    return total
-
-
-def prefix_sum(ctx: ProcContext, value: float, tag: str,
-               strategy: str = "tree"):
-    """Exclusive prefix sum of one value per processor.
-
-    Returns ``sum of values on ranks < rank``.
-    """
-    P, rank = ctx.P, ctx.rank
-    w = ctx.word_bytes
-    if strategy == "direct":
-        for s in range(1, P - rank):
-            ctx.put(rank + s, float(value), nbytes=w, count=1,
-                    tag=(tag, rank), step=s)
-        yield ctx.sync(f"{tag}-scan-direct")
-        total = 0.0
-        for src in range(rank):
-            total += float(ctx.get(src=src, tag=(tag, src)))
-        ctx.charge_us(0.05 * max(1, rank))
-        return total
-
-    if strategy != "tree":
-        raise ExperimentError(f"unknown scan strategy {strategy!r}")
-    if P & (P - 1):
-        raise ExperimentError("tree scan needs a power-of-two P")
-    # pointer doubling: after round t, each processor holds the sum of
-    # the 2^(t+1) values ending at its own (inclusive), tracked so the
-    # exclusive result is total_inclusive - own value.
-    inclusive = float(value)
-    for t in range(int(math.log2(P))):
-        stride = 1 << t
-        if rank + stride < P:
-            ctx.put(rank + stride, inclusive, nbytes=w, count=1,
-                    tag=(tag, "t", t), step=0)
-        yield ctx.sync(f"{tag}-scan-{t}")
-        if rank - stride >= 0:
-            inclusive += float(ctx.get(src=rank - stride, tag=(tag, "t", t)))
-        ctx.charge_us(0.1)
-    return inclusive - float(value)

@@ -57,12 +57,22 @@ class TimingSeries:
 
 
 # ----------------------------------------------------------------------
-# Pattern generators.  Each pattern has one column generator: it draws
-# one phase per entry of ``xs``, in order, straight into stacked group
-# columns.  A public per-phase function is its one-phase case, validated
-# once as a CommPhase; a sweep stacks all of its phases at once, in
-# range by construction, without per-phase validation.
+# Pattern generators.  Each pattern has one column generator: it checks
+# its arguments, then draws one phase per entry of ``xs``, in order,
+# straight into stacked group columns.  A public per-phase function is
+# its one-phase case, validated once as a CommPhase; a sweep stacks all
+# of its phases at once, in range by construction, without per-phase
+# validation.
 # ----------------------------------------------------------------------
+
+def _at_least(name: str, values, low: int) -> np.ndarray:
+    """``values`` as int64; CalibrationError if one is below ``low``."""
+    values = np.asarray(values, dtype=np.int64)
+    bad = values[values < low]
+    if bad.size:
+        raise CalibrationError(f"{name} must be >= {low}, got {bad[0]}")
+    return values
+
 
 class _Columns(NamedTuple):
     """Unit-count message groups of consecutive phases on ``P`` PEs."""
@@ -100,7 +110,7 @@ def _derange(perm: np.ndarray) -> None:
 def _permutation_columns(P: int, sizes, rng: np.random.Generator
                          ) -> _Columns:
     # one rng.permutation(P) per phase, drawn as the rows of one call
-    sizes = np.asarray(sizes, dtype=np.int64)
+    sizes = _at_least("message size", sizes, 0)
     perms = rng.permuted(np.tile(np.arange(P), (sizes.size, 1)), axis=1)
     for row in np.flatnonzero((perms == np.arange(P)).any(axis=1)):
         _derange(perms[row])
@@ -116,6 +126,7 @@ def _partial_columns(P: int, actives, rng: np.random.Generator,
     bad = actives[(actives <= 0) | (actives > P)]
     if bad.size:
         raise CalibrationError(f"active must be in (0, {P}], got {bad[0]}")
+    _at_least("message size", msg_bytes, 0)
     src, dst = [], []
     for a in actives.tolist():
         src.append(rng.choice(P, size=a, replace=False))
@@ -128,7 +139,8 @@ def _partial_columns(P: int, actives, rng: np.random.Generator,
 def _h_relation_columns(P: int, hs, rng: np.random.Generator,
                         msg_bytes: int) -> _Columns:
     # h rng.permutation(P) calls per phase, drawn as the rows of one call
-    hs = np.asarray(hs, dtype=np.int64)
+    hs = _at_least("h", hs, 1)
+    _at_least("message size", msg_bytes, 0)
     rows = int(hs.sum())
     dst = rng.permuted(np.tile(np.arange(P), (rows, 1)), axis=1).ravel()
     return _Columns(P, hs * P, np.tile(np.arange(P), rows), dst,
@@ -137,7 +149,8 @@ def _h_relation_columns(P: int, hs, rng: np.random.Generator,
 
 def _one_h_columns(P: int, hs, rng: np.random.Generator,
                    msg_bytes: int) -> _Columns:
-    hs = np.asarray(hs, dtype=np.int64)
+    hs = _at_least("h", hs, 1)
+    _at_least("message size", msg_bytes, 0)
     n_dest = -(-P // hs)
     dests = np.concatenate([rng.choice(P, size=k, replace=False)
                             for k in n_dest.tolist()])
@@ -151,7 +164,8 @@ def _one_h_columns(P: int, hs, rng: np.random.Generator,
 
 def _scatter_columns(P: int, hs, rng: np.random.Generator,
                      msg_bytes: int) -> _Columns:
-    hs = np.asarray(hs, dtype=np.int64)
+    hs = _at_least("h", hs, 1)
+    _at_least("message size", msg_bytes, 0)
     root = int(round(P ** 0.5))
     n_recv = P - root
     offsets = np.array([rng.integers(0, n_recv) for _ in range(hs.size)],
@@ -218,8 +232,8 @@ def _sweep(machine, columns, xs, trials, rng, name, *,
     ``sequence_costs``, one noise draw prices every phase, and the
     zero-clock time is ``Machine._advance`` from zero: the cost, plus a
     barrier on a MIMD machine.  Otherwise each phase advances in turn;
-    either way the machine RNG moves exactly as per-phase
-    ``machine.comm_time`` calls would move it.
+    either way the machine RNG moves exactly as :func:`time_phase`
+    calls on each phase would move it.
     """
     stack = columns(machine.P,
                     np.repeat(np.asarray(xs, dtype=np.int64), trials),
@@ -279,6 +293,9 @@ def hh_permutation_experiment(machine: Machine, hs, *,
                               trials: int = 3) -> TimingSeries:
     """Fig. 7: ``h`` repetitions of one permutation, with or without
     periodic barriers (``sync_every`` messages)."""
+    _at_least("h", hs, 1)
+    if sync_every is not None:
+        _at_least("sync_every", sync_every, 1)
     P = machine.P
     means, los, his = [], [], []
     for h in hs:

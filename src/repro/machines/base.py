@@ -14,8 +14,6 @@ All randomness flows through ``self.rng`` (a seeded
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
 from ..core.errors import SimulationError
@@ -29,12 +27,13 @@ __all__ = ["Machine", "CommPricer"]
 class CommPricer:
     """Prices a fixed sequence of communication phases, one call per phase.
 
-    Contract: for a fresh machine, calling ``pricer.comm_time(i, clocks,
-    barrier=...)`` for ``i = 0 .. n-1`` *in order* must be bit-identical —
-    returned clock arrays and machine RNG stream alike — to calling
-    ``machine.comm_time(phases[i], clocks, barrier=...)`` in the same
-    order.  The scalar ``comm_time`` stays the reference the tests hold
-    every pricer to.
+    The pricer is where each machine's communication law lives: calling
+    ``pricer.comm_time(i, clocks, barrier=...)`` for ``i = 0 .. n-1``
+    *in order* advances the clocks across ``phases[i]`` and draws the
+    phase's noise from the machine RNG.  :meth:`Machine.comm_time` is
+    the one-phase case.  The tests hold every pricer to a scalar,
+    phase-at-a-time formulation of the same laws
+    (``tests/machines/scalar_reference.py``).
 
     The pricer analyses each distinct phase once, over one
     :class:`~repro.core.relations.PhaseStack` of their groups.  A phase
@@ -44,11 +43,10 @@ class CommPricer:
     class is the bulk-synchronous layout (CM-5, T800, modern cluster):
     :meth:`Machine.phase_cost_batch` gives each phase's deterministic
     cost, and each advance multiplies in one ``jitter(machine.noise)``
-    draw — the draw the scalar ``phase_cost`` ends with — and lands the
-    clocks through :meth:`Machine._advance`.  :meth:`sequence_costs`
-    takes every phase's jittered cost from one draw instead.  The MasPar
-    (sub-step segments) and the GCel (per-node times with drift)
-    subclass it.
+    draw per non-empty phase and lands the clocks through
+    :meth:`Machine._advance`.  :meth:`sequence_costs` takes every
+    phase's jittered cost from one draw instead.  The MasPar (sub-step
+    segments) and the GCel (per-node times with drift) subclass it.
     """
 
     def __init__(self, machine: "Machine",
@@ -102,7 +100,7 @@ class CommPricer:
         return self.machine._advance(phase, clocks, total, barrier)
 
 
-class Machine(ABC):
+class Machine:
     """Base class for simulated parallel machines."""
 
     #: short identifier, e.g. ``"maspar"``.
@@ -163,42 +161,34 @@ class Machine(ABC):
     # ------------------------------------------------------------------
     # Communication
     # ------------------------------------------------------------------
-    @abstractmethod
-    def phase_cost(self, phase: CommPhase) -> float:
-        """Global time of a communication phase (excluding any barrier)."""
-
     def barrier_time(self) -> float:
         """Cost of one barrier synchronisation."""
         return 0.0
 
     def comm_time(self, phase: CommPhase, clocks: np.ndarray, *,
                   barrier: bool = True) -> np.ndarray:
-        """Advance ``clocks`` across a communication phase.
+        """Advance ``clocks`` across one communication phase.
 
-        The default is bulk-synchronous: everybody waits for the slowest
-        processor, the phase is routed, and a barrier (if requested)
-        realigns the clocks.  Machines with drift behaviour (GCel)
-        override this.
+        The one-phase case of :meth:`comm_time_batch`: the machine's
+        pricer for ``[phase]``, advanced once.  Code that times one
+        phase at a time uses it; a whole run builds one pricer instead.
         """
-        if clocks.shape != (phase.P,):
-            raise SimulationError("clock array does not match phase P")
-        total = float(clocks.max())
-        if not phase.is_empty:
-            total += self.phase_cost(phase)
-        return self._advance(phase, clocks, total, barrier)
+        return self.comm_time_batch([phase]).comm_time(0, clocks,
+                                                       barrier=barrier)
 
     def _advance(self, phase: CommPhase, clocks: np.ndarray, total: float,
                  barrier: bool) -> np.ndarray:
-        """Shared clock-advance step of :meth:`comm_time`.
+        """Bulk-synchronous clock advance of the base :class:`CommPricer`.
 
-        ``total`` is start time plus (already jittered) phase cost; batched
-        pricers reuse this after computing the cost their own way.
+        ``total`` is start time plus the (already jittered) phase cost.
+        Everybody waits for the slowest processor, the phase is routed,
+        and a barrier (if requested) realigns the clocks; without one,
+        only the phase's participants advance to the common finish time.
         """
         if barrier and not self.simd:
             total += self.barrier_time()
         if barrier or self.simd or phase.is_empty:
             return np.full(phase.P, total)
-        # No barrier: only participants advance to the common finish time.
         new = clocks.copy()
         mask = (phase.sends_per_proc > 0) | (phase.recvs_per_proc > 0)
         new[mask] = total
@@ -211,22 +201,20 @@ class Machine(ABC):
         ``phases`` is the run's phase sequence, or a
         :class:`~repro.core.relations.PhaseStack` of distinct phases
         built from columns; ``len(phases)`` is the phase count either
-        way.  Each machine has two implementations of its communication
-        law: the scalar reference (:meth:`comm_time` and
-        :meth:`phase_cost`) and one columnar analysis behind this
-        pricer, bit-identical to it (see :class:`CommPricer`).  The
-        default is the base bulk-synchronous pricer over
-        :meth:`phase_cost_batch`.
+        way.  The pricer holds the machine's one implementation of its
+        communication law (see :class:`CommPricer`).  The default is
+        the base bulk-synchronous pricer over :meth:`phase_cost_batch`.
         """
         return CommPricer(self, phases)
 
     def phase_cost_batch(self, stack: PhaseStack) -> np.ndarray:
-        """Deterministic cost of every phase of ``stack``.
+        """Deterministic cost of every phase of ``stack``, in us.
 
-        Entry ``i`` is :meth:`phase_cost` of ``stack.phases[i]`` without
-        its final ``jitter(self.noise)`` factor, bit for bit; entries of
-        empty phases are never read.  Machines priced by the base
-        :class:`CommPricer` implement it.
+        Entry ``i`` is the global routing time of ``stack.phases[i]``
+        (slowest processor, no barrier) before the phase's one
+        ``jitter(self.noise)`` factor, which the base
+        :class:`CommPricer` multiplies in; entries of empty phases are
+        never read.  Machines priced by the base pricer implement it.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no columnar phase_cost_batch")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.params import ModelParams, paper_params
-from ..core.relations import CommPhase, PhaseStack
+from ..core.relations import PhaseStack
 from ..core.work import MatmulBlock
 from .base import Machine
 
@@ -110,54 +110,25 @@ class CM5(Machine):
     # ------------------------------------------------------------------
     # Communication
     # ------------------------------------------------------------------
-    def phase_cost(self, phase: CommPhase) -> float:
-        blocky = phase.msg_bytes >= self.block_threshold
-        fine = ~blocky
-        send_cost = np.zeros(phase.n_groups)
-        recv_cost = np.zeros(phase.n_groups)
-        if fine.any():
-            # per-message overhead plus streaming of any bytes beyond one
-            # word — grouping a few words into one active message pays
-            # the overhead once (the 16-byte-message observation of §8)
-            extra = np.maximum(0, phase.msg_bytes[fine] - self.nominal.w)
-            send_cost[fine] = phase.count[fine] * (
-                self.o_send + self.sigma_send * extra)
-            recv_cost[fine] = phase.count[fine] * (
-                self.o_recv + self.sigma_recv * extra)
-        if blocky.any():
-            m = phase.msg_bytes[blocky]
-            send_cost[blocky] = phase.count[blocky] * (self.ell_send + self.sigma_send * m)
-            recv_cost[blocky] = phase.count[blocky] * (self.ell_recv + self.sigma_recv * m)
-        # Send and receive handlers serialise on the node's processor:
-        # a node spends o_send per outgoing plus o_recv per incoming message.
-        per_send = np.bincount(phase.src, weights=send_cost, minlength=phase.P)
-        per_recv = np.bincount(phase.dst, weights=recv_cost, minlength=phase.P)
-        t = float((per_send + per_recv).max(initial=0.0))
-        # fat-tree transit, scaled by how loaded the machine is
-        load = phase.active_procs / self.P
-        t += self.net_msg * load * float(
-            np.bincount(phase.dst, weights=phase.count, minlength=phase.P).max(initial=0))
-        if not phase.stagger or not self.stagger_sensitive:
-            # Unstaggered schedules create transient many-to-one hot spots:
-            # senders stall on the destination's service rate (§5.1).
-            f = phase.max_fan_in
-            if f > 1:
-                t *= 1.0 + self.hotspot_coef * (1.0 - 1.0 / f)
-        return t * self.jitter(self.noise)
-
     def barrier_time(self) -> float:
         return self.barrier_us
 
     def phase_cost_batch(self, stack: PhaseStack) -> np.ndarray:
-        """:meth:`phase_cost` before its jitter, every phase at once.
+        """Deterministic routing time of every phase of ``stack``.
 
-        The endpoint-serialisation and fat-tree-transit analysis runs
-        over the stacked groups; the hot-spot factor needs
+        Send and receive handlers serialise on the node's processor, so
+        a phase takes its busiest node's handler time, plus fat-tree
+        transit scaled by how loaded the machine is, times the hot-spot
+        factor of an unstaggered schedule.  The handler and transit
+        analysis runs over the stacked groups; the hot-spot factor needs
         ``max_fan_in`` only for unstaggered phases, which stay on the
         per-phase (cached) property.
         """
         count, mb = stack.count, stack.msg_bytes
         blocky = mb >= self.block_threshold
+        # per-message overhead plus streaming of any bytes beyond one
+        # word — grouping a few words into one active message pays the
+        # overhead once (the 16-byte-message observation of §8)
         extra = np.maximum(0, mb - self.nominal.w)
         send_cost = np.where(blocky,
                              count * (self.ell_send + self.sigma_send * mb),
@@ -175,6 +146,9 @@ class CM5(Machine):
 
         for i, ph in enumerate(stack.phases):
             if ph.n_groups and (not ph.stagger or not self.stagger_sensitive):
+                # Unstaggered schedules create transient many-to-one hot
+                # spots: senders stall on the destination's service rate
+                # (§5.1).
                 f = ph.max_fan_in
                 if f > 1:
                     t[i] *= 1.0 + self.hotspot_coef * (1.0 - 1.0 / f)

@@ -50,9 +50,8 @@ class GCel(Machine):
         if nominal.P != P:
             nominal = nominal.with_updates(P=P)
         super().__init__(nominal, seed=seed, disable=disable)
-        #: drift collapse switch — ``_drift_extra`` is shared by the
-        #: scalar path and the batched pricer, so gating it there keeps
-        #: the two bit-identical (no RNG draws when ablated).
+        #: drift collapse switch: when ablated, ``_drift_extra`` adds
+        #: nothing and draws no noise.
         self.sync_loss = self.models_phenomenon("sync-loss")
         side = int(round(P ** 0.5))
         self.side = side if side * side == P else 0  # 0 = not a square mesh
@@ -86,33 +85,6 @@ class GCel(Machine):
     # ------------------------------------------------------------------
     # Communication
     # ------------------------------------------------------------------
-    def _per_proc_times(self, phase: CommPhase) -> np.ndarray:
-        """Software + transit time each node spends in the phase."""
-        blocky = phase.msg_bytes >= self.block_threshold
-        fine = ~blocky
-        send_cost = np.zeros(phase.n_groups)
-        recv_cost = np.zeros(phase.n_groups)
-        if fine.any():
-            extra = np.maximum(0, phase.msg_bytes[fine] - self.nominal.w)
-            per_msg_s = self.c_send + self.fine_byte * extra
-            per_msg_r = self.c_recv + self.fine_byte * extra
-            send_cost[fine] = phase.count[fine] * per_msg_s
-            recv_cost[fine] = phase.count[fine] * per_msg_r
-        if blocky.any():
-            m = phase.msg_bytes[blocky]
-            send_cost[blocky] = phase.count[blocky] * (self.ell_send + self.sigma_send * m)
-            recv_cost[blocky] = phase.count[blocky] * (self.ell_recv + self.sigma_recv * m)
-        t = np.bincount(phase.src, weights=send_cost, minlength=phase.P)
-        t += np.bincount(phase.dst, weights=recv_cost, minlength=phase.P)
-        # Mesh transit: words crossing the vertical bisection share 8 links.
-        if self.side:
-            crossing = ((phase.src % self.side < self.side // 2)
-                        != (phase.dst % self.side < self.side // 2))
-            words = phase.count * -(-phase.msg_bytes // self.nominal.w)
-            cross_words = float(words[crossing].sum())
-            t += self.hop_word * cross_words / self.side
-        return t
-
     def _drift_extra(self, steps: int, participants: np.ndarray) -> np.ndarray:
         """Super-linear, noisy penalty once PVM buffering saturates."""
         if not self.sync_loss:
@@ -126,34 +98,8 @@ class GCel(Machine):
         extra[participants] = excess * self.drift_rate * noise[participants]
         return extra
 
-    def phase_cost(self, phase: CommPhase) -> float:
-        return float(self._per_proc_times(phase).max(initial=0.0))
-
     def barrier_time(self) -> float:
         return self.barrier_us
-
-    def comm_time(self, phase: CommPhase, clocks: np.ndarray, *,
-                  barrier: bool = True) -> np.ndarray:
-        if clocks.shape != (phase.P,):
-            raise SimulationError("clock array does not match phase P")
-        if phase.is_empty:
-            if barrier:
-                return np.full(phase.P, float(clocks.max()) + self.barrier_us)
-            return clocks.copy()
-        times = self._per_proc_times(phase)
-        if barrier:
-            total = float(clocks.max()) + float(times.max()) + self.barrier_us
-            return np.full(phase.P, total)
-        # No barrier: receivers wait for their senders, then proceed;
-        # small per-node jitter makes the clocks spread, and long
-        # unsynchronised message sequences trigger the drift collapse.
-        wait = clocks.copy()
-        np.maximum.at(wait, phase.dst, clocks[phase.src])
-        new = wait + times * (1.0 + self.rng.normal(0.0, 0.01, size=phase.P))
-        participants = (phase.sends_per_proc > 0) | (phase.recvs_per_proc > 0)
-        steps = int(phase.sends_per_proc.max(initial=0))
-        new += self._drift_extra(steps, participants)
-        return np.maximum(new, clocks)
 
     def comm_time_batch(self, phases: list[CommPhase] | PhaseStack
                         ) -> CommPricer:
@@ -163,12 +109,12 @@ class GCel(Machine):
 class _GCelCommPricer(CommPricer):
     """GCel pricer: per-node times, advanced with drift.
 
-    ``_per_proc_times`` is deterministic, so the per-node software +
-    transit times of every distinct phase form one ``(n, P)`` table
-    built from the stacked groups (per-group costs elementwise,
-    per-node sums through per-phase bincounts, bisection words through
-    exact integer sums).  The advance step mirrors ``GCel.comm_time``
-    bit for bit, drawing its jitter/drift noise per phase in call order.
+    Each node's software + transit time in a phase is deterministic, so
+    the times of every distinct phase form one ``(n, P)`` table built
+    from the stacked groups (per-group costs elementwise, per-node sums
+    through per-phase bincounts, bisection words through exact integer
+    sums).  The advance step draws its jitter and drift noise per phase,
+    in call order.
     """
 
     #: no fused costs: a barrier-free advance lands each node on its own
@@ -178,6 +124,8 @@ class _GCelCommPricer(CommPricer):
 
     def _prep(self, stack: PhaseStack) -> None:
         m: GCel = self.machine
+        # fine messages pay HPVM's per-message overhead plus a per-byte
+        # cost beyond one word; block messages pay ell + sigma * bytes
         count, mb = stack.count, stack.msg_bytes
         blocky = mb >= m.block_threshold
         extra = np.maximum(0, mb - m.nominal.w)
@@ -189,6 +137,8 @@ class _GCelCommPricer(CommPricer):
                              count * (m.c_recv + m.fine_byte * extra))
         times = stack.per_proc(stack.src, send_cost)
         times += stack.per_proc(stack.dst, recv_cost)
+        # Mesh transit: words crossing the vertical bisection share its
+        # ``side`` links.
         if m.side:
             crossing = ((stack.src % m.side < m.side // 2)
                         != (stack.dst % m.side < m.side // 2))
@@ -212,6 +162,9 @@ class _GCelCommPricer(CommPricer):
         if barrier:
             total = float(clocks.max()) + float(times.max()) + m.barrier_us
             return np.full(phase.P, total)
+        # No barrier: receivers wait for their senders, then proceed;
+        # small per-node jitter makes the clocks spread, and long
+        # unsynchronised message sequences trigger the drift collapse.
         wait = clocks.copy()
         np.maximum.at(wait, phase.dst, clocks[phase.src])
         new = wait + times * (1.0 + m.rng.normal(0.0, 0.01, size=phase.P))

@@ -33,8 +33,6 @@ predictions are clean.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..core.errors import SimulationError
@@ -104,111 +102,6 @@ class MasParMP1(Machine):
         #: relative measurement noise of one router operation.
         self.noise = 0.008
 
-    # ------------------------------------------------------------------
-    def _cluster_penalty(self, dst: np.ndarray, counts: np.ndarray) -> float:
-        """Serialisation on the busiest 16-PE cluster channel."""
-        n_clusters = self.P // self.CLUSTER
-        loads = np.bincount(dst // self.CLUSTER, weights=counts,
-                            minlength=n_clusters)
-        total = float(counts.sum())
-        fair = math.ceil(total / n_clusters)
-        excess = float(loads.max(initial=0)) - fair
-        return self.cluster_coef * max(0.0, excess)
-
-    def _is_cube(self, src: np.ndarray, dst: np.ndarray) -> bool:
-        if src.size == 0:
-            return False
-        x = src ^ dst
-        first = int(x[0])
-        if first <= 0 or first & (first - 1):
-            return False
-        return bool(np.all(x == first))
-
-    def _step_cost(self, src: np.ndarray, dst: np.ndarray,
-                   msg_bytes: np.ndarray) -> float:
-        """Router time of one communication step (each PE sends <= 1 msg)."""
-        if src.size == 0:
-            return 0.0
-        ones = np.ones(src.size)
-        m_max = int(msg_bytes.max(initial=0))
-        if m_max > self.block_threshold:
-            # Circuit-switched block transfer: bandwidth-bound, activity
-            # independent (see module docstring).
-            t = self.sigma_block * m_max + self.ell_block
-            if self.cube_aware and self._is_cube(src, dst):
-                t *= self.block_cube_factor
-            recvs = np.bincount(dst, minlength=self.P)
-            h_r = int(recvs.max(initial=0))
-            if h_r > 1 and self.recv_serialises:
-                # Block messages converging on one PE serialise entirely.
-                t += (h_r - 1) * (self.sigma_block * m_max + 0.25 * self.ell_block)
-            # circuit-switched streaming on a lockstep machine is nearly
-            # deterministic; the word router's conflicts cause the noise
-            return t * self.jitter(self.noise / 4)
-        # The partial-permutation law is parameterised by the number of
-        # simultaneously routed messages (= active sender PEs, Fig. 2).
-        active = int(src.size) if self.partial_law else self.P
-        base = self.unb(active)
-        if self.cube_aware and self._is_cube(src, dst):
-            t = self.cube_factor * (base - self.unb.c) + self.unb.c
-        else:
-            t = base
-        recvs = np.bincount(dst, minlength=self.P)
-        h_r = int(recvs.max(initial=0))
-        if h_r > 1 and self.recv_serialises:
-            t += self.serial_recv * (h_r - 1)
-        if m_max > self.nominal.w:
-            # multi-word short message: extra words stream through the
-            # open circuit at the block rate (§8's 16-byte messages)
-            t += self.sigma_block * (m_max - self.nominal.w)
-        if self.cluster_aware:
-            t += self._cluster_penalty(dst, ones)
-        return t * self.jitter(self.noise)
-
-    def _sequence_cost(self, sub: CommPhase) -> float:
-        """Cost of a sub-phase, decomposed into single-port steps.
-
-        A PE can have only one outstanding message, so its groups route
-        back to back: group ``i`` from a PE occupies steps ``[start_i,
-        start_i + count_i)`` where ``start_i`` is the total count of that
-        PE's earlier groups.  The phase cost is the sum over step segments
-        (delimited by the distinct start/end values) of the single-step
-        router cost of the groups active in the segment.
-        """
-        counts = sub.count
-        if counts.size == 0:
-            return 0.0
-        # Per-group start offsets: cumulative counts within each source.
-        order = np.argsort(sub.src, kind="stable")
-        sorted_counts = counts[order]
-        cum = np.cumsum(sorted_counts) - sorted_counts
-        src_sorted = sub.src[order]
-        boundaries = np.nonzero(np.diff(src_sorted))[0] + 1
-        base = np.zeros(order.size)
-        if boundaries.size:
-            base[boundaries] = cum[boundaries]
-            np.maximum.accumulate(base, out=base)
-        starts = np.empty(counts.size, dtype=np.int64)
-        starts[order] = (cum - base).astype(np.int64)
-        ends = starts + counts
-        breakpoints = np.unique(np.concatenate([starts, ends]))
-        total = 0.0
-        for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-            mask = (starts <= lo) & (ends > lo)
-            if not mask.any():
-                continue
-            reps = int(hi - lo)
-            total += reps * self._step_cost(sub.src[mask], sub.dst[mask],
-                                            sub.msg_bytes[mask])
-        return total
-
-    def phase_cost(self, phase: CommPhase) -> float:
-        if phase.is_empty:
-            return 0.0
-        if phase.n_steps > 1 or (phase.n_steps == 1 and phase.step_ids[0] >= 0):
-            return sum(self._sequence_cost(sub) for sub in phase.split_steps())
-        return self._sequence_cost(phase)
-
     def barrier_time(self) -> float:
         # The ACU keeps PEs in lockstep; synchronisation is free.
         return 0.0
@@ -228,17 +121,18 @@ def _ranges(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
 class _MasParCommPricer(CommPricer):
     """MasPar pricer: every sub-step priced as its single-port segments.
 
-    :meth:`MasParMP1._sequence_cost` routes a sub-step's groups back to
-    back per PE, so the sub-step falls into *segments* — the intervals
-    between consecutive distinct group start and end steps — each
-    repeating one router step over the groups active in it.  A sub-step
+    A PE has one outstanding message at a time, so within a sub-step
+    (one ``step`` tag) its groups route back to back, in phase order,
+    and the sub-step falls into *segments*: the intervals between
+    consecutive distinct group start and end steps.  Each segment
+    repeats one router step over the groups active in it.  A sub-step
     in which every PE sends one group of a common count is one segment.
     :meth:`_prep` finds the segments of every distinct phase and the
-    deterministic router time of each with the per-segment reductions of
-    :meth:`MasParMP1._step_cost` (active senders, largest message, cube
-    test, receive fan-in, busiest cluster), which do not depend on group
-    order.  :meth:`_costs` draws the noise, so ``comm_time`` and the
-    fused :meth:`sequence_costs` share one routine.
+    deterministic router time of each from per-segment reductions
+    (active senders, largest message, cube test, receive fan-in,
+    busiest cluster channel), which do not depend on group order.
+    :meth:`_costs` draws the noise, so ``comm_time`` and the fused
+    :meth:`sequence_costs` share one routine.
     """
 
     def _prep(self, stack: PhaseStack) -> None:
@@ -316,7 +210,7 @@ class _MasParCommPricer(CommPricer):
             cube = np.zeros_like(cube)
 
         # Receive fan-in h_r: the max multiplicity of any destination
-        # among a segment's groups (group-level, as in _step_cost).
+        # among a segment's groups (counted per group, not per message).
         k3 = np.sort(seg * P + d)
         run_starts = np.flatnonzero(np.concatenate(([True], np.diff(k3) != 0)))
         run_len = np.diff(np.concatenate((run_starts, [k3.size])))
@@ -325,16 +219,17 @@ class _MasParCommPricer(CommPricer):
             np.concatenate(([True], np.diff(run_seg) != 0)))
         h_r = np.maximum.reduceat(run_len, seg_run_starts)
 
-        # Busiest cluster channel load (group-level, matching the `ones`
-        # weights the scalar path passes to _cluster_penalty).
+        # Busiest cluster channel load, one unit per group.
         n_clusters = m.P // m.CLUSTER
         loads = np.bincount(seg * n_clusters + d // m.CLUSTER,
                             minlength=nseg * n_clusters)
         loads = loads.reshape(nseg, n_clusters).max(axis=1)
 
-        # Deterministic router times, replicating _step_cost op for op —
-        # branchless variants only add exact zeros where the scalar path
-        # skips the addition.
+        # Deterministic router times.  Word steps follow the partial-
+        # permutation law T_unb(active) (cube patterns discounted), plus
+        # the serialisation tail at the hottest destination, extra words
+        # streamed at the block rate and the busiest cluster channel's
+        # excess over its fair share.  Block steps stream at sigma/ell.
         active = (seg_sizes.astype(np.float64) if m.partial_law
                   else np.full(nseg, float(m.P)))
         w = m.nominal.w
@@ -357,6 +252,8 @@ class _MasParCommPricer(CommPricer):
         # schedule order: by sub-step, then by first step
         sched = np.lexsort((seg_step, seg_sub))
         self._det = np.where(block, t_blk, t_word)[sched]
+        # circuit-switched streaming on a lockstep machine is nearly
+        # deterministic; the word router's conflicts cause the noise
         self._sigma = np.where(block, m.noise / 4, m.noise)[sched]
         self._reps = reps[sched].astype(np.float64)
         # segments of sub-step k: [_seg_lo[k], _seg_lo[k] + _n_seg[k])
@@ -366,12 +263,13 @@ class _MasParCommPricer(CommPricer):
     def _costs(self, u: np.ndarray) -> np.ndarray:
         """Noise-jittered costs of the distinct phases ``u``, in order.
 
-        The scalar loop draws one jitter per segment, walking phases,
-        then sub-steps by tag, then segments by step; drawing all the
-        ``z`` as one ``rng.normal(0, sigma_vector)`` call in that order
-        consumes the RNG stream bit-identically.  Two
-        :func:`segment_sums` passes keep the left-to-right sums over a
-        sub-step's segments and over a phase's sub-steps.
+        Each segment's router time carries one jitter draw, taken
+        walking phases, then sub-steps by tag, then segments by step;
+        all the ``z`` come from one ``rng.normal(0, sigma_vector)`` call
+        in that order, so any run of phases consumes the RNG stream as
+        pricing them one at a time would.  Two :func:`segment_sums`
+        passes keep the left-to-right sums over a sub-step's segments
+        and over a phase's sub-steps.
         """
         n_sub = self._n_sub[u]
         subs = _ranges(self._sub_lo[u], n_sub)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.params import ModelParams
-from ..core.relations import CommPhase, PhaseStack
+from ..core.relations import PhaseStack
 from .base import Machine
 
 __all__ = ["ModernCluster"]
@@ -72,42 +72,17 @@ class ModernCluster(Machine):
         self.compute_noise = 0.002
         self.noise = 0.004
 
-    def phase_cost(self, phase: CommPhase) -> float:
-        if phase.is_empty:
-            return 0.0
-        words = -(-phase.msg_bytes // self.nominal.w)
-        send_cost = phase.count * self.o_send + phase.count * words * self.word_us
-        recv_cost = phase.count * self.o_recv + phase.count * words * self.word_us
-        per_proc = np.bincount(phase.src, weights=send_cost,
-                               minlength=phase.P)
-        per_proc += np.bincount(phase.dst, weights=recv_cost,
-                                minlength=phase.P)
-        t = float(per_proc.max(initial=0.0))
-        if self.models_phenomenon("incast-collapse"):
-            recv_words = np.bincount(phase.dst, weights=phase.count * words,
-                                     minlength=phase.P)
-            hot = float(recv_words.max(initial=0.0))
-            mean = float(recv_words.sum()) / phase.P
-            if hot > mean:
-                t += self.incast_word * (hot - mean)
-        if self.models_phenomenon("adaptive-routing"):
-            sends = np.bincount(phase.src, weights=phase.count,
-                                minlength=phase.P)
-            recvs = np.bincount(phase.dst, weights=phase.count,
-                                minlength=phase.P)
-            if sends.max(initial=0.0) <= 1 and recvs.max(initial=0.0) <= 1:
-                t *= self.adaptive_gain
-        return t * self.jitter(self.noise)
-
     def barrier_time(self) -> float:
         return self.barrier_us
 
     def phase_cost_batch(self, stack: PhaseStack) -> np.ndarray:
-        """:meth:`phase_cost` before its jitter, every phase at once.
+        """Deterministic routing time of every phase of ``stack``.
 
-        Per-endpoint totals, the incast surcharge and the permutation
-        test come from per-phase bincounts over the stacked groups, in
-        the same elementwise operation order as :meth:`phase_cost`.
+        A phase takes its busiest endpoint's send and receive time, plus
+        the incast surcharge on a receiver drawing more than the mean
+        word load; adaptive routing discounts a permutation (at most one
+        message out of and into every node).  All three come from
+        per-phase bincounts over the stacked groups.
         """
         count = stack.count
         words = -(-stack.msg_bytes // self.nominal.w)

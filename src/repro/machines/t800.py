@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.errors import SimulationError
 from ..core.params import ModelParams
-from ..core.relations import CommPhase, PhaseStack
+from ..core.relations import PhaseStack
 from .base import Machine
 
 __all__ = ["T800Grid"]
@@ -82,48 +82,20 @@ class T800Grid(Machine):
     # local computation: nominal coefficients; the base class multiplies
     # in one ``compute_noise`` jitter factor per work item.
 
-    def _link_contention(self, phase: CommPhase, words: np.ndarray) -> float:
-        """Serialisation on the busiest mesh link (dimension-ordered
-        routing approximated by row/column segment loads)."""
-        sr, sc = np.divmod(phase.src, self.side)
-        dr, dc = np.divmod(phase.dst, self.side)
-        # messages crossing each vertical cut, weighted by words
-        loads = np.zeros(2 * self.side)
-        for cut in range(self.side - 1):
-            crossing = ((sc <= cut) != (dc <= cut))
-            loads[cut] = float(words[crossing].sum()) / self.side
-        for cut in range(self.side - 1):
-            crossing = ((sr <= cut) != (dr <= cut))
-            loads[self.side + cut] = float(words[crossing].sum()) / self.side
-        return self.link_word * float(loads.max(initial=0.0))
-
-    def phase_cost(self, phase: CommPhase) -> float:
-        if phase.is_empty:
-            return 0.0
-        words = -(-phase.msg_bytes // self.nominal.w)
-        hops = self.hops(phase.src, phase.dst)
-        # per-message: software overhead + store-and-forward transit
-        send_cost = phase.count * (self.o_send + 0.0 * words)
-        recv_cost = phase.count * self.o_recv
-        transit = phase.count * words * hops * self.hop_word
-        per_proc = np.bincount(phase.src, weights=send_cost + transit,
-                               minlength=phase.P)
-        per_proc += np.bincount(phase.dst, weights=recv_cost,
-                                minlength=phase.P)
-        t = float(per_proc.max(initial=0.0))
-        t += self._link_contention(phase, phase.count * words)
-        return t * self.jitter(self.noise)
-
     def barrier_time(self) -> float:
         return self.barrier_us
 
     def phase_cost_batch(self, stack: PhaseStack) -> np.ndarray:
-        """:meth:`phase_cost` before its jitter, every phase at once.
+        """Deterministic routing time of every phase of ``stack``.
 
-        Hops, transit and per-node software costs are elementwise over
-        the stacked groups.  Link contention stays a loop over the
-        ``2 (side - 1)`` mesh cuts, but each cut is one integer sum per
-        phase over every phase at once (exact in any order).
+        A phase takes its busiest node's time — per-message software
+        overhead plus store-and-forward transit per word per hop — plus
+        serialisation on the busiest mesh link.  Hops, transit and
+        per-node software costs are elementwise over the stacked groups.
+        Link loads approximate dimension-ordered routing by the words
+        crossing each of the ``2 (side - 1)`` row and column cuts; the
+        loop over cuts takes one integer sum per phase over every phase
+        at once (exact in any order).
         """
         side = self.side
         count = stack.count

@@ -32,7 +32,6 @@ import numpy as np
 from ..core.errors import SimulationError
 from ..core.trace import Superstep, Trace
 from ..core.work import NO_WORK, _accumulate
-from ..machines.base import Machine
 from .batch import price_batches
 from .ir import StepProgram
 from .result import RunResult
@@ -40,15 +39,14 @@ from .result import RunResult
 __all__ = ["replay"]
 
 
-def _fused_ok(machine) -> bool:
+def _fused_ok(machine, pricer) -> bool:
     # The scalar scan assumes: clocks uniform after every superstep
-    # (lockstep SIMD via the *base* ``_advance``: everyone lands on
-    # ``total``, barriers free), cost added to ``max(clocks)`` (base
-    # ``comm_time``), and deterministic work prices (no compute noise).
-    return (machine.simd
-            and not machine.compute_noise
-            and type(machine).comm_time is Machine.comm_time
-            and type(machine)._advance is Machine._advance)
+    # (lockstep SIMD through ``Machine._advance``: everyone lands on
+    # ``total``, barriers free), each cost added to ``max(clocks)`` (a
+    # pricer with ``sequence_costs``), and deterministic work prices
+    # (no compute noise).
+    return (machine.simd and not machine.compute_noise
+            and getattr(pricer, "sequence_costs", None) is not None)
 
 
 def replay(machine, prog: StepProgram, *, label: str = "") -> RunResult:
@@ -70,7 +68,7 @@ def replay(machine, prog: StepProgram, *, label: str = "") -> RunResult:
     # deterministic prices per distinct batchlist, rank-major order
     bases = [price_batches(machine, work) for work in works]
 
-    if _fused_ok(machine):
+    if _fused_ok(machine, pricer):
         return _replay_fused(prog, phases, pricer.sequence_costs(), works,
                              bases, label)
     return _replay_generic(machine, prog, phases, pricer, works, bases,

@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.collectives import broadcast, prefix_sum, reduce_vector
+from repro.algorithms.collectives import broadcast
 from repro.core import BSP, paper_params
 from repro.core.errors import ExperimentError
 from repro.machines import CM5
@@ -86,81 +85,12 @@ class TestBroadcastCosts:
         assert len(naive) == 1 and len(smart) == 2
 
 
-@pytest.mark.parametrize("strategy", ["naive", "two-phase"])
-class TestReduce:
-    def test_sum_at_root(self, cm5, strategy):
-        P = 16
-
-        def body(ctx):
-            vec = np.full(32, float(ctx.rank))
-            out = yield from reduce_vector(ctx, vec, 5, "r", strategy)
-            return out
-
-        res = run_collective(cm5, body, P=P)
-        expected = np.full(32, sum(range(P)))
-        assert np.array_equal(res.returns[5], expected)
-        assert all(res.returns[r] is None for r in range(P) if r != 5)
-
-
-@pytest.mark.parametrize("strategy", ["tree", "direct"])
-class TestPrefixSum:
-    def test_exclusive_prefix(self, cm5, strategy):
-        def body(ctx):
-            out = yield from prefix_sum(ctx, float(ctx.rank + 1), "s",
-                                        strategy)
-            return out
-
-        res = run_collective(cm5, body)
-        for rank, out in enumerate(res.returns):
-            assert out == pytest.approx(sum(range(1, rank + 1)))
-
-    @given(st.integers(0, 5))
-    @settings(max_examples=5, deadline=None)
-    def test_random_values(self, strategy, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.integers(0, 100, size=16).astype(float)
-
-        def body(ctx):
-            out = yield from prefix_sum(ctx, values[ctx.rank], "s",
-                                        strategy)
-            return out
-
-        res = run_collective(CM5(seed=1), body)
-        for rank, out in enumerate(res.returns):
-            assert out == pytest.approx(values[:rank].sum())
-
-
-class TestScanCosts:
-    def _trace(self, strategy, P=64):
-        def body(ctx):
-            out = yield from prefix_sum(ctx, 1.0, "s", strategy)
-            return out
-
-        return run_collective(CM5(seed=1), body, P=P).trace
-
-    def test_tree_is_log_supersteps(self):
-        trace = self._trace("tree")
-        assert len([s for s in trace if not s.phase.is_empty]) == 6
-
-    def test_direct_is_one_superstep(self):
-        trace = self._trace("direct")
-        assert len([s for s in trace if not s.phase.is_empty]) == 1
-
-    def test_cost_tradeoff(self):
-        # tree: (g + L) log P ; direct: g (P-1) + L — on the CM-5 with
-        # P = 64, direct's bandwidth term loses to tree's latency terms.
-        tree = BSP(CM5_PARAMS).trace_cost(self._trace("tree"))
-        direct = BSP(CM5_PARAMS).trace_cost(self._trace("direct"))
-        assert tree == pytest.approx(6 * (CM5_PARAMS.g + CM5_PARAMS.L),
-                                     rel=0.01)
-        assert direct == pytest.approx(
-            CM5_PARAMS.g * 63 + CM5_PARAMS.L, rel=0.01)
-
-
 class TestValidation:
     def test_bad_strategy(self, cm5):
         def body(ctx):
-            out = yield from prefix_sum(ctx, 1.0, "s", "quantum")
+            out = yield from broadcast(
+                ctx, np.zeros(16) if ctx.rank == 0 else None, 0, "b",
+                "quantum")
             return out
 
         with pytest.raises(ExperimentError):

@@ -4,10 +4,10 @@ A sweep draws all of its patterns into one stack of group columns and
 prices the stack in one pass.  These tests hold it to what the sweep
 stands for: for every machine and every Section 3 pattern, drawing each
 phase on its own with the plain generators below, then timing it with
-the scalar ``machine.comm_time`` from zero clocks, must give the same
-times and leave both RNG streams in the same state.  They also pin the
-NumPy behaviour the h-relation generator relies on and the
-``PhaseStack`` column constructor.
+the scalar oracle's ``comm_time`` (``tests/machines/scalar_reference.py``)
+from zero clocks, must give the same times and leave both RNG streams in
+the same state.  They also pin the NumPy behaviour the h-relation
+generator relies on and the ``PhaseStack`` column constructor.
 """
 
 import functools
@@ -31,6 +31,7 @@ from repro.calibration.microbench import (
 )
 from repro.core.relations import CommPhase, PhaseStack
 from repro.machines import CM5, GCel, MasParMP1, ModernCluster, T800Grid
+from tests.machines import scalar_reference as ref
 
 MACHINES = {
     "maspar": MasParMP1,
@@ -130,8 +131,8 @@ class TestSweepsAgainstScalarLoop:
         m_loop = MACHINES[machine](P=P, seed=seed)
         r_loop = np.random.default_rng(seed + 1)
         mb = m_loop.nominal.w
-        times = [float(m_loop.comm_time(reference(P, x, r_loop, mb),
-                                        np.zeros(P), barrier=barrier).max())
+        times = [float(ref.comm_time(m_loop, reference(P, x, r_loop, mb),
+                                     np.zeros(P), barrier=barrier).max())
                  for x in xs for _ in range(trials)]
         rows = np.array(times).reshape(len(xs), trials)
 

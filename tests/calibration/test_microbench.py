@@ -6,18 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.calibration.microbench import (
     TimingSeries,
+    block_permutation_experiment,
     full_h_relation_experiment,
     hh_permutation_experiment,
     multinode_scatter,
+    multinode_scatter_experiment,
     one_h_relation,
     one_h_relation_experiment,
+    partial_permutation_experiment,
     random_h_relation,
     random_partial_permutation,
     random_permutation,
     time_phase,
 )
 from repro.core.errors import CalibrationError
-from repro.machines import GCel, MasParMP1
+from repro.machines import CM5, GCel, MasParMP1
 
 
 class TestPatternGenerators:
@@ -103,3 +106,53 @@ class TestExperiments:
         with pytest.raises(CalibrationError):
             TimingSeries(name="x", xs=np.array([1.0, 2.0]),
                          mean=np.array([1.0]))
+
+
+#: every Section 3 sweep with an out-of-range argument, as (sweep, xs,
+#: extra keyword arguments); a bad x may follow good ones
+BAD_SWEEPS = [
+    (one_h_relation_experiment, [4, 0], {}),
+    (one_h_relation_experiment, [-3], {}),
+    (one_h_relation_experiment, [4], {"msg_bytes": -8}),
+    (partial_permutation_experiment, [8, 0], {}),
+    (partial_permutation_experiment, [65], {}),
+    (full_h_relation_experiment, [2, 0], {}),
+    (full_h_relation_experiment, [-1], {}),
+    (block_permutation_experiment, [64, -1], {}),
+    (block_permutation_experiment, [-8], {"barrier": False}),
+    (multinode_scatter_experiment, [4, 0], {}),
+    (hh_permutation_experiment, [0], {}),
+    (hh_permutation_experiment, [4, 0], {"sync_every": 4}),
+    (hh_permutation_experiment, [8], {"sync_every": 0}),
+]
+
+
+class TestInputChecks:
+    """Out-of-range sweep arguments are rejected before any draw."""
+
+    @pytest.mark.parametrize(
+        "sweep, xs, kwargs", BAD_SWEEPS,
+        ids=[f"{f.__name__}-{xs}-{kw}" for f, xs, kw in BAD_SWEEPS])
+    def test_sweep_rejects_bad_input(self, sweep, xs, kwargs):
+        m = CM5(seed=0)
+        rng = np.random.default_rng(0)
+        pattern_state = rng.bit_generator.state
+        machine_state = m.rng.bit_generator.state
+        with pytest.raises(CalibrationError):
+            sweep(m, xs, trials=2, rng=rng, **kwargs)
+        assert rng.bit_generator.state == pattern_state
+        assert m.rng.bit_generator.state == machine_state
+
+    @pytest.mark.parametrize("generate", [
+        lambda rng: random_permutation(64, rng, -4),
+        lambda rng: random_h_relation(64, 0, rng),
+        lambda rng: one_h_relation(64, 0, rng),
+        lambda rng: multinode_scatter(64, 0, rng),
+        lambda rng: random_partial_permutation(64, 8, rng, -4),
+    ], ids=["permutation", "h-relation", "one-h", "scatter", "partial"])
+    def test_public_generators_inherit_the_checks(self, generate):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(CalibrationError):
+            generate(rng)
+        assert rng.bit_generator.state == state

@@ -1,16 +1,18 @@
 """Batched pricing vs the scalar reference: exact agreement (hypothesis).
 
-Each machine and each cost model has a scalar reference and one
-columnar batch path, and the batch path keeps a bit-identity contract
-with it:
+Each machine and each cost model has one columnar batch path, and these
+tests hold it bit for bit to an independent scalar formulation:
 
 * cost models price phase lists through ``CostModel._comm_costs``; the
   scalar ``comm_cost`` loop is the reference, also for lists that mix
   processor counts (one model prices several requests in one batch);
 * machines price phase sequences through the pricer
-  ``Machine.comm_time_batch`` returns; the scalar ``comm_time`` loop is
-  the reference for its per-phase calls and, on the MasPar, for the
-  fused whole-sequence ``sequence_costs`` the IR replay uses.
+  ``Machine.comm_time_batch`` returns, and single phases through its
+  one-phase view ``Machine.comm_time``.  The reference is the scalar
+  oracle in ``tests/machines/scalar_reference.py``, phase by phase; on
+  the MasPar and the bulk-synchronous machines it is also the reference
+  for the fused whole-sequence ``sequence_costs`` that replay and the
+  calibration sweeps use.
 
 These sweeps draw random phase sequences — repeated objects included,
 since the vector engine interns recurring patterns and both batch layers
@@ -28,6 +30,7 @@ from repro.core import (BSF, BSP, EBSP, LocalityAwareBSP, MPBPRAM, MPBSP,
 from repro.core.params import UnbalancedCost
 from repro.core.relations import CommPhase
 from repro.machines import CM5, GCel, MasParMP1, ModernCluster, T800Grid
+from tests.machines import scalar_reference as ref
 
 MACHINES = {
     "maspar": MasParMP1,
@@ -75,11 +78,36 @@ def draw_sequence(draw, P, max_phases=6, second_P=None):
     return seq
 
 
+def assert_three_way(cls, P, seed, seq, barriers, disable=()):
+    """The pricer and the one-phase ``Machine.comm_time`` view against
+    the scalar oracle, phase by phase: the same clocks after every
+    phase, and the three machines' noise streams in the same state."""
+    m_scalar = cls(P=P, seed=seed, disable=disable)
+    m_batch = cls(P=P, seed=seed, disable=disable)
+    m_view = cls(P=P, seed=seed, disable=disable)
+    pricer = m_batch.comm_time_batch(seq)
+
+    cs = np.zeros(P)
+    cb = np.zeros(P)
+    cv = np.zeros(P)
+    for i, (ph, barrier) in enumerate(zip(seq, barriers)):
+        cs = ref.comm_time(m_scalar, ph, cs, barrier=barrier)
+        cb = pricer.comm_time(i, cb, barrier=barrier)
+        cv = m_view.comm_time(ph, cv, barrier=barrier)
+        assert np.array_equal(cs, cb), \
+            f"{cls.name} (disable={disable}) pricer diverged at phase {i}"
+        assert np.array_equal(cs, cv), \
+            f"{cls.name} (disable={disable}) view diverged at phase {i}"
+    # identical draws: the noise streams must end in the same state
+    assert m_scalar.rng.bit_generator.state == \
+        m_batch.rng.bit_generator.state == m_view.rng.bit_generator.state
+
+
 def assert_fused_costs_match(cls, P, seed, seq, disable=()):
-    """MasPar's fused ``sequence_costs`` against the scalar loop.
+    """MasPar's fused ``sequence_costs`` against the scalar oracle.
 
     With a barrier on every phase, scanning the costs as the fused replay
-    does (``T = T + cost``) must reach every clock the scalar
+    does (``T = T + cost``) must reach every clock the oracle's
     ``comm_time`` loop reaches, and draw the same noise.
     """
     m_scalar = cls(P=P, seed=seed, disable=disable)
@@ -89,7 +117,7 @@ def assert_fused_costs_match(cls, P, seed, seq, disable=()):
     clocks = np.zeros(P)
     T = 0.0
     for i, (ph, cost) in enumerate(zip(seq, costs.tolist())):
-        clocks = m_scalar.comm_time(ph, clocks, barrier=True)
+        clocks = ref.comm_time(m_scalar, ph, clocks, barrier=True)
         T = T + cost
         assert T == clocks.max(), f"fused cost diverged at phase {i}"
     assert m_scalar.rng.bit_generator.state == \
@@ -144,30 +172,29 @@ class TestMachineBatchAgreement:
         seed = data.draw(st.integers(0, 2 ** 16))
         seq = draw_sequence(data.draw, P)
         barriers = [data.draw(st.booleans()) for _ in seq]
-
-        m_scalar = MACHINES[machine](P=P, seed=seed)
-        m_batch = MACHINES[machine](P=P, seed=seed)
-        pricer = m_batch.comm_time_batch(seq)
-
-        cs = np.zeros(P)
-        cb = np.zeros(P)
-        for i, (ph, barrier) in enumerate(zip(seq, barriers)):
-            cs = m_scalar.comm_time(ph, cs, barrier=barrier)
-            cb = pricer.comm_time(i, cb, barrier=barrier)
-            assert np.array_equal(cs, cb), \
-                f"{machine} clocks diverged at phase {i}"
-        # identical draws: the noise streams must end in the same state
-        assert m_scalar.rng.bit_generator.state == \
-            m_batch.rng.bit_generator.state
+        assert_three_way(MACHINES[machine], P, seed, seq, barriers)
         if machine == "maspar":
             assert_fused_costs_match(MACHINES[machine], P, seed, seq)
+
+    @pytest.mark.parametrize("steps", [150, 400, 900])
+    @pytest.mark.parametrize("disable", [(), ("sync-loss",)])
+    def test_gcel_drift_equals_scalar_loop(self, steps, disable):
+        """Long barrier-free exchanges reach the GCel's drift collapse,
+        which random sequences of a few messages per node never do."""
+        perm = np.roll(np.arange(64), 1)
+        ph = CommPhase(P=64, src=np.arange(64), dst=perm,
+                       count=np.full(64, steps, dtype=np.int64),
+                       msg_bytes=np.full(64, 4, dtype=np.int64))
+        assert_three_way(GCel, 64, steps, [ph, ph, ph],
+                         [False, False, True], disable)
 
 
 class TestAblatedMachineBatchAgreement:
     """The bit-identity contract survives ablation: with any subset of a
-    machine's phenomena disabled, the batched pricer must still return
-    byte-for-byte what the ablated scalar loop returns (the ablation
-    harness prices whole traces through the batch path)."""
+    machine's phenomena disabled, the batched pricer and the one-phase
+    view must still return byte-for-byte what the ablated scalar oracle
+    returns (the ablation harness prices whole traces through the batch
+    path)."""
 
     @pytest.mark.parametrize("machine",
                              [m for m in MACHINES
@@ -183,28 +210,15 @@ class TestAblatedMachineBatchAgreement:
         seed = data.draw(st.integers(0, 2 ** 16))
         seq = draw_sequence(data.draw, P)
         barriers = [data.draw(st.booleans()) for _ in seq]
-
-        m_scalar = cls(P=P, seed=seed, disable=disable)
-        m_batch = cls(P=P, seed=seed, disable=disable)
-        pricer = m_batch.comm_time_batch(seq)
-
-        cs = np.zeros(P)
-        cb = np.zeros(P)
-        for i, (ph, barrier) in enumerate(zip(seq, barriers)):
-            cs = m_scalar.comm_time(ph, cs, barrier=barrier)
-            cb = pricer.comm_time(i, cb, barrier=barrier)
-            assert np.array_equal(cs, cb), \
-                f"{machine} (disable={disable}) diverged at phase {i}"
-        assert m_scalar.rng.bit_generator.state == \
-            m_batch.rng.bit_generator.state
+        assert_three_way(cls, P, seed, seq, barriers, disable)
         if machine == "maspar":
             assert_fused_costs_match(cls, P, seed, seq, disable)
 
 
 def assert_base_sequence_costs_match(cls, P, seed, seq, disable=()):
     """The base pricer's one-draw ``sequence_costs`` against the scalar
-    loop: with a barrier on every phase, ``T = (T + cost) + barrier``
-    must reach every clock the scalar ``comm_time`` loop reaches, and
+    oracle: with a barrier on every phase, ``T = (T + cost) + barrier``
+    must reach every clock the oracle's ``comm_time`` loop reaches, and
     the two machines must draw the same noise."""
     m_scalar = cls(P=P, seed=seed, disable=disable)
     m_fused = cls(P=P, seed=seed, disable=disable)
@@ -214,7 +228,7 @@ def assert_base_sequence_costs_match(cls, P, seed, seq, disable=()):
     clocks = np.zeros(P)
     T = 0.0
     for i, (ph, cost) in enumerate(zip(seq, costs.tolist())):
-        clocks = m_scalar.comm_time(ph, clocks, barrier=True)
+        clocks = ref.comm_time(m_scalar, ph, clocks, barrier=True)
         T = (T + cost) + barrier
         assert T == clocks.max(), f"fused cost diverged at phase {i}"
     assert m_scalar.rng.bit_generator.state == \

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.calibration.microbench import time_phase
 from repro.core.relations import CommPhase
 from repro.core.work import Flops, MatmulBlock
 from repro.machines import CM5
@@ -21,7 +22,7 @@ class TestHRelations:
         m = CM5(seed=1)
         hs = np.array([1, 4, 16, 64, 256])
         times = np.array([
-            m.phase_cost(full_h_relation(64, int(h), rng)) + m.barrier_time()
+            time_phase(m, full_h_relation(64, int(h), rng))
             for h in hs])
         g, L = np.polyfit(hs, times, 1)
         assert g == pytest.approx(9.1, rel=0.10)
@@ -32,7 +33,7 @@ class TestHRelations:
         # minor difference between a full h-relation and a scatter".
         m = CM5(seed=1)
         h = 64
-        t_full = m.phase_cost(full_h_relation(64, h, rng))
+        t_full = time_phase(m, full_h_relation(64, h, rng), barrier=False)
         # scatter: 8 senders, h messages each, fan over machine
         src = np.repeat(np.arange(8), h)
         dst = rng.integers(0, 64, size=8 * h)
@@ -40,7 +41,7 @@ class TestHRelations:
                          count=np.ones(8 * h, dtype=np.int64),
                          msg_bytes=np.full(8 * h, 8, dtype=np.int64))
         # per-h cost of the scatter is NOT an order of magnitude cheaper
-        assert t_full / m.phase_cost(scat) < 3
+        assert t_full / time_phase(m, scat, barrier=False) < 3
 
 
 class TestEndpointContention:
@@ -55,15 +56,17 @@ class TestEndpointContention:
 
     def test_unstaggered_slower(self):
         m = CM5(seed=2)
-        t_stag = m.phase_cost(self._phase(stagger=True))
-        t_uns = m.phase_cost(self._phase(stagger=False))
+        t_stag = time_phase(m, self._phase(stagger=True), barrier=False)
+        t_uns = time_phase(m, self._phase(stagger=False), barrier=False)
         assert t_uns > t_stag
 
     def test_penalty_about_20_to_40_percent(self):
         # §5.1: the unstaggered matmul was 21% slower overall.
         m = CM5(seed=2)
-        t_stag = np.mean([m.phase_cost(self._phase(True)) for _ in range(10)])
-        t_uns = np.mean([m.phase_cost(self._phase(False)) for _ in range(10)])
+        t_stag = np.mean([time_phase(m, self._phase(True), barrier=False)
+                          for _ in range(10)])
+        t_uns = np.mean([time_phase(m, self._phase(False), barrier=False)
+                         for _ in range(10)])
         assert 1.1 < t_uns / t_stag < 1.5
 
     def test_no_fan_in_no_penalty(self, rng):
@@ -71,8 +74,8 @@ class TestEndpointContention:
         perm = np.roll(np.arange(64), 1)
         ph_t = CommPhase.permutation(perm, 8, stagger=True)
         ph_f = CommPhase.permutation(perm, 8, stagger=False)
-        a = np.mean([m.phase_cost(ph_t) for _ in range(10)])
-        b = np.mean([m.phase_cost(ph_f) for _ in range(10)])
+        a = np.mean([time_phase(m, ph_t, barrier=False) for _ in range(10)])
+        b = np.mean([time_phase(m, ph_f, barrier=False) for _ in range(10)])
         assert b / a == pytest.approx(1.0, rel=0.02)
 
 
@@ -81,7 +84,8 @@ class TestBlockTransfers:
         m = CM5(seed=3)
         sizes = np.array([256, 1024, 4096, 16384])
         perm = np.roll(np.arange(64), 5)
-        times = [m.phase_cost(CommPhase.permutation(perm, int(s))) for s in sizes]
+        times = [time_phase(m, CommPhase.permutation(perm, int(s)),
+                            barrier=False) for s in sizes]
         sigma, ell = np.polyfit(sizes, times, 1)
         assert sigma == pytest.approx(0.27, rel=0.15)
         assert ell == pytest.approx(75, rel=0.40)
@@ -95,7 +99,8 @@ class TestBlockTransfers:
                          count=np.full(64, n_words, dtype=np.int64),
                          msg_bytes=np.full(64, 8, dtype=np.int64))
         block = CommPhase.permutation(perm, 8 * n_words)
-        ratio = m.phase_cost(fine) / m.phase_cost(block)
+        ratio = (time_phase(m, fine, barrier=False)
+                 / time_phase(m, block, barrier=False))
         assert 2.5 < ratio < 6
 
 

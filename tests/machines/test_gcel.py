@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.calibration.microbench import time_phase
 from repro.core.relations import CommPhase
 from repro.core.work import Flops
 from repro.machines import GCel
@@ -39,7 +40,7 @@ class TestHRelations:
         m = GCel(seed=1)
         hs = np.array([1, 2, 4, 8, 16])
         times = np.array([
-            m.phase_cost(full_h_relation(64, int(h), rng)) + m.barrier_time()
+            time_phase(m, full_h_relation(64, int(h), rng))
             for h in hs])
         g, L = np.polyfit(hs, times, 1)
         assert g == pytest.approx(4480, rel=0.10)
@@ -50,15 +51,16 @@ class TestHRelations:
         # a full h-relation with the same h.
         m = GCel(seed=1)
         h = 64
-        t_full = m.phase_cost(full_h_relation(64, h, rng))
-        t_scat = m.phase_cost(multinode_scatter(64, h, rng))
+        t_full = time_phase(m, full_h_relation(64, h, rng)) - m.barrier_time()
+        t_scat = time_phase(m, multinode_scatter(64, h, rng)) \
+            - m.barrier_time()
         assert 5 < t_full / t_scat < 12
 
     def test_scatter_effective_g_near_492(self, rng):
         m = GCel(seed=1)
         hs = np.array([32, 64, 128, 256])
-        times = np.array([m.phase_cost(multinode_scatter(64, int(h), rng))
-                          for h in hs])
+        times = np.array([time_phase(m, multinode_scatter(64, int(h), rng))
+                          - m.barrier_time() for h in hs])
         g_mscat, _ = np.polyfit(hs, times, 1)
         # Paper: 492 us; our mechanistic decomposition (receive side of
         # c_recv h sqrt(P)/(P - sqrt(P))) lands near 576 us — same order,
@@ -73,7 +75,8 @@ class TestBlockTransfers:
         times = []
         for s in sizes:
             perm = np.roll(np.arange(64), 7)
-            times.append(m.phase_cost(CommPhase.permutation(perm, int(s))))
+            times.append(time_phase(m, CommPhase.permutation(perm, int(s)))
+                         - m.barrier_time())
         sigma, ell = np.polyfit(sizes, times, 1)
         assert sigma == pytest.approx(9.3, rel=0.15)
         assert ell == pytest.approx(6900, rel=0.30)
@@ -87,7 +90,8 @@ class TestBlockTransfers:
                          count=np.full(64, n_words, dtype=np.int64),
                          msg_bytes=np.full(64, 4, dtype=np.int64))
         block = CommPhase.permutation(perm, 4 * n_words)
-        ratio = m.phase_cost(fine) / m.phase_cost(block)
+        ratio = ((time_phase(m, fine) - m.barrier_time())
+                 / (time_phase(m, block) - m.barrier_time()))
         assert 60 < ratio < 150
 
 

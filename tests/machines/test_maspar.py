@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.calibration.microbench import time_phase
 from repro.core.errors import SimulationError
 from repro.core.relations import CommPhase
 from repro.core.work import Flops, MatmulBlock
@@ -38,7 +39,8 @@ class TestPermutationCosts:
     def test_full_permutation_about_1300us(self, rng):
         # §5.1: "the time taken by a 1-1 relation is about 1300 us".
         m = MasParMP1(seed=1)
-        times = [m.phase_cost(random_permutation_phase(1024, rng))
+        times = [time_phase(m, random_permutation_phase(1024, rng),
+                            barrier=False)
                  for _ in range(10)]
         assert np.mean(times) == pytest.approx(1311, rel=0.05)
 
@@ -51,21 +53,25 @@ class TestPermutationCosts:
         ph = CommPhase(P=1024, src=src_arr, dst=np.array(targets),
                        count=np.ones(32, dtype=np.int64),
                        msg_bytes=np.full(32, 4, dtype=np.int64))
-        full = m.phase_cost(random_permutation_phase(1024, rng))
-        assert m.phase_cost(ph) / full == pytest.approx(0.13, abs=0.05)
+        full = time_phase(m, random_permutation_phase(1024, rng),
+                          barrier=False)
+        assert time_phase(m, ph, barrier=False) / full == pytest.approx(
+            0.13, abs=0.05)
 
     def test_cube_permutation_about_590us(self):
         # §5.1: single-bit-XOR permutations take ~590 us, less than half a
         # random permutation.
         m = MasParMP1(seed=1)
         cube = CommPhase.permutation(np.arange(1024) ^ 4, 4)
-        t = m.phase_cost(cube)
+        t = time_phase(m, cube, barrier=False)
         assert t == pytest.approx(590, rel=0.05)
 
     def test_cube_cheaper_than_random(self, rng):
         m = MasParMP1(seed=1)
-        cube = m.phase_cost(CommPhase.permutation(np.arange(1024) ^ 1, 4))
-        rand = m.phase_cost(random_permutation_phase(1024, rng))
+        cube = time_phase(m, CommPhase.permutation(np.arange(1024) ^ 1, 4),
+                          barrier=False)
+        rand = time_phase(m, random_permutation_phase(1024, rng),
+                          barrier=False)
         assert cube < 0.5 * rand
 
 
@@ -83,7 +89,8 @@ class TestOneToHRelations:
         m = MasParMP1(seed=2)
         hs = np.array([1, 2, 4, 8, 16, 32])
         times = np.array([
-            np.mean([m.phase_cost(self._one_h(1024, h, rng)) for _ in range(5)])
+            np.mean([time_phase(m, self._one_h(1024, h, rng), barrier=False)
+                     for _ in range(5)])
             for h in hs])
         g, L = np.polyfit(hs, times, 1)
         assert 25 < g < 45
@@ -95,7 +102,8 @@ class TestOneToHRelations:
         m = MasParMP1(seed=2)
         hs = np.array([1, 2, 4, 8, 16, 32])
         times = np.array([
-            np.mean([m.phase_cost(self._one_h(1024, h, rng)) for _ in range(5)])
+            np.mean([time_phase(m, self._one_h(1024, h, rng), barrier=False)
+                     for _ in range(5)])
             for h in hs])
         g, L = np.polyfit(hs, times, 1)
         assert times[0] < g * 1 + L
@@ -103,7 +111,8 @@ class TestOneToHRelations:
     def test_cluster_conflicts_add_variance(self, rng):
         # The error bars of Fig. 1: one router channel per 16-PE cluster.
         m = MasParMP1(seed=2)
-        times = [m.phase_cost(self._one_h(1024, 16, rng)) for _ in range(30)]
+        times = [time_phase(m, self._one_h(1024, 16, rng), barrier=False)
+                 for _ in range(30)]
         assert np.std(times) > 5.0
 
 
@@ -115,7 +124,7 @@ class TestBlockTransfers:
         for s in sizes:
             perm = rng.permutation(1024)
             ph = CommPhase.permutation(perm, int(s))
-            times.append(m.phase_cost(ph))
+            times.append(time_phase(m, ph, barrier=False))
         sigma, ell = np.polyfit(sizes, times, 1)
         # Table 1: sigma = 107, ell = 630.
         assert 95 < sigma < 120
@@ -129,7 +138,8 @@ class TestBlockTransfers:
                           count=np.full(1024, 64, dtype=np.int64),
                           msg_bytes=np.full(1024, 4, dtype=np.int64))
         # some self-sends in perm are fine for this comparison
-        assert m.phase_cost(block) < 0.5 * m.phase_cost(words)
+        assert time_phase(m, block, barrier=False) < \
+            0.5 * time_phase(m, words, barrier=False)
 
 
 class TestSinglePortSerialisation:
@@ -138,14 +148,15 @@ class TestSinglePortSerialisation:
         one = CommPhase(P=64, src=[0], dst=[1], count=[1], msg_bytes=[4])
         three = CommPhase(P=64, src=[0, 0, 0], dst=[1, 2, 3],
                           count=[1, 1, 1], msg_bytes=[4, 4, 4])
-        assert m.phase_cost(three) == pytest.approx(3 * m.phase_cost(one), rel=0.15)
+        assert time_phase(m, three, barrier=False) == pytest.approx(
+            3 * time_phase(m, one, barrier=False), rel=0.15)
 
     def test_repeated_counts_serialise(self):
         m = MasParMP1(P=64, seed=4)
         single = CommPhase(P=64, src=[0], dst=[1], count=[1], msg_bytes=[4])
         repeated = CommPhase(P=64, src=[0], dst=[1], count=[10], msg_bytes=[4])
-        assert m.phase_cost(repeated) == pytest.approx(
-            10 * m.phase_cost(single), rel=0.15)
+        assert time_phase(m, repeated, barrier=False) == pytest.approx(
+            10 * time_phase(m, single, barrier=False), rel=0.15)
 
     def test_hot_receiver_serialises(self):
         m = MasParMP1(P=64, seed=4)
@@ -157,7 +168,8 @@ class TestSinglePortSerialisation:
                            count=np.ones(16, dtype=np.int64),
                            msg_bytes=np.full(16, 4, dtype=np.int64),
                            step=np.zeros(16, dtype=np.int64))
-        assert m.phase_cost(fan) > m.phase_cost(spread)
+        assert time_phase(m, fan, barrier=False) > \
+            time_phase(m, spread, barrier=False)
 
 
 class TestCompute:
@@ -177,4 +189,5 @@ class TestCompute:
 class TestDeterminism:
     def test_same_seed_same_cost(self, rng):
         ph = random_permutation_phase(1024, rng)
-        assert MasParMP1(seed=9).phase_cost(ph) == MasParMP1(seed=9).phase_cost(ph)
+        assert time_phase(MasParMP1(seed=9), ph, barrier=False) == \
+            time_phase(MasParMP1(seed=9), ph, barrier=False)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.calibration.microbench import time_phase
 from repro.core.ebsp import LocalityAwareBSP
 from repro.core.errors import ModelError, SimulationError
 from repro.core.relations import CommPhase
@@ -38,7 +39,8 @@ class TestLocality:
 
     def test_cost_grows_with_distance(self):
         m = T800Grid(seed=1)
-        costs = [np.mean([T800Grid(seed=s).phase_cost(east_shift(64, 8, d))
+        costs = [np.mean([time_phase(T800Grid(seed=s), east_shift(64, 8, d),
+                                     barrier=False)
                           for s in range(3)]) for d in (1, 3, 5, 7)]
         assert costs == sorted(costs)
         assert costs[-1] > 2 * costs[0]
@@ -48,7 +50,8 @@ class TestLocality:
         neigh = east_shift(64, 8, 1)
         perm = rng.permutation(64)
         rand = CommPhase.permutation(perm, 4)
-        assert m.phase_cost(neigh) < 0.7 * m.phase_cost(rand)
+        assert time_phase(m, neigh, barrier=False) < \
+            0.7 * time_phase(m, rand, barrier=False)
 
     def test_flat_g_means_bsp_cannot_see_it(self):
         # BSP prices both shifts identically; the machine does not —
@@ -56,7 +59,8 @@ class TestLocality:
         m = T800Grid(seed=1)
         near, far = east_shift(64, 8, 1), east_shift(64, 8, 7)
         assert near.h == far.h  # identical BSP summary
-        assert m.phase_cost(far) > 1.5 * m.phase_cost(near)
+        assert time_phase(m, far, barrier=False) > \
+            1.5 * time_phase(m, near, barrier=False)
 
 
 class TestLocalityAwareBSP:
@@ -107,4 +111,5 @@ class TestLinkContention:
         light = CommPhase(P=64, src=heavy_src, dst=heavy_src + 1,
                           count=np.full(n, 64, dtype=np.int64),
                           msg_bytes=np.full(n, 4, dtype=np.int64))
-        assert m.phase_cost(heavy) > m.phase_cost(light)
+        assert time_phase(m, heavy, barrier=False) > \
+            time_phase(m, light, barrier=False)
