@@ -235,6 +235,7 @@ def _sweep(machine, columns, xs, trials, rng, name, *,
     either way the machine RNG moves exactly as :func:`time_phase`
     calls on each phase would move it.
     """
+    _at_least("trials", trials, 1)
     stack = columns(machine.P,
                     np.repeat(np.asarray(xs, dtype=np.int64), trials),
                     rng).stack()
@@ -247,17 +248,21 @@ def _sweep(machine, columns, xs, trials, rng, name, *,
         zeros = np.zeros(machine.P)
         times = np.array([pricer.comm_time(i, zeros, barrier=barrier).max()
                           for i in range(len(stack))])
-    rows = times.reshape(len(xs), trials)
+    return _series(name, xs, times, trials)
+
+
+def _series(name, xs, times, trials) -> TimingSeries:
+    """Mean, min and max of each x's ``trials`` consecutive times."""
+    rows = np.asarray(times).reshape(-1, trials)
     return TimingSeries(name=name, xs=np.asarray(xs, dtype=float),
                         mean=np.array([np.mean(r) for r in rows]),
                         lo=rows.min(axis=1), hi=rows.max(axis=1))
 
 
 def one_h_relation_experiment(machine: Machine, hs, *, trials: int = 20,
-                              rng: np.random.Generator,
-                              msg_bytes: int | None = None) -> TimingSeries:
+                              rng: np.random.Generator) -> TimingSeries:
     """Fig. 1: time of routing 1-h relations vs ``h``."""
-    mb = msg_bytes or machine.nominal.w
+    mb = machine.nominal.w
     return _sweep(machine, lambda P, x, r: _one_h_columns(P, x, r, mb),
                   hs, trials, rng, "1-h relations")
 
@@ -292,42 +297,48 @@ def hh_permutation_experiment(machine: Machine, hs, *,
                               sync_every: int | None = None,
                               trials: int = 3) -> TimingSeries:
     """Fig. 7: ``h`` repetitions of one permutation, with or without
-    periodic barriers (``sync_every`` messages)."""
-    _at_least("h", hs, 1)
+    periodic barriers (``sync_every`` messages).
+
+    Each trial sends ``h`` messages from every PE to its target under
+    one random permutation (self-sends included), in chunks of
+    ``sync_every`` messages with a barrier after each, or as one
+    barrier-free chunk.  Every chunk of every trial is one phase of a
+    single stack, priced by one pricer; each trial advances its chunks
+    in order from zero clocks, so the machine RNG moves as it would
+    under :meth:`Machine.comm_time` calls chunk by chunk.
+    """
+    _at_least("trials", trials, 1)
+    h = np.repeat(_at_least("h", hs, 1), trials)
     if sync_every is not None:
         _at_least("sync_every", sync_every, 1)
     P = machine.P
-    means, los, his = [], [], []
-    for h in hs:
-        times = []
-        for _ in range(trials):
-            perm = rng.permutation(P)
-            clocks = np.zeros(P)
-            if sync_every is None:
-                ph = CommPhase(P=P, src=np.arange(P), dst=perm,
-                               count=np.full(P, int(h), dtype=np.int64),
-                               msg_bytes=np.full(P, machine.nominal.w,
-                                                 dtype=np.int64))
-                clocks = machine.comm_time(ph, clocks, barrier=False)
-            else:
-                left = int(h)
-                while left > 0:
-                    c = min(sync_every, left)
-                    ph = CommPhase(P=P, src=np.arange(P), dst=perm,
-                                   count=np.full(P, c, dtype=np.int64),
-                                   msg_bytes=np.full(P, machine.nominal.w,
-                                                     dtype=np.int64))
-                    clocks = machine.comm_time(ph, clocks, barrier=True)
-                    left -= c
-            times.append(float(clocks.max()))
-        means.append(np.mean(times))
-        los.append(np.min(times))
-        his.append(np.max(times))
+    # one rng.permutation(P) per trial, h-major, drawn as the rows of
+    # one call
+    perms = rng.permuted(np.tile(np.arange(P), (h.size, 1)), axis=1)
+    every = h if sync_every is None else np.full(h.size, sync_every)
+    chunks = -(-h // every)
+    first = np.cumsum(chunks) - chunks
+    trial = np.repeat(np.arange(h.size), chunks)
+    # chunk j of a trial carries min(every, h - j * every) messages
+    j = np.arange(trial.size) - first[trial]
+    count = np.minimum(every[trial], h[trial] - j * every[trial])
+    n = trial.size * P
+    stack = PhaseStack.from_columns(
+        P, np.full(trial.size, P), np.tile(np.arange(P), trial.size),
+        perms[trial].ravel(), np.repeat(count, P),
+        np.full(n, machine.nominal.w, dtype=np.int64),
+        np.full(n, -1, dtype=np.int64))
+    pricer = machine.comm_time_batch(stack)
+    times = []
+    for a, c in zip(first.tolist(), chunks.tolist()):
+        clocks = np.zeros(P)
+        for i in range(a, a + c):
+            clocks = pricer.comm_time(i, clocks,
+                                      barrier=sync_every is not None)
+        times.append(float(clocks.max()))
     label = "h-h permutations" if sync_every is None else \
         f"h-h permutations (barrier/{sync_every})"
-    return TimingSeries(name=label, xs=np.asarray(hs, dtype=float),
-                        mean=np.array(means), lo=np.array(los),
-                        hi=np.array(his))
+    return _series(label, hs, times, trials)
 
 
 def multinode_scatter_experiment(machine: Machine, hs, *, trials: int = 5,

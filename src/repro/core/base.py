@@ -46,23 +46,16 @@ class CostModel(ABC):
     def comm_cost_batch(self, phases: "list[CommPhase]") -> "list[float]":
         """Predicted times of many phases at once.
 
-        Cost models are deterministic, so repeated phase *objects* (the
+        A model has one communication law, :meth:`comm_cost`.  Cost
+        models are deterministic, so repeated phase *objects* (the
         vector engine interns recurring communication patterns) are
-        priced once: this driver deduplicates by identity and hands the
-        distinct phases to :meth:`_comm_costs`.
+        priced once: this deduplicates by identity, prices each distinct
+        phase with :meth:`comm_cost`, and maps the costs back to
+        ``phases``.  The phases may have different processor counts.
         """
         uniq, index = unique_phases(phases)
-        costs = self._comm_costs(uniq)
+        costs = [self.comm_cost(ph) for ph in uniq]
         return [costs[j] for j in index]
-
-    def _comm_costs(self, phases: "list[CommPhase]") -> "list[float]":
-        """Batching hook behind :meth:`comm_cost_batch`.
-
-        The default delegates to :meth:`comm_cost` phase by phase;
-        columnar overrides must return bit-identical values (the
-        equivalence tests compare the two).
-        """
-        return [self.comm_cost(ph) for ph in phases]
 
     def trace_cost(self, trace: Trace) -> float:
         """Predicted total running time of a trace."""

@@ -36,11 +36,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .base import CostModel
 from .params import ModelParams
-from .relations import CommPhase, PhaseStack
+from .relations import CommPhase
 from .trace import Trace
 
 __all__ = ["BSF"]
@@ -64,18 +62,6 @@ class BSF(CostModel):
         total_msgs = float(phase.count.sum())
         return (2.0 * (self.params.g * total_words
                        + self.o_master * total_msgs) + self.params.L)
-
-    def _comm_costs(self, phases: list[CommPhase]) -> list[float]:
-        """Columnar totals (bit-identical: integer word/message sums are
-        exact, and the closing arithmetic is elementwise)."""
-        if type(self).comm_cost is not BSF.comm_cost:
-            return super()._comm_costs(phases)
-        stack = PhaseStack(phases)
-        words = -(-stack.msg_bytes // self.params.w) * stack.count
-        cost = (2.0 * (self.params.g * stack.per_phase(words)
-                       + self.o_master * stack.per_phase(stack.count))
-                + self.params.L)
-        return np.where(stack.live, cost, 0.0).tolist()
 
     # ------------------------------------------------------------------
     # The scalability bound

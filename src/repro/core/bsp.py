@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CostModel
-from .relations import CommPhase, PhaseStack
+from .relations import CommPhase
 
 __all__ = ["BSP"]
 
@@ -41,19 +41,3 @@ class BSP(CostModel):
             return 0.0
         h_s, h_r = self.words_per_proc(phase)
         return self.params.g * max(h_s, h_r) + self.params.L
-
-    def _comm_costs(self, phases: list[CommPhase]) -> list[float]:
-        """Columnar ``g h + L`` over many phases at once (bit-identical).
-
-        Word totals are integers, so the per-phase bincount sums are
-        exact; subclasses that override :meth:`comm_cost` automatically
-        fall back to the scalar loop.
-        """
-        if type(self).comm_cost is not BSP.comm_cost:
-            return super()._comm_costs(phases)
-        stack = PhaseStack(phases)
-        words = -(-stack.msg_bytes // self.params.w) * stack.count
-        h = np.maximum(stack.per_proc(stack.src, words).max(axis=1),
-                       stack.per_proc(stack.dst, words).max(axis=1))
-        cost = self.params.g * h + self.params.L
-        return np.where(stack.live, cost, 0.0).tolist()

@@ -25,8 +25,7 @@ from .base import CostModel
 from .bsp import BSP
 from .errors import ModelError
 from .params import ModelParams, UnbalancedCost
-from .relations import CommPhase, PhaseStack
-from .segsum import segment_sums
+from .relations import CommPhase
 
 __all__ = ["EBSP", "ScatterAwareBSP", "LocalityAwareBSP"]
 
@@ -70,59 +69,6 @@ class EBSP(CostModel):
         if phase.n_steps > 1:
             return sum(self.step_cost(sub) for sub in phase.split_steps())
         return self.step_cost(phase)
-
-    def _comm_costs(self, phases: list[CommPhase]) -> list[float]:
-        """Columnar unbalanced-cost pricing of many phases (bit-identical).
-
-        The stack's (phase, step tag) split makes every scheduled
-        sub-step a contiguous run; word totals per ``(sub-step,
-        endpoint)`` are exact integer segment sums, the ``T_unb`` law is
-        evaluated elementwise in the same operation order as
-        :meth:`step_cost`, and :func:`segment_sums` adds each phase's
-        sub-steps left to right.
-        """
-        if (type(self).comm_cost is not EBSP.comm_cost
-                or type(self).step_cost is not EBSP.step_cost):
-            return super()._comm_costs(phases)
-        stack = PhaseStack(phases)
-        if not stack.size:
-            return [0.0] * stack.n
-        ss = stack.substeps
-        P = stack.P
-        nseg = ss.starts.size
-        w_arr = (-(-stack.msg_bytes // self.params.w) * stack.count)[ss.order]
-
-        def _endpoint_stats(ep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Per sub-step: (max summed words at one endpoint, #distinct
-            endpoints) — exact int64 sums, order-independent."""
-            key = ss.sub * P + ep[ss.order]
-            o2 = np.argsort(key, kind="stable")
-            k2 = key[o2]
-            w2 = w_arr[o2]
-            run_starts = np.nonzero(
-                np.concatenate(([True], np.diff(k2) != 0)))[0]
-            run_sum = np.add.reduceat(w2, run_starts)
-            run_seg = k2[run_starts] // P
-            srs = np.nonzero(np.concatenate(([True], np.diff(run_seg) != 0)))[0]
-            mx = np.zeros(nseg, dtype=np.int64)
-            cnt = np.zeros(nseg, dtype=np.int64)
-            mx[run_seg[srs]] = np.maximum.reduceat(run_sum, srs)
-            cnt[run_seg[srs]] = np.diff(np.concatenate((srs, [run_seg.size])))
-            return mx, cnt
-
-        sent_max, senders = _endpoint_stats(stack.src)
-        recv_max, _ = _endpoint_stats(stack.dst)
-
-        s_max = sent_max.astype(np.float64)
-        senders_f = senders.astype(np.float64)
-        per_step = (self.unb.a * senders_f + self.unb.b * np.sqrt(senders_f)
-                    + self.unb.c)
-        safe = np.where(s_max > 0, s_max, 1.0)
-        h_r_step = np.ceil(recv_max.astype(np.float64) / safe)
-        per_step = per_step + self.params.g * (h_r_step - 1.0)
-        seg_cost = np.where(s_max > 0, s_max * per_step, 0.0)
-        n_sub = np.bincount(ss.pid, minlength=stack.n)
-        return segment_sums(seg_cost, np.cumsum(n_sub) - n_sub, n_sub).tolist()
 
 
 class ScatterAwareBSP(BSP):
@@ -204,20 +150,3 @@ class LocalityAwareBSP(BSP):
         per_send = np.bincount(phase.src, weights=cost, minlength=phase.P)
         per_recv = np.bincount(phase.dst, weights=cost, minlength=phase.P)
         return float(np.maximum(per_send, per_recv).max()) + self.params.L
-
-    def _comm_costs(self, phases: list[CommPhase]) -> list[float]:
-        """Columnar distance-weighted pricing (bit-identical to the
-        scalar path: per-group costs are elementwise and the per-phase
-        bincounts accumulate in the same group order)."""
-        if type(self).comm_cost is not LocalityAwareBSP.comm_cost:
-            return super()._comm_costs(phases)
-        stack = PhaseStack(phases)
-        words = -(-stack.msg_bytes // self.params.w) * stack.count
-        sr, sc = np.divmod(stack.src, self.side)
-        dr, dc = np.divmod(stack.dst, self.side)
-        hops = np.abs(sr - dr) + np.abs(sc - dc)
-        cost = words * (self.g0 + self.g_hop * hops)
-        per_send = stack.per_proc(stack.src, cost)
-        per_recv = stack.per_proc(stack.dst, cost)
-        total = np.maximum(per_send, per_recv).max(axis=1) + self.params.L
-        return np.where(stack.live, total, 0.0).tolist()

@@ -187,21 +187,6 @@ class CommPhase:
         return np.bincount(self.dst, weights=self.count * self.msg_bytes,
                            minlength=self.P).astype(np.int64)
 
-    @cached_property
-    def traffic_bytes_per_proc(self) -> np.ndarray:
-        """Bytes sent plus received by each processor; shape ``(P,)``.
-
-        The per-processor *communication volume* of the phase — the
-        quantity the bandwidth lower bounds of :mod:`repro.bounds`
-        constrain from below.
-        """
-        return self.bytes_sent_per_proc + self.bytes_recv_per_proc
-
-    @property
-    def max_traffic_bytes(self) -> int:
-        """Largest per-processor communication volume (sent + received)."""
-        return int(self.traffic_bytes_per_proc.max(initial=0))
-
     @property
     def h_s(self) -> int:
         """Maximum messages sent by any processor (BSP ``h_s``)."""
@@ -432,14 +417,16 @@ class SubSteps(NamedTuple):
 class PhaseStack:
     """The message groups of many phases as one set of columns.
 
-    Every batched pricer, machine or cost model, analyses a whole phase
-    sequence at once.  This concatenates the groups of the non-empty
-    phases in phase order and records each group's owning phase index in
-    ``pid``.  A phase's own groups keep their order, so a float sum over
-    them accumulates exactly as the per-phase code's does.  Per-processor
-    tables are ``(n, P)`` with ``P`` the largest phase ``P``: a narrower
-    phase leaves its extra columns zero, so phases of different ``P``
-    stack without a fallback.
+    Every machine pricer analyses a whole phase sequence at once (cost
+    models price each distinct phase with their per-phase law instead;
+    see :meth:`~repro.core.base.CostModel.comm_cost_batch`).  This
+    concatenates the groups of the non-empty phases in phase order and
+    records each group's owning phase index in ``pid``.  A phase's own
+    groups keep their order, so a float sum over them accumulates
+    exactly as the per-phase code's does.  Per-processor tables are
+    ``(n, P)`` with ``P`` the largest phase ``P``: a narrower phase
+    leaves its extra columns zero, so phases of different ``P`` stack
+    without a fallback.
 
     :meth:`from_columns` builds a stack straight from group columns, as
     the calibration sweeps generate their patterns; ``len(stack)`` is

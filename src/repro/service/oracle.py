@@ -7,9 +7,10 @@ and returns the measured/predicted times plus a comp/comm/sync breakdown.
 
 Two evaluation paths exist on purpose:
 
-* :func:`predict_offline` — the scalar reference: one request, priced via
-  :meth:`CostModel.trace_cost`.  This is byte-for-byte the offline
-  pipeline every experiment uses.
+* :func:`predict_offline` — the reference: one request, priced through
+  the same :meth:`Trace.work_terms` and :meth:`CostModel.comm_cost_batch`
+  as the batch path, with the sum checked against
+  :meth:`CostModel.trace_cost`, the call every experiment makes.
 * :func:`evaluate_batch` — the serving path: the micro-batcher hands it a
   coalesced batch; requests sharing a ``(machine, model)`` pair are priced
   by **one** :meth:`CostModel.comm_cost_batch` call over the concatenated
@@ -203,7 +204,7 @@ def _response(req: PredictRequest, res: RunResult, model: CostModel,
 
     ``predicted_us`` is accumulated left-to-right exactly like
     :meth:`CostModel.trace_cost` (``sum(work + comm)`` per superstep), so
-    the batched path reproduces the scalar path bit-for-bit.
+    the batched path reproduces the offline path bit-for-bit.
     """
     predicted = sum(w + c for w, c in zip(comp, comm))
     trace = res.trace
@@ -237,15 +238,17 @@ def _response(req: PredictRequest, res: RunResult, model: CostModel,
 
 
 # ----------------------------------------------------------------------
-# Offline (scalar) path
+# Offline (one request) path
 # ----------------------------------------------------------------------
 
 def predict_offline(doc_or_req) -> dict:
     """One request through the plain offline pipeline.
 
     This is the reference the batched path must match bit-for-bit: the
-    trace is priced with :meth:`CostModel.trace_cost`, i.e. the same
-    call the experiments and ``repro attribute`` make.
+    trace is priced through :meth:`Trace.work_terms` and one
+    :meth:`CostModel.comm_cost_batch` call, and the sum must equal
+    :meth:`CostModel.trace_cost`, the call the experiments and
+    ``repro attribute`` make.
     """
     req = (doc_or_req if isinstance(doc_or_req, PredictRequest)
            else PredictRequest.from_json(doc_or_req))

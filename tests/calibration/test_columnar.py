@@ -3,11 +3,13 @@
 A sweep draws all of its patterns into one stack of group columns and
 prices the stack in one pass.  These tests hold it to what the sweep
 stands for: for every machine and every Section 3 pattern, drawing each
-phase on its own with the plain generators below, then timing it with
-the scalar oracle's ``comm_time`` (``tests/machines/scalar_reference.py``)
-from zero clocks, must give the same times and leave both RNG streams in
-the same state.  They also pin the NumPy behaviour the h-relation
-generator relies on and the ``PhaseStack`` column constructor.
+trial's phases on their own with the plain generators below, then
+timing them with the scalar oracle's ``comm_time``
+(``tests/machines/scalar_reference.py``) from zero clocks, must give the
+same times and leave both RNG streams in the same state.  A trial is one
+phase, except in the h-h sweep, whose chunks advance the same clocks.
+They also pin the NumPy behaviour the h-relation generator relies on
+and the ``PhaseStack`` column constructor.
 """
 
 import functools
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from repro.calibration.microbench import (
     block_permutation_experiment,
     full_h_relation_experiment,
+    hh_permutation_experiment,
     multinode_scatter,
     multinode_scatter_experiment,
     one_h_relation,
@@ -91,24 +94,57 @@ def ref_scatter(P, h, rng, msg_bytes):
     return _unit_groups(P, np.repeat(np.arange(root), h), dst, msg_bytes)
 
 
-#: sweep -> (experiment, reference generator, x strategy given P, barrier)
+def ref_hh(sync_every):
+    """The h-h trial: ``h`` messages from every PE under one permutation,
+    ``sync_every`` at a time (all at once without it)."""
+    def chunks(P, h, rng, msg_bytes):
+        perm = rng.permutation(P)
+        every = h if sync_every is None else sync_every
+        return [CommPhase(P=P, src=np.arange(P), dst=perm,
+                          count=np.full(P, min(every, h - sent)),
+                          msg_bytes=np.full(P, msg_bytes))
+                for sent in range(0, h, every)]
+    return chunks
+
+
+def one_phase(reference):
+    """A one-phase trial of a per-phase reference generator."""
+    return lambda *args: [reference(*args)]
+
+
+#: sweep -> (experiment, reference trial (its phases in order), x
+#: strategy given P, barrier)
 SWEEPS = {
-    "one-h": (one_h_relation_experiment, ref_one_h,
+    "one-h": (one_h_relation_experiment, one_phase(ref_one_h),
               lambda P: st.integers(1, P), True),
-    "partial": (partial_permutation_experiment, ref_partial,
+    "partial": (partial_permutation_experiment, one_phase(ref_partial),
                 lambda P: st.integers(1, P), True),
-    "full-h": (full_h_relation_experiment, ref_h_relation,
+    "full-h": (full_h_relation_experiment, one_phase(ref_h_relation),
                lambda P: st.integers(1, 6), True),
     "block": (functools.partial(block_permutation_experiment, barrier=True),
-              ref_block,
+              one_phase(ref_block),
               lambda P: st.sampled_from([4, 8, 64, 200, 1024, 5000]), True),
     "block-no-barrier": (
         functools.partial(block_permutation_experiment, barrier=False),
-        ref_block,
+        one_phase(ref_block),
         lambda P: st.sampled_from([4, 8, 64, 200, 1024, 5000]), False),
-    "scatter": (multinode_scatter_experiment, ref_scatter,
+    "scatter": (multinode_scatter_experiment, one_phase(ref_scatter),
                 lambda P: st.integers(1, 20), True),
+    "hh": (hh_permutation_experiment, ref_hh(None),
+           lambda P: st.sampled_from([1, 5, 13, 40, 350]), False),
+    "hh-sync": (functools.partial(hh_permutation_experiment, sync_every=6),
+                ref_hh(6), lambda P: st.sampled_from([1, 5, 13, 40, 350]),
+                True),
 }
+
+
+def trial_time(machine, phases, barrier):
+    """A trial timed by the oracle from zero clocks, the clocks carried
+    from phase to phase."""
+    clocks = np.zeros(phases[0].P)
+    for ph in phases:
+        clocks = ref.comm_time(machine, ph, clocks, barrier=barrier)
+    return float(clocks.max())
 
 
 class TestSweepsAgainstScalarLoop:
@@ -131,8 +167,7 @@ class TestSweepsAgainstScalarLoop:
         m_loop = MACHINES[machine](P=P, seed=seed)
         r_loop = np.random.default_rng(seed + 1)
         mb = m_loop.nominal.w
-        times = [float(ref.comm_time(m_loop, reference(P, x, r_loop, mb),
-                                     np.zeros(P), barrier=barrier).max())
+        times = [trial_time(m_loop, reference(P, x, r_loop, mb), barrier)
                  for x in xs for _ in range(trials)]
         rows = np.array(times).reshape(len(xs), trials)
 

@@ -98,6 +98,22 @@ class TestExperiments:
         # = 51 ms, far above the per-run timing jitter)
         assert synced.mean[0] > plain.mean[0] + 5 * 5100
 
+    @pytest.mark.parametrize("sync_every", [None, 64])
+    def test_hh_sweep_builds_one_pricer(self, rng, monkeypatch, sync_every):
+        """Every chunk of every trial is priced by one pricer."""
+        m = GCel(seed=0)
+        calls = []
+        build = m.comm_time_batch
+
+        def spy(phases):
+            calls.append(len(phases))
+            return build(phases)
+
+        monkeypatch.setattr(m, "comm_time_batch", spy)
+        hh_permutation_experiment(m, [100, 300], rng=rng,
+                                  sync_every=sync_every, trials=2)
+        assert calls == [4 if sync_every is None else 2 * (2 + 5)]
+
     def test_time_phase_positive(self, rng):
         m = GCel(seed=0)
         assert time_phase(m, random_permutation(64, rng)) > 0
@@ -109,11 +125,11 @@ class TestExperiments:
 
 
 #: every Section 3 sweep with an out-of-range argument, as (sweep, xs,
-#: extra keyword arguments); a bad x may follow good ones
+#: extra keyword arguments; ``trials`` defaults to 2); a bad x may
+#: follow good ones
 BAD_SWEEPS = [
     (one_h_relation_experiment, [4, 0], {}),
     (one_h_relation_experiment, [-3], {}),
-    (one_h_relation_experiment, [4], {"msg_bytes": -8}),
     (partial_permutation_experiment, [8, 0], {}),
     (partial_permutation_experiment, [65], {}),
     (full_h_relation_experiment, [2, 0], {}),
@@ -124,6 +140,12 @@ BAD_SWEEPS = [
     (hh_permutation_experiment, [0], {}),
     (hh_permutation_experiment, [4, 0], {"sync_every": 4}),
     (hh_permutation_experiment, [8], {"sync_every": 0}),
+] + [
+    (sweep, [4], {"trials": trials})
+    for sweep in (one_h_relation_experiment, partial_permutation_experiment,
+                  full_h_relation_experiment, block_permutation_experiment,
+                  multinode_scatter_experiment, hh_permutation_experiment)
+    for trials in (0, -1)
 ]
 
 
@@ -139,7 +161,7 @@ class TestInputChecks:
         pattern_state = rng.bit_generator.state
         machine_state = m.rng.bit_generator.state
         with pytest.raises(CalibrationError):
-            sweep(m, xs, trials=2, rng=rng, **kwargs)
+            sweep(m, xs, rng=rng, **{"trials": 2, **kwargs})
         assert rng.bit_generator.state == pattern_state
         assert m.rng.bit_generator.state == machine_state
 

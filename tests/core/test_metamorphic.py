@@ -225,8 +225,9 @@ class TestPermutationInvariance:
     @SETTINGS
     def test_batch_pricing_is_order_invariant(self, cases):
         """comm_cost_batch prices each phase independently of its
-        neighbours and of its position."""
-        # batch pricers require a uniform P: rebuild all on the largest
+        neighbours and of its position: its identity dedup and index
+        mapping put the law's cost of each phase at the phase's entry,
+        whatever the list order."""
         P = max(c[0] for c in cases)
         phases = [phase_of(P, groups) for _, groups in cases]
         for model in models():

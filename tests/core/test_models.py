@@ -1,5 +1,7 @@
 """Tests for the BSP / MP-BSP / MP-BPRAM / E-BSP trace pricers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,17 @@ class TestBSP:
         model = BSP(CM5)
         ph = CommPhase(P=64, src=[0], dst=[1], count=[50], msg_bytes=[8])
         assert model.comm_cost(ph) == pytest.approx(50 * CM5.g + CM5.L)
+
+    def test_gather_charges_the_receive_side(self):
+        # 63 processors send one word each to processor 0: h_s = 1 but
+        # h_r = 63, and BSP charges max(h_s, h_r) (§2.1).
+        model = BSP(CM5)
+        ph = CommPhase(P=64, src=np.arange(1, 64),
+                       dst=np.zeros(63, dtype=np.int64),
+                       count=np.ones(63, dtype=np.int64),
+                       msg_bytes=np.full(63, CM5.w, dtype=np.int64))
+        assert (ph.h_s, ph.h_r) == (1, 63)
+        assert model.comm_cost(ph) == pytest.approx(63 * CM5.g + CM5.L)
 
 
 class TestMPBSP:
@@ -217,6 +230,23 @@ class TestScatterAwareBSP:
         h = ph.h_s
         assert model.comm_cost(ph) == pytest.approx(492.0 * h + GCEL.L)
         assert model.comm_cost(ph) < BSP(GCEL).comm_cost(ph) / 5
+
+    @pytest.mark.parametrize("extra, scatter_like", [(1, True), (2, False)])
+    def test_few_senders_bound(self, extra, scatter_like):
+        """Up to ``isqrt(P) + 1`` senders spreading over the rest of the
+        machine is a scatter; one more sender makes it plain BSP."""
+        model = ScatterAwareBSP(GCEL, g_scatter=492.0)
+        P = 64
+        k = math.isqrt(P) + extra
+        src = np.repeat(np.arange(k), P - k)
+        dst = np.tile(np.arange(k, P), k)
+        ph = CommPhase(P=P, src=src, dst=dst,
+                       count=np.ones(src.size, dtype=np.int64),
+                       msg_bytes=np.full(src.size, GCEL.w, dtype=np.int64))
+        assert (ph.h_s, ph.h_r) == (P - k, k)
+        assert model.is_scatter_like(ph) is scatter_like
+        g = 492.0 if scatter_like else GCEL.g
+        assert model.comm_cost(ph) == pytest.approx(g * (P - k) + GCEL.L)
 
     def test_full_relation_falls_back_to_bsp(self):
         model = ScatterAwareBSP(GCEL, g_scatter=492.0)

@@ -1,11 +1,16 @@
 """Batched pricing vs the scalar reference: exact agreement (hypothesis).
 
-Each machine and each cost model has one columnar batch path, and these
-tests hold it bit for bit to an independent scalar formulation:
+Each machine has one columnar batch path, and these tests hold it bit
+for bit to an independent scalar formulation.  Each cost model has one
+law, ``comm_cost(phase)``, which ``CostModel.comm_cost_batch`` applies
+once per distinct phase:
 
-* cost models price phase lists through ``CostModel._comm_costs``; the
-  scalar ``comm_cost`` loop is the reference, also for lists that mix
-  processor counts (one model prices several requests in one batch);
+* for cost models, the tests check ``comm_cost_batch`` around the law:
+  the identity dedup, the mapping of costs back to list positions, and
+  lists that mix processor counts (one model prices several requests in
+  one batch).  The laws themselves are checked independently, against
+  closed forms and metamorphic laws under ``tests/core`` (and
+  ``tests/machines/test_t800.py`` for ``LocalityAwareBSP``);
 * machines price phase sequences through the pricer
   ``Machine.comm_time_batch`` returns, and single phases through its
   one-phase view ``Machine.comm_time``.  The reference is the scalar
@@ -146,6 +151,10 @@ class TestModelBatchAgreement:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_comm_cost_batch_equals_scalar_loop(self, data):
+        """Pricing each distinct phase object once and mapping the costs
+        back by position gives the per-phase law's cost at every entry,
+        also for repeated objects and for lists of two processor
+        counts."""
         P = data.draw(st.sampled_from([4, 16, 64]))
         second_P = data.draw(st.sampled_from([4, 16, 64]))
         seq = draw_sequence(data.draw, P, second_P=second_P)
