@@ -8,7 +8,7 @@ engine leans on.  A regression here inflates every figure sweep.
 import numpy as np
 
 from repro.calibration.microbench import random_h_relation
-from repro.core.relations import CommPhase, merge_phases
+from repro.core.relations import CommPhase, PhaseStack, merge_phases
 from repro.machines import CM5, GCel, MasParMP1
 
 
@@ -53,50 +53,31 @@ def test_merge_phases_columnar(benchmark):
     benchmark(lambda: merge_phases(parts).total_messages)
 
 
-def test_maspar_comm_time_batch(benchmark):
-    """Batched pricing of 64 P=1024 phases (8 distinct, interned)."""
-    rng = np.random.default_rng(3)
-    uniq = [random_h_relation(1024, 4, rng) for _ in range(8)]
-    phases = [uniq[i % len(uniq)] for i in range(64)]
+def _price_batch(machine_cls, P, h, seed):
+    """Price 64 phases (8 distinct) through one pricer, as a replay hands
+    over its program's phase table and ``phase_idx``."""
+    rng = np.random.default_rng(seed)
+    uniq = [random_h_relation(P, h, rng) for _ in range(8)]
+    idx = [i % len(uniq) for i in range(64)]
 
     def price():
-        m = MasParMP1(seed=0)
-        pricer = m.comm_time_batch(phases)
-        clocks = np.zeros(1024)
-        for i in range(len(phases)):
+        pricer = machine_cls(seed=0).comm_time_batch(PhaseStack(uniq), idx)
+        clocks = np.zeros(P)
+        for i in range(len(idx)):
             clocks = pricer.comm_time(i, clocks)
         return clocks
 
-    benchmark(price)
+    return price
+
+
+def test_maspar_comm_time_batch(benchmark):
+    """Batched pricing of 64 P=1024 phases (8 distinct, interned)."""
+    benchmark(_price_batch(MasParMP1, 1024, 4, 3))
 
 
 def test_gcel_comm_time_batch(benchmark):
-    rng = np.random.default_rng(4)
-    uniq = [random_h_relation(64, 16, rng) for _ in range(8)]
-    phases = [uniq[i % len(uniq)] for i in range(64)]
-
-    def price():
-        m = GCel(seed=0)
-        pricer = m.comm_time_batch(phases)
-        clocks = np.zeros(64)
-        for i in range(len(phases)):
-            clocks = pricer.comm_time(i, clocks)
-        return clocks
-
-    benchmark(price)
+    benchmark(_price_batch(GCel, 64, 16, 4))
 
 
 def test_cm5_comm_time_batch(benchmark):
-    rng = np.random.default_rng(5)
-    uniq = [random_h_relation(64, 16, rng) for _ in range(8)]
-    phases = [uniq[i % len(uniq)] for i in range(64)]
-
-    def price():
-        m = CM5(seed=0)
-        pricer = m.comm_time_batch(phases)
-        clocks = np.zeros(64)
-        for i in range(len(phases)):
-            clocks = pricer.comm_time(i, clocks)
-        return clocks
-
-    benchmark(price)
+    benchmark(_price_batch(CM5, 64, 16, 5))

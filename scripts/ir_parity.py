@@ -33,8 +33,8 @@ from repro.algorithms import (apsp, bitonic, collectives, lu,  # noqa: E402
                               matmul, radix, samplesort, stencil)
 from repro.machines import CM5, GCel, MasParMP1, ModernCluster, T800Grid  # noqa: E402
 from repro.simulator import run_spmd  # noqa: E402
-from repro.simulator.ir import (IRStore, _decode_blob, _encode_blob,  # noqa: E402
-                                StepProgram, ir_store_scope)
+from repro.simulator.ir import (IRStore, decode_program,  # noqa: E402
+                                encode_program, ir_store_scope)
 
 MACHINES = {"maspar": MasParMP1, "gcel": GCel, "cm5": CM5, "t800": T800Grid,
             "modern": ModernCluster}
@@ -146,8 +146,7 @@ def main() -> int:
                     failures += 1
                     continue
                 raw = blobs[0].read_bytes()
-                again = _encode_blob(
-                    StepProgram.from_doc(_decode_blob(raw)).to_doc())
+                again = encode_program(decode_program(raw))
                 if again != raw:
                     print(f"FAIL {tag}: reserialised blob differs "
                           f"({len(again)} vs {len(raw)} bytes)")

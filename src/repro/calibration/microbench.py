@@ -97,6 +97,11 @@ class _Columns(NamedTuple):
             np.full(n, -1, dtype=np.int64))
 
 
+#: leads every list of per-phase draws, so an empty sweep, which draws
+#: nothing, still concatenates to an empty int64 column
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
 def _derange(perm: np.ndarray) -> None:
     """Move ``perm``'s fixed points in place (P = 1 keeps its one)."""
     fixed = np.nonzero(perm == np.arange(perm.size))[0]
@@ -127,7 +132,7 @@ def _partial_columns(P: int, actives, rng: np.random.Generator,
     if bad.size:
         raise CalibrationError(f"active must be in (0, {P}], got {bad[0]}")
     _at_least("message size", msg_bytes, 0)
-    src, dst = [], []
+    src, dst = [_NO_ROWS], [_NO_ROWS]
     for a in actives.tolist():
         src.append(rng.choice(P, size=a, replace=False))
         dst.append(rng.choice(P, size=a, replace=False))
@@ -152,8 +157,9 @@ def _one_h_columns(P: int, hs, rng: np.random.Generator,
     hs = _at_least("h", hs, 1)
     _at_least("message size", msg_bytes, 0)
     n_dest = -(-P // hs)
-    dests = np.concatenate([rng.choice(P, size=k, replace=False)
-                            for k in n_dest.tolist()])
+    dests = np.concatenate([_NO_ROWS]
+                           + [rng.choice(P, size=k, replace=False)
+                              for k in n_dest.tolist()])
     # PE i of a phase sends to that phase's destination i // h
     pe = np.tile(np.arange(P), hs.size)
     first = np.cumsum(n_dest) - n_dest

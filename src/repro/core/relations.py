@@ -380,9 +380,10 @@ def unique_phases(phases: "list[CommPhase]") -> "tuple[list[CommPhase], list[int
     superstep built from the same message-group arrays as an earlier one
     reuses the earlier :class:`CommPhase` object — so iterative
     algorithms (APSP's broadcasts, bitonic's merge schedule) hand the
-    pricers long sequences with only a handful of distinct patterns.
+    cost models long trace sequences with only a handful of distinct
+    patterns (:meth:`~repro.core.base.CostModel.comm_cost_batch`).
     Deterministic per-phase analysis only needs to run once per distinct
-    object; measurement noise is drawn at advance time regardless.
+    object.
 
     Returns ``(uniq, index)`` with ``uniq[index[i]] is phases[i]``.
     Sound because the caller keeps ``phases`` (and hence every id) alive.
@@ -415,22 +416,29 @@ class SubSteps(NamedTuple):
 
 
 class PhaseStack:
-    """The message groups of many phases as one set of columns.
+    """The message groups of many distinct phases as one set of columns.
 
-    Every machine pricer analyses a whole phase sequence at once (cost
-    models price each distinct phase with their per-phase law instead;
-    see :meth:`~repro.core.base.CostModel.comm_cost_batch`).  This
-    concatenates the groups of the non-empty phases in phase order and
-    records each group's owning phase index in ``pid``.  A phase's own
-    groups keep their order, so a float sum over them accumulates
-    exactly as the per-phase code's does.  Per-processor tables are
-    ``(n, P)`` with ``P`` the largest phase ``P``: a narrower phase
-    leaves its extra columns zero, so phases of different ``P`` stack
-    without a fallback.
+    Every machine pricer analyses a whole program's distinct phases at
+    once (cost models price each distinct phase with their per-phase law
+    instead; see :meth:`~repro.core.base.CostModel.comm_cost_batch`).
+    The stack holds the ``int64`` group columns of its phases in phase
+    order, each phase's group count, and the phases themselves as
+    :meth:`CommPhase._trusted` views into the columns (a view carries
+    its phase's stagger flag).
+    ``pid`` records each group's owning phase.  A phase's own groups
+    keep their order, so a float sum over them accumulates exactly as
+    the per-phase code's does.  Per-processor tables are ``(n, P)``
+    with ``P`` the largest phase ``P``: a narrower phase leaves its
+    extra columns zero, so phases of different ``P`` stack without a
+    fallback.
 
     :meth:`from_columns` builds a stack straight from group columns, as
-    the calibration sweeps generate their patterns; ``len(stack)`` is
-    the phase count.
+    a recorded step program holds them and the calibration sweeps
+    generate them; the constructor concatenates a list of phases (one
+    phase, for :meth:`~repro.machines.base.Machine.comm_time`).
+    ``len(stack)`` is the phase count.  The per-group arrays derived
+    here (``pid``, :attr:`substeps`) live on the stack, so a stack built
+    per pricer drops them with the pricer.
     """
 
     def __init__(self, phases: "list[CommPhase]"):
@@ -448,21 +456,31 @@ class PhaseStack:
     @classmethod
     def from_columns(cls, P: int, groups, src: np.ndarray, dst: np.ndarray,
                      count: np.ndarray, msg_bytes: np.ndarray,
-                     step: np.ndarray) -> "PhaseStack":
+                     step: np.ndarray, stagger=None, *,
+                     views: "list[CommPhase] | None" = None
+                     ) -> "PhaseStack":
         """A stack of ``len(groups)`` phases on ``P`` processors.
 
         Phase ``i`` owns the next ``groups[i]`` rows of the ``int64``
-        group columns.  The rows must already be valid (endpoints in
-        range, counts ``>= 1``): nothing is checked.  ``phases`` are
-        staggered :meth:`CommPhase._trusted` views into the columns.
+        group columns and is staggered iff ``stagger[i]`` (default: all
+        staggered).  The rows must already be valid (endpoints in range,
+        counts ``>= 1``): nothing is checked.  ``phases`` are
+        :meth:`CommPhase._trusted` views into the columns; ``views``
+        hands in the views of an earlier stack over the same columns
+        instead, so their cached summaries carry over.
         """
         self = object.__new__(cls)
         self._stack(P, groups, src, dst, count, msg_bytes, step)
-        ends = np.cumsum(groups, dtype=np.int64).tolist()
+        if views is not None:
+            self.phases = views
+            return self
+        flags = ([True] * self.n if stagger is None
+                 else np.asarray(stagger, dtype=bool).tolist())
+        ends = np.cumsum(self.groups).tolist()
         self.phases = []
-        for a, b in zip([0] + ends[:-1], ends):
+        for a, b, stag in zip([0] + ends[:-1], ends, flags):
             ph = CommPhase._trusted(P, src[a:b], dst[a:b], count[a:b],
-                                    msg_bytes[a:b], step[a:b], True)
+                                    msg_bytes[a:b], step[a:b], stag)
             # every row counts >= 1 message: a phase is empty iff it owns
             # no rows, so the per-phase advance need not sum its counts
             ph.__dict__["is_empty"] = a == b
@@ -473,14 +491,13 @@ class PhaseStack:
                step) -> None:
         """The stacked state of both constructors; an empty phase owns
         no rows."""
-        groups = np.asarray(groups, dtype=np.int64)
-        self.n = int(groups.size)
+        self.groups = np.asarray(groups, dtype=np.int64)
+        self.n = int(self.groups.size)
         self.P = P
         #: phases with at least one message
-        self.live = groups > 0
+        self.live = self.groups > 0
         self.src, self.dst, self.count = src, dst, count
         self.msg_bytes, self.step = msg_bytes, step
-        self.pid = np.repeat(np.arange(self.n, dtype=np.int64), groups)
 
     def __len__(self) -> int:
         return self.n
@@ -489,6 +506,11 @@ class PhaseStack:
     def size(self) -> int:
         """Number of stacked groups."""
         return int(self.src.size)
+
+    @cached_property
+    def pid(self) -> np.ndarray:
+        """The owning phase of each stacked group."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.groups)
 
     def per_proc(self, ends: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """``(n, P)`` per-phase sums of ``weights`` at endpoints ``ends``."""

@@ -18,49 +18,45 @@ import numpy as np
 
 from ..core.errors import SimulationError
 from ..core.params import ModelParams
-from ..core.relations import CommPhase, PhaseStack, unique_phases
+from ..core.relations import CommPhase, PhaseStack
 from ..core.work import Work, WorkBatch, nominal_time_batch
 
 __all__ = ["Machine", "CommPricer"]
 
 
 class CommPricer:
-    """Prices a fixed sequence of communication phases, one call per phase.
+    """Prices a sequence of communication phases, one call per phase.
 
     The pricer is where each machine's communication law lives: calling
     ``pricer.comm_time(i, clocks, barrier=...)`` for ``i = 0 .. n-1``
-    *in order* advances the clocks across ``phases[i]`` and draws the
-    phase's noise from the machine RNG.  :meth:`Machine.comm_time` is
-    the one-phase case.  The tests hold every pricer to a scalar,
-    phase-at-a-time formulation of the same laws
-    (``tests/machines/scalar_reference.py``).
+    *in order* advances the clocks across the sequence's phase ``i``
+    and draws the phase's noise from the machine RNG.
+    :meth:`Machine.comm_time` is the one-phase case.  The tests hold
+    every pricer to a scalar, phase-at-a-time formulation of the same
+    laws (``tests/machines/scalar_reference.py``).
 
-    The pricer analyses each distinct phase once, over one
-    :class:`~repro.core.relations.PhaseStack` of their groups.  A phase
-    list is deduplicated by object identity first
-    (:func:`~repro.core.relations.unique_phases`); a stack's phases are
-    distinct by construction and are priced as they stand.  This base
-    class is the bulk-synchronous layout (CM-5, T800, modern cluster):
-    :meth:`Machine.phase_cost_batch` gives each phase's deterministic
-    cost, and each advance multiplies in one ``jitter(machine.noise)``
-    draw per non-empty phase and lands the clocks through
-    :meth:`Machine._advance`.  :meth:`sequence_costs` takes every
-    phase's jittered cost from one draw instead.  The MasPar (sub-step
-    segments) and the GCel (per-node times with drift) subclass it.
+    The pricer takes the sequence's distinct phases as one
+    :class:`~repro.core.relations.PhaseStack` and the sequence itself
+    as ``idx``, the stack phase of each position (default: every stack
+    phase once, in order).  A replay hands over its program's own phase
+    table and ``phase_idx`` column, so nothing is deduplicated or
+    concatenated here: each distinct phase is analysed once, as it
+    stands in the stack.  This base class is the bulk-synchronous
+    layout (CM-5, T800, modern cluster): :meth:`Machine.phase_cost_batch`
+    gives each phase's deterministic cost, and each advance multiplies
+    in one ``jitter(machine.noise)`` draw per non-empty phase and lands
+    the clocks through :meth:`Machine._advance`.  :meth:`sequence_costs`
+    takes every phase's jittered cost from one draw instead.  The MasPar
+    (sub-step segments) and the GCel (per-node times with drift)
+    subclass it.
     """
 
-    def __init__(self, machine: "Machine",
-                 phases: "list[CommPhase] | PhaseStack"):
+    def __init__(self, machine: "Machine", stack: PhaseStack, idx=None):
         self.machine = machine
-        if isinstance(phases, PhaseStack):
-            stack = phases
-            self.phases = stack.phases
-            self._idx = np.arange(stack.n, dtype=np.int64)
-        else:
-            self.phases = phases
-            uniq, idx = unique_phases(phases)
-            self._idx = np.asarray(idx, dtype=np.int64)
-            stack = PhaseStack(uniq)
+        #: the distinct phases; position ``i`` prices ``phases[_idx[i]]``
+        self.phases = stack.phases
+        self._idx = (np.arange(stack.n, dtype=np.int64) if idx is None
+                     else np.asarray(idx, dtype=np.int64))
         self._live = stack.live
         self._prep(stack)
 
@@ -91,7 +87,7 @@ class CommPricer:
 
     def comm_time(self, i: int, clocks: np.ndarray, *,
                   barrier: bool = True) -> np.ndarray:
-        phase = self.phases[i]
+        phase = self.phases[self._idx[i]]
         if clocks.shape != (phase.P,):
             raise SimulationError("clock array does not match phase P")
         total = float(clocks.max())
@@ -170,11 +166,12 @@ class Machine:
         """Advance ``clocks`` across one communication phase.
 
         The one-phase case of :meth:`comm_time_batch`: the machine's
-        pricer for ``[phase]``, advanced once.  Code that times one
-        phase at a time uses it; a whole run builds one pricer instead.
+        pricer for a one-phase stack, advanced once.  Code that times
+        one phase at a time uses it; a whole run builds one pricer
+        instead.
         """
-        return self.comm_time_batch([phase]).comm_time(0, clocks,
-                                                       barrier=barrier)
+        return self.comm_time_batch(PhaseStack([phase])).comm_time(
+            0, clocks, barrier=barrier)
 
     def _advance(self, phase: CommPhase, clocks: np.ndarray, total: float,
                  barrier: bool) -> np.ndarray:
@@ -194,18 +191,20 @@ class Machine:
         new[mask] = total
         return new
 
-    def comm_time_batch(self, phases: "list[CommPhase] | PhaseStack"
-                        ) -> CommPricer:
+    def comm_time_batch(self, stack: PhaseStack, idx=None) -> CommPricer:
         """A pricer for a whole run's communication phases.
 
-        ``phases`` is the run's phase sequence, or a
-        :class:`~repro.core.relations.PhaseStack` of distinct phases
-        built from columns; ``len(phases)`` is the phase count either
-        way.  The pricer holds the machine's one implementation of its
-        communication law (see :class:`CommPricer`).  The default is
-        the base bulk-synchronous pricer over :meth:`phase_cost_batch`.
+        ``stack`` holds the run's distinct phases
+        (:class:`~repro.core.relations.PhaseStack`; ``len(stack)`` is
+        their count) and ``idx`` the run's phase sequence as positions
+        in it — a replay passes its program's table and ``phase_idx``.
+        Without ``idx`` the sequence is the stack's phases in order, as
+        the calibration sweeps build them.  The pricer holds the
+        machine's one implementation of its communication law (see
+        :class:`CommPricer`).  The default is the base bulk-synchronous
+        pricer over :meth:`phase_cost_batch`.
         """
-        return CommPricer(self, phases)
+        return CommPricer(self, stack, idx)
 
     def phase_cost_batch(self, stack: PhaseStack) -> np.ndarray:
         """Deterministic cost of every phase of ``stack``, in us.

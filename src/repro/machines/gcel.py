@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.errors import SimulationError
 from ..core.params import ModelParams, paper_params
-from ..core.relations import CommPhase, PhaseStack
+from ..core.relations import PhaseStack
 from .base import CommPricer, Machine
 
 __all__ = ["GCel"]
@@ -101,9 +101,8 @@ class GCel(Machine):
     def barrier_time(self) -> float:
         return self.barrier_us
 
-    def comm_time_batch(self, phases: list[CommPhase] | PhaseStack
-                        ) -> CommPricer:
-        return _GCelCommPricer(self, phases)
+    def comm_time_batch(self, stack: PhaseStack, idx=None) -> CommPricer:
+        return _GCelCommPricer(self, stack, idx)
 
 
 class _GCelCommPricer(CommPricer):
@@ -150,7 +149,8 @@ class _GCelCommPricer(CommPricer):
     def comm_time(self, i: int, clocks: np.ndarray, *,
                   barrier: bool = True) -> np.ndarray:
         m: GCel = self.machine
-        phase = self.phases[i]
+        u = self._idx[i]
+        phase = self.phases[u]
         if clocks.shape != (phase.P,):
             raise SimulationError("clock array does not match phase P")
         if phase.is_empty:
@@ -158,7 +158,7 @@ class _GCelCommPricer(CommPricer):
                 return np.full(phase.P, float(clocks.max()) + m.barrier_us)
             return clocks.copy()
         # rows are as wide as the widest phase; this phase uses its own P
-        times = self._times[self._idx[i], :phase.P]
+        times = self._times[u, :phase.P]
         if barrier:
             total = float(clocks.max()) + float(times.max()) + m.barrier_us
             return np.full(phase.P, total)

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..core.errors import SimulationError
 from ..core.params import ModelParams, UnbalancedCost, paper_params
-from ..core.relations import CommPhase, PhaseStack
+from ..core.relations import PhaseStack
 from ..core.segsum import segment_sums
 from .base import CommPricer, Machine
 
@@ -106,9 +106,8 @@ class MasParMP1(Machine):
         # The ACU keeps PEs in lockstep; synchronisation is free.
         return 0.0
 
-    def comm_time_batch(self, phases: list[CommPhase] | PhaseStack
-                        ) -> CommPricer:
-        return _MasParCommPricer(self, phases)
+    def comm_time_batch(self, stack: PhaseStack, idx=None) -> CommPricer:
+        return _MasParCommPricer(self, stack, idx)
 
 
 def _ranges(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -4,8 +4,10 @@ The paper's sweeps run the *same* algorithm trace under many machines,
 models, seeds and ablations — the structure (who sends what to whom, how
 much work each rank charges per superstep) never changes, only the
 pricing.  This module captures that structure as a :class:`StepProgram`:
-per-superstep records of interned :class:`~repro.core.relations.CommPhase`
-objects and interned ``WorkBatch`` lists, plus barrier/label metadata.
+its distinct communication phases as one stacked :class:`PhaseTable`
+(five ``int64`` group columns, a group count and a stagger flag per
+phase), interned ``WorkBatch`` lists, and per-superstep index, barrier
+and label columns.
 Recording happens on the first execution of a configuration — the
 algorithm's ``key_params`` (sizes and variant; the data seed too, but
 only for data-dependent programs such as sample sort) on one machine
@@ -13,6 +15,8 @@ shape; every later run — any machine of that shape, any machine seed,
 any ``disable=`` ablation subset, and for data-oblivious programs any
 data seed — replays the program through
 :func:`repro.simulator.replay.replay` with zero generator resumption.
+A replay hands the machine's pricer the program's own table and its
+``phase_idx`` column, so pricing never re-assembles the phases.
 
 Interning is aggressive and *value-based*: two supersteps whose batch
 lists carry identical kinds, ranks and parameters share one record, so
@@ -26,108 +30,106 @@ The :class:`IRStore` keeps programs in memory and, content-addressed by
 (``$REPRO_CACHE_DIR``/``~/.cache/repro``, or a command's
 ``--cache-dir``).  Keys include the IR schema version and the recording
 algorithm's source fingerprint, so editing an algorithm or bumping the
-schema invalidates stale recordings.  Blobs carry a SHA-256 checksum;
-corrupt files are quarantined and transparently re-recorded
-(byte-identically, since serialisation is canonical).  Programs, in memory and on disk, store
-structure only — the inputs and per-rank *results* of a run belong to
-that run alone and are produced per call by a data-only program pass
-(see :mod:`repro.simulator.lower`).
+schema invalidates stale recordings.  A blob (:func:`encode_program`)
+is a header line (magic, format, SHA-256, header length), a canonical
+JSON header (shape, labels, batch kinds and scalar parameters, and the
+dtype, original dtype, offset and length of every column) and the raw
+little-endian columns, integer columns narrowed to the smallest width
+that holds them.  Decoding (:func:`decode_program`) restores every
+column's original dtype, in arrays of its own that are read-only, and
+checks that the phase table and step columns agree with each other.
+Corrupt blobs are quarantined and transparently re-recorded
+(byte-identically, since serialisation is canonical).  Programs, in
+memory and on disk, store structure only — the inputs and per-rank
+*results* of a run belong to that run alone and are produced per call
+by a data-only program pass (see :mod:`repro.simulator.lower`).
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from ..core.errors import SimulationError
-from ..core.relations import CommPhase
+from ..core.relations import CommPhase, PhaseStack
 from ..core.work import WORK_FIELDS, StepWork, WorkBatch
 
-__all__ = ["IR_SCHEMA", "StepProgram", "IRStore", "build_program", "ir_key",
+__all__ = ["IR_SCHEMA", "PhaseTable", "StepProgram", "IRStore",
+           "build_program", "encode_program", "decode_program", "ir_key",
            "ir_store", "set_ir_store", "ir_store_scope", "default_ir_root",
            "program_comm_volume"]
 
 #: structural version of the IR itself; part of every :func:`ir_key`, so
 #: bumping it orphans (and therefore invalidates) all older recordings.
-IR_SCHEMA = 1
+IR_SCHEMA = 2
 
-#: on-disk wrapper format (checksum envelope), independent of the schema.
-_FORMAT = 1
+#: on-disk blob layout (header line, JSON header, raw columns).
+_FORMAT = 2
 
-#: header magic of on-disk blobs: ``repro-ir <format> <sha256-of-payload>``.
+#: header magic of on-disk blobs:
+#: ``repro-ir <format> <sha256> <header length>``.
 _MAGIC = b"repro-ir"
 
 _KINDS = {kind.__name__: kind for kind in WORK_FIELDS}
 
 _PHASE_FIELDS = ("src", "dst", "count", "msg_bytes", "step")
 
+#: the narrower integer widths a column may be stored in, with their ranges
+_WIDTHS = [(np.dtype(t), int(np.iinfo(t).min), int(np.iinfo(t).max))
+           for t in (np.int8, np.int16, np.int32)]
 
-def _pack(arr: np.ndarray) -> dict:
-    """An array as ``{"d": dtype, "b": base64}`` — canonical and cheap.
 
-    Raw little-endian bytes parse orders of magnitude faster than JSON
-    digit lists (the recordings hold millions of int64s), and base64 is
-    deterministic, keeping re-records byte-identical.  Integer arrays are
-    stored in the narrowest width that holds their range (most are rank
-    ids and small counts); ``"o"`` records the original dtype, restored
-    exactly on unpack so downstream arithmetic is unchanged.
+class PhaseTable(NamedTuple):
+    """A program's distinct phases as one stack of columns.
+
+    Phase ``j`` owns the next ``groups[j]`` rows of the five ``int64``
+    group columns (an empty phase owns none) and is staggered iff
+    ``stagger[j]``.  The fields follow the positional arguments of
+    :meth:`~repro.core.relations.PhaseStack.from_columns`.
     """
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype.byteorder == ">":
-        arr = arr.astype(arr.dtype.newbyteorder("<"))
-    doc = {"d": arr.dtype.str}
-    if arr.dtype.kind == "i" and arr.size:
-        lo, hi = int(arr.min()), int(arr.max())
-        for cand in (np.int8, np.int16, np.int32):
-            info = np.iinfo(cand)
-            if info.min <= lo and hi <= info.max:
-                if np.dtype(cand) != arr.dtype:
-                    doc["o"] = arr.dtype.str
-                    arr = arr.astype(cand)
-                    doc["d"] = arr.dtype.str
-                break
-    doc["b"] = base64.b64encode(arr.tobytes()).decode("ascii")
-    return doc
 
-
-def _unpack(doc: dict) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(doc["b"]),
-                        dtype=np.dtype(doc["d"]))
-    if "o" in doc:
-        arr = arr.astype(np.dtype(doc["o"]))
-    return arr
+    groups: np.ndarray      #: group count of each phase
+    src: np.ndarray
+    dst: np.ndarray
+    count: np.ndarray
+    msg_bytes: np.ndarray
+    step: np.ndarray
+    stagger: np.ndarray     #: stagger flag of each phase
 
 
 class StepProgram:
     """A recorded vector-program execution in columnar superstep form.
 
-    ``phases``/``batchlists`` hold the distinct structures; the per-step
-    columns ``phase_idx``/``batch_idx`` (``-1`` = no work) index into
-    them, with ``barriers``/``labels`` alongside.  A program holds no
-    data: one recording may serve runs at many data seeds.  Each
-    batchlist's :class:`~repro.core.work.StepWork` record (its rank-major
-    item order) is built once, cached on the program and shared by
-    every replay and every superstep of the batchlist.
+    ``table`` holds the distinct phases as one stack of columns, and
+    ``phases[j]`` is a :meth:`~repro.core.relations.CommPhase._trusted`
+    view of its phase ``j``; ``batchlists`` holds the distinct work
+    batch lists.  The per-step columns ``phase_idx``/``batch_idx``
+    (``-1`` = no work) index into them, with ``barriers``/``labels``
+    alongside.  A program holds no data: one recording may serve runs
+    at many data seeds.  Each batchlist's
+    :class:`~repro.core.work.StepWork` record (its rank-major item
+    order) is built once, cached on the program and shared by every
+    replay and every superstep of the batchlist.
     """
 
-    __slots__ = ("P", "word_bytes", "simd", "phases", "batchlists",
+    __slots__ = ("P", "word_bytes", "simd", "table", "phases", "batchlists",
                  "phase_idx", "batch_idx", "barriers", "labels", "_works")
 
     def __init__(self, *, P: int, word_bytes: int, simd: bool,
-                 phases: list[CommPhase], batchlists: list[list[WorkBatch]],
+                 table: PhaseTable, batchlists: list[list[WorkBatch]],
                  phase_idx: list[int], batch_idx: list[int],
                  barriers: list[bool], labels: list[str]):
         self.P = P
         self.word_bytes = word_bytes
         self.simd = simd
-        self.phases = phases
+        self.table = table
+        self.phases = PhaseStack.from_columns(P, *table).phases
         self.batchlists = batchlists
         self.phase_idx = phase_idx
         self.batch_idx = batch_idx
@@ -139,6 +141,16 @@ class StepProgram:
     def n_steps(self) -> int:
         return len(self.phase_idx)
 
+    def stack(self) -> PhaseStack:
+        """The phase table as a :class:`~repro.core.relations.PhaseStack`
+        for one pricer build.
+
+        The stack shares the table's columns and :attr:`phases`; the
+        per-group arrays a pricer derives from it stay on the stack, so
+        they go with the build instead of living on the program.
+        """
+        return PhaseStack.from_columns(self.P, *self.table, views=self.phases)
+
     def work(self, j: int) -> StepWork:
         """The work record of batchlist ``j`` (built once, then cached)."""
         work = self._works[j]
@@ -146,87 +158,176 @@ class StepProgram:
             work = self._works[j] = StepWork.of_batches(self.batchlists[j])
         return work
 
-    # ------------------------------------------------------------------
-    # Serialisation (structure only; canonical, so re-records are
-    # byte-identical)
-    # ------------------------------------------------------------------
-    def to_doc(self) -> dict:
-        label_table: list[str] = []
-        label_ids: dict[str, int] = {}
-        lab_idx: list[int] = []
-        for lab in self.labels:
-            j = label_ids.get(lab)
-            if j is None:
-                j = label_ids[lab] = len(label_table)
-                label_table.append(lab)
-            lab_idx.append(j)
-        return {
-            "schema": IR_SCHEMA,
-            "P": self.P,
-            "word_bytes": self.word_bytes,
-            "simd": bool(self.simd),
-            "phases": [_phase_doc(ph) for ph in self.phases],
-            "batchlists": [[_batch_doc(b) for b in bl]
-                           for bl in self.batchlists],
-            "steps": {
-                "phase": _pack(np.asarray(self.phase_idx, dtype=np.int64)),
-                "batch": _pack(np.asarray(self.batch_idx, dtype=np.int64)),
-                "barrier": _pack(np.asarray(
-                    [1 if b else 0 for b in self.barriers], dtype=np.int8)),
-                "label": _pack(np.asarray(lab_idx, dtype=np.int64)),
-            },
-            "labels": label_table,
-        }
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "StepProgram":
-        if doc.get("schema") != IR_SCHEMA:
-            raise SimulationError(
-                f"IR schema {doc.get('schema')!r} != {IR_SCHEMA}")
-        P = int(doc["P"])
-        steps = doc["steps"]
-        table = doc["labels"]
-        return cls(
-            P=P, word_bytes=int(doc["word_bytes"]), simd=bool(doc["simd"]),
-            phases=[_phase_from_doc(d, P) for d in doc["phases"]],
-            batchlists=[[_batch_from_doc(b) for b in bl]
-                        for bl in doc["batchlists"]],
-            phase_idx=_unpack(steps["phase"]).tolist(),
-            batch_idx=_unpack(steps["batch"]).tolist(),
-            barriers=[bool(x) for x in _unpack(steps["barrier"])],
-            labels=[table[i] for i in _unpack(steps["label"])])
+# ----------------------------------------------------------------------
+# Serialisation (structure only; canonical, so re-records are
+# byte-identical)
+# ----------------------------------------------------------------------
+class _ColumnWriter:
+    """The data section of a blob, one raw column at a time."""
+
+    def __init__(self):
+        self.docs: list[dict] = []
+        self.chunks: list[bytes] = []
+        self.offset = 0
+
+    def add(self, arr: np.ndarray) -> int:
+        """Append ``arr``; returns its column number.
+
+        Raw little-endian bytes; an integer column is stored in the
+        narrowest width that holds its range (most are rank ids and
+        small counts), and ``orig`` records the dtype decoding restores.
+        """
+        arr = np.ascontiguousarray(arr)
+        if arr.dtype.byteorder == ">":
+            arr = arr.astype(arr.dtype.newbyteorder("<"))
+        orig = arr.dtype.str
+        if arr.dtype.kind == "i" and arr.size:
+            lo, hi = int(arr.min()), int(arr.max())
+            for cand, cmin, cmax in _WIDTHS:
+                if cmin <= lo and hi <= cmax:
+                    if cand != arr.dtype:
+                        arr = arr.astype(cand)
+                    break
+        raw = arr.tobytes()
+        self.docs.append({"dtype": arr.dtype.str, "orig": orig,
+                          "offset": self.offset, "length": int(arr.size)})
+        self.chunks.append(raw)
+        self.offset += len(raw)
+        return len(self.docs) - 1
 
 
-def _phase_doc(ph: CommPhase) -> dict:
-    doc: dict = {f: _pack(getattr(ph, f).astype(np.int64, copy=False))
-                 for f in _PHASE_FIELDS}
-    doc["stagger"] = bool(ph.stagger)
-    return doc
+def _read_column(data: memoryview, doc: dict) -> np.ndarray:
+    """Column ``doc`` of ``data``: a read-only array of its own."""
+    dtype = np.dtype(doc["dtype"])
+    offset, length = int(doc["offset"]), int(doc["length"])
+    if offset < 0 or length < 0 \
+            or offset + length * dtype.itemsize > len(data):
+        raise ValueError("IR column runs past the blob's data")
+    arr = np.frombuffer(data, dtype=dtype, count=length,
+                        offset=offset).astype(np.dtype(doc["orig"]))
+    arr.flags.writeable = False
+    return arr
 
 
-def _phase_from_doc(doc: dict, P: int) -> CommPhase:
-    arrays = {f: _unpack(doc[f]) for f in _PHASE_FIELDS}
-    return CommPhase._trusted(P=P, stagger=bool(doc["stagger"]), **arrays)
+def encode_program(prog: StepProgram) -> bytes:
+    """``prog`` as one canonical blob.
+
+    The header line ``repro-ir 2 <sha256> <n>`` carries the checksum of
+    everything after it and the byte length ``n`` of the JSON header
+    that follows; the raw columns come last.  The checksum covers bytes,
+    not a re-serialisation, so a read verifies one hash; canonical JSON
+    and a fixed column order keep re-records byte-identical.
+    """
+    cols = _ColumnWriter()
+    label_table: list[str] = []
+    label_ids: dict[str, int] = {}
+    lab_idx: list[int] = []
+    for lab in prog.labels:
+        j = label_ids.get(lab)
+        if j is None:
+            j = label_ids[lab] = len(label_table)
+            label_table.append(lab)
+        lab_idx.append(j)
+    header = {
+        "schema": IR_SCHEMA,
+        "P": prog.P,
+        "word_bytes": prog.word_bytes,
+        "simd": bool(prog.simd),
+        "labels": label_table,
+        "table": {f: cols.add(col)
+                  for f, col in zip(PhaseTable._fields, prog.table)},
+        "steps": {
+            "phase": cols.add(np.asarray(prog.phase_idx, dtype=np.int64)),
+            "batch": cols.add(np.asarray(prog.batch_idx, dtype=np.int64)),
+            "barrier": cols.add(np.asarray(prog.barriers, dtype=bool)),
+            "label": cols.add(np.asarray(lab_idx, dtype=np.int64)),
+        },
+        "batchlists": [[_batch_doc(b, cols) for b in bl]
+                       for bl in prog.batchlists],
+        "columns": cols.docs,
+    }
+    head = json.dumps(header, sort_keys=True,
+                      separators=(",", ":")).encode()
+    checksum = hashlib.sha256(head)
+    for chunk in cols.chunks:
+        checksum.update(chunk)
+    line = b"%s %d %s %d\n" % (_MAGIC, _FORMAT,
+                               checksum.hexdigest().encode(), len(head))
+    return b"".join([line, head, *cols.chunks])
 
 
-def _batch_doc(b: WorkBatch) -> dict:
+def decode_program(raw: bytes) -> StepProgram:
+    """The program of an :func:`encode_program` blob; raise on any
+    damage (bad header line, checksum, header length or column range,
+    phase table or step columns that disagree, indices out of range)."""
+    nl = raw.find(b"\n")
+    if nl < 0:
+        raise ValueError("IR blob has no header line")
+    fields = raw[:nl].split(b" ")
+    if len(fields) != 4 or fields[0] != _MAGIC \
+            or fields[1] != b"%d" % _FORMAT:
+        raise ValueError(f"IR blob header {raw[:nl]!r}")
+    body = memoryview(raw)[nl + 1:]
+    head_len = int(fields[3])
+    if not 0 <= head_len <= len(body):
+        raise ValueError("IR blob header length runs past the blob")
+    if hashlib.sha256(body).hexdigest().encode() != fields[2]:
+        raise ValueError("IR blob checksum mismatch")
+    header = json.loads(bytes(body[:head_len]))
+    if header.get("schema") != IR_SCHEMA:
+        raise SimulationError(
+            f"IR schema {header.get('schema')!r} != {IR_SCHEMA}")
+    data = body[head_len:]
+    cols = [_read_column(data, doc) for doc in header["columns"]]
+    table = PhaseTable(*(cols[header["table"][f]]
+                         for f in PhaseTable._fields))
+    if table.stagger.size != table.groups.size \
+            or table.groups.min(initial=0) < 0 \
+            or len({int(table.groups.sum())}
+                   | {getattr(table, f).size for f in _PHASE_FIELDS}) != 1:
+        raise ValueError("IR phase table columns disagree")
+    steps = {f: cols[i] for f, i in header["steps"].items()}
+    labels = header["labels"]
+    batchlists = [[_batch_from_doc(b, cols) for b in bl]
+                  for bl in header["batchlists"]]
+    if len({col.size for col in steps.values()}) != 1 \
+            or not _in_range(steps["phase"], 0, table.groups.size) \
+            or not _in_range(steps["batch"], -1, len(batchlists)) \
+            or not _in_range(steps["label"], 0, len(labels)):
+        raise ValueError("IR step columns disagree")
+    return StepProgram(
+        P=int(header["P"]), word_bytes=int(header["word_bytes"]),
+        simd=bool(header["simd"]), table=table, batchlists=batchlists,
+        phase_idx=steps["phase"].tolist(), batch_idx=steps["batch"].tolist(),
+        barriers=steps["barrier"].tolist(),
+        labels=[labels[i] for i in steps["label"].tolist()])
+
+
+def _in_range(col: np.ndarray, lo: int, hi: int) -> bool:
+    """Every entry of ``col`` lies in ``[lo, hi)``."""
+    return col.size == 0 or (lo <= col.min() and col.max() < hi)
+
+
+def _batch_doc(b: WorkBatch, cols: _ColumnWriter) -> dict:
     params: dict = {}
     for f, col in b.params.items():
-        if not any(col.strides):  # uniform: store one scalar
-            params[f] = col.flat[0].item()
+        if not any(col.strides):  # uniform: one scalar and its dtype
+            params[f] = {"dtype": col.dtype.str, "value": col.flat[0].item()}
         else:
-            params[f] = _pack(col)
-    return {"kind": b.kind.__name__, "ranks": _pack(b.ranks),
+            params[f] = cols.add(col)
+    return {"kind": b.kind.__name__, "ranks": cols.add(b.ranks),
             "params": params}
 
 
-def _batch_from_doc(doc: dict) -> WorkBatch:
+def _batch_from_doc(doc: dict, cols: list[np.ndarray]) -> WorkBatch:
     kind = _KINDS.get(doc["kind"])
     if kind is None:
         raise SimulationError(f"unknown work kind {doc['kind']!r} in IR blob")
-    params = {f: (_unpack(v) if isinstance(v, dict) else v)
+    params = {f: (cols[v] if isinstance(v, int)
+                  else np.asarray(v["value"], dtype=np.dtype(v["dtype"])))
               for f, v in doc["params"].items()}
-    return WorkBatch(kind, params, _unpack(doc["ranks"]))
+    return WorkBatch(kind, params, cols[doc["ranks"]])
 
 
 # ----------------------------------------------------------------------
@@ -238,9 +339,11 @@ def build_program(*, P: int, word_bytes: int, simd: bool,
     """Intern :func:`~repro.simulator.vector.collect_steps` records.
 
     Phases dedup by identity (the collector already interns repeated
-    patterns); batch lists dedup by *content* — kind, rank array and
-    parameter columns hashed by value — so supersteps that rebuild equal
-    arrays every iteration still share one record and one pricing pass.
+    patterns) and are stacked, in first-occurrence order, into the
+    program's :class:`PhaseTable`; batch lists dedup by *content* —
+    kind, rank array and parameter columns hashed by value — so
+    supersteps that rebuild equal arrays every iteration still share one
+    record and one pricing pass.
     """
     digests: dict[int, tuple[Any, bytes]] = {}
 
@@ -288,7 +391,11 @@ def build_program(*, P: int, word_bytes: int, simd: bool,
             batch_idx.append(-1)
         barriers.append(bool(barrier))
         labels.append(label)
-    return StepProgram(P=P, word_bytes=word_bytes, simd=simd, phases=phases,
+    stack = PhaseStack(phases)
+    table = PhaseTable(stack.groups, stack.src, stack.dst, stack.count,
+                       stack.msg_bytes, stack.step,
+                       np.array([ph.stagger for ph in phases], dtype=bool))
+    return StepProgram(P=P, word_bytes=word_bytes, simd=simd, table=table,
                        batchlists=batchlists, phase_idx=phase_idx,
                        batch_idx=batch_idx, barriers=barriers, labels=labels)
 
@@ -296,9 +403,11 @@ def build_program(*, P: int, word_bytes: int, simd: bool,
 def program_comm_volume(prog: StepProgram) -> dict:
     """Exact communication totals of a recorded program — no replay.
 
-    Phases are interned, so the whole-run volume is each distinct
-    phase's per-processor byte vectors times its superstep multiplicity
-    (a single ``bincount`` over the phase column).  This is what lets
+    Phases are interned, so the whole-run volume weighs each row of the
+    phase table by its phase's superstep multiplicity (one ``bincount``
+    over the phase column) and sums the rows per endpoint (one weighted
+    ``bincount`` per direction).  Every sum is an integer below 2**53,
+    so the float totals are exact in any order.  This is what lets
     :mod:`repro.bounds` price attained-vs-optimal ratios from the IR
     store without re-running any simulation.
 
@@ -306,19 +415,20 @@ def program_comm_volume(prog: StepProgram) -> dict:
     float64 vectors of length ``P`` plus scalar ``messages`` and
     ``supersteps`` counts.
     """
-    sent = np.zeros(prog.P, dtype=np.float64)
-    recv = np.zeros(prog.P, dtype=np.float64)
-    messages = 0
+    t = prog.table
     mult = np.bincount(np.asarray(prog.phase_idx, dtype=np.int64),
-                       minlength=len(prog.phases))
-    for m, ph in zip(mult, prog.phases):
-        if not m:
-            continue
-        sent += m * ph.bytes_sent_per_proc
-        recv += m * ph.bytes_recv_per_proc
-        messages += int(m) * ph.total_messages
-    return {"bytes_sent_per_proc": sent, "bytes_recv_per_proc": recv,
-            "messages": int(messages), "supersteps": prog.n_steps}
+                       minlength=t.groups.size)
+    messages = np.repeat(mult, t.groups) * t.count
+    nbytes = messages * t.msg_bytes
+
+    def per_proc(ends: np.ndarray) -> np.ndarray:
+        # bincount of no rows returns integers whatever the weights
+        return np.bincount(ends, weights=nbytes, minlength=prog.P
+                           ).astype(np.float64, copy=False)
+
+    return {"bytes_sent_per_proc": per_proc(t.src),
+            "bytes_recv_per_proc": per_proc(t.dst),
+            "messages": int(messages.sum()), "supersteps": prog.n_steps}
 
 
 # ----------------------------------------------------------------------
@@ -348,34 +458,6 @@ def default_ir_root() -> Path:
     from ..runner.cache import default_cache_root
 
     return default_cache_root() / "ir"
-
-
-def _encode_blob(payload: dict) -> bytes:
-    """Header line (magic, format, payload checksum) + canonical JSON.
-
-    The checksum covers the payload *bytes*, so verification on read is
-    one hash over the tail — no re-serialisation.  Canonical JSON plus
-    deterministic base64 packing keep re-records byte-identical.
-    """
-    body = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode()
-    head = b"%s %d %s\n" % (_MAGIC, _FORMAT,
-                            hashlib.sha256(body).hexdigest().encode())
-    return head + body
-
-
-def _decode_blob(raw: bytes) -> dict:
-    """Verify the envelope of :func:`_encode_blob`; raise on any damage."""
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise ValueError("IR blob has no header line")
-    magic, fmt, checksum = raw[:nl].split(b" ")
-    if magic != _MAGIC or int(fmt) != _FORMAT:
-        raise ValueError(f"IR blob header {raw[:nl]!r}")
-    body = raw[nl + 1:]
-    if hashlib.sha256(body).hexdigest().encode() != checksum:
-        raise ValueError("IR blob checksum mismatch")
-    return json.loads(body)
 
 
 class IRStore:
@@ -417,7 +499,7 @@ class IRStore:
         except OSError:
             return None
         try:
-            prog = StepProgram.from_doc(_decode_blob(raw))
+            prog = decode_program(raw)
         except Exception:
             self._quarantine(path)
             return None
@@ -430,7 +512,7 @@ class IRStore:
         self.recorded += 1
         if not self.disk:
             return
-        blob = _encode_blob(prog.to_doc())
+        blob = encode_program(prog)
         path = self._path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

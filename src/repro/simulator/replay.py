@@ -5,9 +5,9 @@ resumes, no ``put_group``/``charge_batch`` bookkeeping re-runs.  The
 machine-independent prep (each batchlist's work record, with its
 rank-major item order) is cached on the program; per replay only the
 machine-dependent pieces are computed — one deterministic pricing pass
-per *distinct* batchlist, one batched comm pricer for the phase
-sequence — and the per-superstep loop reduces to RNG-ordered noise
-application plus clock advancement.
+per *distinct* batchlist, and one comm pricer built over the program's
+own phase table and its ``phase_idx`` column — and the per-superstep
+loop reduces to RNG-ordered noise application plus clock advancement.
 
 Two paths, both bit-identical to the generator and vector engines:
 
@@ -61,8 +61,8 @@ def replay(machine, prog: StepProgram, *, label: str = "") -> RunResult:
             f"(word_bytes={prog.word_bytes}, simd={prog.simd}); record one "
             "per machine shape")
 
+    pricer = machine.comm_time_batch(prog.stack(), prog.phase_idx)
     phases = [prog.phases[j] for j in prog.phase_idx]
-    pricer = machine.comm_time_batch(phases)
 
     works = [prog.work(j) for j in range(len(prog.batchlists))]
     # deterministic prices per distinct batchlist, rank-major order

@@ -83,12 +83,12 @@ class TestWarmPath:
 
 @pytest.mark.fast
 class TestVolumeParity:
-    @pytest.mark.parametrize("name", ["apsp/gcel", "bitonic/maspar",
-                                      "matmul/cm5"])
+    @pytest.mark.parametrize("name", list(BOUND_CELLS))
     def test_program_extraction_equals_live_trace(self, name):
         """The warm (structure-only) numbers are the live-trace numbers:
-        a live run records the program, then the store extraction must
-        match that run's replayed trace."""
+        a live run records the program, then the store extraction from
+        its phase table must match that run's replayed trace, summed
+        phase by phase."""
         cell = BOUND_CELLS[name]
         n = cell.size(0.3)
         machine = machine_for(cell.machine, seed=0)

@@ -20,7 +20,7 @@ from repro.calibration.microbench import (
     time_phase,
 )
 from repro.core.errors import CalibrationError
-from repro.machines import CM5, GCel, MasParMP1
+from repro.machines import CM5, GCel, MasParMP1, ModernCluster, T800Grid
 
 
 class TestPatternGenerators:
@@ -178,3 +178,30 @@ class TestInputChecks:
         with pytest.raises(CalibrationError):
             generate(rng)
         assert rng.bit_generator.state == state
+
+
+SWEEPS = (one_h_relation_experiment, partial_permutation_experiment,
+          full_h_relation_experiment, block_permutation_experiment,
+          multinode_scatter_experiment, hh_permutation_experiment)
+
+MACHINES = (MasParMP1, GCel, CM5, T800Grid, ModernCluster)
+
+
+class TestEmptySweeps:
+    """A sweep over no x values returns an empty series and draws
+    nothing from either the pattern RNG or the machine RNG."""
+
+    @pytest.mark.parametrize("machine", MACHINES,
+                             ids=[m.name for m in MACHINES])
+    @pytest.mark.parametrize("sweep", SWEEPS,
+                             ids=[f.__name__ for f in SWEEPS])
+    def test_empty_xs(self, sweep, machine):
+        m = machine(seed=0)
+        rng = np.random.default_rng(0)
+        pattern_state = rng.bit_generator.state
+        machine_state = m.rng.bit_generator.state
+        series = sweep(m, [], rng=rng, trials=2)
+        assert series.xs.size == series.mean.size == 0
+        assert series.lo.size == series.hi.size == 0
+        assert rng.bit_generator.state == pattern_state
+        assert m.rng.bit_generator.state == machine_state

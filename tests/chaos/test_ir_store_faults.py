@@ -1,12 +1,18 @@
 """Chaos tests for the step-program IR store's self-healing read path.
 
 Damaged ``.irp`` blobs (flipped bytes, truncation, stale checksums,
-garbage headers) must be detected by the checksum envelope, quarantined
-out of the way, and reported as misses — after which the caller's
-re-record heals the slot with a blob *byte-identical* to a never-faulted
-one (serialisation is canonical).  A poisoned store never changes what a
-run computes: replays after quarantine stay bit-identical.
+garbage headers, a header length or column range past the data, phase
+table columns that disagree, a superstep naming a phase past the table,
+a blob of the former single-JSON layout) must be detected on read,
+quarantined out of the way, and reported as misses — after which the
+caller's re-record heals the slot with a blob *byte-identical* to a
+never-faulted one (serialisation is canonical).  A poisoned store never
+changes what a run computes: replays after quarantine stay
+bit-identical.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -27,9 +33,60 @@ def blob_paths(root):
                   if "quarantine" not in p.parts)
 
 
+def _rechecksum(header: dict, data: bytes) -> bytes:
+    """A format-2 blob around ``header`` and ``data`` whose checksum and
+    header length are right, whatever the header says."""
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = head + data
+    return b"repro-ir 2 %s %d\n" % (
+        hashlib.sha256(body).hexdigest().encode(), len(head)) + body
+
+
+def _column(header: dict, data: bytearray, n: int) -> np.ndarray:
+    """Column ``n`` of a blob's data section, as a writable view."""
+    doc = header["columns"][n]
+    return np.frombuffer(data, dtype=np.dtype(doc["dtype"]),
+                         count=doc["length"], offset=doc["offset"])
+
+
 def mangle(path, how):
     raw = bytearray(path.read_bytes())
-    if how == "flip":
+    nl = raw.index(b"\n")
+    line = bytes(raw[:nl]).split(b" ")
+    if how == "head-len":
+        # the header length points past the end of the blob
+        raw[:nl] = b" ".join(line[:3] + [b"%d" % (2 * len(raw))])
+    elif how in ("column-range", "short-stagger", "negative-groups",
+                 "step-index"):
+        body, head_len = bytes(raw[nl + 1:]), int(line[3])
+        header = json.loads(body[:head_len])
+        data = bytearray(body[head_len:])
+        if how == "column-range":
+            # a checksum-valid blob whose last column runs past the data
+            header["columns"][-1]["length"] += 1 << 20
+        elif how == "short-stagger":
+            # the stagger column is one phase short of the group counts
+            header["columns"][header["table"]["stagger"]]["length"] -= 1
+        elif how == "negative-groups":
+            # two group counts trade so one turns negative: the total,
+            # and so every column length, still agrees
+            groups = _column(header, data, header["table"]["groups"])
+            groups[0] += groups[1] + 1
+            groups[1] = -1
+        else:
+            # the first superstep names a phase past the end of the table
+            phase = _column(header, data, header["steps"]["phase"])
+            phase[0] = header["columns"][header["table"]["groups"]]["length"]
+        raw = bytearray(_rechecksum(header, bytes(data)))
+    elif how == "format-1":
+        # a well-formed blob of the former layout: one JSON document
+        doc = json.dumps({"schema": 1, "P": 16, "word_bytes": 4,
+                          "simd": False, "phases": [], "batchlists": [],
+                          "labels": []}, sort_keys=True,
+                         separators=(",", ":")).encode()
+        raw = bytearray(b"repro-ir 1 %s\n" % hashlib.sha256(doc)
+                        .hexdigest().encode() + doc)
+    elif how == "flip":
         raw[len(raw) // 2] ^= 0xFF
     elif how == "truncate":
         raw = raw[:len(raw) // 2]
@@ -42,7 +99,9 @@ def mangle(path, how):
 
 class TestPoisonedBlobQuarantine:
     @pytest.mark.parametrize("how", ["flip", "truncate", "no-header",
-                                     "empty"])
+                                     "empty", "head-len", "column-range",
+                                     "short-stagger", "negative-groups",
+                                     "step-index", "format-1"])
     def test_damage_quarantined_and_rerecorded(self, tmp_path, how):
         root = tmp_path / "ir"
         with ir_store_scope(IRStore(root)) as store:

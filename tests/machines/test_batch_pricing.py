@@ -20,9 +20,12 @@ once per distinct phase:
   calibration sweeps use.
 
 These sweeps draw random phase sequences — repeated objects included,
-since the vector engine interns recurring patterns and both batch layers
-deduplicate by identity — and require clocks, costs and the machine RNG
-stream to agree exactly.
+since the vector engine interns recurring patterns — and require clocks,
+costs and the machine RNG stream to agree exactly.  Cost models
+deduplicate a sequence by identity themselves; a machine pricer is
+handed the distinct phases as one stack plus the sequence as positions
+in it, as a replay hands over its program's phase table and
+``phase_idx``.
 """
 
 import numpy as np
@@ -33,7 +36,7 @@ from hypothesis import strategies as st
 from repro.core import (BSF, BSP, EBSP, LocalityAwareBSP, MPBPRAM, MPBSP,
                         ScatterAwareBSP, paper_params)
 from repro.core.params import UnbalancedCost
-from repro.core.relations import CommPhase
+from repro.core.relations import CommPhase, PhaseStack, unique_phases
 from repro.machines import CM5, GCel, MasParMP1, ModernCluster, T800Grid
 from tests.machines import scalar_reference as ref
 
@@ -83,6 +86,14 @@ def draw_sequence(draw, P, max_phases=6, second_P=None):
     return seq
 
 
+def pricer_for(machine, seq):
+    """The machine's pricer for a phase sequence, handed over as a
+    replay hands a program's: the distinct phases (by identity) as one
+    stack, and the sequence as positions in it."""
+    uniq, idx = unique_phases(seq)
+    return machine.comm_time_batch(PhaseStack(uniq), idx)
+
+
 def assert_three_way(cls, P, seed, seq, barriers, disable=()):
     """The pricer and the one-phase ``Machine.comm_time`` view against
     the scalar oracle, phase by phase: the same clocks after every
@@ -90,7 +101,7 @@ def assert_three_way(cls, P, seed, seq, barriers, disable=()):
     m_scalar = cls(P=P, seed=seed, disable=disable)
     m_batch = cls(P=P, seed=seed, disable=disable)
     m_view = cls(P=P, seed=seed, disable=disable)
-    pricer = m_batch.comm_time_batch(seq)
+    pricer = pricer_for(m_batch, seq)
 
     cs = np.zeros(P)
     cb = np.zeros(P)
@@ -117,7 +128,7 @@ def assert_fused_costs_match(cls, P, seed, seq, disable=()):
     """
     m_scalar = cls(P=P, seed=seed, disable=disable)
     m_fused = cls(P=P, seed=seed, disable=disable)
-    costs = m_fused.comm_time_batch(seq).sequence_costs()
+    costs = pricer_for(m_fused, seq).sequence_costs()
     assert costs.shape == (len(seq),)
     clocks = np.zeros(P)
     T = 0.0
@@ -231,7 +242,7 @@ def assert_base_sequence_costs_match(cls, P, seed, seq, disable=()):
     the two machines must draw the same noise."""
     m_scalar = cls(P=P, seed=seed, disable=disable)
     m_fused = cls(P=P, seed=seed, disable=disable)
-    costs = m_fused.comm_time_batch(seq).sequence_costs()
+    costs = pricer_for(m_fused, seq).sequence_costs()
     assert costs.shape == (len(seq),)
     barrier = m_scalar.barrier_time()
     clocks = np.zeros(P)
@@ -268,5 +279,6 @@ class TestBaseSequenceCosts:
     def test_gcel_pricer_has_no_sequence_costs(self):
         """A barrier-free GCel advance draws per-node noise and drift, so
         its pricer must not inherit the one-draw costs."""
-        pricer = GCel(P=16, seed=0).comm_time_batch([CommPhase.empty(16)])
+        pricer = GCel(P=16, seed=0).comm_time_batch(
+            PhaseStack([CommPhase.empty(16)]))
         assert getattr(pricer, "sequence_costs", None) is None

@@ -12,8 +12,10 @@ round-trips, and the key's staleness rules (schema version + algorithm
 source fingerprint).
 """
 
+import functools
 import importlib
 import importlib.util
+import json
 import sys
 
 import numpy as np
@@ -23,10 +25,12 @@ from hypothesis import strategies as st
 
 from repro.algorithms import (apsp, bitonic, collectives, lu, matmul, radix,
                               samplesort, stencil)
+from repro.core.relations import CommPhase
+from repro.core.work import WORK_FIELDS, Flops, WorkBatch
 from repro.machines import CM5, GCel, MasParMP1, ModernCluster, T800Grid
 from repro.simulator import run_spmd, run_spmd_vector
-from repro.simulator.ir import (IR_SCHEMA, IRStore, StepProgram, _decode_blob,
-                                _encode_blob, build_program, ir_key,
+from repro.simulator.ir import (IR_SCHEMA, IRStore, build_program,
+                                decode_program, encode_program, ir_key,
                                 ir_store_scope)
 from repro.simulator.lower import (algorithm_fingerprint,
                                    clear_algorithm_fingerprints, run_lowered)
@@ -325,8 +329,7 @@ class TestBlobRoundTrip:
            seed=st.integers(min_value=0, max_value=2 ** 16))
     def test_serialise_replay_parity(self, n, seed):
         prog = self.record(n, seed)
-        blob = _encode_blob(prog.to_doc())
-        back = StepProgram.from_doc(_decode_blob(blob))
+        back = decode_program(encode_program(prog))
         a = replay(CM5(seed=42), prog, label="orig")
         b = replay(CM5(seed=42), back, label="orig")
         assert a.time_us == b.time_us
@@ -343,19 +346,184 @@ class TestBlobRoundTrip:
         """Canonical encoding: decode → re-encode reproduces the blob
         exactly, so re-records after quarantine are byte-identical."""
         prog = self.record(128, seed)
-        blob = _encode_blob(prog.to_doc())
-        again = _encode_blob(StepProgram.from_doc(_decode_blob(blob)).to_doc())
+        blob = encode_program(prog)
+        again = encode_program(decode_program(blob))
         assert blob == again
 
     def test_integer_dtypes_survive_narrowing(self):
-        """_pack's width narrowing must restore the original dtype."""
+        """Column width narrowing must restore the original dtype."""
         prog = self.record(64, 0)
-        back = StepProgram.from_doc(_decode_blob(_encode_blob(prog.to_doc())))
+        back = decode_program(encode_program(prog))
         for ph, bh in zip(prog.phases, back.phases):
             for f in ("src", "dst", "count", "msg_bytes", "step"):
                 a, b = getattr(ph, f), getattr(bh, f)
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
+
+
+#: values that need int8, int16, int32 and int64 columns
+WIDTH_VALUES = [4, 1000, 100_000, 5_000_000_000]
+
+_NONE = np.zeros(0, dtype=np.int64)
+
+
+def _draw_phase(draw, P):
+    """A random recorded phase: empty, or groups whose byte sizes need
+    any of the four integer widths, staggered or not."""
+    stagger = draw(st.booleans())
+    if draw(st.integers(0, 4)) == 0:
+        return CommPhase(P=P, src=_NONE, dst=_NONE, count=_NONE,
+                         msg_bytes=_NONE, step=_NONE, stagger=stagger)
+    n = draw(st.integers(1, 6))
+    column = functools.partial(st.lists, min_size=n, max_size=n)
+    return CommPhase(
+        P=P, src=np.array(draw(column(st.integers(0, P - 1)))),
+        dst=np.array(draw(column(st.integers(0, P - 1)))),
+        count=np.array(draw(column(st.integers(1, 300)))),
+        msg_bytes=np.array(draw(column(st.sampled_from(WIDTH_VALUES)))),
+        step=np.array(draw(column(st.integers(-1, 3)))), stagger=stagger)
+
+
+def _draw_param(draw, n):
+    """A batch parameter column of ``n`` items: int64 of any width,
+    int32 or float, and either uniform (a broadcast scalar) or not."""
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.float64]))
+    values = (st.floats(0, 1e6) if dtype is np.float64
+              else st.sampled_from(WIDTH_VALUES[:3] if dtype is np.int32
+                                   else WIDTH_VALUES))
+    if draw(st.booleans()):
+        return np.asarray(draw(values), dtype=dtype)
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                    dtype=dtype)
+
+
+@st.composite
+def hand_built_programs(draw):
+    """A program built from drawn supersteps, interned phases included."""
+    P = draw(st.sampled_from([4, 16]))
+    pool = [_draw_phase(draw, P) for _ in range(draw(st.integers(1, 5)))]
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        batches = []
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(sorted(WORK_FIELDS,
+                                               key=lambda k: k.__name__)))
+            n = draw(st.integers(1, 5))
+            ranks = np.array(draw(st.lists(st.integers(0, P - 1),
+                                           min_size=n, max_size=n)))
+            batches.append(WorkBatch(kind, {f: _draw_param(draw, n)
+                                            for f in WORK_FIELDS[kind]},
+                                     ranks))
+        steps.append((draw(st.sampled_from(pool)), batches,
+                      draw(st.booleans()), draw(st.sampled_from("abc"))))
+    return build_program(P=P, word_bytes=4, simd=draw(st.booleans()),
+                         steps=steps)
+
+
+def _recorded_program(case):
+    with ir_store_scope(IRStore(disk=False)) as store:
+        CASES[case][0](MACHINES["cm5"](seed=0))
+    (prog,) = store.memory.values()
+    return prog
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype
+    assert np.array_equal(a, b)
+
+
+def assert_programs_equal(a, b):
+    assert (a.P, a.word_bytes, a.simd) == (b.P, b.word_bytes, b.simd)
+    for x, y in zip(a.table, b.table):
+        assert_same_array(x, y)
+    assert len(a.phases) == len(b.phases)
+    for x, y in zip(a.phases, b.phases):
+        assert (x.P, x.stagger, x.is_empty) == (y.P, y.stagger, y.is_empty)
+        for f in ("src", "dst", "count", "msg_bytes", "step"):
+            assert_same_array(getattr(x, f), getattr(y, f))
+    assert (a.phase_idx, a.batch_idx, a.barriers, a.labels) \
+        == (b.phase_idx, b.batch_idx, b.barriers, b.labels)
+    assert len(a.batchlists) == len(b.batchlists)
+    for xl, yl in zip(a.batchlists, b.batchlists):
+        assert len(xl) == len(yl)
+        for x, y in zip(xl, yl):
+            assert x.kind is y.kind
+            assert_same_array(x.ranks, y.ranks)
+            assert x.params.keys() == y.params.keys()
+            for f in x.params:
+                assert_same_array(x.params[f], y.params[f])
+                # a uniform column comes back as a broadcast scalar
+                assert any(x.params[f].strides) \
+                    == any(y.params[f].strides)
+
+
+def decoded_arrays(prog):
+    yield from prog.table
+    for ph in prog.phases:
+        yield from (ph.src, ph.dst, ph.count, ph.msg_bytes, ph.step)
+    for bl in prog.batchlists:
+        for b in bl:
+            yield b.ranks
+            yield from b.params.values()
+
+
+class TestBlobLayout:
+    """The raw-column blob restores every column, and nothing it hands
+    out can write to or pin the blob's bytes."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(prog=hand_built_programs())
+    def test_round_trip_hand_built(self, prog):
+        blob = encode_program(prog)
+        back = decode_program(blob)
+        assert_programs_equal(prog, back)
+        assert encode_program(back) == blob
+
+    @pytest.mark.parametrize("case", ["matmul", "bitonic", "samplesort",
+                                      "radix", "apsp"])
+    def test_round_trip_recorded(self, case):
+        prog = _recorded_program(case)
+        blob = encode_program(prog)
+        back = decode_program(blob)
+        assert_programs_equal(prog, back)
+        assert encode_program(back) == blob
+
+    def test_every_width_round_trips(self):
+        """Integer columns are stored in each of the four widths, and
+        each comes back in its original dtype."""
+        ph = CommPhase.permutation(np.roll(np.arange(4), 1), 8)
+        steps = [(ph, [WorkBatch(Flops, {"n": np.array([v, v + 1])},
+                                 np.array([0, 1]))], True, "w")
+                 for v in WIDTH_VALUES]
+        prog = build_program(P=4, word_bytes=4, simd=False, steps=steps)
+        blob = encode_program(prog)
+        head_len = int(blob[:blob.index(b"\n")].split()[3])
+        body = blob[blob.index(b"\n") + 1:]
+        stored = {c["dtype"] for c in json.loads(body[:head_len])["columns"]
+                  if c["orig"] == "<i8"}
+        assert {"|i1", "<i2", "<i4", "<i8"} <= stored
+        assert_programs_equal(prog, decode_program(blob))
+
+    def test_decoded_columns_are_read_only(self):
+        back = decode_program(encode_program(_recorded_program("samplesort")))
+        arrays = list(decoded_arrays(back))
+        assert any(a.size for a in arrays)
+        for a in arrays:
+            if a.size:
+                with pytest.raises(ValueError):
+                    a[0] = a[0]
+
+    def test_no_decoded_array_views_the_blob(self):
+        blob = encode_program(_recorded_program("samplesort"))
+        back = decode_program(blob)
+        for a in decoded_arrays(back):
+            base = a
+            while base is not None:
+                assert base is not blob
+                assert not (isinstance(base, memoryview)
+                            and base.obj is blob)
+                base = getattr(base, "base", None)
 
 
 class TestKeying:

@@ -20,7 +20,7 @@ from repro.algorithms import (apsp, bitonic, collectives, lu, matmul, radix,
 from repro.experiments import get
 from repro.machines import CM5, GCel, MasParMP1, ModernCluster, T800Grid
 from repro.simulator import lower, run_spmd
-from repro.simulator.ir import IRStore, _encode_blob, ir_store_scope
+from repro.simulator.ir import IRStore, encode_program, ir_store_scope
 
 MACHINES = {
     "maspar": MasParMP1,
@@ -76,7 +76,7 @@ def _blob(case, machine_name, n, variant, seed, *, full: bool) -> bytes:
         with ir_store_scope(IRStore(disk=False)) as store:
             runner(MACHINES[machine_name](seed=0), n, variant, seed)
     (prog,) = store.memory.values()
-    return _encode_blob(prog.to_doc())
+    return encode_program(prog)
 
 
 #: algorithm -> its key_params at a data seed (the broadcasts take none).
