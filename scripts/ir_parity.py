@@ -118,7 +118,7 @@ def _second_seed(tag: str, root: Path, raw: bytes, cls, case, program,
         if store.disk_hits != 1 or store.recorded != 0:
             print(f"FAIL {tag}: seed {seed} did not hit the shared blob")
             failures += 1
-    blobs = list(root.rglob("*.irp"))
+    blobs = list(root.rglob("*.blob"))
     if len(blobs) != 1 or blobs[0].read_bytes() != raw:
         print(f"FAIL {tag}: seed {seed} wrote a blob")
         failures += 1
@@ -131,7 +131,7 @@ def _second_seed(tag: str, root: Path, raw: bytes, cls, case, program,
 def main() -> int:
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp) / "ir"
+        root = Path(tmp)
         for mname, cls in sorted(MACHINES.items()):
             for aname, seed, case, program, args in CASES:
                 tag = f"{mname}/{aname}"
@@ -140,16 +140,17 @@ def main() -> int:
                     assert store.recorded == 1, tag
                 reference = oracle(cls, program, args, recorded, seed)
 
-                blobs = [p for p in root.rglob("*.irp")]
+                blobs = [p for p in root.rglob("*.blob")]
                 if len(blobs) != 1:
                     print(f"FAIL {tag}: expected 1 blob, found {len(blobs)}")
                     failures += 1
                     continue
                 raw = blobs[0].read_bytes()
-                again = encode_program(decode_program(raw))
-                if again != raw:
+                payload = IRStore(root).blobs.get(blobs[0].stem)
+                again = encode_program(decode_program(payload))
+                if again != payload:
                     print(f"FAIL {tag}: reserialised blob differs "
-                          f"({len(again)} vs {len(raw)} bytes)")
+                          f"({len(again)} vs {len(payload)} bytes)")
                     failures += 1
 
                 with ir_store_scope(IRStore(root)) as store:

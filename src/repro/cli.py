@@ -490,26 +490,28 @@ def _cmd_bench(ids: list[str], *, quick: bool, scale: float, seed: int,
 
 def _cmd_cache(action: str, cache_dir: str | None,
                as_json: bool = False) -> int:
+    from .blobstore import BlobStore
     from .runner import ResultCache
-    from .simulator.ir import IRStore
+    from .simulator.ir import IR_SCHEMA
 
     cache = ResultCache(cache_dir)
+    programs = BlobStore(cache.root, "ir", IR_SCHEMA)
     if action == "clear":
-        removed = cache.clear()
-        programs = IRStore(cache.root / "ir").clear()
-        print(f"removed {removed} cached result(s) and {programs} step "
+        removed = cache.store.clear()
+        n_programs = programs.clear()
+        print(f"removed {removed} cached result(s) and {n_programs} step "
               f"program(s) from {cache.root}")
         return 0
     entries = cache.entries()
-    ir_count, ir_bytes = IRStore(cache.root / "ir").disk_stats()
+    stats = {"results": cache.store.stats(), "ir": programs.stats()}
+    info = {"root": str(cache.root), "count": len(entries),
+            "entries": entries, "ir": stats["ir"]["live"],
+            **{kind: {ns: s[kind] for ns, s in stats.items()}
+               for kind in ("orphaned", "quarantined")}}
     if as_json:
         import json
 
-        print(json.dumps({"root": str(cache.root),
-                          "count": len(entries),
-                          "entries": entries,
-                          "ir": {"count": ir_count,
-                                 "bytes": ir_bytes}}, indent=1))
+        print(json.dumps(info, indent=1))
         return 0
     print(f"cache root: {cache.root}")
     print(f"{len(entries)} cached result(s)")
@@ -518,7 +520,12 @@ def _cmd_cache(action: str, cache_dir: str | None,
         print(f"  {exp:<16} scale={e.get('scale', '?'):<6} "
               f"seed={e.get('seed', '?'):<4} {e['bytes']:>8} bytes  "
               f"{e['key'][:12]}")
-    print(f"{ir_count} recorded step program(s), {ir_bytes} bytes")
+    print(f"{info['ir']['count']} recorded step program(s), "
+          f"{info['ir']['bytes']} bytes")
+    for kind in ("orphaned", "quarantined"):
+        print(f"{kind}: " + "; ".join(
+            f"{ns} {s['count']} file(s), {s['bytes']} bytes"
+            for ns, s in info[kind].items()))
     return 0
 
 

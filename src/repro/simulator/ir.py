@@ -25,56 +25,53 @@ structure instead of once per superstep.
 Content hashes (not object ids) key the dedup, so programs that rebuild
 equal arrays each iteration still fold.
 
-The :class:`IRStore` keeps programs in memory and, content-addressed by
-:func:`ir_key`, on disk under ``ir/`` of the result cache's root
-(``$REPRO_CACHE_DIR``/``~/.cache/repro``, or a command's
-``--cache-dir``).  Keys include the IR schema version and the recording
+The :class:`IRStore` keeps programs in a memory tier of at most
+:data:`MEMORY_BUDGET` bytes and, content-addressed by :func:`ir_key`, in
+the ``ir`` namespace of the one blob store (:mod:`repro.blobstore`),
+which owns the checksum envelope, the atomic write and quarantine; this
+module is the codec.  Keys include :data:`IR_SCHEMA` and the recording
 algorithm's source fingerprint, so editing an algorithm or bumping the
-schema invalidates stale recordings.  A blob (:func:`encode_program`)
-is a header line (magic, format, SHA-256, header length), a canonical
-JSON header (shape, labels, batch kinds and scalar parameters, and the
-dtype, original dtype, offset and length of every column) and the raw
-little-endian columns, integer columns narrowed to the smallest width
-that holds them.  Decoding (:func:`decode_program`) restores every
-column's original dtype, in arrays of its own that are read-only, and
-checks that the phase table and step columns agree with each other.
-Corrupt blobs are quarantined and transparently re-recorded
-(byte-identically, since serialisation is canonical).  Programs, in
-memory and on disk, store structure only — the inputs and per-rank
-*results* of a run belong to that run alone and are produced per call
-by a data-only program pass (see :mod:`repro.simulator.lower`).
+schema invalidates stale recordings.  A payload (:func:`encode_program`)
+is a line holding the header's length, a canonical JSON header (shape,
+labels, batch kinds and scalar parameters, and the dtype, original
+dtype, offset and length of every column) and the raw little-endian
+columns, integer columns narrowed to the smallest width that holds
+them.  Decoding (:func:`decode_program`) restores every column's
+original dtype, in arrays of its own that are read-only, and checks the
+header length, every column range, and that the phase table and step
+columns agree, so a damaged recording is quarantined and re-recorded
+byte-identically.  Programs, in memory and on disk, store structure
+only — the inputs and per-rank *results* of a run belong to that run
+alone and are produced per call by a data-only program pass (see
+:mod:`repro.simulator.lower`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
+import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, NamedTuple
 
 import numpy as np
 
+from ..blobstore import BlobStore
 from ..core.errors import SimulationError
 from ..core.relations import CommPhase, PhaseStack
 from ..core.work import WORK_FIELDS, StepWork, WorkBatch
 
 __all__ = ["IR_SCHEMA", "PhaseTable", "StepProgram", "IRStore",
            "build_program", "encode_program", "decode_program", "ir_key",
-           "ir_store", "set_ir_store", "ir_store_scope", "default_ir_root",
+           "ir_store", "set_ir_store", "ir_store_scope", "MEMORY_BUDGET",
            "program_comm_volume"]
 
-#: structural version of the IR itself; part of every :func:`ir_key`, so
-#: bumping it orphans (and therefore invalidates) all older recordings.
-IR_SCHEMA = 2
-
-#: on-disk blob layout (header line, JSON header, raw columns).
-_FORMAT = 2
-
-#: header magic of on-disk blobs:
-#: ``repro-ir <format> <sha256> <header length>``.
-_MAGIC = b"repro-ir"
+#: version of the IR and of its blob payload; part of every
+#: :func:`ir_key` and of every blob's envelope, so bumping it orphans
+#: (and therefore invalidates) all older recordings.
+IR_SCHEMA = 3
 
 _KINDS = {kind.__name__: kind for kind in WORK_FIELDS}
 
@@ -119,7 +116,8 @@ class StepProgram:
     """
 
     __slots__ = ("P", "word_bytes", "simd", "table", "phases", "batchlists",
-                 "phase_idx", "batch_idx", "barriers", "labels", "_works")
+                 "phase_idx", "batch_idx", "barriers", "labels", "nbytes",
+                 "_works")
 
     def __init__(self, *, P: int, word_bytes: int, simd: bool,
                  table: PhaseTable, batchlists: list[list[WorkBatch]],
@@ -135,6 +133,14 @@ class StepProgram:
         self.batch_idx = batch_idx
         self.barriers = barriers
         self.labels = labels
+        #: bytes of the phase table, the batch lists' arrays (one element
+        #: for a uniform parameter) and 8 per entry of the step columns.
+        self.nbytes = (
+            sum(col.nbytes for col in table)
+            + sum(a.nbytes if any(a.strides) else a.itemsize
+                  for bl in batchlists for b in bl
+                  for a in (b.ranks, *b.params.values()))
+            + 32 * len(phase_idx))
         self._works: list[StepWork | None] = [None] * len(batchlists)
 
     @property
@@ -211,13 +217,12 @@ def _read_column(data: memoryview, doc: dict) -> np.ndarray:
 
 
 def encode_program(prog: StepProgram) -> bytes:
-    """``prog`` as one canonical blob.
+    """``prog`` as one canonical blob payload.
 
-    The header line ``repro-ir 2 <sha256> <n>`` carries the checksum of
-    everything after it and the byte length ``n`` of the JSON header
-    that follows; the raw columns come last.  The checksum covers bytes,
-    not a re-serialisation, so a read verifies one hash; canonical JSON
-    and a fixed column order keep re-records byte-identical.
+    A line holding the byte length ``n`` of the JSON header, the header
+    itself, then the raw columns.  Canonical JSON and a fixed column
+    order keep re-records byte-identical; the blob store's envelope
+    carries the checksum and :data:`IR_SCHEMA`.
     """
     cols = _ColumnWriter()
     label_table: list[str] = []
@@ -230,7 +235,6 @@ def encode_program(prog: StepProgram) -> bytes:
             label_table.append(lab)
         lab_idx.append(j)
     header = {
-        "schema": IR_SCHEMA,
         "P": prog.P,
         "word_bytes": prog.word_bytes,
         "simd": bool(prog.simd),
@@ -249,35 +253,21 @@ def encode_program(prog: StepProgram) -> bytes:
     }
     head = json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode()
-    checksum = hashlib.sha256(head)
-    for chunk in cols.chunks:
-        checksum.update(chunk)
-    line = b"%s %d %s %d\n" % (_MAGIC, _FORMAT,
-                               checksum.hexdigest().encode(), len(head))
-    return b"".join([line, head, *cols.chunks])
+    return b"".join([b"%d\n" % len(head), head, *cols.chunks])
 
 
 def decode_program(raw: bytes) -> StepProgram:
-    """The program of an :func:`encode_program` blob; raise on any
-    damage (bad header line, checksum, header length or column range,
-    phase table or step columns that disagree, indices out of range)."""
+    """The program of an :func:`encode_program` payload; raise on any
+    damage (bad header length or column range, phase table or step
+    columns that disagree, indices out of range)."""
     nl = raw.find(b"\n")
     if nl < 0:
-        raise ValueError("IR blob has no header line")
-    fields = raw[:nl].split(b" ")
-    if len(fields) != 4 or fields[0] != _MAGIC \
-            or fields[1] != b"%d" % _FORMAT:
-        raise ValueError(f"IR blob header {raw[:nl]!r}")
+        raise ValueError("IR payload has no header length")
     body = memoryview(raw)[nl + 1:]
-    head_len = int(fields[3])
+    head_len = int(raw[:nl])
     if not 0 <= head_len <= len(body):
-        raise ValueError("IR blob header length runs past the blob")
-    if hashlib.sha256(body).hexdigest().encode() != fields[2]:
-        raise ValueError("IR blob checksum mismatch")
+        raise ValueError("IR header length runs past the payload")
     header = json.loads(bytes(body[:head_len]))
-    if header.get("schema") != IR_SCHEMA:
-        raise SimulationError(
-            f"IR schema {header.get('schema')!r} != {IR_SCHEMA}")
     data = body[head_len:]
     cols = [_read_column(data, doc) for doc in header["columns"]]
     table = PhaseTable(*(cols[header["table"][f]]
@@ -452,121 +442,68 @@ def ir_key(*, algorithm: str, fingerprint: str, P: int, word_bytes: int,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def default_ir_root() -> Path:
-    """``ir/`` under the one cache root,
-    :func:`repro.runner.cache.default_cache_root`."""
-    from ..runner.cache import default_cache_root
-
-    return default_cache_root() / "ir"
+#: byte budget (:attr:`StepProgram.nbytes`) of an :class:`IRStore`'s
+#: memory tier.  A cold seed-0 sweep of the 35 experiments records 130
+#: programs of 67.5 MiB and keeps its 79 memory hits down to 60 MiB; this
+#: holds the whole sweep and caps a server, whose fresh-seed sample sort
+#: and radix predicts each record a program never asked for again.
+MEMORY_BUDGET = 72 << 20
 
 
 class IRStore:
-    """In-memory + on-disk store of recorded step programs.
-
-    Memory entries and disk blobs alike are structure-only.  Disk
-    persistence is best-effort (an unwritable cache directory never
-    fails a run) and every read verifies the checksum envelope —
-    corrupt or unreadable blobs are quarantined so the caller re-records.
+    """Recorded step programs: a memory tier over the ``ir`` namespace
+    of the blob store under ``root``, the cache root (by default resolved
+    per call).  The tier keeps the most recently used programs within
+    :data:`MEMORY_BUDGET`, under one lock (the service replays on two
+    threads); an evicted program is read back from disk, or re-recorded
+    by the caller when ``disk`` is off.
     """
 
-    def __init__(self, root: "Path | str | None" = None, *, disk: bool = True):
-        self._fixed_root = Path(root) if root is not None else None
+    def __init__(self, root: Path | str | None = None, *, disk: bool = True):
+        self.blobs = BlobStore(root, "ir", IR_SCHEMA)
         self.disk = disk
-        self.memory: dict[str, StepProgram] = {}
+        self.memory: OrderedDict[str, StepProgram] = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
         self.recorded = 0
         self.memory_hits = 0
         self.disk_hits = 0
-        self.quarantined = 0
 
     @property
-    def root(self) -> Path:
-        # resolved per call so monkeypatched $REPRO_CACHE_DIR is honoured
-        return self._fixed_root or default_ir_root()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.irp"
+    def quarantined(self) -> int:
+        """Blobs this store found damaged and moved aside."""
+        return self.blobs.quarantined
 
     def get(self, key: str) -> StepProgram | None:
-        prog = self.memory.get(key)
-        if prog is not None:
-            self.memory_hits += 1
+        with self._lock:
+            prog = self.memory.get(key)
+            if prog is not None:
+                self.memory.move_to_end(key)
+                self.memory_hits += 1
+            elif self.disk:
+                prog = self.blobs.get(key, decode_program)
+                if prog is not None:
+                    self.disk_hits += 1
+                    self._remember(key, prog)
             return prog
-        if not self.disk:
-            return None
-        path = self._path(key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            prog = decode_program(raw)
-        except Exception:
-            self._quarantine(path)
-            return None
-        self.memory[key] = prog
-        self.disk_hits += 1
-        return prog
 
     def put(self, key: str, prog: StepProgram) -> None:
+        with self._lock:
+            self.recorded += 1
+            self._remember(key, prog)
+        if self.disk:
+            self.blobs.put(key, encode_program(prog))
+
+    def _remember(self, key: str, prog: StepProgram) -> None:
+        """Make ``prog`` the most recent entry and evict past the
+        budget; the caller holds the lock."""
+        old = self.memory.pop(key, None)
+        if old is not None:
+            self.nbytes -= old.nbytes
         self.memory[key] = prog
-        self.recorded += 1
-        if not self.disk:
-            return
-        blob = encode_program(prog)
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-        except OSError:
-            pass  # memory entry stands; disk warmth is an optimisation
-
-    def _quarantine(self, path: Path) -> None:
-        qdir = self.root / "quarantine"
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self.quarantined += 1
-
-    def disk_stats(self) -> tuple[int, int]:
-        """``(count, bytes)`` of healthy on-disk program blobs.
-
-        Quarantined blobs keep their ``.irp`` name but no longer serve
-        hits, so the ``quarantine/`` directory is excluded.
-        """
-        count = size = 0
-        root = self.root
-        if self.disk and root.exists():
-            qdir = root / "quarantine"
-            for p in root.rglob("*.irp"):
-                if p.parent == qdir:
-                    continue
-                try:
-                    size += p.stat().st_size
-                except OSError:
-                    continue
-                count += 1
-        return count, size
-
-    def clear(self) -> int:
-        """Drop memory entries and delete on-disk blobs; count removed."""
-        self.memory.clear()
-        removed = 0
-        root = self.root
-        if self.disk and root.exists():
-            for p in sorted(root.rglob("*.irp")):
-                try:
-                    p.unlink()
-                except OSError:
-                    continue
-                removed += 1
-        return removed
+        self.nbytes += prog.nbytes
+        while self.nbytes > MEMORY_BUDGET:
+            self.nbytes -= self.memory.popitem(last=False)[1].nbytes
 
 
 _STORE: IRStore | None = None

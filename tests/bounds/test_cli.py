@@ -95,17 +95,19 @@ class TestCacheInfoIrStore:
         assert doc["ir"] == {"count": 0, "bytes": 0}
 
     def test_info_excludes_quarantined_blobs(self, capsys):
-        from repro.simulator.ir import IRStore, default_ir_root
+        from repro.runner import default_cache_root
+        from repro.simulator.ir import IRStore
 
         main(["bounds", "--cells", "apsp/gcel", "--no-cache"])
         capsys.readouterr()
-        root = default_ir_root()
-        blobs = [p for p in root.rglob("*.irp")]
+        root = default_cache_root()
+        blobs = list((root / "ir").rglob("*.blob"))
         assert len(blobs) == 1
         blobs[0].write_bytes(b"garbage")  # corrupt the blob on disk
         store = IRStore(root)
-        key = blobs[0].name[:-len(".irp")]
-        assert store.get(key) is None  # read quarantines it
-        assert store.disk_stats() == (0, 0)
+        assert store.get(blobs[0].stem) is None  # read quarantines it
+        assert store.blobs.stats()["live"] == {"count": 0, "bytes": 0}
         main(["cache", "info", "--json"])
-        assert json.loads(capsys.readouterr().out)["ir"]["count"] == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ir"]["count"] == 0
+        assert doc["quarantined"]["ir"]["count"] == 1

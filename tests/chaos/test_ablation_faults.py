@@ -86,7 +86,7 @@ class TestCacheFaults:
         second = ablate(req)
         assert report_bytes(second) == baseline
         cache = ResultCache(tmp_path)
-        assert len(cache.quarantined()) == 1
+        assert cache.store.stats()["quarantined"]["count"] == 1
 
         # third run: fully verified hits, still the same bytes
         third = ablate(req)

@@ -6,6 +6,7 @@ report a miss, and let the recompute heal the slot — with the healed
 entry bit-identical to a never-faulted one.
 """
 
+import functools
 import json
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from repro.experiments import get
 from repro.faults import faults_active
 from repro.runner import ResultCache, run_experiments
+from repro.runner.pool import Job, run_jobs
 from repro.validation.series import ExperimentResult
 
 pytestmark = pytest.mark.chaos
@@ -37,7 +39,7 @@ class TestQuarantineAndHeal:
             # the poisoned entry is detected, moved aside, and missed
             assert cache.get_doc(KEY) is None
             assert cache.stats.quarantined == 1
-            assert len(cache.quarantined()) == 1
+            assert cache.store.stats()["quarantined"]["count"] == 1
             # recompute-and-store heals the slot (count is exhausted)
             cache.put_doc(KEY, result.to_dict())
         healed = cache.get_doc(KEY)
@@ -63,7 +65,7 @@ class TestQuarantineAndHeal:
         assert got is not None
         assert ExperimentResult.from_dict(got).identical(result)
         assert cache.stats.quarantined == 0
-        assert cache.quarantined() == []
+        assert cache.store.stats()["quarantined"]["count"] == 0
 
     def test_hand_flipped_byte_detected(self, tmp_path, result):
         """Checksum verification catches bit-rot, not just injected
@@ -73,7 +75,9 @@ class TestQuarantineAndHeal:
         raw = path.read_text()
         i = raw.index('"result"') + 20
         flipped = raw[:i] + ("1" if raw[i] != "1" else "2") + raw[i + 1:]
-        assert json.loads(flipped)  # still valid JSON — only the sum fails
+        # the payload after the envelope line is still valid JSON — only
+        # the sum fails
+        assert json.loads(flipped.partition("\n")[2])
         path.write_text(flipped)
         assert cache.get_doc(KEY) is None
         assert cache.stats.quarantined == 1
@@ -100,6 +104,22 @@ class TestRunnerEndToEnd:
         assert third.cached  # healed
         assert third_cache.stats.quarantined == 0
         assert third.result.identical(first.result)
+
+    def test_unwritable_root_never_fails_a_run(self, tmp_path):
+        """Disk persistence is best-effort for results too: a cache
+        rooted at a plain file (mkdir/read both fail) still hands every
+        job its fresh document, run after run."""
+        bogus = tmp_path / "not-a-dir"
+        bogus.write_text("occupied")
+        jobs = [Job(f"{i:02x}" * 32, {"experiment": f"job{i}"},
+                    functools.partial(dict, value=i)) for i in range(2)]
+        cache = ResultCache(bogus)
+        for _ in range(2):
+            out = run_jobs(jobs, workers=1, seed=0, cache=cache)
+            assert {k: (r.doc, r.cached) for k, r in out.items()} == {
+                job.run_id: ({"value": i}, False)
+                for i, job in enumerate(jobs)}
+        assert (cache.stats.stores, cache.stats.misses) == (0, 4)
 
     def test_stats_summary_reports_quarantine(self, tmp_path, result):
         cache = ResultCache(tmp_path)

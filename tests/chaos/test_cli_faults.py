@@ -16,7 +16,7 @@ def cache_files(root):
     """``{relative path: bytes}`` of every stored result under ``root``."""
     results = root / "repro-cache" / "results"
     return {p.relative_to(results): p.read_bytes()
-            for p in sorted(results.glob("*/*.json"))}
+            for p in sorted(results.glob("*/*.blob"))}
 
 
 @pytest.mark.chaos
@@ -55,8 +55,8 @@ class TestEnvPlanEndToEnd:
         assert main(["run", "fig14", "--scale", "0.3", "--no-plot"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
-        quarantine = tmp_path / "repro-cache" / "quarantine"
-        assert len(list(quarantine.glob("*.json"))) == 1
+        quarantine = tmp_path / "repro-cache" / "results" / "quarantine"
+        assert len(list(quarantine.glob("*.blob"))) == 1
         # third run serves the healed entry
         assert main(["run", "fig14", "--scale", "0.3", "--no-plot"]) == 0
 

@@ -1,14 +1,14 @@
 """Chaos tests for the step-program IR store's self-healing read path.
 
-Damaged ``.irp`` blobs (flipped bytes, truncation, stale checksums,
-garbage headers, a header length or column range past the data, phase
-table columns that disagree, a superstep naming a phase past the table,
-a blob of the former single-JSON layout) must be detected on read,
-quarantined out of the way, and reported as misses — after which the
-caller's re-record heals the slot with a blob *byte-identical* to a
-never-faulted one (serialisation is canonical).  A poisoned store never
-changes what a run computes: replays after quarantine stay
-bit-identical.
+Damaged program blobs (flipped bytes, truncation, garbage envelopes, an
+envelope of an older IR version, a header length or column range past
+the payload, phase table columns that disagree, a superstep naming a
+phase past the table, a blob of the former single-JSON layout) must be
+detected on read, quarantined out of the way, and reported as misses —
+after which the caller's re-record heals the slot with a blob
+*byte-identical* to a never-faulted one (serialisation is canonical).
+A poisoned store never changes what a run computes: replays after
+quarantine stay bit-identical.
 """
 
 import hashlib
@@ -19,7 +19,7 @@ import pytest
 
 from repro.algorithms import bitonic
 from repro.machines import CM5
-from repro.simulator.ir import IRStore, ir_store_scope
+from repro.simulator.ir import IR_SCHEMA, IRStore, ir_store_scope
 
 pytestmark = pytest.mark.chaos
 
@@ -29,21 +29,19 @@ def run_ir(seed=3):
 
 
 def blob_paths(root):
-    return sorted(p for p in root.rglob("*.irp")
+    return sorted(p for p in root.rglob("*.blob")
                   if "quarantine" not in p.parts)
 
 
-def _rechecksum(header: dict, data: bytes) -> bytes:
-    """A format-2 blob around ``header`` and ``data`` whose checksum and
-    header length are right, whatever the header says."""
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    body = head + data
-    return b"repro-ir 2 %s %d\n" % (
-        hashlib.sha256(body).hexdigest().encode(), len(head)) + body
+def _envelope(payload: bytes, version: int = IR_SCHEMA) -> bytes:
+    """A program blob around ``payload`` whose envelope verifies,
+    whatever the payload says."""
+    return b"repro-blob ir %d %s\n" % (
+        version, hashlib.sha256(payload).hexdigest().encode()) + payload
 
 
 def _column(header: dict, data: bytearray, n: int) -> np.ndarray:
-    """Column ``n`` of a blob's data section, as a writable view."""
+    """Column ``n`` of a payload's data section, as a writable view."""
     doc = header["columns"][n]
     return np.frombuffer(data, dtype=np.dtype(doc["dtype"]),
                          count=doc["length"], offset=doc["offset"])
@@ -51,16 +49,16 @@ def _column(header: dict, data: bytearray, n: int) -> np.ndarray:
 
 def mangle(path, how):
     raw = bytearray(path.read_bytes())
-    nl = raw.index(b"\n")
-    line = bytes(raw[:nl]).split(b" ")
+    payload = bytes(raw[raw.index(b"\n") + 1:])
+    nl = payload.index(b"\n")
+    head_len = int(payload[:nl])
     if how == "head-len":
-        # the header length points past the end of the blob
-        raw[:nl] = b" ".join(line[:3] + [b"%d" % (2 * len(raw))])
+        # the header length points past the end of the payload
+        raw = bytearray(_envelope(b"%d" % (2 * len(payload)) + payload[nl:]))
     elif how in ("column-range", "short-stagger", "negative-groups",
                  "step-index"):
-        body, head_len = bytes(raw[nl + 1:]), int(line[3])
-        header = json.loads(body[:head_len])
-        data = bytearray(body[head_len:])
+        header = json.loads(payload[nl + 1:nl + 1 + head_len])
+        data = bytearray(payload[nl + 1 + head_len:])
         if how == "column-range":
             # a checksum-valid blob whose last column runs past the data
             header["columns"][-1]["length"] += 1 << 20
@@ -77,7 +75,12 @@ def mangle(path, how):
             # the first superstep names a phase past the end of the table
             phase = _column(header, data, header["steps"]["phase"])
             phase[0] = header["columns"][header["table"]["groups"]]["length"]
-        raw = bytearray(_rechecksum(header, bytes(data)))
+        head = json.dumps(header, sort_keys=True,
+                          separators=(",", ":")).encode()
+        raw = bytearray(_envelope(b"%d\n" % len(head) + head + bytes(data)))
+    elif how == "old-version":
+        # the same payload, verified but enveloped as the previous version
+        raw = bytearray(_envelope(payload, IR_SCHEMA - 1))
     elif how == "format-1":
         # a well-formed blob of the former layout: one JSON document
         doc = json.dumps({"schema": 1, "P": 16, "word_bytes": 4,
@@ -91,7 +94,7 @@ def mangle(path, how):
     elif how == "truncate":
         raw = raw[:len(raw) // 2]
     elif how == "no-header":
-        raw = raw.replace(b"repro-ir", b"not-an-ir", 1)
+        raw = raw.replace(b"repro-blob", b"not-a-blob", 1)
     elif how == "empty":
         raw = bytearray()
     path.write_bytes(bytes(raw))
@@ -101,9 +104,10 @@ class TestPoisonedBlobQuarantine:
     @pytest.mark.parametrize("how", ["flip", "truncate", "no-header",
                                      "empty", "head-len", "column-range",
                                      "short-stagger", "negative-groups",
-                                     "step-index", "format-1"])
+                                     "step-index", "format-1",
+                                     "old-version"])
     def test_damage_quarantined_and_rerecorded(self, tmp_path, how):
-        root = tmp_path / "ir"
+        root = tmp_path
         with ir_store_scope(IRStore(root)) as store:
             clean = run_ir()
             assert store.recorded == 1
@@ -118,7 +122,7 @@ class TestPoisonedBlobQuarantine:
             assert store.quarantined == 1
             assert store.disk_hits == 0
             assert store.recorded == 1
-        qdir = root / "quarantine"
+        qdir = root / "ir" / "quarantine"
         assert len(list(qdir.iterdir())) == 1
         (healed_path,) = blob_paths(root)
         assert healed_path.read_bytes() == pristine
@@ -128,14 +132,14 @@ class TestPoisonedBlobQuarantine:
         assert np.array_equal(healed.clocks, clean.clocks)
 
     def test_clean_blob_read_back_not_quarantined(self, tmp_path):
-        root = tmp_path / "ir"
+        root = tmp_path
         with ir_store_scope(IRStore(root)):
             run_ir()
         with ir_store_scope(IRStore(root)) as store:
             run_ir()
             assert store.disk_hits == 1
             assert store.quarantined == 0
-        assert not (root / "quarantine").exists()
+        assert not (root / "ir" / "quarantine").exists()
 
     def test_poisoned_radix_recording_heals_byte_identically(self, tmp_path):
         """The healing path is algorithm-agnostic: a flipped byte in a
@@ -148,7 +152,7 @@ class TestPoisonedBlobQuarantine:
         def run_radix():
             return radix.run(ModernCluster(seed=2), 256, P=16, seed=11)
 
-        root = tmp_path / "ir"
+        root = tmp_path
         with ir_store_scope(IRStore(root)) as store:
             clean = run_radix()
             assert store.recorded == 1

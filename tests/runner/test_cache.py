@@ -1,10 +1,9 @@
 """Tests for the content-addressed result cache."""
 
-import json
-
 import numpy as np
 import pytest
 
+from repro.blobstore import BlobStore
 from repro.core.errors import ExperimentError
 from repro.runner import ResultCache, default_cache_root
 from repro.validation.series import ExperimentResult, Series
@@ -59,10 +58,9 @@ class TestRoundTrip:
 
     def test_unknown_format_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        path = cache.put_doc(KEY, _result().to_dict())
-        doc = json.loads(path.read_text())
-        doc["format"] = 999
-        path.write_text(json.dumps(doc))
+        cache.put_doc(KEY, _result().to_dict())
+        # the same payload, enveloped as another result format
+        BlobStore(tmp_path, "results", 999).put(KEY, cache.store.get(KEY))
         assert cache.get_doc(KEY) is None
 
     def test_malformed_key_rejected(self, tmp_path):
@@ -92,6 +90,6 @@ class TestStatsAndListing:
         entries = cache.entries()
         assert [e["experiment"] for e in entries] == ["figX", "figY"]
         assert all(e["bytes"] > 0 for e in entries)
-        assert cache.clear() == 2
+        assert cache.store.clear() == 2
         assert cache.entries() == []
-        assert cache.clear() == 0
+        assert cache.store.clear() == 0

@@ -498,7 +498,7 @@ class TestBlobLayout:
                  for v in WIDTH_VALUES]
         prog = build_program(P=4, word_bytes=4, simd=False, steps=steps)
         blob = encode_program(prog)
-        head_len = int(blob[:blob.index(b"\n")].split()[3])
+        head_len = int(blob[:blob.index(b"\n")])
         body = blob[blob.index(b"\n") + 1:]
         stored = {c["dtype"] for c in json.loads(body[:head_len])["columns"]
                   if c["orig"] == "<i8"}

@@ -410,14 +410,14 @@ class TestCacheDir:
 
         repro("run", "fig5", "--cache-dir", str(a), "--jobs", "2",
               "--no-plot")
-        assert list((a / "results").rglob("*.json"))
-        assert list((a / "ir").rglob("*.irp"))
-        assert not list(b.rglob("*.irp"))
+        assert list((a / "results").rglob("*.blob"))
+        assert list((a / "ir").rglob("*.blob"))
+        assert not list(b.rglob("*.blob"))
         info = json.loads(repro("cache", "info", "--cache-dir", str(a),
                                 "--json"))
         assert info["ir"]["count"] > 0
         repro("cache", "clear", "--cache-dir", str(a))
-        assert not list((a / "ir").rglob("*.irp"))
+        assert not list((a / "ir").rglob("*.blob"))
 
     def test_in_process_command_moves_the_pool_and_restores(self,
                                                             tmp_path,
@@ -441,4 +441,4 @@ class TestCacheDir:
             shutdown_pool()
         assert os.environ["REPRO_CACHE_DIR"] == before_env
         assert ir_store() is before_store
-        assert list((tmp_path / "A" / "ir").rglob("*.irp"))
+        assert list((tmp_path / "A" / "ir").rglob("*.blob"))
