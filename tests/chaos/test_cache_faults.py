@@ -47,6 +47,28 @@ class TestQuarantineAndHeal:
         assert ExperimentResult.from_dict(healed).identical(result)
         assert cache.stats.quarantined == 1  # no second quarantine
 
+    @pytest.mark.parametrize("point", ["cache-corrupt", "cache-truncate",
+                                       "cache-stale"])
+    def test_program_writes_leave_the_points_to_results(self, tmp_path,
+                                                        result, point):
+        """The points fire on result writes only: a step-program write
+        under the plan is stored intact and uses up none of its count."""
+        from repro.algorithms import bitonic
+        from repro.machines import CM5
+        from repro.simulator.ir import IRStore, ir_store_scope
+
+        with faults_active(f"{point}:count=1"):
+            with ir_store_scope(IRStore(tmp_path)):
+                bitonic.run(CM5(seed=3), 64, P=16, seed=1)
+            ResultCache(tmp_path).put_doc(KEY, result.to_dict())
+        store = IRStore(tmp_path)
+        (blob,) = (tmp_path / "ir").rglob("*.blob")
+        assert store.get(blob.stem) is not None
+        assert store.quarantined == 0
+        cache = ResultCache(tmp_path)
+        assert cache.get_doc(KEY) is None
+        assert cache.stats.quarantined == 1
+
     def test_healed_entry_is_byte_identical_to_clean(self, tmp_path, result):
         clean = ResultCache(tmp_path / "clean")
         faulted = ResultCache(tmp_path / "faulted")

@@ -8,6 +8,7 @@ bit-identical either way.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -119,7 +120,7 @@ def test_tier_is_consistent_under_threads(budget):
     def worker(seed):
         rng = np.random.default_rng(seed)
         try:
-            for _ in range(3000):
+            for _ in range(20000):
                 i = int(rng.integers(len(KEYS)))
                 if store.get(KEYS[i]) is None:
                     store.put(KEYS[i], progs[i])
@@ -127,10 +128,15 @@ def test_tier_is_consistent_under_threads(budget):
             errors.append(exc)
 
     threads = [threading.Thread(target=worker, args=(s,)) for s in (1, 2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
     assert errors == []
     assert store.nbytes == sum(p.nbytes for p in store.memory.values())
     assert store.nbytes <= budget
