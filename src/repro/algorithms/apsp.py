@@ -205,52 +205,57 @@ def _emit_broadcast_vector(ctx: VectorContext, line: np.ndarray, addr_v,
                            cache: dict):
     """Vector twin of :func:`_broadcast_line`: emit its message groups.
 
-    ``line`` is every rank's line coordinate, ``addr_v(ll)`` maps
-    per-rank target line coordinates (array or scalar) to ranks.  Emits
-    the identical superstep sequence — same counts, sizes, steps and
-    labels — but no payloads: vector programs move the data themselves.
-    Generator — ``yield from`` it.
+    ``line`` is every rank's line coordinate, ``addr_v(ll)`` maps target
+    line coordinates (a per-rank array, a scalar, or a ``(steps, P)``
+    stack) to ranks.  Emits the identical superstep sequence — same
+    counts, sizes, steps and labels — but no payloads: vector programs
+    move the data themselves.  Each superstep is one message group whose
+    pairs run in the per-rank loop's step order (the sources tiled once
+    per step), so the engine's stable sort by source records the same
+    phase.  Generator — ``yield from`` it.
 
-    ``cache`` (one dict per broadcast orientation) hoists the group
+    ``cache`` (one dict per broadcast orientation) hoists the groups'
     arrays across ``k`` iterations: the doubling and allgather patterns
     do not depend on the owner line at all, and the scatter only through
     ``owner_line``, so after the first few rounds every superstep
     re-emits previously built arrays and the engine interns the phase.
     """
     w = ctx.word_bytes
+    steps = np.arange(1, side)
+
+    def owner_group(step: np.ndarray) -> tuple:
+        """The owners' sources and targets at each of ``step``."""
+        owner_mask = line == owner_line
+        owners = ctx.ranks()[owner_mask]
+        ll = (owner_line + step) % side
+        return (np.tile(owners, step.size),
+                addr_v(ll[:, None])[:, owner_mask].ravel(),
+                np.repeat(step, owners.size))
 
     if M >= side:
+        widths = cache.get("widths")
+        if widths is None:
+            widths = cache["widths"] = np.array(
+                [hi - lo for lo, hi in _segment_bounds(side, M)])
         scat = cache.get(("scat", owner_line))
         if scat is None:
-            owner_mask = line == owner_line
-            owners = ctx.ranks()[owner_mask]
-            bounds = _segment_bounds(side, M)
-            widths = np.array([hi - lo for lo, hi in bounds])
-            scat = []
-            for s in range(1, side):
-                ll = (owner_line + s) % side
-                n = int(widths[ll])
-                scat.append((owners, addr_v(ll)[owner_mask], n * w, n, s))
-            cache[("scat", owner_line)] = scat
+            src, dst, step = owner_group(steps)
+            n = widths[(owner_line + step) % side]
+            scat = cache[("scat", owner_line)] = (src, dst, n * w, n, step)
         # superstep 1: owners scatter subsegments over their line
-        for owners, dsts, nb, cnt, s in scat:
-            ctx.put_group(owners, dsts, nbytes=nb, count=cnt, step=s)
+        src, dst, nb, cnt, step = scat
+        ctx.put_group(src, dst, nbytes=nb, count=cnt, step=step)
         yield ctx.sync(f"{tag}-scatter")
         ag = cache.get("ag")
         if ag is None:
-            ranks_all = ctx.ranks()
-            bounds = _segment_bounds(side, M)
-            widths = np.array([hi - lo for lo, hi in bounds])
-            mine_n = widths[line]
-            nbytes_a = mine_n * w
-            ag = []
-            for s in range(1, side):
-                ll = (line + s) % side
-                ag.append((ranks_all, addr_v(ll), nbytes_a, mine_n, s))
-            cache["ag"] = ag
+            mine_n = np.tile(widths[line], side - 1)
+            ag = cache["ag"] = (
+                np.tile(ctx.ranks(), side - 1),
+                addr_v((line + steps[:, None]) % side).ravel(),
+                mine_n * w, mine_n, np.repeat(steps, line.size))
         # superstep 2: everyone allgathers its subsegment along the line
-        for srcs, dsts, nb, cnt, s in ag:
-            ctx.put_group(srcs, dsts, nbytes=nb, count=cnt, step=s)
+        src, dst, nb, cnt, step = ag
+        ctx.put_group(src, dst, nbytes=nb, count=cnt, step=step)
         yield ctx.sync(f"{tag}-allgather")
         return
 
@@ -261,16 +266,11 @@ def _emit_broadcast_vector(ctx: VectorContext, line: np.ndarray, addr_v,
             f"M={M} must divide sqrt(P)={side} by a power of two")
     scat = cache.get(("scat", owner_line))
     if scat is None:
-        owner_mask = line == owner_line
-        owners = ctx.ranks()[owner_mask]
-        scat = []
-        for s in range(1, side):
-            ll = (owner_line + s) % side
-            if ll < M:
-                scat.append((owners, addr_v(ll)[owner_mask], s))
-        cache[("scat", owner_line)] = scat
-    for owners, dsts, s in scat:
-        ctx.put_group(owners, dsts, nbytes=w, count=1, step=s)
+        # the owner hands element ll to line processor ll < M only
+        scat = cache[("scat", owner_line)] = owner_group(
+            steps[(owner_line + steps) % side < M])
+    src, dst, step = scat
+    ctx.put_group(src, dst, nbytes=w, count=1, step=step)
     yield ctx.sync(f"{tag}-scatter")
     dbl = cache.get("dbl")
     if dbl is None:
@@ -287,15 +287,15 @@ def _emit_broadcast_vector(ctx: VectorContext, line: np.ndarray, addr_v,
         yield ctx.sync(f"{tag}-double-{t}")
     ag = cache.get("ag")
     if ag is None:
-        ranks_all = ctx.ranks()
         block_base = line - (line % M)
-        ag = []
-        for s in range(1, M):
-            ll = block_base + (line - block_base + s) % M
-            ag.append((ranks_all, addr_v(ll), s))
-        cache["ag"] = ag
-    for srcs, dsts, s in ag:
-        ctx.put_group(srcs, dsts, nbytes=w, count=1, step=s)
+        ag_steps = np.arange(1, M)
+        ag = cache["ag"] = (
+            np.tile(ctx.ranks(), M - 1),
+            addr_v(block_base
+                   + (line - block_base + ag_steps[:, None]) % M).ravel(),
+            np.repeat(ag_steps, line.size))
+    src, dst, step = ag
+    ctx.put_group(src, dst, nbytes=w, count=1, step=step)
     yield ctx.sync(f"{tag}-allgather")
 
 

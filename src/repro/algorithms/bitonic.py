@@ -174,10 +174,14 @@ def bitonic_sort_vector(ctx: VectorContext, all_keys: np.ndarray,
 
     Keys live in one ``(P, M)`` stack; every merge step is one message
     group (the cube permutation ``rank ^ bit``) plus one axis-1 sort —
-    bit-identical supersteps and results.  Returns the sorted stack, so
-    callers (sample sort's splitter phase) can keep working on it; use
-    :func:`bitonic_vector_program` for the per-rank-list form.  A
-    structure-only pass reads ``all_keys``' shape alone.
+    bit-identical supersteps and results.  Each bit's partner array is
+    built once, so every merge step on one bit with one message shape
+    re-emits the same group and the engine interns its phase: the
+    ``log P (log P + 1) / 2`` merge steps record ``log P`` phases (one
+    per bit and chunk size for ``"bsp-sync"``).  Returns the sorted
+    stack, so callers (sample sort's splitter phase) can keep working on
+    it; use :func:`bitonic_vector_program` for the per-rank-list form.
+    A structure-only pass reads ``all_keys``' shape alone.
     """
     if variant not in VARIANTS:
         raise ExperimentError(f"unknown bitonic variant {variant!r}")
@@ -188,13 +192,13 @@ def bitonic_sort_vector(ctx: VectorContext, all_keys: np.ndarray,
     M = all_keys.shape[1]
     w = ctx.word_bytes
     ranks = ctx.ranks()
+    partners = [ranks ^ (1 << j) for j in range(log_p)]
 
     mine = _radix_sort_rows(ctx, all_keys, bits=key_bits)
 
     for d in range(1, log_p + 1):
         for j in range(d - 1, -1, -1):
-            bit = 1 << j
-            partner = ranks ^ bit
+            partner = partners[j]
             if d < log_p:
                 ascending = (ranks >> d) & 1 == 0
             else:

@@ -110,8 +110,9 @@ def broadcast_program(ctx: ProcContext, vec, strategy: str):
 def broadcast_vector_program(ctx: VectorContext, vec, strategy: str):
     """Lockstep vector port of :func:`broadcast_program`.
 
-    The root's sends form one group in step order; the allgather is one
-    group per step.  A structure-only pass reads ``vec``'s shape alone.
+    Each superstep is one message group in step order: the root's sends,
+    then the allgather with every rank's sources tiled once per step.  A
+    structure-only pass reads ``vec``'s shape alone.
     """
     P = ctx.P
     w = ctx.word_bytes
@@ -127,10 +128,10 @@ def broadcast_vector_program(ctx: VectorContext, vec, strategy: str):
         ctx.put_group(root, others, nbytes=piece * w, count=piece,
                       step=others)
         yield ctx.sync("b-bcast-scatter")
-        ranks = ctx.ranks()
-        for s in range(1, P):
-            ctx.put_group(ranks, (ranks + s) % P, nbytes=piece * w,
-                          count=piece, step=s)
+        src = np.tile(ctx.ranks(), P - 1)
+        step = np.repeat(others, P)
+        ctx.put_group(src, (src + step) % P, nbytes=piece * w, count=piece,
+                      step=step)
         yield ctx.sync("b-bcast-allgather")
     else:
         raise ExperimentError(f"unknown broadcast strategy {strategy!r}")
@@ -195,10 +196,10 @@ def row_broadcast_vector_program(ctx: VectorContext, segs: np.ndarray,
         yield from _emit_broadcast_vector(ctx, c, lambda ll: r * side + ll,
                                           0, side, M, "b", {})
     elif strategy == "direct":
-        owners = ranks[c == 0]
-        for s in range(1, side):
-            ctx.put_group(owners, owners + s, nbytes=M * ctx.word_bytes,
-                          count=M, step=s)
+        owners = np.tile(ranks[c == 0], side - 1)
+        step = np.repeat(np.arange(1, side), side)
+        ctx.put_group(owners, owners + step, nbytes=M * ctx.word_bytes,
+                      count=M, step=step)
         yield ctx.sync("direct-bcast")
     else:
         raise ExperimentError(f"unknown row broadcast strategy {strategy!r}")

@@ -195,6 +195,7 @@ def lu_vector_program(ctx: VectorContext, A: np.ndarray):
         blocks = (A.astype(float).reshape(side, M, side, M)
                   .transpose(0, 2, 1, 3).reshape(P, M, M).copy())
     rows = np.arange(side)
+    fan = np.arange(1, side)  # the grid steps of every broadcast
     piv_cache: dict[int, tuple] = {}  # pivot fan-out depends on kb only
 
     for k in range(N - 1):
@@ -206,9 +207,8 @@ def lu_vector_program(ctx: VectorContext, A: np.ndarray):
         if side > 1:
             grp = piv_cache.get(kb)
             if grp is None:
-                steps = np.arange(1, side)
                 grp = (np.full(side - 1, diag),
-                       ((kb + steps) % side) * side + kb, steps)
+                       ((kb + fan) % side) * side + kb, fan)
                 piv_cache[kb] = grp
             ctx.put_group(grp[0], grp[1], nbytes=w, count=1, step=grp[2])
         yield ctx.sync(f"pivot-{k}")
@@ -228,21 +228,25 @@ def lu_vector_program(ctx: VectorContext, A: np.ndarray):
                 blocks[gt, :, ki] /= piv
             ctx.charge_flops(own, nr[below])
             if side > 1:
-                for s in range(1, side):
-                    ctx.put_group(own, below * side + (kb + s) % side,
-                                  nbytes=nr[below] * w, count=nr[below],
-                                  step=s)
+                # one group: the owners tiled once per grid step
+                step = np.repeat(fan, below.size)
+                cnt = np.tile(nr[below], side - 1)
+                ctx.put_group(np.tile(own, side - 1),
+                              np.tile(below * side, side - 1)
+                              + (kb + step) % side,
+                              nbytes=cnt * w, count=cnt, step=step)
         yield ctx.sync(f"col-bcast-{k}")
 
         # ---- row broadcast along columns ----
         nc = np.where(rows > kb, M, np.where(rows == kb, M - t, 0))
         right = rows[nc > 0]  # columns with entries right of k
         if right.size and side > 1:
-            own = kb * side + right
-            for s in range(1, side):
-                ctx.put_group(own, ((kb + s) % side) * side + right,
-                              nbytes=nc[right] * w, count=nc[right],
-                              step=s)
+            step = np.repeat(fan, right.size)
+            cnt = np.tile(nc[right], side - 1)
+            ctx.put_group(np.tile(kb * side + right, side - 1),
+                          ((kb + step) % side) * side
+                          + np.tile(right, side - 1),
+                          nbytes=cnt * w, count=cnt, step=step)
         yield ctx.sync(f"row-bcast-{k}")
 
         # ---- trailing update of every block ----

@@ -248,10 +248,10 @@ def matmul_vector_program(ctx: VectorContext, operands: tuple,
     """Lockstep vector port of :func:`matmul_program`.
 
     ``operands`` is the ``(A, B)`` pair.  One message group per
-    replicate/exchange step (with MIMD self-sends masked out, as the
-    per-rank program elides them); the local products run per rank on
-    contiguous blocks so the floating-point results stay bit-identical
-    to the per-rank path.  A row-strip start (:data:`LAYOUT_VARIANTS`)
+    superstep, its sends in the per-rank step order (with MIMD block
+    self-sends masked out, as the per-rank program elides them); the
+    local products run per rank on contiguous blocks so the
+    floating-point results stay bit-identical to the per-rank path.  A row-strip start (:data:`LAYOUT_VARIANTS`)
     emits its own first superstep and then runs as its native variant:
     either way every rank ends up holding ``A_ij`` and ``B_jk``.  A
     structure-only pass never reads the operands.
@@ -280,14 +280,18 @@ def matmul_vector_program(ctx: VectorContext, operands: tuple,
     def rank_of(i, j, k):
         return (i * q + j) * q + k
 
-    def emit(dst: np.ndarray, step: int) -> None:
-        if ctx.simd:
-            ctx.put_group(ranks, dst, nbytes=blk_words * w, count=count,
-                          step=step)
-        else:  # MIMD: own block stays local, exactly like send_block
-            m = dst != ranks
-            ctx.put_group(ranks[m], dst[m], nbytes=blk_words * w,
-                          count=count, step=step)
+    def emit(dsts: list, steps, *, words: int, count: int,
+             local: bool) -> None:
+        """One group: every rank sends ``words`` words to ``dsts[i]``
+        at step ``steps[i]``, in list order.  ``local`` keeps a MIMD
+        rank's own block local, exactly like ``send_block``."""
+        src = np.tile(ranks, len(dsts))
+        dst = np.concatenate(dsts)
+        step = np.repeat(steps, P)
+        if local and not ctx.simd:
+            m = dst != src
+            src, dst, step = src[m], dst[m], step[m]
+        ctx.put_group(src, dst, nbytes=words * w, count=count, step=step)
 
     if layout_2d:
         # rank p's strip (rows p*N/P.. of A and B) lies in the (i_s, k_s)
@@ -295,32 +299,35 @@ def matmul_vector_program(ctx: VectorContext, operands: tuple,
         # program ships strip chunks with a plain put, so self-sends are
         # real on MIMD too.
         strip_words = setup.N // setup.P * sub
+        dsts: list = []
+        steps: list = []
         if fine:
             # BSP: every chunk straight to its final consumers
             for jj in range(q):
                 for m in range(q):
                     mm = (k_arr + m) % q
-                    for dst in (rank_of(i_arr, jj, mm),
-                                rank_of(mm, i_arr, jj)):
-                        ctx.put_group(ranks, dst, nbytes=strip_words * w,
-                                      count=strip_words, step=m * q + jj)
+                    dsts += [rank_of(i_arr, jj, mm), rank_of(mm, i_arr, jj)]
+                    steps += [m * q + jj] * 2
+            emit(dsts, steps, words=strip_words, count=strip_words,
+                 local=False)
             yield ctx.sync("replicate-2d", stagger=staggered)
         else:
             # MP-BPRAM: an extra block superstep rebuilds the 3D layout
             for jj in range(q):
-                dst = rank_of(i_arr, (k_arr + jj) % q, j_arr)
-                for step in (jj, q + jj):
-                    ctx.put_group(ranks, dst, nbytes=strip_words * w,
-                                  count=1, step=step)
+                dsts += [rank_of(i_arr, (k_arr + jj) % q, j_arr)] * 2
+                steps += [jj, q + jj]
+            emit(dsts, steps, words=strip_words, count=1, local=False)
             yield ctx.sync("redistribute")
 
     if not (layout_2d and fine):
         # ---- superstep 1: replicate A along k, B along i ----
+        dsts = []
         for s in range(q):
             m = (k_arr + s) % q if staggered \
                 else np.full(P, s, dtype=np.int64)
-            emit(rank_of(i_arr, j_arr, m), s)
-            emit(rank_of(m, i_arr, j_arr), s)
+            dsts += [rank_of(i_arr, j_arr, m), rank_of(m, i_arr, j_arr)]
+        emit(dsts, np.repeat(np.arange(q), 2), words=blk_words,
+             count=count, local=True)
         yield ctx.sync("replicate", stagger=staggered)
 
     # every rank now holds A_ij and B_jk — contiguous copies so the
@@ -337,9 +344,9 @@ def matmul_vector_program(ctx: VectorContext, operands: tuple,
             Chat[p] = A_ij @ B_jk
 
     # ---- superstep 2: exchange partial result blocks ----
-    for s in range(q):
-        l = (j_arr + s) % q if staggered else np.full(P, s, dtype=np.int64)
-        emit(rank_of(i_arr, k_arr, l), s)
+    emit([rank_of(i_arr, k_arr, (j_arr + s) % q if staggered
+                  else np.full(P, s, dtype=np.int64)) for s in range(q)],
+         np.arange(q), words=blk_words, count=count, local=True)
     yield ctx.sync("exchange-partials", stagger=staggered)
 
     # ---- sum the q partial blocks (jj ascending, like the per-rank sum)

@@ -26,7 +26,8 @@ from ..simulator.context import ProcContext
 from ..simulator.vector import VectorContext
 
 __all__ = ["grid_side", "alltoall_words", "multiscan",
-           "alltoall_words_vector", "multiscan_vector"]
+           "alltoall_words_vector", "multiscan_vector", "grid_groups",
+           "route_keys_vector"]
 
 
 def grid_side(P: int) -> int:
@@ -102,6 +103,41 @@ def alltoall_words(ctx: ProcContext, words: np.ndarray, tag: str,
     return out
 
 
+def grid_groups(cache: dict, P: int) -> tuple[np.ndarray, ...]:
+    """``(src, dst_a, dst_b, step)``: the grid scheme's two transposes,
+    each one message group of ``sqrt(P)`` steps of all ranks in step
+    order — at step ``s`` phase A sends to ``<r, c + s>`` and phase B to
+    ``<r + s, c>``.  Built once per ``cache`` (one dict per program run),
+    so every all-to-all of the run re-emits the same objects."""
+    grid = cache.get("grid")
+    if grid is None:
+        side = grid_side(P)
+        ranks = np.arange(P, dtype=np.int64)
+        r, c = np.divmod(ranks, side)
+        s = np.arange(side)[:, None]
+        grid = cache["grid"] = (np.tile(ranks, side),
+                                (r * side + (c + s) % side).ravel(),
+                                (((r + s) % side) * side + c).ravel(),
+                                np.repeat(np.arange(side), P))
+    return grid
+
+
+def route_keys_vector(ctx: VectorContext, counts: np.ndarray, *,
+                      block: bool) -> None:
+    """Send every rank's keys straight to their buckets as one message
+    group: at step ``s = 1 .. P-1`` rank ``p`` sends its
+    ``counts[p, (p + s) % P]`` keys, if any, one word each or, with
+    ``block``, as one message."""
+    P = ctx.P
+    src = np.tile(ctx.ranks(), P - 1)
+    step = np.repeat(np.arange(1, P), P)
+    dst = (src + step) % P
+    sizes = counts[src, dst]
+    m = sizes > 0
+    ctx.put_group(src[m], dst[m], nbytes=sizes[m] * ctx.word_bytes,
+                  count=1 if block else sizes[m], step=step[m])
+
+
 def alltoall_words_vector(ctx: VectorContext, words: np.ndarray, tag: str,
                           mode: str = "bpram", cache: dict | None = None):
     """All-ranks twin of :func:`alltoall_words`.
@@ -110,9 +146,10 @@ def alltoall_words_vector(ctx: VectorContext, words: np.ndarray, tag: str,
     ``(P, P)`` stack ``out`` with ``out[p, src] = words[src, p]`` — the
     transpose the scalar routing delivers, with bit-identical supersteps
     (the word values travel unchanged through the grid intermediates, so
-    the result can be formed directly).  ``cache`` (one dict per program
-    run) holds the hoisted group arrays so every all-to-all of the run
-    re-emits the *same* objects and the engine interns the phases.
+    the result can be formed directly).  Each superstep is one message
+    group; ``cache`` (one dict per program run) holds the hoisted group
+    arrays so every all-to-all of the run re-emits the *same* objects
+    and the engine interns the phases.
     """
     P = ctx.P
     w = ctx.word_bytes
@@ -121,16 +158,17 @@ def alltoall_words_vector(ctx: VectorContext, words: np.ndarray, tag: str,
         raise ExperimentError(f"vector alltoall needs a (P, P) word stack, "
                               f"got shape {words.shape}")
     cache = cache if cache is not None else {}
-    ranks = cache.get("ranks")
-    if ranks is None:
-        ranks = cache["ranks"] = ctx.ranks()
+    if "ranks" not in cache:
+        cache["ranks"] = ctx.ranks()
 
     if mode == "bsp":
-        for j in range(P):
-            dst = cache.get(("a2a", j))
-            if dst is None:
-                dst = cache[("a2a", j)] = (ranks + j) % P
-            ctx.put_group(ranks, dst, nbytes=w, count=1, step=j)
+        a2a = cache.get("a2a")
+        if a2a is None:
+            src = np.tile(cache["ranks"], P)
+            step = np.repeat(np.arange(P), P)
+            a2a = cache["a2a"] = (src, (src + step) % P, step)
+        src, dst, step = a2a
+        ctx.put_group(src, dst, nbytes=w, count=1, step=step)
         yield ctx.sync(f"{tag}-alltoall")
         return words.T.copy()
 
@@ -138,19 +176,10 @@ def alltoall_words_vector(ctx: VectorContext, words: np.ndarray, tag: str,
         raise ExperimentError(f"unknown alltoall mode {mode!r}")
 
     side = grid_side(P)
-    r, c = np.divmod(ranks, side)
-    for s in range(side):
-        dst = cache.get(("A", s))
-        if dst is None:
-            dst = cache[("A", s)] = r * side + (c + s) % side
-        ctx.put_group(ranks, dst, nbytes=side * w, count=1, step=s)
+    src, dst_a, dst_b, step = grid_groups(cache, P)
+    ctx.put_group(src, dst_a, nbytes=side * w, count=1, step=step)
     yield ctx.sync(f"{tag}-transpose-A", barrier=False)
-
-    for s in range(side):
-        dst = cache.get(("B", s))
-        if dst is None:
-            dst = cache[("B", s)] = ((r + s) % side) * side + c
-        ctx.put_group(ranks, dst, nbytes=side * w, count=1, step=s)
+    ctx.put_group(src, dst_b, nbytes=side * w, count=1, step=step)
     yield ctx.sync(f"{tag}-transpose-B", barrier=False)
     return words.T.copy()
 

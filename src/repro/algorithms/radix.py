@@ -48,7 +48,7 @@ from ..simulator.lower import run_lowered
 from ..simulator.vector import VectorContext
 from .bitonic import _radix_sort_rows
 from .local import radix_sort
-from .primitives import multiscan, multiscan_vector
+from .primitives import multiscan, multiscan_vector, route_keys_vector
 from .samplesort import _drain_keys, _grid_route, _grid_route_vector
 
 __all__ = ["run", "key_params", "radix_sort_program",
@@ -123,16 +123,16 @@ def radix_sort_vector_program(ctx: VectorContext, all_keys: np.ndarray,
     """Lockstep vector port of :func:`radix_sort_program`.
 
     Keys live in a ``(P, M)`` stack; counts become a ``(P, P)`` matrix
-    through the vector multi-scan, routing is per-step message groups,
-    and — because bucket ``p`` holds exactly the keys whose top digit is
-    ``p``, a contiguous value range — one global key sort split at the
-    per-bucket totals reproduces every rank's sorted bucket bit for bit.
+    through the vector multi-scan, routing is one message group per
+    superstep, and — because bucket ``p`` holds exactly the keys whose
+    top digit is ``p``, a contiguous value range — one global key sort
+    split at the per-bucket totals reproduces every rank's sorted bucket
+    bit for bit.
     """
     if variant not in VARIANTS:
         raise ExperimentError(f"unknown radix sort variant {variant!r}")
     P = ctx.P
     M = all_keys.shape[1]
-    w = ctx.word_bytes
     log_p = _digit_bits(P, key_bits)
     shift = key_bits - log_p
     mode = "bsp" if variant == "bsp" else "bpram"
@@ -153,13 +153,7 @@ def radix_sort_vector_program(ctx: VectorContext, all_keys: np.ndarray,
 
     # ---- Phase 3: scatter ----
     if variant == "bsp":
-        for s in range(1, P):
-            dst = (ranks + s) % P
-            sizes = counts[ranks, dst]
-            m = sizes > 0
-            if m.any():
-                ctx.put_group(ranks[m], dst[m], nbytes=sizes[m] * w,
-                              count=sizes[m], step=s)
+        route_keys_vector(ctx, counts, block=False)
         yield ctx.sync("route-keys")
     else:  # bpram: two-phase padded grid routing
         yield from _grid_route_vector(ctx, M, cache)

@@ -48,8 +48,9 @@ from ..simulator.lower import run_lowered
 from ..simulator.vector import VectorContext
 from .bitonic import _radix_sort_rows, bitonic_sort, bitonic_sort_vector
 from .local import classify_keys, radix_sort
-from .primitives import (alltoall_words, alltoall_words_vector, grid_side,
-                         multiscan, multiscan_vector)
+from .primitives import (alltoall_words, alltoall_words_vector, grid_groups,
+                         grid_side, multiscan, multiscan_vector,
+                         route_keys_vector)
 
 __all__ = ["run", "key_params", "sample_sort_program",
            "sample_sort_vector_program", "VARIANTS"]
@@ -225,16 +226,15 @@ def sample_sort_vector_program(ctx: VectorContext, all_keys: np.ndarray,
     its own seeded generator (P small draws — identical streams), but
     everything else is columnar: one stacked bitonic sort, ``(P, P)``
     count/offset matrices through the vector all-to-alls, and routing as
-    per-step message groups.  The final buckets are value ranges split by
-    the (globally sorted) splitters, so one global key sort split at the
-    per-bucket totals reproduces every rank's radix-sorted bucket —
-    bit-identical supersteps, work and results.
+    one message group per superstep.  The final buckets are value ranges
+    split by the (globally sorted) splitters, so one global key sort
+    split at the per-bucket totals reproduces every rank's radix-sorted
+    bucket — bit-identical supersteps, work and results.
     """
     if variant not in VARIANTS:
         raise ExperimentError(f"unknown sample sort variant {variant!r}")
     P = ctx.P
     M = all_keys.shape[1]
-    w = ctx.word_bytes
     S = oversample
     if not 1 <= S <= M:
         raise ExperimentError(
@@ -274,22 +274,10 @@ def sample_sort_vector_program(ctx: VectorContext, all_keys: np.ndarray,
                                                  mode, cache)
 
     if variant == "bsp":
-        for s in range(1, P):
-            dst = (ranks + s) % P
-            sizes = counts[ranks, dst]
-            m = sizes > 0
-            if m.any():
-                ctx.put_group(ranks[m], dst[m], nbytes=sizes[m] * w,
-                              count=sizes[m], step=s)
+        route_keys_vector(ctx, counts, block=False)
         yield ctx.sync("route-keys")
     elif variant == "bpram-staggered":
-        for s in range(1, P):
-            dst = (ranks + s) % P
-            sizes = counts[ranks, dst]
-            m = sizes > 0
-            if m.any():
-                ctx.put_group(ranks[m], dst[m], nbytes=sizes[m] * w,
-                              count=1, step=s)
+        route_keys_vector(ctx, counts, block=True)
         ctx.charge_copy(ranks, M)  # pack keys per destination
         yield ctx.sync("route-keys-staggered", barrier=False)
     else:  # bpram: two-phase padded grid routing
@@ -316,24 +304,26 @@ def _grid_route_vector(ctx: VectorContext, M: int, cache: dict):
     half_bytes = max(w, -(-PAD * M * w // side))
     cap = max(1, -(-PAD * M // side))
 
-    # Phase A: route by destination column (two padded halves per step);
-    # the dst arrays are the transpose-A/B patterns already in the cache.
-    for s in range(side):
+    def halves(col: np.ndarray) -> np.ndarray:
+        """A transpose column with each step's row sent twice: the two
+        padded halves go out back to back."""
+        return np.repeat(col.reshape(side, P), 2, axis=0).ravel()
+
+    src, dst_a, dst_b, step = map(halves, grid_groups(cache, P))
+
+    # Phase A: route by destination column (two padded halves per step)
+    for _ in range(side):
         ctx.charge_merge(ranks, cap)  # pack one padded buffer
-        dst = cache[("A", s)]
-        ctx.put_group(ranks, dst, nbytes=half_bytes, count=1, step=s)
-        ctx.put_group(ranks, dst, nbytes=half_bytes, count=1, step=s)
+    ctx.put_group(src, dst_a, nbytes=half_bytes, count=1, step=step)
     yield ctx.sync("route-A", barrier=False)
 
     # Intermediate: unpack one buffer per source column, then repack and
     # forward by destination row.
     for _ in range(side):
         ctx.charge_merge(ranks, cap)
-    for s in range(side):
+    for _ in range(side):
         ctx.charge_merge(ranks, cap)  # repack
-        dst = cache[("B", s)]
-        ctx.put_group(ranks, dst, nbytes=half_bytes, count=1, step=s)
-        ctx.put_group(ranks, dst, nbytes=half_bytes, count=1, step=s)
+    ctx.put_group(src, dst_b, nbytes=half_bytes, count=1, step=step)
     yield ctx.sync("route-B", barrier=False)
 
     for _ in range(side):

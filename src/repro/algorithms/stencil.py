@@ -114,29 +114,31 @@ def stencil_program(ctx: ProcContext, grid: np.ndarray, iters: int):
 def stencil_vector_program(ctx: VectorContext, grid: np.ndarray, iters: int):
     """Lockstep vector port of :func:`stencil_program`.
 
-    One message group per halo direction (north, south, west, east: the
-    per-rank emission order), built once and re-emitted every sweep.
-    The update runs on the whole grid: each interior point sums the same
-    four neighbours in the same order as the per-rank padded block, so
-    the blocks it returns are bit-identical.  A structure-only pass
-    reads ``grid``'s shape alone and skips the update.
+    One message group per sweep, its halo directions (north, south,
+    west, east: the per-rank emission order) at steps 0-3, built once
+    and re-emitted every sweep.  The update runs on the whole grid: each
+    interior point sums the same four neighbours in the same order as
+    the per-rank padded block, so the blocks it returns are
+    bit-identical.  A structure-only pass reads ``grid``'s shape alone
+    and skips the update.
     """
     P = ctx.P
     side, M = _block_side(grid.shape[0], P)
     w = ctx.word_bytes
     ranks = ctx.ranks()
     r, c = np.divmod(ranks, side)
-    halos = []
-    for has, offset in ((r > 0, -side), (r < side - 1, side),
-                        (c > 0, -1), (c < side - 1, 1)):
-        halos.append((ranks[has], ranks[has] + offset))
+    halos = ((r > 0, -side), (r < side - 1, side),
+             (c > 0, -1), (c < side - 1, 1))
+    src = np.concatenate([ranks[has] for has, _ in halos])
+    dst = np.concatenate([ranks[has] + offset for has, offset in halos])
+    step = np.repeat(np.arange(4), [np.count_nonzero(has)
+                                    for has, _ in halos])
     data = not ctx.structure_only
     if data:
         a = grid.astype(float)
 
     for it in range(iters):
-        for step, (src, dst) in enumerate(halos):
-            ctx.put_group(src, dst, nbytes=M * w, count=M, step=step)
+        ctx.put_group(src, dst, nbytes=M * w, count=M, step=step)
         yield ctx.sync(f"halo-{it}")
         if data:
             b = a.copy()

@@ -497,13 +497,13 @@ def _cmd_cache(action: str, cache_dir: str | None,
     cache = ResultCache(cache_dir)
     programs = BlobStore(cache.root, "ir", IR_SCHEMA)
     if action == "clear":
-        removed = cache.store.clear()
+        removed = cache.clear()
         n_programs = programs.clear()
         print(f"removed {removed} cached result(s) and {n_programs} step "
               f"program(s) from {cache.root}")
         return 0
     entries = cache.entries()
-    stats = {"results": cache.store.stats(), "ir": programs.stats()}
+    stats = {"results": cache.disk_stats(), "ir": programs.stats()}
     info = {"root": str(cache.root), "count": len(entries),
             "entries": entries, "ir": stats["ir"]["live"],
             **{kind: {ns: s[kind] for ns, s in stats.items()}

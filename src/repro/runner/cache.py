@@ -12,11 +12,18 @@ bounds cell (see :func:`repro.runner.pool.run_jobs`).  JSON round-trips
 cached series are bit-identical to freshly computed ones — which the
 golden tests assert.  Result writes opt into the ``cache-*`` fault
 points, through which the chaos suite drives quarantine and healing.
+
+The layout before the blob store quarantined results into
+``<root>/quarantine/``, outside every namespace.  No key reads those
+files again: :meth:`ResultCache.disk_stats` counts them as orphaned
+results and :meth:`ResultCache.clear` removes them.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,6 +91,28 @@ class ResultCache:
         if path is not None:
             self.stats.stores += 1
         return path
+
+    def _former_quarantine(self) -> list[Path]:
+        """Files of the former layout's result quarantine."""
+        qdir = self.root / "quarantine"
+        return [p for p in sorted(qdir.rglob("*")) if p.is_file()]
+
+    def disk_stats(self) -> dict[str, dict[str, int]]:
+        """The store's ``{kind: {"count", "bytes"}}``, the former
+        layout's quarantined results counted as orphaned."""
+        out = self.store.stats()
+        for path in self._former_quarantine():
+            with suppress(OSError):
+                out["orphaned"]["bytes"] += path.stat().st_size
+                out["orphaned"]["count"] += 1
+        return out
+
+    def clear(self) -> int:
+        """Delete every result file, the former layout's quarantine
+        included; returns the live and orphaned count."""
+        removed = len(self._former_quarantine()) + self.store.clear()
+        shutil.rmtree(self.root / "quarantine", ignore_errors=True)
+        return removed
 
     def entries(self) -> list[dict]:
         """Metadata headers of every cache entry (sorted by experiment id)."""

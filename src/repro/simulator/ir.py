@@ -444,7 +444,7 @@ def ir_key(*, algorithm: str, fingerprint: str, P: int, word_bytes: int,
 
 #: byte budget (:attr:`StepProgram.nbytes`) of an :class:`IRStore`'s
 #: memory tier.  A cold seed-0 sweep of the 35 experiments records 130
-#: programs of 67.5 MiB and keeps its 79 memory hits down to 60 MiB; this
+#: programs of 38.0 MiB and keeps its 79 memory hits down to 35 MiB; this
 #: holds the whole sweep and caps a server, whose fresh-seed sample sort
 #: and radix predicts each record a program never asked for again.
 MEMORY_BUDGET = 72 << 20

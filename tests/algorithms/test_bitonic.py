@@ -13,7 +13,8 @@ from repro.core.errors import ExperimentError, SimulationError
 from repro.core.predictions import bpram_bitonic, bsp_bitonic, mp_bsp_bitonic
 from repro.machines import CM5, GCel, MasParMP1
 from repro.simulator.context import ProcContext
-from repro.simulator.vector import VectorContext
+from repro.simulator.ir import build_program
+from repro.simulator.vector import VectorContext, collect_steps, stand_in
 
 
 def globally_sorted_and_permuted(res) -> bool:
@@ -63,6 +64,42 @@ class TestStructure:
         with pytest.raises(ExperimentError):
             bitonic.run(cm5, 8, variant="bsp", P=48)
 
+
+class TestMergeScheduleInterning:
+    """The network routes ``log P`` distinct single-bit XOR permutations
+    over its ``log P (log P + 1) / 2`` merge steps, and the recording
+    holds each pattern once: every merge step on one bit (and, for
+    ``"bsp-sync"``, one chunk size) shares one phase."""
+
+    @staticmethod
+    def record(P, variant, M, sync_every=256):
+        ctx = VectorContext(P, 4, structure_only=True)
+        steps, _ = collect_steps(ctx, bitonic.bitonic_vector_program(
+            ctx, stand_in((P, M), np.uint64), variant,
+            sync_every=sync_every))
+        return steps, build_program(P=P, word_bytes=4, simd=False,
+                                    steps=steps)
+
+    @pytest.mark.parametrize("P", [2, 16, 1024])
+    @pytest.mark.parametrize("variant, M, sizes, chunks", [
+        ("bsp", 8, 1, 1), ("bpram", 8, 1, 1), ("bsp-nosync", 8, 1, 1),
+        # 600 keys in chunks of 256: 256, 256, 88
+        ("bsp-sync", 600, 2, 3)])
+    def test_one_phase_per_bit_and_chunk_size(self, P, variant, M, sizes,
+                                              chunks):
+        log_p = P.bit_length() - 1
+        steps, prog = self.record(P, variant, M)
+        # one phase per bit and chunk size, plus the empty trailing phase
+        # that carries the last merge's work
+        assert len(prog.phases) == sizes * log_p + 1
+        bits = [j for d in range(1, log_p + 1) for j in range(d - 1, -1, -1)
+                for _ in range(chunks)]
+        comm = [phase for phase, *_ in steps if not phase.is_empty]
+        assert len(comm) == len(bits)
+        ranks = np.arange(P)
+        for phase, j in zip(comm, bits):
+            assert phase.src.tolist() == ranks.tolist()
+            assert phase.dst.tolist() == (ranks ^ (1 << j)).tolist()
 
 class TestPredictionAgreement:
     def test_bpram_trace_vs_closed_form(self, gcel, gcel_params):

@@ -3,14 +3,18 @@
 Every message group the vector programs emit passes through here, so the
 table pins both halves of its contract: each invalid argument raises
 :class:`SimulationError`, and every accepted argument form (scalar, 0-d
-array, full-shape array) yields int64 columns of ``src``'s shape.
+array, full-shape array) yields int64 columns of ``src``'s shape.  A
+law pins what lets a program emit a superstep as one group: the
+concatenation of several groups records the same phase as the groups.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
-from repro.simulator.vector import VectorContext
+from repro.simulator.vector import VectorContext, collect_steps
 
 P = 8
 SRC = np.arange(4, dtype=np.int64)
@@ -64,3 +68,57 @@ def test_empty_src_emits_nothing():
     ctx.put_group(np.empty(0, dtype=np.int64), 0, nbytes=8)
     ctx.put_group([], np.empty(0, dtype=np.int64), nbytes=np.empty(0))
     assert ctx._groups == []
+
+
+@st.composite
+def groups(draw):
+    """``(P, calls)``: one superstep's ``put_group`` argument sets, with
+    repeated sources and scalar or per-pair ``dst``, ``count``,
+    ``nbytes`` and ``step``."""
+    P = draw(st.integers(1, 6))
+    calls = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(0, 6))
+        src = np.array(draw(st.lists(st.integers(0, P - 1), min_size=n,
+                                     max_size=n)), dtype=np.int64)
+
+        def column(lo, hi):
+            if draw(st.booleans()):
+                return draw(st.integers(lo, hi))
+            return np.array(draw(st.lists(st.integers(lo, hi), min_size=n,
+                                          max_size=n)), dtype=np.int64)
+
+        calls.append(dict(src=src, dst=column(0, P - 1),
+                          count=column(1, 5), nbytes=column(0, 40),
+                          step=column(-1, 4)))
+    return P, calls
+
+
+def _phase(P: int, calls: list[dict]):
+    """The phase one superstep of ``put_group`` calls records."""
+    ctx = VectorContext(P, 4)
+
+    def program(ctx):
+        for kwargs in calls:
+            ctx.put_group(**kwargs)
+        yield ctx.sync()
+
+    (step, *_), _ = collect_steps(ctx, program(ctx))
+    return step[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups())
+def test_concatenated_groups_record_the_same_phase(case):
+    """One ``put_group`` over the concatenated pairs of a superstep's
+    groups records the same phase columns as one call per group: the
+    engine orders pairs by source, stably, either way."""
+    P, calls = case
+    merged = {key: np.concatenate(
+        [np.broadcast_to(np.asarray(c[key], dtype=np.int64), c["src"].shape)
+         for c in calls]) for key in calls[0]}
+    separate, joined = _phase(P, calls), _phase(P, [merged])
+    for col in ("src", "dst", "count", "msg_bytes", "step"):
+        assert getattr(joined, col).tolist() == \
+            getattr(separate, col).tolist(), col
+    assert joined.stagger == separate.stagger

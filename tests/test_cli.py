@@ -442,3 +442,23 @@ class TestCacheDir:
         assert os.environ["REPRO_CACHE_DIR"] == before_env
         assert ir_store() is before_store
         assert list((tmp_path / "A" / "ir").rglob("*.blob"))
+
+    def test_former_result_quarantine_is_orphaned_until_clear(self, tmp_path,
+                                                              capsys):
+        """The layout before the blob store quarantined results into
+        ``<root>/quarantine/``, outside every namespace: ``cache info``
+        counts its files as orphaned results and ``cache clear`` removes
+        the directory."""
+        qdir = tmp_path / "quarantine"
+        qdir.mkdir()
+        (qdir / ("ab" * 32 + ".json")).write_bytes(b"a quarantined entry")
+        assert main(["cache", "info", "--json", "--cache-dir",
+                     str(tmp_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["count"] == 0
+        assert doc["orphaned"]["results"] == {
+            "count": 1, "bytes": len(b"a quarantined entry")}
+        assert doc["quarantined"]["results"]["count"] == 0
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert "removed 1 cached result(s)" in capsys.readouterr().out
+        assert not qdir.exists()
