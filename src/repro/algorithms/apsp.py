@@ -39,11 +39,10 @@ import numpy as np
 from ..core.errors import ExperimentError
 from ..machines.base import Machine
 from ..simulator import RunResult
-from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
 from ..simulator.vector import VectorContext, stand_in
 
-__all__ = ["run", "key_params", "apsp_program", "apsp_vector_program",
+__all__ = ["run", "key_params", "apsp_vector_program",
            "assemble", "random_digraph", "reference_apsp", "INF"]
 
 #: "infinite" distance; finite so min-plus arithmetic stays exact.
@@ -78,141 +77,21 @@ def _segment_bounds(side: int, M: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _broadcast_line(ctx: ProcContext, seg, owner_line: int, line: int,
-                    addr, side: int, M: int, tag: str):
-    """Broadcast the owner's ``M``-vector to every processor on the line.
-
-    ``seg`` is the vector on the owner (``line == owner_line``), ``None``
-    elsewhere.  ``addr(l)`` maps a line coordinate to a rank.  Implements
-    both regimes of §4.4 (scatter+allgather, or scatter+doubling+block
-    allgather).  Returns the full vector.  Generator — ``yield from`` it.
-    """
-    w = ctx.word_bytes
-
-    if M >= side:
-        bounds = _segment_bounds(side, M)
-        # superstep 1: owner scatters subsegments over the line
-        if line == owner_line:
-            for s in range(1, side):
-                ll = (line + s) % side
-                lo, hi = bounds[ll]
-                ctx.put(addr(ll), seg[lo:hi], nbytes=(hi - lo) * w,
-                        count=hi - lo, tag=(tag, "scat"), step=s)
-        yield ctx.sync(f"{tag}-scatter")
-        lo, hi = bounds[line]
-        if line == owner_line:
-            mine = np.asarray(seg[lo:hi]).copy()
-        else:
-            mine = np.asarray(ctx.get(src=addr(owner_line), tag=(tag, "scat")))
-        # superstep 2: allgather the subsegments along the line
-        for s in range(1, side):
-            ll = (line + s) % side
-            ctx.put(addr(ll), mine, nbytes=mine.size * w, count=mine.size,
-                    tag=(tag, "ag", line), step=s)
-        yield ctx.sync(f"{tag}-allgather")
-        out = np.empty(M)
-        for ll in range(side):
-            lo, hi = bounds[ll]
-            piece = mine if ll == line else np.asarray(
-                ctx.get(src=addr(ll), tag=(tag, "ag", ll)))
-            out[lo:hi] = piece
-        return out
-
-    # ---- M < sqrt(P): element-wise scatter, doubling, block allgather ----
-    doublings = int(round(math.log2(side / M)))
-    if (M << doublings) != side:
-        raise ExperimentError(
-            f"M={M} must divide sqrt(P)={side} by a power of two")
-    # superstep 1: owner hands element i to line processor i
-    if line == owner_line:
-        for s in range(1, side):
-            ll = (line + s) % side
-            if ll < M:
-                ctx.put(addr(ll), float(seg[ll]), nbytes=w, count=1,
-                        tag=(tag, "scat"), step=s)
-    yield ctx.sync(f"{tag}-scatter")
-    val = None
-    if line < M:
-        if line == owner_line:
-            val = float(seg[line])
-        else:
-            val = float(ctx.get(src=addr(owner_line), tag=(tag, "scat")))
-    elif line == owner_line:
-        # owner outside the first M holds its own element only if aligned
-        val = None
-    # doubling phase: active processors double each step
-    holders = M
-    for t in range(doublings):
-        if line < holders and val is not None:
-            ctx.put(addr(line + holders), val, nbytes=w, count=1,
-                    tag=(tag, "dbl", t), step=0)
-        yield ctx.sync(f"{tag}-double-{t}")
-        if holders <= line < 2 * holders:
-            val = float(ctx.get(src=addr(line - holders), tag=(tag, "dbl", t)))
-        holders *= 2
-    # now processor `line` holds element `line % M`;
-    # allgather within the aligned block of M consecutive processors
-    block_base = line - (line % M)
-    for s in range(1, M):
-        ll = block_base + (line - block_base + s) % M
-        ctx.put(addr(ll), val, nbytes=w, count=1, tag=(tag, "ag", line),
-                step=s)
-    yield ctx.sync(f"{tag}-allgather")
-    out = np.empty(M)
-    for i in range(M):
-        ll = block_base + i
-        out[i] = val if ll == line else float(
-            ctx.get(src=addr(ll), tag=(tag, "ag", ll)))
-    return out
-
-
-def apsp_program(ctx: ProcContext, D: np.ndarray):
-    """SPMD Floyd; returns this processor's final ``M x M`` block."""
-    P, rank = ctx.P, ctx.rank
-    N = D.shape[0]
-    side = math.isqrt(P)
-    if side * side != P:
-        raise ExperimentError(f"APSP needs a square grid, got P={P}")
-    if N % side:
-        raise ExperimentError(f"APSP needs sqrt(P) | N (N={N}, sqrt(P)={side})")
-    M = N // side
-    r, c = divmod(rank, side)
-    block = D[r * M:(r + 1) * M, c * M:(c + 1) * M].copy()
-
-    for k in range(N):
-        kb, ki = divmod(k, M)  # owning grid line and offset of index k
-
-        # active column D[*, k]: owners are <*, kb>, broadcast along rows
-        seg = block[:, ki].copy() if c == kb else None
-        X = yield from _broadcast_line(
-            ctx, seg, owner_line=kb, line=c,
-            addr=lambda ll: r * side + ll, side=side, M=M, tag=f"c{k}")
-
-        # active row D[k, *]: owners are <kb, *>, broadcast along columns
-        seg = block[ki, :].copy() if r == kb else None
-        Y = yield from _broadcast_line(
-            ctx, seg, owner_line=kb, line=r,
-            addr=lambda ll: ll * side + c, side=side, M=M, tag=f"r{k}")
-
-        np.minimum(block, X[:, None] + Y[None, :], out=block)
-        ctx.charge_flops(M * M)  # one addition + one min per entry
-
-    return block
-
-
 def _emit_broadcast_vector(ctx: VectorContext, line: np.ndarray, addr_v,
                            owner_line: int, side: int, M: int, tag: str,
                            cache: dict):
-    """Vector twin of :func:`_broadcast_line`: emit its message groups.
+    """Broadcast the owners' ``M``-vectors along every line: emit the
+    message groups of both regimes of §4.4 (scatter+allgather, or
+    scatter+doubling+block allgather).
 
-    ``line`` is every rank's line coordinate, ``addr_v(ll)`` maps target
-    line coordinates (a per-rank array, a scalar, or a ``(steps, P)``
-    stack) to ranks.  Emits the identical superstep sequence — same
-    counts, sizes, steps and labels — but no payloads: vector programs
-    move the data themselves.  Each superstep is one message group whose
-    pairs run in the per-rank loop's step order (the sources tiled once
-    per step), so the engine's stable sort by source records the same
-    phase.  Generator — ``yield from`` it.
+    ``line`` is every rank's line coordinate and ``owner_line`` the
+    coordinate of the line's owner; ``addr_v(ll)`` maps target line
+    coordinates (a per-rank array, a scalar, or a ``(steps, P)`` stack)
+    to ranks.  Emits the supersteps' counts, sizes, steps and labels but
+    no payloads: vector programs move the data themselves.  Each
+    superstep is one message group whose pairs run in step order (the
+    sources tiled once per step), and the engine's stable sort by source
+    lays them out rank-major.  Generator — ``yield from`` it.
 
     ``cache`` (one dict per broadcast orientation) hoists the groups'
     arrays across ``k`` iterations: the doubling and allgather patterns
@@ -300,13 +179,13 @@ def _emit_broadcast_vector(ctx: VectorContext, line: np.ndarray, addr_v,
 
 
 def apsp_vector_program(ctx: VectorContext, D: np.ndarray):
-    """Lockstep vector port of :func:`apsp_program` (all ranks at once).
+    """SPMD Floyd on the ``sqrt(P) x sqrt(P)`` grid (all ranks at once);
+    returns every processor's final ``M x M`` block.
 
     Blocks live in one ``(P, M, M)`` stack; each ``k`` iteration emits
     the two broadcasts' message groups and relaxes every block with one
-    elementwise ``np.minimum`` — bit-identical supersteps and results.
-    A structure-only pass reads ``D``'s shape alone and skips the
-    relaxation.
+    elementwise ``np.minimum``.  A structure-only pass reads ``D``'s
+    shape alone and skips the relaxation.
     """
     P = ctx.P
     N = D.shape[0]

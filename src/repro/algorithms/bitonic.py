@@ -40,13 +40,11 @@ import numpy as np
 from ..core.errors import ExperimentError, SimulationError
 from ..machines.base import Machine
 from ..simulator import RunResult
-from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
 from ..simulator.vector import VectorContext, stand_in
-from .local import merge_keep, radix_sort
 
-__all__ = ["run", "key_params", "bitonic_program", "bitonic_vector_program",
-           "bitonic_sort", "bitonic_sort_vector", "VARIANTS"]
+__all__ = ["run", "key_params", "bitonic_vector_program",
+           "bitonic_sort_vector", "VARIANTS"]
 
 VARIANTS = ("bsp", "bsp-nosync", "bsp-sync", "bpram")
 
@@ -57,91 +55,14 @@ def _ilog2(n: int) -> int:
     return n.bit_length() - 1
 
 
-def bitonic_program(ctx: ProcContext, all_keys: np.ndarray, variant: str,
-                    sync_every: int = 256, key_bits: int = 32,
-                    group_words: int = 1):
-    """SPMD block bitonic sort of the ``(P, M)`` key stack; returns this
-    processor's sorted run (row ``ctx.rank`` is its input)."""
-    return (yield from bitonic_sort(ctx, all_keys[ctx.rank], variant,
-                                    sync_every=sync_every,
-                                    key_bits=key_bits,
-                                    group_words=group_words))
-
-
-def bitonic_sort(ctx: ProcContext, keys: np.ndarray, variant: str,
-                 sync_every: int = 256, key_bits: int = 32,
-                 group_words: int = 1):
-    """Per-rank core of :func:`bitonic_program`: sorts this processor's
-    ``keys`` and returns its run (sample sort sorts its samples with it).
-
-    ``group_words > 1`` makes the fine-grain variants pack that many keys
-    into each message — the "fixed size short messages, but larger than
-    one computational word" of the paper's conclusions (§8).
-    """
-    if variant not in VARIANTS:
-        raise ExperimentError(f"unknown bitonic variant {variant!r}")
-    if group_words < 1:
-        raise ExperimentError("group_words must be >= 1")
-    P, rank = ctx.P, ctx.rank
-    log_p = _ilog2(P)
-    M = keys.size
-    w = ctx.word_bytes
-
-    mine = radix_sort(ctx, keys, bits=key_bits)
-
-    step_no = 0
-    for d in range(1, log_p + 1):
-        for j in range(d - 1, -1, -1):
-            bit = 1 << j
-            partner = rank ^ bit
-            # ascending region if bit d of rank is 0 (top stage: all asc.)
-            ascending = (rank >> d) & 1 == 0 if d < log_p else True
-            keep_min = (rank < partner) == ascending
-
-            tag = ("x", step_no)
-            if variant == "bpram":
-                # pairwise block exchange; the matching receive is the
-                # synchronisation point (no global barrier needed)
-                ctx.put(partner, mine, nbytes=M * w, count=1, tag=tag)
-                yield ctx.sync(f"merge-{d}.{j}", barrier=False)
-            elif variant == "bsp":
-                ctx.put(partner, mine, nbytes=M * w,
-                        count=max(1, -(-M // group_words)), tag=tag)
-                yield ctx.sync(f"merge-{d}.{j}")
-            elif variant == "bsp-nosync":
-                ctx.put(partner, mine, nbytes=M * w,
-                        count=max(1, -(-M // group_words)), tag=tag)
-                yield ctx.sync(f"merge-{d}.{j}", barrier=False)
-            else:  # bsp-sync: barrier after every `sync_every` messages
-                sent = 0
-                chunk_no = 0
-                while sent < M:
-                    n = min(sync_every, M - sent)
-                    chunk = mine[sent:sent + n]
-                    ctx.put(partner, chunk, nbytes=n * w, count=n,
-                            tag=(tag, chunk_no))
-                    sent += n
-                    chunk_no += 1
-                    yield ctx.sync(f"merge-{d}.{j}.{chunk_no}")
-                theirs = np.concatenate(
-                    [ctx.get(src=partner, tag=(tag, c)) for c in range(chunk_no)])
-                mine = merge_keep(ctx, mine, theirs, keep_min=keep_min)
-                step_no += 1
-                continue
-
-            theirs = ctx.get(src=partner, tag=tag)
-            mine = merge_keep(ctx, mine, theirs, keep_min=keep_min)
-            step_no += 1
-    return mine
-
-
 def _radix_sort_rows(ctx: VectorContext, keys: np.ndarray, *,
                      bits: int = 32, radix_bits: int = 8) -> np.ndarray:
-    """All-ranks twin of :func:`repro.algorithms.local.radix_sort`.
+    """Every rank's local LSD radix sort (§4.2.1) of its row of ``keys``.
 
-    The work is charged symbolically and an LSD radix sort over ``bits``
-    bits *is* a full sort of keys in ``[0, 2**bits)``: one row sort.  A
-    structure-only pass charges it and returns ``keys`` unread.
+    The work is charged symbolically (one ``RadixSort`` per rank), and an
+    LSD radix sort over ``bits`` bits *is* a full sort of keys in
+    ``[0, 2**bits)``: one row sort.  A structure-only pass charges it and
+    returns ``keys`` unread.
     """
     ctx.charge_sort(ctx.ranks(), keys.shape[1], bits=bits,
                     radix_bits=radix_bits)
@@ -154,8 +75,10 @@ def _radix_sort_rows(ctx: VectorContext, keys: np.ndarray, *,
 
 def _merge_keep_rows(ctx: VectorContext, mine: np.ndarray, theirs: np.ndarray,
                      keep_min: np.ndarray) -> np.ndarray:
-    """All-ranks twin of :func:`repro.algorithms.local.merge_keep`: for
-    ascending rows, the half-cleaner ``min(mine, theirs[::-1])`` holds
+    """Every rank's compare-split: merge its sorted run with its
+    partner's and keep the lower half (``keep_min``) or the upper half,
+    charged as one ``Merge`` of the output run length per rank.  For
+    ascending rows the half-cleaner ``min(mine, theirs[::-1])`` holds
     exactly the pair's lower half of keys and ``max`` its upper half."""
     ctx.charge_merge(ctx.ranks(), mine.shape[1])
     if ctx.structure_only:
@@ -170,11 +93,14 @@ def _merge_keep_rows(ctx: VectorContext, mine: np.ndarray, theirs: np.ndarray,
 def bitonic_sort_vector(ctx: VectorContext, all_keys: np.ndarray,
                         variant: str, sync_every: int = 256,
                         key_bits: int = 32, group_words: int = 1):
-    """Lockstep vector core of :func:`bitonic_sort` (all ranks at once).
+    """Block bitonic sort of the ``(P, M)`` key stack, all ranks at once.
 
-    Keys live in one ``(P, M)`` stack; every merge step is one message
-    group (the cube permutation ``rank ^ bit``) plus one axis-1 sort —
-    bit-identical supersteps and results.  Each bit's partner array is
+    ``group_words > 1`` makes the fine-grain variants pack that many keys
+    into each message — the "fixed size short messages, but larger than
+    one computational word" of the paper's conclusions (§8).
+
+    Every merge step is one message group (the cube permutation
+    ``rank ^ bit``) plus one axis-1 sort.  Each bit's partner array is
     built once, so every merge step on one bit with one message shape
     re-emits the same group and the engine interns its phase: the
     ``log P (log P + 1) / 2`` merge steps record ``log P`` phases (one
@@ -234,7 +160,8 @@ def bitonic_sort_vector(ctx: VectorContext, all_keys: np.ndarray,
 def bitonic_vector_program(ctx: VectorContext, all_keys: np.ndarray,
                            variant: str, sync_every: int = 256,
                            key_bits: int = 32, group_words: int = 1):
-    """Vector port of :func:`bitonic_program`; returns per-rank runs."""
+    """SPMD block bitonic sort of the ``(P, M)`` key stack (row ``p`` is
+    rank ``p``'s input); returns every rank's sorted run."""
     mine = yield from bitonic_sort_vector(ctx, all_keys, variant,
                                            sync_every=sync_every,
                                            key_bits=key_bits,

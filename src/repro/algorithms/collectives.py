@@ -9,16 +9,13 @@ whole vector to everybody: ``g n (P-1) + L``) vs ``two-phase`` (scatter
 the vector, then allgather the pieces: ``~ 2 (g n + L)``), the textbook
 optimal BSP broadcast for large vectors.
 
-:func:`broadcast` is a generator subroutine (``yield from`` it inside an
-SPMD program) operating on real data, so tests verify both the costs
-and the answers.
-
-The broadcasts also run whole, through the IR store:
-:func:`run_broadcast` (the vector broadcast from processor 0) and
-:func:`run_row_broadcast` (every grid row's first processor broadcasts
-a segment along its row, directly or by APSP's scatter+allgather).
-Both are data-oblivious, so their recordings carry no data and serve
-every run of one shape.
+Both run through the IR store: :func:`run_broadcast` (the vector
+broadcast from processor 0) and :func:`run_row_broadcast` (every grid
+row's first processor broadcasts a segment along its row, directly or
+by APSP's scatter+allgather).  Both are data-oblivious, so their
+recordings carry no data and serve every run of one shape; a run's
+results are the vectors every processor ends up holding, so tests check
+both the costs and the answers.
 """
 
 from __future__ import annotations
@@ -30,14 +27,12 @@ import numpy as np
 from ..core.errors import ExperimentError
 from ..machines.base import Machine
 from ..simulator import RunResult
-from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
 from ..simulator.vector import VectorContext, stand_in
-from .apsp import _broadcast_line, _emit_broadcast_vector
+from .apsp import _emit_broadcast_vector
 
-__all__ = ["broadcast", "run_broadcast", "broadcast_program",
-           "broadcast_vector_program", "run_row_broadcast",
-           "row_broadcast_program", "row_broadcast_vector_program"]
+__all__ = ["run_broadcast", "broadcast_vector_program", "run_row_broadcast",
+           "row_broadcast_vector_program"]
 
 
 def _check_vec(vec, P: int) -> np.ndarray:
@@ -48,67 +43,10 @@ def _check_vec(vec, P: int) -> np.ndarray:
     return v
 
 
-def broadcast(ctx: ProcContext, vec, root: int, tag: str,
-              strategy: str = "two-phase"):
-    """Broadcast ``vec`` (held by ``root``) to every processor."""
-    P, rank = ctx.P, ctx.rank
-    w = ctx.word_bytes
-    if strategy == "naive":
-        if rank == root:
-            v = _check_vec(vec, P)
-            for s in range(1, P):
-                dst = (root + s) % P
-                ctx.put(dst, v, nbytes=v.size * w, count=v.size,
-                        tag=(tag, "b"), step=s)
-        yield ctx.sync(f"{tag}-bcast-naive")
-        if rank == root:
-            return _check_vec(vec, P)
-        return np.asarray(ctx.get(src=root, tag=(tag, "b")))
-
-    if strategy != "two-phase":
-        raise ExperimentError(f"unknown broadcast strategy {strategy!r}")
-
-    # phase 1: root scatters piece j to processor j
-    piece_of = None
-    n = None
-    if rank == root:
-        v = _check_vec(vec, P)
-        n = v.size
-        piece = n // P
-        for s in range(1, P):
-            dst = (root + s) % P
-            ctx.put(dst, v[dst * piece:(dst + 1) * piece],
-                    nbytes=piece * w, count=piece, tag=(tag, "s"), step=s)
-    yield ctx.sync(f"{tag}-bcast-scatter")
-    if rank == root:
-        v = _check_vec(vec, P)
-        piece_of = v[rank * (v.size // P):(rank + 1) * (v.size // P)].copy()
-    else:
-        piece_of = np.asarray(ctx.get(src=root, tag=(tag, "s")))
-    piece = piece_of.size
-    # phase 2: allgather the pieces
-    for s in range(1, P):
-        dst = (rank + s) % P
-        ctx.put(dst, piece_of, nbytes=piece * w, count=piece,
-                tag=(tag, "g", rank), step=s)
-    yield ctx.sync(f"{tag}-bcast-allgather")
-    out = np.empty(piece * P)
-    for src in range(P):
-        part = piece_of if src == rank else np.asarray(
-            ctx.get(src=src, tag=(tag, "g", src)))
-        out[src * piece:(src + 1) * piece] = part
-    return out
-
-
-def broadcast_program(ctx: ProcContext, vec, strategy: str):
-    """SPMD program: :func:`broadcast` ``vec`` from processor 0 (tag
-    ``b``); every rank returns the vector."""
-    return (yield from broadcast(ctx, vec if ctx.rank == 0 else None, 0,
-                                 "b", strategy))
-
-
 def broadcast_vector_program(ctx: VectorContext, vec, strategy: str):
-    """Lockstep vector port of :func:`broadcast_program`.
+    """SPMD broadcast of ``vec`` from processor 0, ``"naive"`` (the root
+    sends the whole vector to everybody) or ``"two-phase"`` (scatter,
+    then allgather); every rank returns the vector.
 
     Each superstep is one message group in step order: the root's sends,
     then the allgather with every rank's sources tiled once per step.  A
@@ -161,33 +99,12 @@ def _row_grid(segs, P: int) -> tuple[int, int]:
     return side, np.shape(segs)[1]
 
 
-def row_broadcast_program(ctx: ProcContext, segs: np.ndarray,
-                          strategy: str):
+def row_broadcast_vector_program(ctx: VectorContext, segs: np.ndarray,
+                                 strategy: str):
     """SPMD row broadcast on the ``sqrt(P) x sqrt(P)`` grid: processor
     ``<r, 0>`` delivers ``segs[r]`` to its row-mates, ``"direct"`` (one
     whole-segment message each) or ``"two-phase"`` (APSP's
-    scatter+allgather).  Every processor returns its row's segment."""
-    side, M = _row_grid(segs, ctx.P)
-    r, c = divmod(ctx.rank, side)
-    if strategy == "two-phase":
-        return (yield from _broadcast_line(
-            ctx, segs[r] if c == 0 else None, owner_line=0, line=c,
-            addr=lambda ll: r * side + ll, side=side, M=M, tag="b"))
-    if strategy != "direct":
-        raise ExperimentError(f"unknown row broadcast strategy {strategy!r}")
-    if c == 0:
-        for s in range(1, side):
-            ctx.put(r * side + s, segs[r], nbytes=M * ctx.word_bytes,
-                    count=M, tag="seg", step=s)
-    yield ctx.sync("direct-bcast")
-    if c == 0:
-        return segs[r]
-    return np.asarray(ctx.get(src=r * side, tag="seg"))
-
-
-def row_broadcast_vector_program(ctx: VectorContext, segs: np.ndarray,
-                                 strategy: str):
-    """Lockstep vector port of :func:`row_broadcast_program`; a
+    scatter+allgather).  Every processor returns its row's segment; a
     structure-only pass reads ``segs``' shape alone."""
     side, M = _row_grid(segs, ctx.P)
     ranks = ctx.ranks()

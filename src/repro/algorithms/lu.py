@@ -49,11 +49,10 @@ import numpy as np
 from ..core.errors import ExperimentError
 from ..machines.base import Machine
 from ..simulator import RunResult
-from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
 from ..simulator.vector import VectorContext, stand_in
 
-__all__ = ["run", "key_params", "lu_program", "lu_vector_program",
+__all__ = ["run", "key_params", "lu_vector_program",
            "assemble", "reference_lu", "random_dd_matrix"]
 
 
@@ -76,108 +75,16 @@ def reference_lu(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, U
 
 
-def lu_program(ctx: ProcContext, A: np.ndarray):
-    """SPMD LU; returns this processor's final ``M x M`` block of L\\U."""
-    P, rank = ctx.P, ctx.rank
-    N = A.shape[0]
-    side = math.isqrt(P)
-    if side * side != P:
-        raise ExperimentError(f"LU needs a square grid, got P={P}")
-    if N % side:
-        raise ExperimentError(f"LU needs sqrt(P) | N (N={N}, sqrt(P)={side})")
-    M = N // side
-    w = ctx.word_bytes
-    r, c = divmod(rank, side)
-    block = A[r * M:(r + 1) * M, c * M:(c + 1) * M].astype(float).copy()
-
-    row_lo, col_lo = r * M, c * M  # global offsets of this block
-
-    for k in range(N - 1):
-        kb, ki = divmod(k, M)
-
-        # ---- multipliers + column broadcast along rows ----
-        # owner <r, kb> holds column k rows [row_lo, row_lo + M).
-        my_rows_below = max(0, min(N, row_lo + M) - max(k + 1, row_lo))
-        col_seg = None
-        if c == kb and r == kb:
-            # the diagonal owner sends the pivot a_kk down its processor
-            # column (one word to each column-mate)
-            pivot = float(block[ki, ki])
-            for s in range(1, side):
-                rr = (r + s) % side
-                ctx.put(rr * side + c, pivot, nbytes=w, count=1,
-                        tag=("piv", k), step=s)
-        yield ctx.sync(f"pivot-{k}")
-        if c == kb:
-            if r == kb:
-                piv = float(block[ki, ki])
-            else:
-                piv = float(ctx.get(src=kb * side + c, tag=("piv", k)))
-            lo = max(k + 1, row_lo) - row_lo
-            if my_rows_below > 0:
-                block[lo:lo + my_rows_below, ki] /= piv
-                ctx.charge_flops(my_rows_below)
-                seg = block[lo:lo + my_rows_below, ki].copy()
-            else:
-                seg = np.empty(0)
-            col_seg = seg
-            # broadcast along my processor row (single unbalanced sender)
-            if seg.size:
-                for s in range(1, side):
-                    cc = (c + s) % side
-                    ctx.put(r * side + cc, seg, nbytes=seg.size * w,
-                            count=seg.size, tag=("col", k), step=s)
-        yield ctx.sync(f"col-bcast-{k}")
-        if c != kb:
-            if my_rows_below > 0:
-                col_seg = np.asarray(ctx.get(src=r * side + kb,
-                                             tag=("col", k)))
-            else:
-                col_seg = np.empty(0)
-
-        # ---- row broadcast along columns ----
-        my_cols_right = max(0, min(N, col_lo + M) - max(k + 1, col_lo))
-        row_seg = None
-        if r == kb:
-            lo = max(k + 1, col_lo) - col_lo
-            seg = block[ki, lo:lo + my_cols_right].copy() \
-                if my_cols_right > 0 else np.empty(0)
-            row_seg = seg
-            if seg.size:
-                for s in range(1, side):
-                    rr = (r + s) % side
-                    ctx.put(rr * side + c, seg, nbytes=seg.size * w,
-                            count=seg.size, tag=("row", k), step=s)
-        yield ctx.sync(f"row-bcast-{k}")
-        if r != kb:
-            if my_cols_right > 0:
-                row_seg = np.asarray(ctx.get(src=kb * side + c,
-                                             tag=("row", k)))
-            else:
-                row_seg = np.empty(0)
-
-        # ---- trailing update of my block ----
-        if col_seg is not None and col_seg.size and row_seg is not None \
-                and row_seg.size:
-            rlo = max(k + 1, row_lo) - row_lo
-            clo = max(k + 1, col_lo) - col_lo
-            block[rlo:rlo + col_seg.size, clo:clo + row_seg.size] -= \
-                np.outer(col_seg, row_seg)
-            ctx.charge_flops(col_seg.size * row_seg.size)
-
-    return block
-
-
 def lu_vector_program(ctx: VectorContext, A: np.ndarray):
-    """Lockstep vector port of :func:`lu_program`.
+    """SPMD LU on the ``sqrt(P) x sqrt(P)`` grid (all ranks at once);
+    returns every processor's final ``M x M`` block of L\\U.
 
     All blocks live in one ``(P, M, M)`` stack.  The per-``k`` ranks fall
     into a handful of classes (above/on/below the pivot block row and
     column), each updated with one uniform slice operation; every element
-    still sees the identical divide / multiply-subtract as the per-rank
-    program, so results, supersteps and work batches are bit-identical.
-    A structure-only pass reads ``A``'s shape alone and skips the
-    arithmetic.
+    sees one divide by the pivot and one multiply-subtract per step, as
+    in :func:`reference_lu`.  A structure-only pass reads ``A``'s shape
+    alone and skips the arithmetic.
     """
     P = ctx.P
     N = A.shape[0]

@@ -43,12 +43,10 @@ from ..core.errors import ExperimentError
 from ..core.predictions import cube_root_procs
 from ..machines.base import Machine
 from ..simulator import RunResult
-from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
 from ..simulator.vector import VectorContext, stand_in
-from .local import local_matmul
 
-__all__ = ["run", "key_params", "matmul_program", "matmul_vector_program",
+__all__ = ["run", "key_params", "matmul_vector_program",
            "MatmulSetup", "VARIANTS"]
 
 VARIANTS = ("bsp", "bsp-staggered", "bpram")
@@ -95,166 +93,20 @@ class MatmulSetup:
         return self.N // (self.q * self.q)
 
 
-def matmul_program(ctx: ProcContext, operands: tuple, setup: MatmulSetup,
-                   variant: str):
-    """SPMD matmul of the ``(A, B)`` pair ``operands``; returns this
-    processor's ``C_ij^k`` block."""
-    A, B = operands
-    if variant not in VARIANTS + LAYOUT_VARIANTS:
-        raise ExperimentError(f"unknown matmul variant {variant!r}")
-    layout_2d = variant in LAYOUT_VARIANTS
-    if layout_2d:
-        variant = "bpram" if variant == "bpram-2d" else "bsp-staggered"
-    fine = variant != "bpram"
-    staggered = variant != "bsp"
-    q, sub, rows = setup.q, setup.sub, setup.rows
-    w = ctx.word_bytes
-    i, j, k = setup.coords(ctx.rank)
-
-    if layout_2d and setup.N % setup.P:
-        raise ExperimentError(
-            f"2d layout needs P | N (N={setup.N}, P={setup.P})")
-
-    def my_a_block() -> np.ndarray:
-        r0, c0 = i * sub + k * rows, j * sub
-        return A[r0:r0 + rows, c0:c0 + sub]
-
-    def my_b_block() -> np.ndarray:
-        r0, c0 = i * sub + k * rows, j * sub
-        return B[r0:r0 + rows, c0:c0 + sub]
-
-    local_blocks: dict = {}
-
-    def send_block(dst: int, block: np.ndarray, tag, step: int) -> None:
-        if dst == ctx.rank and not ctx.simd:
-            # MIMD: keep own block locally; SIMD PEs execute the router
-            # operation anyway, so the self-message is real there.
-            local_blocks[tag] = block.copy()
-            return
-        n_words = block.size
-        if fine:
-            ctx.put(dst, block, nbytes=n_words * w, count=n_words,
-                    tag=tag, step=step)
-        else:
-            ctx.put(dst, block, nbytes=n_words * w, count=1,
-                    tag=tag, step=step)
-
-    def recv_block(src: int, tag):
-        if src == ctx.rank and not ctx.simd:
-            return local_blocks[tag]
-        return ctx.get(src=src, tag=tag)
-
-    # ---- optional: start from a row-strip ("2d") distribution ----
-    if layout_2d:
-        # this processor's strip: rows [rank*N/P, (rank+1)*N/P) of A and
-        # B; the strip lies inside the (i_s, k_s) row band of subblocks.
-        strip_h = setup.N // setup.P
-        p = ctx.rank
-        i_s, k_s, s_s = p // (q * q), (p % (q * q)) // q, p % q
-        r0 = p * strip_h
-        if fine:
-            # BSP: ship every strip chunk straight to its final
-            # consumers inside the normal replicate superstep — same h,
-            # no extra superstep ("in the BSP model this is not an
-            # issue", §4.1).
-            for jj in range(q):
-                a_chunk = A[r0:r0 + strip_h, jj * sub:(jj + 1) * sub]
-                b_chunk = B[r0:r0 + strip_h, jj * sub:(jj + 1) * sub]
-                for m in range(q):
-                    mm = (s_s + m) % q
-                    ctx.put(setup.rank_of(i_s, jj, mm), a_chunk,
-                            nbytes=a_chunk.size * w, count=a_chunk.size,
-                            tag=("A2", k_s, s_s), step=m * q + jj)
-                    ctx.put(setup.rank_of(mm, i_s, jj), b_chunk,
-                            nbytes=b_chunk.size * w, count=b_chunk.size,
-                            tag=("B2", k_s, s_s), step=m * q + jj)
-            yield ctx.sync("replicate-2d", stagger=staggered)
-            A_ij = np.vstack([ctx.get(src=i * q * q + kk * q + ss,
-                                      tag=("A2", kk, ss))
-                              for kk in range(q) for ss in range(q)])
-            B_jk = np.vstack([ctx.get(src=j * q * q + kk * q + ss,
-                                      tag=("B2", kk, ss))
-                              for kk in range(q) for ss in range(q)])
-            # jump to the compute/exchange supersteps below
-            Chat = local_matmul(ctx, A_ij, B_jk)
-            for s in range(q):
-                l = (j + s) % q if staggered else s
-                block = Chat[l * rows:(l + 1) * rows, :]
-                send_block(setup.rank_of(i, k, l), block, tag=("C", j),
-                           step=s)
-            yield ctx.sync("exchange-partials", stagger=staggered)
-            total = np.zeros((rows, sub))
-            for jj in range(q):
-                total += recv_block(setup.rank_of(i, jj, j), ("C", jj))
-            ctx.charge_copy((q - 1) * rows * sub)
-            return total
-        # MP-BPRAM: an *extra* block-transfer superstep first rebuilds
-        # the 3D layout — the §4.1 price of a mismatched distribution.
-        for jj in range(q):
-            j_eff = (s_s + jj) % q
-            a_chunk = A[r0:r0 + strip_h, j_eff * sub:(j_eff + 1) * sub]
-            b_chunk = B[r0:r0 + strip_h, j_eff * sub:(j_eff + 1) * sub]
-            dst = setup.rank_of(i_s, j_eff, k_s)
-            ctx.put(dst, a_chunk, nbytes=a_chunk.size * w, count=1,
-                    tag=("RA", s_s), step=jj)
-            ctx.put(dst, b_chunk, nbytes=b_chunk.size * w, count=1,
-                    tag=("RB", s_s), step=q + jj)
-        yield ctx.sync("redistribute")
-        a_blk = np.vstack([ctx.get(src=i * q * q + k * q + ss,
-                                   tag=("RA", ss)) for ss in range(q)])
-        b_blk = np.vstack([ctx.get(src=i * q * q + k * q + ss,
-                                   tag=("RB", ss)) for ss in range(q)])
-    else:
-        a_blk, b_blk = my_a_block(), my_b_block()
-
-    # ---- superstep 1: replicate A along k, B along i ----
-    for s in range(q):
-        # staggered: start at own coordinate; unstaggered: everyone at 0.
-        m = (k + s) % q if staggered else s
-        send_block(setup.rank_of(i, j, m), a_blk, tag=("A", k), step=s)
-        m2 = (k + s) % q if staggered else s
-        send_block(setup.rank_of(m2, i, j), b_blk, tag=("B", k), step=s)
-    yield ctx.sync("replicate", stagger=staggered)
-
-    # assemble A_ij (from <i,j,*>) and B_jk (from <j,k,*>)
-    A_ij = np.vstack([recv_block(setup.rank_of(i, j, l), ("A", l))
-                      for l in range(q)])
-    B_jk = np.vstack([recv_block(setup.rank_of(j, k, l), ("B", l))
-                      for l in range(q)])
-
-    # ---- superstep 2: local product + send partial result blocks ----
-    Chat = local_matmul(ctx, A_ij, B_jk)
-    for s in range(q):
-        # destination <i,k,l> is contended across senders with different j,
-        # so the stagger offset must be j (not k)
-        l = (j + s) % q if staggered else s
-        block = Chat[l * rows:(l + 1) * rows, :]
-        send_block(setup.rank_of(i, k, l), block, tag=("C", j), step=s)
-    yield ctx.sync("exchange-partials", stagger=staggered)
-
-    # ---- superstep 4: sum the q partial blocks ----
-    # <i,j,k> receives Chat_i,jj,j's block k from <i,jj,j> for every jj
-    # (the sender's third coordinate equals this processor's j).
-    total = np.zeros((rows, sub))
-    for jj in range(q):
-        total += recv_block(setup.rank_of(i, jj, j), ("C", jj))
-    # q-1 additions over rows*sub entries, folded into the beta term
-    ctx.charge_copy((q - 1) * rows * sub)
-    return total
-
-
 def matmul_vector_program(ctx: VectorContext, operands: tuple,
                           setup: MatmulSetup, variant: str):
-    """Lockstep vector port of :func:`matmul_program`.
+    """SPMD matmul of the ``(A, B)`` pair ``operands`` (all ranks at
+    once); returns every processor's ``C_ij^k`` block.
 
-    ``operands`` is the ``(A, B)`` pair.  One message group per
-    superstep, its sends in the per-rank step order (with MIMD block
-    self-sends masked out, as the per-rank program elides them); the
-    local products run per rank on contiguous blocks so the
-    floating-point results stay bit-identical to the per-rank path.  A row-strip start (:data:`LAYOUT_VARIANTS`)
-    emits its own first superstep and then runs as its native variant:
-    either way every rank ends up holding ``A_ij`` and ``B_jk``.  A
-    structure-only pass never reads the operands.
+    One message group per superstep, its sends in step order.  On a MIMD
+    machine a rank keeps its own replicated or partial block locally, so
+    those self-sends are masked out; SIMD PEs execute the router
+    operation anyway, so there the self-message is real.  The local
+    products run per rank on contiguous ``A_ij`` and ``B_jk`` blocks.  A
+    row-strip start (:data:`LAYOUT_VARIANTS`) emits its own first
+    superstep and then runs as its native variant: either way every rank
+    ends up holding ``A_ij`` and ``B_jk``.  A structure-only pass never
+    reads the operands.
     """
     if variant not in VARIANTS + LAYOUT_VARIANTS:
         raise ExperimentError(f"unknown matmul variant {variant!r}")
@@ -284,7 +136,7 @@ def matmul_vector_program(ctx: VectorContext, operands: tuple,
              local: bool) -> None:
         """One group: every rank sends ``words`` words to ``dsts[i]``
         at step ``steps[i]``, in list order.  ``local`` keeps a MIMD
-        rank's own block local, exactly like ``send_block``."""
+        rank's own block local (no self-message)."""
         src = np.tile(ranks, len(dsts))
         dst = np.concatenate(dsts)
         step = np.repeat(steps, P)
@@ -295,9 +147,8 @@ def matmul_vector_program(ctx: VectorContext, operands: tuple,
 
     if layout_2d:
         # rank p's strip (rows p*N/P.. of A and B) lies in the (i_s, k_s)
-        # row band: i_s, k_s, s_s = i_arr, j_arr, k_arr.  The per-rank
-        # program ships strip chunks with a plain put, so self-sends are
-        # real on MIMD too.
+        # row band: i_s, k_s, s_s = i_arr, j_arr, k_arr.  Strip chunks
+        # are always shipped, so self-sends are real on MIMD too.
         strip_words = setup.N // setup.P * sub
         dsts: list = []
         steps: list = []
@@ -330,8 +181,8 @@ def matmul_vector_program(ctx: VectorContext, operands: tuple,
              count=count, local=True)
         yield ctx.sync("replicate", stagger=staggered)
 
-    # every rank now holds A_ij and B_jk — contiguous copies so the
-    # per-rank GEMMs see the same operands as the vstack'ed per-rank path
+    # every rank now holds A_ij and B_jk: one GEMM per rank on
+    # contiguous copies of the blocks
     ctx.charge_matmul(ranks, sub, sub, sub)
     data = not ctx.structure_only
     if data:
@@ -349,7 +200,7 @@ def matmul_vector_program(ctx: VectorContext, operands: tuple,
          np.arange(q), words=blk_words, count=count, local=True)
     yield ctx.sync("exchange-partials", stagger=staggered)
 
-    # ---- sum the q partial blocks (jj ascending, like the per-rank sum)
+    # ---- sum the q partial blocks, jj ascending
     ctx.charge_copy(ranks, (q - 1) * rows * sub)
     if not data:
         return None

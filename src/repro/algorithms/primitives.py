@@ -22,12 +22,10 @@ import math
 import numpy as np
 
 from ..core.errors import ExperimentError
-from ..simulator.context import ProcContext
 from ..simulator.vector import VectorContext
 
-__all__ = ["grid_side", "alltoall_words", "multiscan",
-           "alltoall_words_vector", "multiscan_vector", "grid_groups",
-           "route_keys_vector"]
+__all__ = ["grid_side", "alltoall_words_vector", "multiscan_vector",
+           "grid_groups", "route_keys_vector"]
 
 
 def grid_side(P: int) -> int:
@@ -36,71 +34,6 @@ def grid_side(P: int) -> int:
     if side * side != P:
         raise ExperimentError(f"grid primitives need a square P, got {P}")
     return side
-
-
-def alltoall_words(ctx: ProcContext, words: np.ndarray, tag: str,
-                   mode: str = "bpram"):
-    """All-to-all of one word per destination; returns ``out[src]``.
-
-    ``words[j]`` is this processor's word for processor ``j``; the result
-    array holds, for each source ``p``, the word ``p`` had for us.
-    A generator — drive it with ``out = yield from alltoall_words(...)``.
-    """
-    P, rank = ctx.P, ctx.rank
-    w = ctx.word_bytes
-    words = np.asarray(words, dtype=np.int64)
-    if words.shape != (P,):
-        raise ExperimentError(f"alltoall needs one word per processor, "
-                              f"got shape {words.shape}")
-
-    if mode == "bsp":
-        # one fine-grain superstep: P words, h = P (cost g*P + L)
-        for j in range(P):
-            dst = (rank + j) % P
-            ctx.put(dst, int(words[dst]), nbytes=w, count=1,
-                    tag=(tag, rank), step=j)
-        yield ctx.sync(f"{tag}-alltoall")
-        out = np.empty(P, dtype=np.int64)
-        for src in range(P):
-            out[src] = ctx.get(src=src, tag=(tag, src))
-        return out
-
-    if mode != "bpram":
-        raise ExperimentError(f"unknown alltoall mode {mode!r}")
-
-    side = grid_side(P)
-    r, c = divmod(rank, side)
-
-    # Phase A: send, for each column block cj, my words for that column
-    # to the intermediate <r, cj> (sqrt(P) words per block message).
-    for s in range(side):
-        cj = (c + s) % side
-        block = words[cj::side].copy()  # words for procs (*, cj), ordered by row
-        ctx.put(r * side + cj, block, nbytes=side * w, count=1,
-                tag=(tag, "A", c), step=s)
-    yield ctx.sync(f"{tag}-transpose-A", barrier=False)
-
-    # Intermediate <r, c>: received[src_col][rj] = word of <r, src_col>
-    # for <rj, c>.
-    recv_a = {src_col: ctx.get(src=r * side + src_col, tag=(tag, "A", src_col))
-              for src_col in range(side)}
-
-    # Phase B: forward to each <rj, c> the sqrt(P) words destined there
-    # (one from each column-mate of the sender's row).
-    for s in range(side):
-        rj = (r + s) % side
-        block = np.array([recv_a[src_col][rj] for src_col in range(side)],
-                         dtype=np.int64)
-        ctx.put(rj * side + c, block, nbytes=side * w, count=1,
-                tag=(tag, "B", r), step=s)
-    yield ctx.sync(f"{tag}-transpose-B", barrier=False)
-
-    out = np.empty(P, dtype=np.int64)
-    for src_row in range(side):
-        block = ctx.get(src=src_row * side + c, tag=(tag, "B", src_row))
-        # block[src_col] = word of <src_row, src_col> for me
-        out[src_row * side:(src_row + 1) * side] = block
-    return out
 
 
 def grid_groups(cache: dict, P: int) -> tuple[np.ndarray, ...]:
@@ -140,16 +73,19 @@ def route_keys_vector(ctx: VectorContext, counts: np.ndarray, *,
 
 def alltoall_words_vector(ctx: VectorContext, words: np.ndarray, tag: str,
                           mode: str = "bpram", cache: dict | None = None):
-    """All-ranks twin of :func:`alltoall_words`.
+    """All-to-all of one word per destination, all ranks at once.
 
     ``words[p, j]`` is rank ``p``'s word for rank ``j``; returns the
-    ``(P, P)`` stack ``out`` with ``out[p, src] = words[src, p]`` — the
-    transpose the scalar routing delivers, with bit-identical supersteps
-    (the word values travel unchanged through the grid intermediates, so
-    the result can be formed directly).  Each superstep is one message
-    group; ``cache`` (one dict per program run) holds the hoisted group
-    arrays so every all-to-all of the run re-emits the *same* objects
-    and the engine interns the phases.
+    ``(P, P)`` stack ``out`` with ``out[p, src] = words[src, p]``.  Mode
+    ``"bsp"`` is one fine-grain superstep of ``P`` words per rank
+    (``g P + L``); ``"bpram"`` routes through the grid scheme, two
+    staggered transposes of ``sqrt(P)`` block steps each
+    (``2 sqrt(P) (sigma w sqrt(P) + ell)``).  The word values travel
+    unchanged through the grid intermediates, so the result is formed
+    directly.  Each superstep is one message group; ``cache`` (one dict
+    per program run) holds the hoisted group arrays so every all-to-all
+    of the run re-emits the *same* objects and the engine interns the
+    phases.
     """
     P = ctx.P
     w = ctx.word_bytes
@@ -186,12 +122,14 @@ def alltoall_words_vector(ctx: VectorContext, words: np.ndarray, tag: str,
 
 def multiscan_vector(ctx: VectorContext, counts: np.ndarray, tag: str,
                      mode: str = "bpram", cache: dict | None = None):
-    """All-ranks twin of :func:`multiscan`.
+    """The multi-scan of §4.3: per-bucket exclusive prefix sums.
 
     ``counts[p, j]`` = keys rank ``p`` sends to bucket ``j``; returns
     ``(offsets, totals)`` stacks: ``offsets[p, j]`` is rank ``p``'s write
     offset within bucket ``j`` and ``totals[p]`` the size of the bucket
-    rank ``p`` owns.
+    rank ``p`` owns.  Exactly two all-to-alls — the paper's
+    ``T_scan = 2 (g P + L)`` (BSP) or ``4 sqrt(P)(sigma w sqrt(P) +
+    ell)`` (MP-BPRAM).
     """
     P = ctx.P
     per_src = yield from alltoall_words_vector(ctx, counts, f"{tag}-counts",
@@ -205,27 +143,3 @@ def multiscan_vector(ctx: VectorContext, counts: np.ndarray, tag: str,
                                                   f"{tag}-offsets", mode,
                                                   cache)
     return my_offsets, totals
-
-
-def multiscan(ctx: ProcContext, counts: np.ndarray, tag: str,
-              mode: str = "bpram"):
-    """The multi-scan of §4.3: per-bucket exclusive prefix sums.
-
-    ``counts[j]`` = number of keys this processor sends to bucket ``j``.
-    Returns ``(offsets, my_bucket_total)``: ``offsets[j]`` is this
-    processor's write offset within bucket ``j``, and ``my_bucket_total``
-    the total number of keys headed for the bucket this processor owns.
-    Exactly two all-to-alls — the paper's ``T_scan = 2 (g P + L)`` (BSP)
-    or ``4 sqrt(P)(sigma w sqrt(P) + ell)`` (MP-BPRAM).
-    """
-    P, rank = ctx.P, ctx.rank
-    # round 1: bucket owner j learns counts[p][j] for every p
-    per_src = yield from alltoall_words(ctx, counts, f"{tag}-counts", mode)
-    # owner computes exclusive prefix sums and the bucket total
-    ctx.charge_us(0.05 * P)  # prefix over P counts
-    prefix = np.concatenate(([0], np.cumsum(per_src)[:-1]))
-    total = int(per_src.sum())
-    # round 2: send each source its write offset within my bucket
-    my_offsets = yield from alltoall_words(ctx, prefix,
-                                           f"{tag}-offsets", mode)
-    return my_offsets, total

@@ -43,16 +43,13 @@ import numpy as np
 from ..core.errors import ExperimentError
 from ..machines.base import Machine
 from ..simulator import RunResult
-from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
 from ..simulator.vector import VectorContext
 from .bitonic import _radix_sort_rows
-from .local import radix_sort
-from .primitives import multiscan, multiscan_vector, route_keys_vector
-from .samplesort import _drain_keys, _grid_route, _grid_route_vector
+from .primitives import multiscan_vector, route_keys_vector
+from .samplesort import _grid_route_vector
 
-__all__ = ["run", "key_params", "radix_sort_program",
-           "radix_sort_vector_program", "VARIANTS"]
+__all__ = ["run", "key_params", "radix_sort_vector_program", "VARIANTS"]
 
 VARIANTS = ("bsp", "bpram")
 
@@ -68,66 +65,20 @@ def _digit_bits(P: int, key_bits: int) -> int:
     return log_p
 
 
-def radix_sort_program(ctx: ProcContext, all_keys: np.ndarray, variant: str,
-                       key_bits: int = 32):
-    """SPMD radix sort of the ``(P, M)`` key stack; returns this
-    processor's sorted bucket (row ``ctx.rank`` is its input)."""
-    if variant not in VARIANTS:
-        raise ExperimentError(f"unknown radix sort variant {variant!r}")
-    P, rank = ctx.P, ctx.rank
-    keys = all_keys[rank]
-    M = keys.size
-    w = ctx.word_bytes
-    log_p = _digit_bits(P, key_bits)
-    shift = key_bits - log_p
-    mode = "bsp" if variant == "bsp" else "bpram"
-
-    # ---- Phase 1: count ----
-    mine = radix_sort(ctx, keys, bits=key_bits,
-                      radix_bits=min(8, key_bits))
-    ctx.charge_compare(M)  # top-digit extraction per key
-    bucket_of = (mine >> np.uint64(shift)).astype(np.int64)
-    counts = np.bincount(bucket_of, minlength=P).astype(np.int64)
-
-    # ---- Phase 2: scan ----
-    offsets, my_total = yield from multiscan(ctx, counts, "scan", mode)
-
-    # ---- Phase 3: scatter ----
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    per_dest = [mine[bounds[j]:bounds[j + 1]] for j in range(P)]
-
-    if variant == "bsp":
-        for s in range(1, P):
-            j = (rank + s) % P
-            if per_dest[j].size:
-                ctx.put(j, per_dest[j], nbytes=per_dest[j].size * w,
-                        count=per_dest[j].size, tag=("keys", rank), step=s)
-        yield ctx.sync("route-keys")
-        received = [p for _, p in _drain_keys(ctx, P)]
-        received.append(per_dest[rank])
-    else:  # bpram: two-phase padded grid routing
-        received = yield from _grid_route(ctx, per_dest, bucket_of, mine)
-
-    bucket = np.concatenate([np.asarray(b, dtype=np.uint64) for b in received]
-                            ) if received else np.empty(0, dtype=np.uint64)
-
-    # The routed keys all share their top digit: only the low
-    # ``key_bits - log2 P`` bits are unsorted, so the finishing sort is a
-    # digit shorter than a full-key sort — the radix win over sample sort.
-    result = radix_sort(ctx, bucket, bits=shift, radix_bits=min(8, shift))
-    return result
-
-
 def radix_sort_vector_program(ctx: VectorContext, all_keys: np.ndarray,
                               variant: str, key_bits: int = 32):
-    """Lockstep vector port of :func:`radix_sort_program`.
+    """SPMD radix sort of the ``(P, M)`` key stack (row ``p`` is rank
+    ``p``'s input, all ranks at once); returns every rank's sorted
+    bucket.
 
-    Keys live in a ``(P, M)`` stack; counts become a ``(P, P)`` matrix
-    through the vector multi-scan, routing is one message group per
-    superstep, and — because bucket ``p`` holds exactly the keys whose
-    top digit is ``p``, a contiguous value range — one global key sort
-    split at the per-bucket totals reproduces every rank's sorted bucket
-    bit for bit.
+    Counts become a ``(P, P)`` matrix through the multi-scan, routing is
+    one message group per superstep, and — because bucket ``p`` holds
+    exactly the keys whose top digit is ``p``, a contiguous value range
+    — one global key sort split at the per-bucket totals is every rank's
+    sorted bucket.  The routed keys all share their top digit, so the
+    finishing sort is charged over the low ``key_bits - log2 P`` bits
+    only: a digit shorter than a full-key sort, the radix win over
+    sample sort.
     """
     if variant not in VARIANTS:
         raise ExperimentError(f"unknown radix sort variant {variant!r}")

@@ -43,17 +43,13 @@ import numpy as np
 from ..core.errors import ExperimentError
 from ..machines.base import Machine
 from ..simulator import RunResult
-from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
 from ..simulator.vector import VectorContext
-from .bitonic import _radix_sort_rows, bitonic_sort, bitonic_sort_vector
-from .local import classify_keys, radix_sort
-from .primitives import (alltoall_words, alltoall_words_vector, grid_groups,
-                         grid_side, multiscan, multiscan_vector,
-                         route_keys_vector)
+from .bitonic import _radix_sort_rows, bitonic_sort_vector
+from .primitives import (alltoall_words_vector, grid_groups, grid_side,
+                         multiscan_vector, route_keys_vector)
 
-__all__ = ["run", "key_params", "sample_sort_program",
-           "sample_sort_vector_program", "VARIANTS"]
+__all__ = ["run", "key_params", "sample_sort_vector_program", "VARIANTS"]
 
 VARIANTS = ("bsp", "bpram", "bpram-staggered")
 
@@ -63,173 +59,19 @@ VARIANTS = ("bsp", "bpram", "bpram-staggered")
 PAD = 4
 
 
-def sample_sort_program(ctx: ProcContext, all_keys: np.ndarray,
-                        variant: str, oversample: int, key_bits: int = 32,
-                        sample_seed: int = 0):
-    """SPMD sample sort of the ``(P, M)`` key stack; returns this
-    processor's sorted bucket (row ``ctx.rank`` is its input)."""
-    if variant not in VARIANTS:
-        raise ExperimentError(f"unknown sample sort variant {variant!r}")
-    P, rank = ctx.P, ctx.rank
-    keys = all_keys[rank]
-    M = keys.size
-    w = ctx.word_bytes
-    S = oversample
-    if not 1 <= S <= M:
-        raise ExperimentError(
-            f"oversampling ratio S={S} must be in [1, M={M}]")
-    mode = "bsp" if variant == "bsp" else "bpram"
-    bitonic_variant = "bsp" if variant == "bsp" else "bpram"
-
-    # ---- Phase 1: splitters ----
-    rng = np.random.default_rng(sample_seed + 7919 * rank)
-    samples = rng.choice(keys, size=S, replace=False).astype(np.uint64)
-    ctx.charge_us(0.2 * S)  # sample selection
-    sorted_samples = yield from bitonic_sort(ctx, samples, bitonic_variant,
-                                             key_bits=key_bits)
-    # After bitonic, this processor holds the samples of global ranks
-    # [rank*S, (rank+1)*S); the splitter it owns is its first sample.
-    my_splitter = int(sorted_samples[0])  # rank * S
-    splitters = yield from alltoall_words(
-        ctx, np.full(P, my_splitter, dtype=np.int64), "splitters", mode)
-    splitters = splitters[1:].astype(np.uint64)  # drop rank-0 sentinel
-
-    # ---- Phase 2: send ----
-    mine = radix_sort(ctx, keys, bits=key_bits)
-    bucket_of = classify_keys(ctx, mine, splitters)
-    counts = np.bincount(bucket_of, minlength=P).astype(np.int64)
-    offsets, my_total = yield from multiscan(ctx, counts, "scan", mode)
-
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    per_dest = [mine[bounds[j]:bounds[j + 1]] for j in range(P)]
-
-    if variant == "bsp":
-        for s in range(1, P):
-            j = (rank + s) % P
-            if per_dest[j].size:
-                ctx.put(j, per_dest[j], nbytes=per_dest[j].size * w,
-                        count=per_dest[j].size, tag=("keys", rank), step=s)
-        yield ctx.sync("route-keys")
-        received = [p for _, p in _drain_keys(ctx, P)]
-        received.append(per_dest[rank])
-    elif variant == "bpram-staggered":
-        for s in range(1, P):
-            j = (rank + s) % P
-            blk = per_dest[j]
-            if blk.size:
-                ctx.put(j, blk, nbytes=blk.size * w, count=1,
-                        tag=("keys", rank), step=s)
-        ctx.charge_copy(M)  # pack keys per destination
-        yield ctx.sync("route-keys-staggered", barrier=False)
-        received = [p for _, p in _drain_keys(ctx, P)]
-        received.append(per_dest[rank])
-    else:  # bpram: two-phase padded grid routing
-        received = yield from _grid_route(ctx, per_dest, bucket_of, mine)
-
-    bucket = np.concatenate([np.asarray(b, dtype=np.uint64) for b in received]
-                            ) if received else np.empty(0, dtype=np.uint64)
-
-    # ---- Phase 3: sort buckets locally ----
-    result = radix_sort(ctx, bucket, bits=key_bits)
-    return result
-
-
-def _drain_keys(ctx: ProcContext, P: int):
-    """Collect all ("keys", src) messages delivered to this processor."""
-    out = []
-    for src in range(P):
-        while ctx.has_message(("keys", src)):
-            out.append((src, ctx.get(src=src, tag=("keys", src))))
-    return out
-
-
-def _grid_route(ctx: ProcContext, per_dest: list[np.ndarray],
-                bucket_of: np.ndarray, mine: np.ndarray):
-    """Two-phase padded block routing (the §4.3.1 scheme).
-
-    Each phase is ``sqrt(P)`` staggered steps; every step sends one
-    padded block of capacity ``PAD * M / sqrt(P)`` keys as *two*
-    messages, so a processor pays ``4 sqrt(P)`` startups and
-    ``16 sigma w M`` bytes — the paper's constants.
-    """
-    P, rank = ctx.P, ctx.rank
-    M = mine.size
-    w = ctx.word_bytes
-    side = grid_side(P)
-    r, c = divmod(rank, side)
-    # Each step sends *two* padded messages of 4wM/sqrt(P) bytes (the
-    # paper's message size), so a processor pays 4 sqrt(P) startups and
-    # 16 sigma w M bytes over the two phases — exactly T_send-to-buckets.
-    half_bytes = max(w, -(-PAD * M * w // side))
-    #: buffer slots handled per pack/unpack (charged at half the merge
-    #: rate: packing is a copy, merging compares too).
-    cap = max(1, -(-PAD * M // side))
-
-    # Packing/unpacking the *padded* buffers is charged per buffer slot at
-    # the platform's per-key message-handling rate (the same empirical
-    # constant as the bitonic merge, which on the GCel is dominated by
-    # PVM pack/unpack).  This overhead — paid on capacity, not on actual
-    # keys — is what makes the measured plain sample sort "somewhat
-    # disappointing" (Fig. 18); the §4.3.1 prediction does not include it.
-
-    # Phase A: route by destination column
-    for s in range(side):
-        cj = (c + s) % side
-        cols = [per_dest[rj * side + cj] for rj in range(side)]
-        block = (np.concatenate(cols) if cols else
-                 np.empty(0, dtype=np.uint64))
-        lengths = np.array([b.size for b in cols], dtype=np.int64)
-        ctx.charge_merge(cap)  # pack one padded buffer
-        ctx.put(r * side + cj, (lengths, block),
-                nbytes=half_bytes, count=1, tag=("gr-A", c, "h1"), step=s)
-        ctx.put(r * side + cj, None,
-                nbytes=half_bytes, count=1, tag=("gr-A", c, "h2"), step=s)
-    yield ctx.sync("route-A", barrier=False)
-
-    # Intermediate <r, c>: regroup by destination row
-    for_row: list[list[np.ndarray]] = [[] for _ in range(side)]
-    for src_col in range(side):
-        lengths, block = ctx.get(src=r * side + src_col,
-                                 tag=("gr-A", src_col, "h1"))
-        ctx.charge_merge(cap)  # unpack one padded buffer
-        pos = 0
-        for rj in range(side):
-            n = int(lengths[rj])
-            for_row[rj].append(block[pos:pos + n])
-            pos += n
-    # Phase B: route by destination row within the column
-    for s in range(side):
-        rj = (r + s) % side
-        block = (np.concatenate(for_row[rj]) if for_row[rj] else
-                 np.empty(0, dtype=np.uint64))
-        ctx.charge_merge(cap)  # repack
-        ctx.put(rj * side + c, block, nbytes=half_bytes, count=1,
-                tag=("gr-B", r, "h1"), step=s)
-        ctx.put(rj * side + c, None, nbytes=half_bytes, count=1,
-                tag=("gr-B", r, "h2"), step=s)
-    yield ctx.sync("route-B", barrier=False)
-
-    received = []
-    for src_row in range(side):
-        received.append(ctx.get(src=src_row * side + c,
-                                tag=("gr-B", src_row, "h1")))
-        ctx.charge_merge(cap)  # final unpack
-    return received
-
-
 def sample_sort_vector_program(ctx: VectorContext, all_keys: np.ndarray,
                                variant: str, oversample: int,
                                key_bits: int = 32, sample_seed: int = 0):
-    """Lockstep vector port of :func:`sample_sort_program`.
+    """SPMD sample sort of the ``(P, M)`` key stack (row ``p`` is rank
+    ``p``'s input, all ranks at once); returns every rank's sorted
+    bucket.
 
-    Keys live in a ``(P, M)`` stack.  Each rank's sample draw still uses
-    its own seeded generator (P small draws — identical streams), but
-    everything else is columnar: one stacked bitonic sort, ``(P, P)``
-    count/offset matrices through the vector all-to-alls, and routing as
-    one message group per superstep.  The final buckets are value ranges
-    split by the (globally sorted) splitters, so one global key sort
-    split at the per-bucket totals reproduces every rank's radix-sorted
-    bucket — bit-identical supersteps, work and results.
+    Each rank draws its samples with its own seeded generator; everything
+    else is columnar: one stacked bitonic sort, ``(P, P)`` count/offset
+    matrices through the all-to-alls, and routing as one message group
+    per superstep.  The final buckets are value ranges split by the
+    (globally sorted) splitters, so one global key sort split at the
+    per-bucket totals is every rank's radix-sorted bucket.
     """
     if variant not in VARIANTS:
         raise ExperimentError(f"unknown sample sort variant {variant!r}")
@@ -295,8 +137,25 @@ def sample_sort_vector_program(ctx: VectorContext, all_keys: np.ndarray,
 
 
 def _grid_route_vector(ctx: VectorContext, M: int, cache: dict):
-    """All-ranks twin of :func:`_grid_route` (supersteps and work only —
-    the final buckets are reconstructed by value in the caller)."""
+    """Two-phase padded block routing (the §4.3.1 scheme), supersteps
+    and work only: the callers form the final buckets by value.
+
+    Each phase is ``sqrt(P)`` staggered steps; every step sends one
+    padded block of capacity ``PAD * M / sqrt(P)`` keys as *two*
+    messages of ``4 w M / sqrt(P)`` bytes, so a processor pays
+    ``4 sqrt(P)`` startups and ``16 sigma w M`` bytes over the two
+    phases — exactly the paper's ``T_send-to-buckets``.
+
+    Packing and unpacking the *padded* buffers is charged per buffer
+    slot at the platform's per-key message-handling rate (the merge
+    rate: on the GCel it is dominated by PVM pack/unpack).  This
+    overhead, paid on capacity rather than on actual keys, is what makes
+    the measured plain sample sort "somewhat disappointing" (Fig. 18);
+    the §4.3.1 prediction does not include it.  Every rank packs
+    ``sqrt(P)`` buffers before phase A, unpacks and repacks ``sqrt(P)``
+    each between the phases, and unpacks ``sqrt(P)`` at the end, each
+    group charged as one batch of the rank's buffers in rank order.
+    """
     P = ctx.P
     w = ctx.word_bytes
     side = grid_side(P)
@@ -311,23 +170,19 @@ def _grid_route_vector(ctx: VectorContext, M: int, cache: dict):
 
     src, dst_a, dst_b, step = map(halves, grid_groups(cache, P))
 
-    # Phase A: route by destination column (two padded halves per step)
-    for _ in range(side):
-        ctx.charge_merge(ranks, cap)  # pack one padded buffer
+    # Phase A: pack one padded buffer per destination column, route by
+    # column (two padded halves per step)
+    ctx.charge_merge(np.repeat(ranks, side), cap)
     ctx.put_group(src, dst_a, nbytes=half_bytes, count=1, step=step)
     yield ctx.sync("route-A", barrier=False)
 
-    # Intermediate: unpack one buffer per source column, then repack and
-    # forward by destination row.
-    for _ in range(side):
-        ctx.charge_merge(ranks, cap)
-    for _ in range(side):
-        ctx.charge_merge(ranks, cap)  # repack
+    # Intermediate: unpack one buffer per source column, then repack one
+    # per destination row and forward by row.
+    ctx.charge_merge(np.repeat(ranks, 2 * side), cap)
     ctx.put_group(src, dst_b, nbytes=half_bytes, count=1, step=step)
     yield ctx.sync("route-B", barrier=False)
 
-    for _ in range(side):
-        ctx.charge_merge(ranks, cap)  # final unpack
+    ctx.charge_merge(np.repeat(ranks, side), cap)  # final unpack
 
 
 def key_params(M: int, *, variant: str = "bpram", oversample: int = 32,

@@ -25,11 +25,10 @@ import numpy as np
 from ..core.errors import ExperimentError
 from ..machines.base import Machine
 from ..simulator import RunResult
-from ..simulator.context import ProcContext
 from ..simulator.lower import run_lowered
 from ..simulator.vector import VectorContext, stand_in
 
-__all__ = ["run", "key_params", "stencil_program", "stencil_vector_program",
+__all__ = ["run", "key_params", "stencil_vector_program",
            "assemble", "reference_jacobi"]
 
 
@@ -54,73 +53,17 @@ def _block_side(N: int, P: int) -> tuple[int, int]:
     return side, N // side
 
 
-def stencil_program(ctx: ProcContext, grid: np.ndarray, iters: int):
-    """SPMD Jacobi; returns this processor's final ``M x M`` block."""
-    P, rank = ctx.P, ctx.rank
-    side, M = _block_side(grid.shape[0], P)
-    w = ctx.word_bytes
-    r, c = divmod(rank, side)
-    block = grid[r * M:(r + 1) * M, c * M:(c + 1) * M].astype(float).copy()
-
-    north = (r - 1) * side + c if r > 0 else -1
-    south = (r + 1) * side + c if r < side - 1 else -1
-    west = rank - 1 if c > 0 else -1
-    east = rank + 1 if c < side - 1 else -1
-
-    for it in range(iters):
-        # halo exchange: one message per existing neighbour
-        if north >= 0:
-            ctx.put(north, block[0, :], nbytes=M * w, count=M,
-                    tag=("halo", it, "n"), step=0)
-        if south >= 0:
-            ctx.put(south, block[-1, :], nbytes=M * w, count=M,
-                    tag=("halo", it, "s"), step=1)
-        if west >= 0:
-            ctx.put(west, block[:, 0].copy(), nbytes=M * w, count=M,
-                    tag=("halo", it, "w"), step=2)
-        if east >= 0:
-            ctx.put(east, block[:, -1].copy(), nbytes=M * w, count=M,
-                    tag=("halo", it, "e"), step=3)
-        yield ctx.sync(f"halo-{it}")
-
-        padded = np.zeros((M + 2, M + 2))
-        padded[1:-1, 1:-1] = block
-        if north >= 0:
-            padded[0, 1:-1] = np.asarray(ctx.get(src=north,
-                                                 tag=("halo", it, "s")))
-        if south >= 0:
-            padded[-1, 1:-1] = np.asarray(ctx.get(src=south,
-                                                  tag=("halo", it, "n")))
-        if west >= 0:
-            padded[1:-1, 0] = np.asarray(ctx.get(src=west,
-                                                 tag=("halo", it, "e")))
-        if east >= 0:
-            padded[1:-1, -1] = np.asarray(ctx.get(src=east,
-                                                  tag=("halo", it, "w")))
-
-        new = 0.25 * (padded[:-2, 1:-1] + padded[2:, 1:-1]
-                      + padded[1:-1, :-2] + padded[1:-1, 2:])
-        # interior points only; global boundary rows/cols stay fixed
-        lo_r = 1 if r == 0 else 0
-        hi_r = M - 1 if r == side - 1 else M
-        lo_c = 1 if c == 0 else 0
-        hi_c = M - 1 if c == side - 1 else M
-        block[lo_r:hi_r, lo_c:hi_c] = new[lo_r:hi_r, lo_c:hi_c]
-        ctx.charge_flops(2 * M * M)  # 3 adds + 1 mul ~ 2 compound ops/pt
-
-    return block
-
-
 def stencil_vector_program(ctx: VectorContext, grid: np.ndarray, iters: int):
-    """Lockstep vector port of :func:`stencil_program`.
+    """SPMD Jacobi on the ``sqrt(P) x sqrt(P)`` grid (all ranks at
+    once); returns every processor's final ``M x M`` block.
 
-    One message group per sweep, its halo directions (north, south,
-    west, east: the per-rank emission order) at steps 0-3, built once
-    and re-emitted every sweep.  The update runs on the whole grid: each
-    interior point sums the same four neighbours in the same order as
-    the per-rank padded block, so the blocks it returns are
-    bit-identical.  A structure-only pass reads ``grid``'s shape alone
-    and skips the update.
+    Every sweep exchanges halos with the grid neighbours, one message of
+    ``M`` words per existing neighbour: one message group per sweep, its
+    directions (north, south, west, east) at steps 0-3, built once and
+    re-emitted every sweep.  The update runs on the whole grid, each
+    interior point summing its four neighbours in the order of
+    :func:`reference_jacobi`.  A structure-only pass reads ``grid``'s
+    shape alone and skips the update.
     """
     P = ctx.P
     side, M = _block_side(grid.shape[0], P)

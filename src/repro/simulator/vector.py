@@ -1,39 +1,38 @@
-"""Lockstep vector fast path for SPMD programs.
+"""Lockstep vector programs: one generator for all ``P`` ranks.
 
-:func:`run_spmd` resumes ``P`` Python generators per superstep — faithful,
-but the interpreter pays for every rank separately even though the
-programs are SPMD: at any superstep all ranks execute the *same* code on
-different data.  :func:`run_spmd_vector` exploits that: ONE generator (a
-"vector program") executes each superstep for all ``P`` ranks at once on
-stacked arrays, emitting sends as whole message *groups*
+:func:`run_spmd` resumes ``P`` Python generators per superstep, and the
+interpreter pays for every rank separately even though the programs are
+SPMD: at any superstep all ranks execute the *same* code on different
+data.  A vector program runs each superstep for all ``P`` ranks at once
+on stacked arrays, emitting sends as whole message *groups*
 (:meth:`VectorContext.put_group`) and work as homogeneous batches
-(:class:`~repro.core.work.WorkBatch`).
+(:class:`~repro.core.work.WorkBatch`).  Every algorithm in
+:mod:`repro.algorithms` is written this way.
 
-The contract is strict bit-identity with the generator engine: given the
-same machine (same seed), a vector program and its per-rank counterpart
-must produce identical clocks, traces and results.  The engine holds up
-its half of the bargain by
+The engine keeps :func:`run_spmd`'s semantics, so one program written in
+either form gives identical clocks, traces and results on a machine of
+the same seed:
 
-* ordering each superstep's message groups rank-major (source ascending,
-  emission order within a source) via a stable sort — the order in which
-  the generator engine drains per-rank contexts;
-* handing each superstep's work batches, in emission order, to the
-  step program, whose replay prices, jitters and accumulates them in
-  the generator path's flat item order
+* each superstep's message groups are laid out rank-major (source
+  ascending, emission order within a source) by a stable sort — the
+  order in which :func:`run_spmd` drains its per-rank contexts;
+* each superstep's work batches go, in emission order, to the step
+  program, whose replay prices, jitters and accumulates them in
+  rank-major item order, each rank's in charge order
   (:mod:`repro.simulator.replay`);
-* mirroring the generator engine's superstep bookkeeping exactly: the
+* the superstep bookkeeping is :func:`run_spmd`'s: the
   stagger/barrier/label resolution, the empty-phase barrier, and the
   trailing superstep that drains work charged after the last ``sync``.
 
-Vector programs must keep *their* half: emit groups and batches in the
-same per-rank order as the per-rank program, and keep per-rank
-floating-point operations in the same association order (e.g. loop over
-partial sums rather than ``np.sum`` along an axis).
+A vector program emits groups and batches in per-rank order (a rank's
+sends and charges in the order that rank makes them) and keeps each
+rank's floating-point operations in one association order (e.g. loop
+over partial sums rather than ``np.sum`` along an axis).
 
 Every algorithm's ``run()`` drives its vector program through
 :func:`collect_steps` inside :func:`repro.simulator.lower.run_lowered`;
 :func:`run_spmd_vector` records and replays the same steps without the
-store, for custom programs and the equivalence tests.
+store, for custom programs and tests.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ class VectorContext:
         The vector equivalent of every rank in ``src`` calling
         :meth:`ProcContext.put` once; arguments broadcast against
         ``src``.  Within one group a rank should appear at most once per
-        logical send position — emit several groups (in per-rank program
+        logical send position — emit several groups (in per-rank emission
         order) for multi-send supersteps, so the engine's stable
         rank-major sort reproduces the per-rank emission order.
         """

@@ -7,12 +7,11 @@ from hypothesis.extra import numpy as hnp
 
 from repro.algorithms import bitonic
 from repro.algorithms.bitonic import _merge_keep_rows, _radix_sort_rows
-from repro.algorithms.local import merge_keep, radix_sort
 from repro.core import MPBPRAM, MPBSP, paper_params
 from repro.core.errors import ExperimentError, SimulationError
 from repro.core.predictions import bpram_bitonic, bsp_bitonic, mp_bsp_bitonic
+from repro.core.work import Merge, RadixSort
 from repro.machines import CM5, GCel, MasParMP1
-from repro.simulator.context import ProcContext
 from repro.simulator.ir import build_program
 from repro.simulator.vector import VectorContext, collect_steps, stand_in
 
@@ -215,32 +214,31 @@ def charged_items(ctx: VectorContext):
 
 
 class TestVectorKernels:
-    """The all-ranks kernels reach the per-rank kernels' values by other
-    means (one row sort; the half-cleaner) and must charge the same."""
+    """The all-ranks kernels reach numpy's values by their own means (one
+    row sort; the half-cleaner) and charge one item per rank: a radix
+    sort of the row, a merge of the output run length."""
 
     @given(key_stacks())
     @settings(max_examples=60, deadline=None)
     def test_radix_sort_rows_matches_per_rank_sort(self, case):
         keys, bits = case
-        P = keys.shape[0]
+        P, M = keys.shape
         ctx = VectorContext(P, 4)
         out = _radix_sort_rows(ctx, keys, bits=bits)
-        expected_work = []
+        assert out.dtype == keys.dtype
         for p in range(P):
-            pctx = ProcContext(rank=p, P=P, word_bytes=4)
-            ref = radix_sort(pctx, keys[p], bits=bits)
-            assert out[p].dtype == ref.dtype
-            assert np.array_equal(out[p], ref)
-            expected_work += [(p, item) for item in pctx._drain()[3]]
+            assert np.array_equal(out[p], np.sort(keys[p]))
         assert len(ctx._batches) == 1
-        assert charged_items(ctx) == expected_work
+        assert charged_items(ctx) == [(p, RadixSort(M, bits=bits,
+                                                    radix_bits=8))
+                                      for p in range(P)]
 
     @given(key_stacks())
     @settings(max_examples=60, deadline=None)
     def test_merge_keep_rows_matches_every_network_step(self, case):
         keys, _ = case
         mine = np.sort(keys, axis=1)
-        P = mine.shape[0]
+        P, M = mine.shape
         ranks = np.arange(P, dtype=np.int64)
         log_p = P.bit_length() - 1
         for d in range(1, log_p + 1):
@@ -251,15 +249,15 @@ class TestVectorKernels:
                 keep_min = (ranks < partner) == ascending
                 ctx = VectorContext(P, 4)
                 out = _merge_keep_rows(ctx, mine, mine[partner], keep_min)
-                expected_work = []
                 for p in range(P):
-                    pctx = ProcContext(rank=p, P=P, word_bytes=4)
-                    ref = merge_keep(pctx, mine[p], mine[partner[p]],
-                                     keep_min=bool(keep_min[p]))
-                    assert np.array_equal(out[p], ref)
-                    expected_work += [(p, it) for it in pctx._drain()[3]]
+                    # the lower or upper half of the sorted pair of runs
+                    both = np.sort(np.concatenate([mine[p],
+                                                   mine[partner[p]]]))
+                    want = both[:M] if keep_min[p] else both[M:]
+                    assert np.array_equal(out[p], want)
                 assert len(ctx._batches) == 1
-                assert charged_items(ctx) == expected_work
+                assert charged_items(ctx) == [(p, Merge(M))
+                                              for p in range(P)]
 
     @pytest.mark.parametrize("bits", [16, 32])
     def test_radix_sort_rows_rejects_keys_past_bits(self, bits):

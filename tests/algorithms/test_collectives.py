@@ -3,59 +3,42 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.collectives import broadcast
+from repro.algorithms.collectives import broadcast_vector_program
 from repro.core import BSP, paper_params
 from repro.core.errors import ExperimentError
 from repro.machines import CM5
-from repro.simulator import run_spmd
+from repro.simulator import run_spmd_vector
 
 CM5_PARAMS = paper_params("cm5")
 
 
-def run_collective(machine, body, P=16):
-    def prog(ctx):
-        out = yield from body(ctx)
-        return out
-
-    return run_spmd(machine, prog, P=P)
+def bcast(machine, vec, strategy, P=16):
+    """Broadcast ``vec`` from processor 0 through ``run_spmd_vector``."""
+    return run_spmd_vector(machine, broadcast_vector_program, vec, strategy,
+                           P=P)
 
 
 @pytest.mark.parametrize("strategy", ["naive", "two-phase"])
 class TestBroadcast:
     def test_everyone_gets_the_vector(self, cm5, strategy):
         vec = np.arange(64, dtype=float)
-
-        def body(ctx):
-            out = yield from broadcast(
-                ctx, vec if ctx.rank == 3 else None, 3, "b", strategy)
-            return out
-
-        res = run_collective(cm5, body)
+        res = bcast(cm5, vec, strategy)
+        assert len(res.returns) == 16
         for out in res.returns:
             assert np.array_equal(out, vec)
 
     def test_root_zero(self, cm5, strategy):
         vec = np.ones(16)
-
-        def body(ctx):
-            out = yield from broadcast(
-                ctx, vec if ctx.rank == 0 else None, 0, "b", strategy)
-            return out
-
-        res = run_collective(cm5, body)
+        res = bcast(cm5, vec, strategy)
         assert all(np.array_equal(o, vec) for o in res.returns)
+        # every message leaves the root
+        sends = [s.phase for s in res.trace if not s.phase.is_empty]
+        assert set(sends[0].src.tolist()) == {0}
 
 
 class TestBroadcastCosts:
     def _trace(self, strategy, n, P=16):
-        vec = np.zeros(n)
-
-        def body(ctx):
-            out = yield from broadcast(
-                ctx, vec if ctx.rank == 0 else None, 0, "b", strategy)
-            return out
-
-        return run_collective(CM5(seed=1), body, P=P).trace
+        return bcast(CM5(seed=1), np.zeros(n), strategy, P=P).trace
 
     def test_naive_priced_as_root_bottleneck(self):
         n, P = 64, 16
@@ -87,21 +70,9 @@ class TestBroadcastCosts:
 
 class TestValidation:
     def test_bad_strategy(self, cm5):
-        def body(ctx):
-            out = yield from broadcast(
-                ctx, np.zeros(16) if ctx.rank == 0 else None, 0, "b",
-                "quantum")
-            return out
-
         with pytest.raises(ExperimentError):
-            run_collective(cm5, body)
+            bcast(cm5, np.zeros(16), "quantum")
 
     def test_vector_must_divide(self, cm5):
-        def body(ctx):
-            out = yield from broadcast(
-                ctx, np.zeros(17) if ctx.rank == 0 else None, 0, "b",
-                "two-phase")
-            return out
-
         with pytest.raises(ExperimentError):
-            run_collective(cm5, body)
+            bcast(cm5, np.zeros(17), "two-phase")

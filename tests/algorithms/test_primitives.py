@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.primitives import alltoall_words, grid_side, multiscan
-from repro.core import MPBPRAM, paper_params
+from repro.algorithms.primitives import (alltoall_words_vector, grid_side,
+                                         multiscan_vector)
+from repro.core import MPBPRAM
 from repro.core.errors import ExperimentError
 from repro.machines import CM5
-from repro.simulator import run_spmd
+from repro.simulator import run_spmd_vector
 
 
 class TestGridSide:
@@ -20,52 +21,56 @@ class TestGridSide:
             grid_side(48)
 
 
+def alltoall(machine, words, mode, P):
+    """The all-to-all of the ``(P, P)`` word stack ``words``; rank ``p``
+    returns its row of the result."""
+    def prog(ctx):
+        out = yield from alltoall_words_vector(ctx, words, "t", mode)
+        return list(out)
+
+    return run_spmd_vector(machine, prog, P=P)
+
+
+def scan(machine, counts, mode):
+    """The multi-scan of ``counts``; rank ``p`` returns its offsets and
+    its bucket's total."""
+    def prog(ctx):
+        offsets, totals = yield from multiscan_vector(ctx, counts, "scan",
+                                                      mode)
+        return list(zip(offsets, totals))
+
+    return run_spmd_vector(machine, prog, P=counts.shape[0])
+
+
 @pytest.mark.parametrize("mode", ["bsp", "bpram"])
 class TestAlltoall:
     def test_each_proc_learns_all_words(self, cm5, mode):
-        def prog(ctx):
-            words = np.arange(ctx.P, dtype=np.int64) * 1000 + ctx.rank
-            out = yield from alltoall_words(ctx, words, "t", mode)
-            return out
-
-        res = run_spmd(cm5, prog, P=16)
+        P = 16
+        # words[p, j] is rank p's word for rank j
+        words = np.arange(P, dtype=np.int64) * 1000 \
+            + np.arange(P, dtype=np.int64)[:, None]
+        res = alltoall(cm5, words, mode, P)
         for rank, out in enumerate(res.returns):
             # out[src] = word src had for `rank` = rank*1000 + src
             assert out.tolist() == [rank * 1000 + src for src in range(16)]
 
     def test_wrong_shape_rejected(self, cm5, mode):
-        def prog(ctx):
-            out = yield from alltoall_words(
-                ctx, np.zeros(3, dtype=np.int64), "t", mode)
-            return out
-
         with pytest.raises(ExperimentError):
-            run_spmd(cm5, prog, P=16)
+            alltoall(cm5, np.zeros((16, 3), dtype=np.int64), mode, 16)
 
 
 class TestAlltoallCosts:
     def test_bpram_cost_is_transpose_formula(self, cm5_params):
         # 2 sqrt(P) (sigma w sqrt(P) + ell) — the splitter broadcast cost.
-        c = CM5(seed=1)
-
-        def prog(ctx):
-            out = yield from alltoall_words(
-                ctx, np.zeros(ctx.P, dtype=np.int64), "t", "bpram")
-            return out
-
-        res = run_spmd(c, prog, P=64)
+        res = alltoall(CM5(seed=1), np.zeros((64, 64), dtype=np.int64),
+                       "bpram", 64)
         priced = MPBPRAM(cm5_params).trace_cost(res.trace)
         p = cm5_params
         expected = 2 * 8 * (p.sigma * p.w * 8 + p.ell)
         assert priced == pytest.approx(expected, rel=0.02)
 
     def test_bsp_single_superstep_per_round(self, cm5):
-        def prog(ctx):
-            out = yield from alltoall_words(
-                ctx, np.zeros(ctx.P, dtype=np.int64), "t", "bsp")
-            return out
-
-        res = run_spmd(cm5, prog, P=16)
+        res = alltoall(cm5, np.zeros((16, 16), dtype=np.int64), "bsp", 16)
         assert len([s for s in res.trace if not s.phase.is_empty]) == 1
 
 
@@ -75,13 +80,7 @@ class TestMultiscan:
         P = 16
         rng = np.random.default_rng(0)
         counts = rng.integers(0, 10, size=(P, P))
-
-        def prog(ctx):
-            result = yield from multiscan(
-                ctx, counts[ctx.rank].astype(np.int64), "scan", mode)
-            return result
-
-        res = run_spmd(cm5, prog, P=P)
+        res = scan(cm5, counts.astype(np.int64), mode)
         for rank, (offsets, total) in enumerate(res.returns):
             for j in range(P):
                 assert offsets[j] == counts[:rank, j].sum()
@@ -92,13 +91,7 @@ class TestMultiscan:
         P = 16
         rng = np.random.default_rng(1)
         counts = rng.integers(0, 5, size=(P, P))
-
-        def prog(ctx):
-            result = yield from multiscan(
-                ctx, counts[ctx.rank].astype(np.int64), "scan", mode)
-            return result
-
-        res = run_spmd(cm5, prog, P=P)
+        res = scan(cm5, counts.astype(np.int64), mode)
         for j in range(P):  # every bucket
             intervals = sorted(
                 (res.returns[p][0][j], res.returns[p][0][j] + counts[p, j])

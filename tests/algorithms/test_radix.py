@@ -8,6 +8,8 @@ from repro.algorithms import radix, samplesort
 from repro.core.errors import ExperimentError
 from repro.core.work import RadixSort
 from repro.machines import CM5, GCel, ModernCluster
+from repro.simulator import run_spmd_vector
+from tests.simulator import oracle
 
 pytestmark = pytest.mark.fast
 
@@ -37,11 +39,15 @@ class TestCorrectness:
         keys = np.full((P, M), (7 << 28) + 1, dtype=np.uint64)
         keys[0, :5] = [1, 2, 3, 4, 5]
 
-        from repro.simulator import run_spmd
-        res = run_spmd(cm5, radix.radix_sort_program, keys, variant, P=P)
+        res = run_spmd_vector(cm5, radix.radix_sort_vector_program, keys,
+                              variant, P=P)
         flat = np.concatenate([np.asarray(r) for r in res.returns])
         assert np.array_equal(np.sort(flat), np.sort(keys.ravel()))
         assert np.all(flat[:-1] <= flat[1:])
+        c = oracle.case("radix", "cm5", 7, M, P=P, variant=variant,
+                        keys="skewed-top")
+        assert np.array_equal(oracle.case_inputs(c), keys)
+        oracle.assert_matches(c, res)
 
     def test_narrow_keys(self, cm5, variant):
         assert check(radix.run(cm5, 40, variant=variant, P=16, seed=5,

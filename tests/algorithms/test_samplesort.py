@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import bitonic, samplesort
 from repro.core.errors import ExperimentError
 from repro.machines import CM5, GCel
+from repro.simulator import run_spmd_vector
+from tests.simulator import oracle
 
 
 def check(res) -> bool:
@@ -31,12 +33,15 @@ class TestCorrectness:
         keys = np.full((P, M), 7, dtype=np.uint64)
         keys[0, :5] = [1, 2, 3, 4, 5]
 
-        from repro.simulator import run_spmd
-        res = run_spmd(cm5, samplesort.sample_sort_program, keys, variant, 8,
-                       sample_seed=1)
+        res = run_spmd_vector(cm5, samplesort.sample_sort_vector_program,
+                              keys, variant, 8, sample_seed=1)
         flat = np.concatenate([np.asarray(r) for r in res.returns])
         assert np.array_equal(np.sort(flat), np.sort(keys.ravel()))
         assert np.all(flat[:-1] <= flat[1:])
+        c = oracle.case("samplesort", "cm5", 7, M, P=P, variant=variant,
+                        oversample=8, keys="skewed", sample_seed=1)
+        assert np.array_equal(oracle.case_inputs(c), keys)
+        oracle.assert_matches(c, res)
 
 
 class TestValidation:

@@ -5,11 +5,13 @@
 exactly, to an independent per-superstep formula: every item of
 ``step.work.by_rank()`` priced with the scalar ``nominal_time`` and
 summed per rank left to right.  They cover every scoreboard model and
-traces from every engine: the generator and vector programs (through
-``run_spmd`` and ``run_spmd_vector``), IR record, IR memory hit and IR
-disk hit (whose supersteps share the record the replay cached per batch
-list).  The consumers routed through the helper -- ``attribute_error``
-row totals and ``BSF.p_max`` -- are pinned the same way.
+traces from every engine: IR record, IR memory hit and IR disk hit
+(whose supersteps share the record the replay cached per batch list)
+and ``run_spmd_vector``, each matching the oracle snapshot, plus a
+custom per-rank program through ``run_spmd`` (whose work records are
+built item by item, ``StepWork.of_items``).  The consumers routed
+through the helper -- ``attribute_error`` row totals and ``BSF.p_max``
+-- are pinned the same way.
 """
 
 import math
@@ -17,51 +19,45 @@ import math
 import numpy as np
 import pytest
 
-from repro.algorithms import bitonic, lu, radix
 from repro.calibration.table1 import calibration_for
 from repro.core.bsf import BSF
 from repro.core.work import nominal_time
 from repro.machines import make_machine
-from repro.simulator import run_spmd, run_spmd_vector
+from repro.simulator import run_spmd
 from repro.simulator.ir import IRStore, ir_store_scope
 from repro.validation.attribution import _family, attribute_error
 from repro.validation.scoreboard import _models_for
+from tests.simulator import oracle
+from tests.simulator.test_work_records import interleaved_program
 
-#: case -> (machine, IR run, generator program, vector program, program
-#: arguments after the inputs).
+#: case -> its oracle case (machine seed 1).
 CASES = {
-    "maspar/bitonic": ("maspar", lambda m: bitonic.run(m, 128, P=16, seed=5),
-                       bitonic.bitonic_program,
-                       bitonic.bitonic_vector_program, ("bsp",)),
-    "gcel/lu": ("gcel", lambda m: lu.run(m, 16, P=16, seed=7),
-                lu.lu_program, lu.lu_vector_program, ()),
-    "modern/radix": ("modern", lambda m: radix.run(
-        m, 256, P=16, seed=17, variant="bpram"), radix.radix_sort_program,
-        radix.radix_sort_vector_program, ("bpram",)),
+    "maspar/bitonic": oracle.case("bitonic", "maspar", 1, 128, P=16,
+                                  seed=5),
+    "gcel/lu": oracle.case("lu", "gcel", 1, 16, P=16, seed=7),
+    "modern/radix": oracle.case("radix", "modern", 1, 256, P=16, seed=17,
+                                variant="bpram"),
 }
 
 
 def traces(case, tmp_path):
-    """``engine -> trace`` for one case, including a disk-hit replay."""
-    machine_name, run, generator, vector, args = CASES[case]
-
-    def machine():
-        return make_machine(machine_name, seed=1)
-
-    out = {}
+    """``engine -> trace`` for one case, including a disk-hit replay;
+    ``"per-rank"`` is a custom per-rank program on the case's machine."""
+    c = CASES[case]
+    runs = {}
     with ir_store_scope(IRStore(tmp_path)) as store:
-        res = run(machine())
-        out["ir-record"] = res.trace
-        out["ir-memory"] = run(machine()).trace
+        res = runs["ir-record"] = oracle.run_ir(c)
+        runs["ir-memory"] = oracle.run_ir(c)
         assert store.recorded == 1 and store.memory_hits == 1
     with ir_store_scope(IRStore(tmp_path)) as store:
-        out["ir-disk"] = run(machine()).trace
+        runs["ir-disk"] = oracle.run_ir(c)
         assert store.disk_hits == 1 and store.recorded == 0
-    P = res.clocks.size
-    out["generator"] = run_spmd(machine(), generator, res.inputs, *args,
-                                P=P).trace
-    out["vector"] = run_spmd_vector(machine(), vector, res.inputs, *args,
-                                    P=P).trace
+    runs["vector"] = oracle.run_vector(c, res)
+    for engine, run in runs.items():
+        oracle.assert_matches(c, run, engine)
+    out = {engine: run.trace for engine, run in runs.items()}
+    out["per-rank"] = run_spmd(make_machine(c.machine, seed=1),
+                               interleaved_program, 40, P=8).trace
     return out
 
 
@@ -102,7 +98,7 @@ def seed_p_max(bsf, trace):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_cost_matches_seed_formula_exactly(case, tmp_path):
-    cal = calibration_for(CASES[case][0])
+    cal = calibration_for(CASES[case].machine)
     models = _models_for(cal)
     assert any(isinstance(m, BSF) for m in models)
     for engine, trace in traces(case, tmp_path).items():

@@ -19,7 +19,7 @@ from repro.algorithms import (apsp, bitonic, collectives, lu, matmul, radix,
                               samplesort, stencil)
 from repro.experiments import get
 from repro.machines import CM5, GCel, MasParMP1, ModernCluster, T800Grid
-from repro.simulator import lower, run_spmd
+from repro.simulator import lower
 from repro.simulator.ir import IRStore, encode_program, ir_store_scope
 
 MACHINES = {
@@ -156,17 +156,13 @@ def _check_stencil(res, n):
     assert np.allclose(stencil.assemble(16, n, res.returns), ref)
 
 
-#: algorithm -> (size, independent check of a run's inputs and returns,
-#: generator program, its arguments after the inputs).
+#: algorithm -> (size, independent check of a run's inputs and returns).
 CROSS_SEED = {
-    "apsp": (16, _check_apsp, apsp.apsp_program, lambda r: ()),
-    "lu": (16, _check_lu, lu.lu_program, lambda r: ()),
-    "bitonic": (64, _check_bitonic, bitonic.bitonic_program,
-                lambda r: ("bsp",)),
-    "matmul": (8, _check_matmul, matmul.matmul_program,
-               lambda r: (r.setup, "bsp")),
-    "stencil": (16, _check_stencil, stencil.stencil_program,
-                lambda r: (1,)),
+    "apsp": (16, _check_apsp),
+    "lu": (16, _check_lu),
+    "bitonic": (64, _check_bitonic),
+    "matmul": (8, _check_matmul),
+    "stencil": (16, _check_stencil),
 }
 
 
@@ -177,9 +173,10 @@ class TestPerCallData:
                                                              machine):
         """Record at seed j, run seed k as a memory hit: the hit gets
         seed k's inputs and results — checked against the numpy
-        reference, and against the generator program on a fresh record
-        of seed k — and the recording call keeps seed j's."""
-        n, check, program, args = CROSS_SEED[case]
+        reference, and against a fresh recording of seed k (whose runs
+        the oracle snapshot pins) — and the recording call keeps seed
+        j's."""
+        n, check = CROSS_SEED[case]
         variant = OBLIVIOUS[case][2][0]
         runner = OBLIVIOUS[case][3]
         cls = MACHINES[machine]
@@ -190,12 +187,13 @@ class TestPerCallData:
             assert store.memory_hits == 1
         with ir_store_scope(IRStore(disk=False)):
             fresh = runner(cls(seed=0), n, variant, 4)
-        ref = run_spmd(cls(seed=0), program, fresh.inputs, *args(fresh),
-                       P=fresh.clocks.size)
         check(hit, n)
-        assert hit.time_us == ref.time_us
-        assert len(hit.returns) == len(ref.returns)
-        for a, b in zip(hit.returns, ref.returns):
+        assert hit.time_us == fresh.time_us
+        assert np.array_equal(hit.clocks, fresh.clocks)
+        assert [s.measured_us for s in hit.trace] \
+            == [s.measured_us for s in fresh.trace]
+        assert len(hit.returns) == len(fresh.returns)
+        for a, b in zip(hit.returns, fresh.returns):
             assert np.array_equal(a, b)
         hit_in = _arrays(hit.inputs)
         for a, b in zip(hit_in, _arrays(fresh.inputs)):

@@ -9,7 +9,8 @@ from repro.core import BSP, MPBPRAM, ModelParams
 from repro.core.errors import ModelError, SimulationError
 from repro.core.relations import CommPhase
 from repro.machines import CM5, GCel, MasParMP1
-from repro.simulator import run_spmd
+from repro.simulator import run_spmd, run_spmd_vector
+from tests.simulator import oracle
 
 
 class TestDegenerateParams:
@@ -60,24 +61,33 @@ class TestTinyMachines:
 
 
 class TestAdversarialInputs:
+    """The sorts on hostile key stacks, through their vector programs;
+    each run also matches the oracle snapshot's entry."""
+
     def test_bitonic_all_equal_keys(self):
         machine = CM5(seed=0)
         keys = np.full((16, 8), 42, dtype=np.uint64)
 
-        res = run_spmd(machine, bitonic.bitonic_program, keys, "bsp", P=16)
+        res = run_spmd_vector(machine, bitonic.bitonic_vector_program, keys,
+                              "bsp", P=16)
         assert all(np.asarray(r).size == 8 for r in res.returns)
         flat = np.concatenate(res.returns)
         assert np.all(flat == 42)
+        oracle.assert_matches(
+            oracle.case("bitonic", "cm5", 0, 8, P=16, keys="equal"), res)
 
     def test_bitonic_presorted_and_reversed(self):
-        machine = CM5(seed=0)
-        for order in (1, -1):
+        for order, name in ((1, "ascending"), (-1, "descending")):
+            machine = CM5(seed=0)
             base = np.arange(16 * 8, dtype=np.uint64)[::order].reshape(16, 8)
 
-            res = run_spmd(machine, bitonic.bitonic_program, base.copy(),
-                           "bpram", P=16)
+            res = run_spmd_vector(machine, bitonic.bitonic_vector_program,
+                                  base.copy(), "bpram", P=16)
             flat = np.concatenate(res.returns)
             assert np.array_equal(flat, np.sort(base.ravel()))
+            oracle.assert_matches(
+                oracle.case("bitonic", "cm5", 0, 8, P=16, variant="bpram",
+                            keys=name), res)
 
     def test_samplesort_single_hot_bucket(self):
         """Every key identical: one bucket takes everything, the padded
@@ -85,10 +95,13 @@ class TestAdversarialInputs:
         machine = CM5(seed=0)
         keys = np.full((16, 32), 7, dtype=np.uint64)
 
-        res = run_spmd(machine, samplesort.sample_sort_program, keys,
-                       "bpram", 8, sample_seed=0, P=16)
+        res = run_spmd_vector(machine, samplesort.sample_sort_vector_program,
+                              keys, "bpram", 8, sample_seed=0, P=16)
         flat = np.concatenate([np.asarray(r) for r in res.returns])
         assert flat.size == 16 * 32 and np.all(flat == 7)
+        oracle.assert_matches(
+            oracle.case("samplesort", "cm5", 0, 32, P=16, oversample=8,
+                        keys="constant", sample_seed=0), res)
 
     def test_apsp_fully_disconnected(self, cm5):
         res = apsp.run(cm5, 16, P=16, seed=0, density=0.0)
