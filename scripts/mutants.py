@@ -126,6 +126,31 @@ CATALOGUE = [
            "src/repro/simulator/replay.py",
            "            t1 = T + wmax[j]", "            t1 = T",
            PARITY + ORACLE),
+    # ---- calibration and the machine-state caches ----
+    Mutant("fit-line-intercept-sign", "src/repro/calibration/fitting.py",
+           "slope, intercept = float(coef[0]), float(coef[1])",
+           "slope, intercept = float(coef[0]), -float(coef[1])",
+           ("tests/calibration/test_fitting.py",
+            "tests/calibration/test_table1.py")),
+    Mutant("calibration-hit-skips-rng-restore",
+           "src/repro/calibration/table1.py",
+           "            machine.rng.bit_generator.state = rng_state\n", "",
+           ("tests/calibration/test_memo.py",)),
+    Mutant("state-key-drops-disabled", "src/repro/machines/base.py",
+           'for name, value in sorted(attrs.items()) if name != "rng")',
+           "for name, value in sorted(attrs.items())\n"
+           '                    if name not in ("rng", "disabled"))',
+           ("tests/machines/test_state_key.py",)),
+    Mutant("state-key-drops-a-params-field", "src/repro/machines/base.py",
+           "for f in dataclasses.fields(value))",
+           "for f in dataclasses.fields(value)[:-1])",
+           ("tests/machines/test_state_key.py",)),
+    Mutant("pricer-columns-ignore-machine-state",
+           "src/repro/machines/base.py",
+           "key = None if memo is None else state_key(machine)",
+           "key = None if memo is None else type(machine)",
+           ("tests/machines/test_state_key.py",
+            "tests/simulator/test_pricer_columns.py")),
 ]
 
 _FAILED = re.compile(r"^(?:FAILED|ERROR) ([^\s:]+)")

@@ -21,7 +21,7 @@ import numpy as np
 from ..core.errors import CalibrationError
 from ..core.params import ModelParams, UnbalancedCost, paper_params
 from ..machines import make_machine
-from ..machines.base import Machine
+from ..machines.base import Machine, state_key
 from .fitting import LineFit, fit_line, fit_unbalanced
 from .microbench import (
     block_permutation_experiment,
@@ -78,8 +78,7 @@ def _block_sweep(machine: Machine) -> np.ndarray:
     return np.array([192, 256, 512, 1024, 2048, 4096])
 
 
-def calibrate(machine: Machine, *, seed: int = 0,
-              trials: int = 10) -> Calibration:
+def _fit(machine: Machine, seed: int, trials: int) -> Calibration:
     """Run the Section 3 microbenchmarks on ``machine`` and fit Table 1."""
     rng = np.random.default_rng(seed)
 
@@ -140,54 +139,76 @@ def calibrate(machine: Machine, *, seed: int = 0,
 
 
 # ----------------------------------------------------------------------
-# Shared fit memoisation.  One whole-paper sweep asks for the same Table 1
-# fits dozens of times (every figure calibrates its machine); the memo
-# computes each (machine config, seeds, trials) combination once per
-# process.  Keys carry the machine-construction seed separately from the
-# calibration seed so call sites with different seeding conventions never
-# alias.  Returned objects are shared: treat them as frozen.
+# Fit memoisation.  One whole-paper sweep asks for the same Table 1 fits
+# dozens of times (every figure calibrates its machine), and an ablation
+# matrix re-fits each ablated machine for every cell run on it; the memo
+# computes each (machine state, RNG state, seed, trials) combination once
+# per process.  The machine state is `state_key`: its class and every
+# instance attribute but the RNG, so an ablated machine never aliases the
+# full one.  Returned objects are shared: treat them as frozen.
 #
 # The memo keeps the _MEMO_SIZE most recently used fits.  A seed-0
-# `repro run --all` uses 8 keys; a server adds one per fresh-seed predict
-# and would otherwise grow for its whole life.  An eviction costs only a
-# re-fit, which is observationally identical to the hit it replaces.
+# `repro run --all` uses 8 keys and a `repro ablate` matrix 14; a server
+# adds one per fresh-seed predict and would otherwise grow for its whole
+# life.  An eviction costs only a re-fit, which is observationally
+# identical to the hit it replaces.
 # ----------------------------------------------------------------------
 
 _MEMO_SIZE = 64
-_MEMO: "OrderedDict[tuple, Calibration]" = OrderedDict()
+#: key -> (fit, the machine's RNG state after the fit)
+_MEMO: "OrderedDict[tuple, tuple[Calibration, dict]]" = OrderedDict()
 _MEMO_STATS = {"hits": 0, "misses": 0}
 # the service calibrates on several executor threads at once
 _MEMO_LOCK = threading.Lock()
 
 
-def calibration_for(name: str, *, P: int | None = None, machine_seed: int = 0,
-                    seed: int = 0, trials: int = 10) -> Calibration:
-    """Memoised calibration of a freshly constructed machine.
+def calibrate(machine: Machine, *, seed: int = 0,
+              trials: int = 10) -> Calibration:
+    """Run the Section 3 microbenchmarks on ``machine`` and fit Table 1.
 
-    Unlike :func:`calibrate` (which benchmarks a caller-owned machine and
-    advances its RNG), this builds the machine itself, so a memo hit is
-    observationally identical to a recomputation.
+    Memoised per process.  A fit depends on the machine's state
+    (:func:`~repro.machines.base.state_key`), its RNG state, ``seed``
+    and ``trials`` alone, and the memo keeps it together with the RNG
+    state it leaves behind.  A hit restores that state, so the machine
+    goes on to draw exactly what it would after fitting afresh.  A
+    machine without a state key is fitted on every call.
     """
-    kwargs = {} if P is None else {"P": P}
-    machine = make_machine(name, seed=machine_seed, **kwargs)
-    key = (name, machine.P, machine_seed, seed, trials)
-    with _MEMO_LOCK:
-        cal = _MEMO.get(key)
-        if cal is not None:
-            _MEMO.move_to_end(key)
-            _MEMO_STATS["hits"] += 1
+    key = state_key(machine, rng=True)
+    if key is not None:
+        key = (key, seed, trials)
+        with _MEMO_LOCK:
+            entry = _MEMO.get(key)
+            if entry is not None:
+                _MEMO.move_to_end(key)
+                _MEMO_STATS["hits"] += 1
+        if entry is not None:
+            cal, rng_state = entry
+            machine.rng.bit_generator.state = rng_state
             return cal
-        _MEMO_STATS["misses"] += 1
-    cal = calibrate(machine, seed=seed, trials=trials)
     with _MEMO_LOCK:
-        _MEMO[key] = cal
-        if len(_MEMO) > _MEMO_SIZE:
-            _MEMO.popitem(last=False)
+        _MEMO_STATS["misses"] += 1
+    cal = _fit(machine, seed, trials)
+    if key is not None:
+        with _MEMO_LOCK:
+            _MEMO[key] = (cal, machine.rng.bit_generator.state)
+            if len(_MEMO) > _MEMO_SIZE:
+                _MEMO.popitem(last=False)
     return cal
 
 
+def calibration_for(name: str, *, P: int | None = None, machine_seed: int = 0,
+                    seed: int = 0, trials: int = 10) -> Calibration:
+    """Calibration of a freshly constructed machine: :func:`make_machine`
+    (``seed=machine_seed``, at partition ``P`` if given), then
+    :func:`calibrate`, whose memo makes a repeat a hit."""
+    kwargs = {} if P is None else {"P": P}
+    return calibrate(make_machine(name, seed=machine_seed, **kwargs),
+                     seed=seed, trials=trials)
+
+
 def calibration_memo_stats() -> dict[str, int]:
-    """Copy of the process-wide memo hit/miss counters."""
+    """Copy of the process-wide memo hit/miss counters (a machine
+    without a state key counts a miss per fit)."""
     with _MEMO_LOCK:
         return dict(_MEMO_STATS)
 

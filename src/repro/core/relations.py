@@ -441,6 +441,12 @@ class PhaseStack:
     per pricer drops them with the pricer.
     """
 
+    #: where a pricer keeps the deterministic columns it derives from
+    #: this stack, by machine state: a recorded step program's memo for
+    #: the stacks it hands out, ``None`` (derive them per pricer) for
+    #: every other stack.  It has ``get(key)`` and ``put(key, columns)``.
+    memo = None
+
     def __init__(self, phases: "list[CommPhase]"):
         live = [ph for ph in phases if not ph.is_empty]
         if live:

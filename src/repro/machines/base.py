@@ -14,6 +14,8 @@ All randomness flows through ``self.rng`` (a seeded
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from ..core.errors import SimulationError
@@ -21,7 +23,56 @@ from ..core.params import ModelParams
 from ..core.relations import CommPhase, PhaseStack
 from ..core.work import Work, WorkBatch, nominal_time_batch
 
-__all__ = ["Machine", "CommPricer"]
+__all__ = ["Machine", "CommPricer", "state_key"]
+
+
+class _Unkeyable(Exception):
+    """A machine attribute :func:`state_key` cannot encode."""
+
+
+def _encode(value):
+    """``value`` as a hashable key that equals another's only if the
+    values are equal and of one type; raises :class:`_Unkeyable`."""
+    t = type(value)
+    if t in (bool, int, str):
+        return t, value
+    if t is float:
+        return t, value.hex()  # tells 0.0 from -0.0
+    if t is frozenset:
+        return t, frozenset(map(_encode, value))
+    if t is dict:  # the RNG's bit-generator state
+        return t, frozenset((k, _encode(v)) for k, v in value.items())
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return t, tuple((f.name, _encode(getattr(value, f.name)))
+                        for f in dataclasses.fields(value))
+    raise _Unkeyable(t)
+
+
+def state_key(machine: "Machine", *, rng: bool = False) -> "tuple | None":
+    """The machine's deterministic state as one hashable key.
+
+    The key is the machine's class plus every instance attribute except
+    the RNG, by name; a dataclass (the nominal :class:`ModelParams`, the
+    MasPar's ``T_unb`` law) is encoded field by field.  Machines with
+    equal keys price every phase and every work item alike, so the
+    per-process caches key by it: the pricer columns a step program
+    keeps (:class:`CommPricer`) and, with ``rng`` set (the key then
+    carries the RNG's bit-generator state too), the calibration memo.
+    Returns ``None`` for a machine holding an attribute the key cannot
+    encode, such as a monkeypatched method: nothing about it is cached.
+    """
+    attrs = vars(machine)
+    try:
+        key = tuple((name, _encode(value))
+                    for name, value in sorted(attrs.items()) if name != "rng")
+        if rng:
+            gen = attrs.get("rng")
+            if type(gen) is not np.random.Generator:
+                return None
+            key += (("rng", _encode(gen.bit_generator.state)),)
+    except _Unkeyable:
+        return None
+    return type(machine), key
 
 
 class CommPricer:
@@ -49,7 +100,18 @@ class CommPricer:
     takes every phase's jittered cost from one draw instead.  The MasPar
     (sub-step segments) and the GCel (per-node times with drift)
     subclass it.
+
+    :meth:`_prep` derives the deterministic columns (:attr:`_COLUMNS`)
+    from the stack and the machine alone; the noise is drawn per
+    advance.  A stack built from a step program carries the program's
+    column memo (:attr:`~repro.core.relations.PhaseStack.memo`), so a
+    pricer for a machine state (:func:`state_key`) the program was
+    already priced under reuses those columns, read-only, instead of
+    running :meth:`_prep` again.
     """
+
+    #: the attributes :meth:`_prep` sets
+    _COLUMNS: "tuple[str, ...]" = ("_det",)
 
     def __init__(self, machine: "Machine", stack: PhaseStack, idx=None):
         self.machine = machine
@@ -58,7 +120,16 @@ class CommPricer:
         self._idx = (np.arange(stack.n, dtype=np.int64) if idx is None
                      else np.asarray(idx, dtype=np.int64))
         self._live = stack.live
-        self._prep(stack)
+        memo = stack.memo
+        key = None if memo is None else state_key(machine)
+        cols = None if key is None else memo.get(key)
+        if cols is None:
+            self._prep(stack)
+            if key is None:
+                return
+            cols = memo.put(key, {name: getattr(self, name)
+                                  for name in self._COLUMNS})
+        self.__dict__.update(cols)
 
     def _prep(self, stack: PhaseStack) -> None:
         self._det = self.machine.phase_cost_batch(stack)

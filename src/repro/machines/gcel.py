@@ -121,6 +121,8 @@ class _GCelCommPricer(CommPricer):
     #: cost added to the clocks' running maximum.
     sequence_costs = None
 
+    _COLUMNS = ("_times",)
+
     def _prep(self, stack: PhaseStack) -> None:
         m: GCel = self.machine
         # fine messages pay HPVM's per-message overhead plus a per-byte

@@ -134,6 +134,9 @@ class _MasParCommPricer(CommPricer):
     :meth:`sequence_costs` share one routine.
     """
 
+    _COLUMNS = ("_n_sub", "_sub_lo", "_n_seg", "_seg_lo", "_reps", "_det",
+                "_sigma")
+
     def _prep(self, stack: PhaseStack) -> None:
         m: MasParMP1 = self.machine
         P = stack.P

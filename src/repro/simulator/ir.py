@@ -51,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
@@ -63,10 +64,10 @@ from ..core.errors import SimulationError
 from ..core.relations import CommPhase, PhaseStack
 from ..core.work import WORK_FIELDS, StepWork, WorkBatch
 
-__all__ = ["IR_SCHEMA", "PhaseTable", "StepProgram", "IRStore",
-           "build_program", "encode_program", "decode_program", "ir_key",
-           "ir_store", "set_ir_store", "ir_store_scope", "MEMORY_BUDGET",
-           "program_comm_volume"]
+__all__ = ["IR_SCHEMA", "PhaseTable", "PricerColumns", "StepProgram",
+           "IRStore", "build_program", "encode_program", "decode_program",
+           "ir_key", "ir_store", "set_ir_store", "ir_store_scope",
+           "MEMORY_BUDGET", "program_comm_volume", "clear_pricer_columns"]
 
 #: version of the IR and of its blob payload; part of every
 #: :func:`ir_key` and of every blob's envelope, so bumping it orphans
@@ -100,6 +101,69 @@ class PhaseTable(NamedTuple):
     stagger: np.ndarray     #: stagger flag of each phase
 
 
+#: guards every program's pricer columns and the tiers holding it
+_COLUMNS_LOCK = threading.Lock()
+#: the column memos holding entries (:func:`clear_pricer_columns`)
+_MEMOS: "weakref.WeakSet[PricerColumns]" = weakref.WeakSet()
+
+
+class PricerColumns:
+    """The deterministic pricer columns of one program, by machine state.
+
+    A pricer built over :meth:`StepProgram.stack` looks its machine's
+    :func:`~repro.machines.base.state_key` up here and, on a miss, puts
+    the columns its ``_prep`` derived: MasPar's segment columns, the
+    GCel's per-node times, the base pricer's per-phase costs.  They are
+    kept as read-only views and shared by every later pricer of that
+    state.  Their bytes count in :attr:`StepProgram.nbytes`, so against
+    :data:`MEMORY_BUDGET`: each memory tier holding the program
+    re-checks its budget when the memo grows.
+    """
+
+    def __init__(self):
+        self.entries: dict[tuple, dict[str, np.ndarray]] = {}
+        self.nbytes = 0
+        #: the :class:`IRStore` memory tiers that hold the program
+        self.tiers: "weakref.WeakSet[IRStore]" = weakref.WeakSet()
+
+    def get(self, key: tuple) -> "dict[str, np.ndarray] | None":
+        return self.entries.get(key)
+
+    def put(self, key: tuple, cols: "dict[str, np.ndarray]"
+            ) -> "dict[str, np.ndarray]":
+        """Keep ``cols`` under ``key``; returns the kept columns (the
+        first put's, when two pricers race for one key)."""
+        frozen = {}
+        for name, col in cols.items():
+            frozen[name] = view = col.view()
+            view.flags.writeable = False
+        with _COLUMNS_LOCK:
+            kept = self.entries.setdefault(key, frozen)
+            if kept is not frozen:
+                return kept
+            self.nbytes += sum(col.nbytes for col in frozen.values())
+            _MEMOS.add(self)
+            tiers = list(self.tiers)
+        for tier in tiers:
+            tier.trim()
+        return frozen
+
+
+def clear_pricer_columns() -> None:
+    """Drop every program's pricer columns (for tests that patch pricer
+    code, so that no kept column hides the patch)."""
+    with _COLUMNS_LOCK:
+        memos = list(_MEMOS)
+        _MEMOS.clear()
+        tiers = set()
+        for memo in memos:
+            memo.entries.clear()
+            memo.nbytes = 0
+            tiers.update(memo.tiers)
+    for tier in tiers:
+        tier.trim()
+
+
 class StepProgram:
     """A recorded vector-program execution in columnar superstep form.
 
@@ -112,12 +176,14 @@ class StepProgram:
     at many data seeds.  Each batchlist's
     :class:`~repro.core.work.StepWork` record (its rank-major item
     order) is built once, cached on the program and shared by every
-    replay and every superstep of the batchlist.
+    replay and every superstep of the batchlist.  So are the pricer
+    columns of each machine state the program is priced under
+    (:attr:`columns`).
     """
 
     __slots__ = ("P", "word_bytes", "simd", "table", "phases", "batchlists",
-                 "phase_idx", "batch_idx", "barriers", "labels", "nbytes",
-                 "_works")
+                 "phase_idx", "batch_idx", "barriers", "labels", "columns",
+                 "_structure_nbytes", "_works")
 
     def __init__(self, *, P: int, word_bytes: int, simd: bool,
                  table: PhaseTable, batchlists: list[list[WorkBatch]],
@@ -133,15 +199,21 @@ class StepProgram:
         self.batch_idx = batch_idx
         self.barriers = barriers
         self.labels = labels
-        #: bytes of the phase table, the batch lists' arrays (one element
-        #: for a uniform parameter) and 8 per entry of the step columns.
-        self.nbytes = (
+        self.columns = PricerColumns()
+        self._structure_nbytes = (
             sum(col.nbytes for col in table)
             + sum(a.nbytes if any(a.strides) else a.itemsize
                   for bl in batchlists for b in bl
                   for a in (b.ranks, *b.params.values()))
             + 32 * len(phase_idx))
         self._works: list[StepWork | None] = [None] * len(batchlists)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the phase table, the batch lists' arrays (one element
+        for a uniform parameter), 8 per entry of the step columns and
+        the pricer columns kept so far."""
+        return self._structure_nbytes + self.columns.nbytes
 
     @property
     def n_steps(self) -> int:
@@ -151,11 +223,16 @@ class StepProgram:
         """The phase table as a :class:`~repro.core.relations.PhaseStack`
         for one pricer build.
 
-        The stack shares the table's columns and :attr:`phases`; the
-        per-group arrays a pricer derives from it stay on the stack, so
-        they go with the build instead of living on the program.
+        The stack shares the table's columns and :attr:`phases`, and
+        its memo is :attr:`columns`: a pricer keeps the deterministic
+        columns it derives there, by machine state.  The per-group
+        arrays it derives on the way stay on the stack, so they go with
+        the build.
         """
-        return PhaseStack.from_columns(self.P, *self.table, views=self.phases)
+        stack = PhaseStack.from_columns(self.P, *self.table,
+                                        views=self.phases)
+        stack.memo = self.columns
+        return stack
 
     def work(self, j: int) -> StepWork:
         """The work record of batchlist ``j`` (built once, then cached)."""
@@ -454,9 +531,9 @@ class IRStore:
     """Recorded step programs: a memory tier over the ``ir`` namespace
     of the blob store under ``root``, the cache root (by default resolved
     per call).  The tier keeps the most recently used programs within
-    :data:`MEMORY_BUDGET`, under one lock (the service replays on two
-    threads); an evicted program is read back from disk, or re-recorded
-    by the caller when ``disk`` is off.
+    :data:`MEMORY_BUDGET`, pricer columns included, under one lock (the
+    service replays on two threads); an evicted program is read back
+    from disk, or re-recorded by the caller when ``disk`` is off.
     """
 
     def __init__(self, root: Path | str | None = None, *, disk: bool = True):
@@ -494,14 +571,25 @@ class IRStore:
         if self.disk:
             self.blobs.put(key, encode_program(prog))
 
+    def trim(self) -> None:
+        """Re-count the tier and evict past the budget (a program it
+        holds has kept more pricer columns)."""
+        with self._lock:
+            self._trim()
+
     def _remember(self, key: str, prog: StepProgram) -> None:
         """Make ``prog`` the most recent entry and evict past the
         budget; the caller holds the lock."""
-        old = self.memory.pop(key, None)
-        if old is not None:
-            self.nbytes -= old.nbytes
+        self.memory.pop(key, None)
         self.memory[key] = prog
-        self.nbytes += prog.nbytes
+        with _COLUMNS_LOCK:
+            prog.columns.tiers.add(self)
+        self._trim()
+
+    def _trim(self) -> None:
+        """Count the tier's bytes and evict least recently used
+        programs past the budget; the caller holds the lock."""
+        self.nbytes = sum(prog.nbytes for prog in self.memory.values())
         while self.nbytes > MEMORY_BUDGET:
             self.nbytes -= self.memory.popitem(last=False)[1].nbytes
 

@@ -158,8 +158,13 @@ def run_cell(name: str, *, scale: float = 1.0, seed: int = 0,
     cell's machine — see ``Machine.PHENOMENA``).  Calibration runs on
     the *ablated* machine: removing a phenomenon changes the measured
     world, and the models are re-fitted to it just as they were fitted
-    to the real one.  With ``disable=()`` this is bit-identical to the
-    cell's slice of :func:`build_scoreboard`.
+    to the real one.  The fit is memoised per machine state
+    (:func:`~repro.calibration.table1.calibrate`): each cell of one
+    (machine, ``disable``, ``seed``) configuration after the first
+    reuses it, and the memo restores the RNG state the fit left, so the
+    run draws what it would after fitting afresh.  With ``disable=()``
+    this is bit-identical to the cell's slice of
+    :func:`build_scoreboard`.
     """
     spec = CELL_SPECS[name]
     machine = make_machine(spec.machine, seed=seed, disable=tuple(disable))
