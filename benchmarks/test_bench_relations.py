@@ -27,8 +27,7 @@ def test_phase_analysis_columnar(benchmark):
     def analyse():
         ph = _fresh_phase(base)
         return (ph.h, ph.active_procs, ph.is_partial_permutation,
-                ph.cube_bit, ph.max_fan_in, ph.relation,
-                ph.dest_cluster_loads(16).sum())
+                ph.cube_bit, ph.max_fan_in, ph.relation)
 
     benchmark(analyse)
 

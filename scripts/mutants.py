@@ -108,7 +108,7 @@ CATALOGUE = [
     Mutant("intern-phase-ignoring-stagger", "src/repro/simulator/vector.py",
            "cache_key = (tuple(map(id, groups)), stagger)",
            "cache_key = tuple(map(id, groups))",
-           PARITY + ORACLE),
+           PARITY + ORACLE + ("tests/simulator/test_put_group.py",)),
     Mutant("intern-batch-ignoring-scalar-param",
            "src/repro/simulator/ir.py",
            'key.append(("s", col.dtype.kind, col.flat[0].item()))',
@@ -126,6 +126,26 @@ CATALOGUE = [
            "src/repro/simulator/replay.py",
            "            t1 = T + wmax[j]", "            t1 = T",
            PARITY + ORACLE),
+    Mutant("charge-batches-skips-compute-noise",
+           "src/repro/simulator/batch.py",
+           "    if machine.compute_noise:\n",
+           "    if False:\n",
+           PARITY + ORACLE),
+    Mutant("per-rank-recorder-groups-work-by-kind",
+           "src/repro/simulator/engine.py",
+           "                charges.append((rank, items))\n",
+           "                charges.append((rank, sorted(\n"
+           "                    items, key=lambda w: type(w).__name__)))\n",
+           PARITY + ("tests/simulator/test_work_records.py",)),
+    # ---- bounds ----
+    Mutant("measure-cell-miss-skips-the-run", "src/repro/bounds/measure.py",
+           "        cell_run(cell, machine, n, seed)\n", "",
+           ("tests/bounds/test_measure.py",)),
+    Mutant("measure-cell-miss-ignores-a-drifted-key",
+           "src/repro/bounds/measure.py",
+           "        if prog is None:\n            raise BoundsError(",
+           "        if prog is None and False:\n            raise BoundsError(",
+           ("tests/bounds/test_measure.py",)),
     # ---- calibration and the machine-state caches ----
     Mutant("fit-line-intercept-sign", "src/repro/calibration/fitting.py",
            "slope, intercept = float(coef[0]), float(coef[1])",

@@ -21,7 +21,7 @@ from .api import BoundsRequest, DEFAULT_THRESHOLD, bound_run_id, bounds, \
     scoreboard_optimality
 from .cells import BOUND_CELLS, BoundCell, DEFAULT_CELLS, \
     SCOREBOARD_BOUND_CELLS, resolve_bound_cells
-from .measure import cell_ir_key, measure_cell, trace_comm_volume
+from .measure import cell_ir_key, measure_cell
 from .report import SCHEMA, build_report, render_report
 
 __all__ = [
@@ -44,5 +44,4 @@ __all__ = [
     "render_report",
     "resolve_bound_cells",
     "scoreboard_optimality",
-    "trace_comm_volume",
 ]

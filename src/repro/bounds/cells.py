@@ -6,9 +6,10 @@ bound family.  The glue functions below call each algorithm module's own
 ``key_params`` — the dictionary its ``run()`` passes to
 :func:`repro.simulator.lower.run_lowered` — so the warm measurement
 path can look step programs up in the IR store without running
-anything.  The warm-path spy test pins the match: if a ``run()``
-signature drifts, the lookup misses, the measurement falls back to a
-live run, and the spy fails.
+anything.  The match is checked on every cold measurement: if a
+``run()`` signature drifts, the program the run records is not under
+the cell's key, and :func:`~repro.bounds.measure.measure_cell` raises
+:class:`~repro.core.errors.BoundsError` naming the cell.
 """
 
 from __future__ import annotations

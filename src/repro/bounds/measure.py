@@ -1,11 +1,11 @@
 """Measured communication volumes for bound cells.
 
-The warm path reads recorded step programs straight out of the IR
-store — phase byte vectors times superstep multiplicity, zero replay,
-zero simulation (:func:`repro.simulator.ir.program_comm_volume`).  Only
-when no recording exists does :func:`measure_cell` fall back to a live
-run (which records the program as a side effect, so the next
-measurement is warm).
+Volumes are read from recorded step programs only — phase byte vectors
+times superstep multiplicity, zero replay
+(:func:`repro.simulator.ir.program_comm_volume`).  On an IR-store miss
+:func:`measure_cell` runs the cell once, which records its program as a
+side effect, and reads that program back, so the next measurement is
+warm and every report reads the same numbers off the same path.
 
 The reported ``max_traffic_words`` is the largest per-processor
 sent-plus-received volume.  The analytic bounds constrain words
@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.errors import BoundsError
 from ..experiments.common import machine_for
 from ..simulator.ir import ir_key, ir_store, program_comm_volume
 from ..simulator.lower import algorithm_fingerprint
 from .cells import BoundCell, cell_key_params, cell_program, cell_run
 
-__all__ = ["cell_ir_key", "measure_cell", "trace_comm_volume"]
+__all__ = ["cell_ir_key", "measure_cell"]
 
 
 def cell_ir_key(cell: BoundCell, machine, n: int, seed: int) -> str:
@@ -53,45 +54,28 @@ def _volume_doc(P: int, word_bytes: int, sent_bytes: np.ndarray,
     }
 
 
-def trace_comm_volume(trace, word_bytes: int) -> dict:
-    """Volume doc from a live superstep trace (the fallback path)."""
-    sent = np.zeros(trace.P, dtype=np.float64)
-    recv = np.zeros(trace.P, dtype=np.float64)
-    messages = 0
-    for step in trace:
-        sent += step.phase.bytes_sent_per_proc
-        recv += step.phase.bytes_recv_per_proc
-        messages += step.phase.total_messages
-    return _volume_doc(trace.P, word_bytes, sent, recv, messages, len(trace))
-
-
-def _live_volume(cell: BoundCell, machine, n: int, seed: int) -> dict:
-    """Run the cell and extract the volume from its trace.
-
-    Module-level on purpose: the warm-path tests monkeypatch this as a
-    run-counter spy to prove a warm matrix never re-simulates.
-    """
-    res = cell_run(cell, machine, n, seed)
-    return trace_comm_volume(res.trace, machine.nominal.w)
-
-
 def measure_cell(cell: BoundCell, *, scale: float, seed: int) -> dict:
     """Measured volume doc for one cell: ``{"cell", "n", "volume"}``.
 
-    IR-store hit -> structure-only extraction; miss -> live run.  Both
-    paths report identical numbers (the recorded phases *are* the trace
-    phases), so the doc carries no provenance marker — cached, warm and
-    live reports stay byte-identical.
+    The volume comes from the cell's recorded program; on a store miss
+    the cell is run first, which records it.  A run that leaves no
+    program under the cell's key (``cells.py``'s key no longer matches
+    what ``run()`` records under) raises :class:`BoundsError`.
     """
     n = cell.size(scale)
     machine = machine_for(cell.machine, seed=seed)
-    prog = ir_store().get(cell_ir_key(cell, machine, n, seed))
-    if prog is not None:
-        vol = program_comm_volume(prog)
-        doc = _volume_doc(prog.P, prog.word_bytes,
-                          vol["bytes_sent_per_proc"],
-                          vol["bytes_recv_per_proc"],
-                          vol["messages"], vol["supersteps"])
-    else:
-        doc = _live_volume(cell, machine, n, seed)
+    key = cell_ir_key(cell, machine, n, seed)
+    prog = ir_store().get(key)
+    if prog is None:
+        cell_run(cell, machine, n, seed)
+        prog = ir_store().get(key)
+        if prog is None:
+            raise BoundsError(
+                f"bound cell {cell.name}: its run recorded no step program "
+                "under the cell's IR key; the cell's key parameters no "
+                "longer match its algorithm's run()")
+    vol = program_comm_volume(prog)
+    doc = _volume_doc(prog.P, prog.word_bytes, vol["bytes_sent_per_proc"],
+                      vol["bytes_recv_per_proc"], vol["messages"],
+                      vol["supersteps"])
     return {"cell": cell.name, "n": n, "volume": doc}

@@ -266,23 +266,6 @@ class CommPhase:
         dsts = np.unique(pair) % self.P
         return int(np.bincount(dsts, minlength=self.P).max(initial=0))
 
-    def dest_cluster_loads(self, cluster_size: int) -> np.ndarray:
-        """Messages entering each cluster of ``cluster_size`` processors.
-
-        The MasPar router has one channel per 16-PE cluster; the spread of
-        these loads is the source of the error bars in the paper's Fig. 1.
-        """
-        if cluster_size <= 0:
-            raise TraceError("cluster_size must be positive")
-        cache = self.__dict__.setdefault("_cluster_loads_cache", {})
-        loads = cache.get(cluster_size)
-        if loads is None:
-            n_clusters = -(-self.P // cluster_size)
-            loads = np.bincount(self.dst // cluster_size, weights=self.count,
-                                minlength=n_clusters).astype(np.int64)
-            cache[cluster_size] = loads
-        return loads
-
     # ------------------------------------------------------------------
     # Schedule steps
     # ------------------------------------------------------------------

@@ -257,7 +257,9 @@ class WorkBatch:
 
     ``params`` maps the kind's field names to equal-length sequences;
     ``ranks`` holds the owning processor of each item.  Emitted by
-    vector programs via ``VectorContext.charge_batch``.
+    vector programs via ``VectorContext.charge_batch``, and by
+    ``run_spmd`` for each run of one kind among the ranks' ``k``-th
+    items of a superstep.
     """
 
     __slots__ = ("kind", "params", "ranks")
@@ -338,33 +340,11 @@ class StepWork:
 
     @classmethod
     def of_batches(cls, batches: Sequence[WorkBatch]) -> "StepWork":
-        """The record of a vector superstep's batches (empty ones dropped)."""
+        """The record of a superstep's batches (empty ones dropped)."""
         live = tuple(b for b in batches if len(b))
         if not live:
             return NO_WORK
         return cls(live, *flat_rank_order(live))
-
-    @classmethod
-    def of_items(cls, items: Sequence[Work],
-                 ranks: Sequence[int]) -> "StepWork":
-        """The record of items listed rank-major, each rank's in charge order.
-
-        Items are grouped into one batch per kind; ``order`` keeps every
-        item's flat position, so a rank that charges several kinds in
-        one superstep keeps its charge order.
-        """
-        if not items:
-            return NO_WORK
-        by_kind: dict[type, list[int]] = {}
-        for i, item in enumerate(items):
-            by_kind.setdefault(type(item), []).append(i)
-        rank_arr = np.asarray(ranks, dtype=np.int64)
-        batches = tuple(
-            WorkBatch.of_items([items[i] for i in pos], rank_arr[pos])
-            for pos in by_kind.values())
-        flat = np.concatenate([np.asarray(p) for p in by_kind.values()])
-        order = None if bool((np.diff(flat) > 0).all()) else np.argsort(flat)
-        return cls(batches, rank_arr, order)
 
     def __bool__(self) -> bool:
         return bool(self.batches)

@@ -58,7 +58,8 @@ def machine_catalog() -> list[dict]:
 
 
 def make_machine(name: str, *, seed: int = 0, **kwargs) -> Machine:
-    """Instantiate a machine by name (``maspar``, ``gcel`` or ``cm5``)."""
+    """Instantiate a machine by its :data:`MACHINES` name: ``maspar``,
+    ``gcel``, ``cm5``, ``t800`` or ``modern``."""
     try:
         cls = MACHINES[name]
     except KeyError:

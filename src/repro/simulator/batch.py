@@ -1,18 +1,22 @@
-"""Machine pricing of recorded work, shared by every engine.
+"""Machine pricing of recorded work, for replay.
 
 The inner loop the paper's big sweeps used to pay for —
 ``sum(machine.compute_time(w, rank) for w in items)`` per processor per
 superstep — is replaced here by array pricing of a superstep's
-:class:`~repro.core.work.StepWork` record: each same-kind batch is priced
-through :meth:`Machine.compute_time_batch` as parameter vectors, the
-prices are gathered into rank-major order, jittered with *one* vectorised
-noise draw, and accumulated into the clocks.
+:class:`~repro.core.work.StepWork` record in two steps.
+:func:`price_batches` prices each same-kind batch through
+:meth:`Machine.compute_time_batch` as parameter vectors and gathers the
+prices into rank-major order; replay runs it once per distinct batch
+list and caches the result.  :func:`charge_batches` then turns those
+cached prices into clock time at each superstep that charges the batch
+list: it jitters them with *one* vectorised noise draw and accumulates
+them into the clocks.  It is the one place a run's work noise is drawn.
 
 Bit-identity contract (the golden figures depend on it):
 
 * per-item deterministic prices are the same IEEE operations whichever
-  engine recorded the batch (:meth:`Machine.compute_time` is the
-  one-item view of the same function);
+  batches carry the items (:meth:`Machine.compute_time` is the one-item
+  view of the same function);
 * the noise stream is consumed in flat ``(rank, charge-order)`` item
   order — ``rng.normal(size=n)`` draws the same sequence as ``n``
   scalar ``rng.normal()`` calls;
@@ -36,16 +40,14 @@ def price_batches(machine, work: StepWork) -> np.ndarray:
         lambda b: machine.compute_time_batch(b.kind, b.params, b.ranks))
 
 
-def charge_batches(machine, work: StepWork, clocks: np.ndarray) -> None:
-    """Charge one superstep's work to ``clocks``, noise included.
+def charge_batches(machine, work: StepWork, times: np.ndarray,
+                   clocks: np.ndarray) -> None:
+    """Charge one superstep's ``work`` to ``clocks``, noise included.
 
-    The generator engine charges through here; replay applies the same
-    prices, noise draw and clock update to the prices it caches per
-    batch list, so the work costs the same whichever program emitted it.
+    ``times`` are the work's deterministic prices
+    (:func:`price_batches`); they are jittered with one draw per item,
+    in rank-major order, and summed into each rank's clock.
     """
-    if not work:
-        return
-    times = price_batches(machine, work)
     if machine.compute_noise:
         times = times * (1.0 + machine.rng.normal(
             0.0, machine.compute_noise, size=times.size))

@@ -1,4 +1,5 @@
-"""The SPMD discrete-event engine.
+"""The per-rank SPMD engine: one generator per processor, recorded,
+then replayed.
 
 :func:`run_spmd` executes one program on all ``P`` virtual processors of a
 machine model.  Programs are generator functions ``prog(ctx, *args)`` that
@@ -9,29 +10,38 @@ its *cost* symbolically through the context.
 Per superstep the engine:
 
 1. resumes every live processor until it yields a sync token (or returns);
-2. charges each processor's declared work via the machine's compute model;
-3. assembles all pending sends into one :class:`CommPhase`, asks the
-   machine to price it (advancing the per-processor clocks, with or
-   without a barrier), and delivers the payloads;
-4. appends a :class:`Superstep` record to the trace.
+2. assembles all pending sends into one :class:`CommPhase` and delivers
+   the payloads;
+3. records the superstep as one ``(phase, batches, barrier, label)``
+   entry.  Its work becomes the :class:`WorkBatch` list a vector
+   program would charge: the ranks' first items, then their second
+   items, and so on, one batch per run of one kind, so each rank's
+   items keep their charge order.
 
-The trace can afterwards be priced by any cost model — that is the
-"predicted" time the paper compares against the machine's "measured" time.
+Nothing is priced while the programs run: SPMD programs never observe
+the clocks.  At the end the entries are interned into a step program
+(:func:`~repro.simulator.ir.build_program`) and priced by
+:func:`~repro.simulator.replay.replay`, as
+:func:`~repro.simulator.vector.run_spmd_vector` does, so every run is
+priced by one engine.  Any cost model can price the trace afterwards —
+that is the "predicted" time the paper compares against the machine's
+"measured" time.
 """
 
 from __future__ import annotations
 
+from itertools import count, groupby
 from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from ..core.errors import DeadlockError, SimulationError
 from ..core.relations import CommPhase
-from ..core.trace import Superstep, Trace
-from ..core.work import StepWork
-from .batch import charge_batches
+from ..core.work import Work, WorkBatch
 from .commands import SyncToken
 from .context import ProcContext
+from .ir import build_program
+from .replay import replay
 from .result import RunResult
 
 __all__ = ["run_spmd"]
@@ -50,6 +60,24 @@ def _resume(gen: Iterator[SyncToken], rank: int) -> tuple[SyncToken | None, Any]
             f"proc {rank} yielded {token!r}; programs may only yield "
             "ctx.sync() tokens")
     return token, None
+
+
+def _work_batches(charges: list[tuple[int, list[Work]]]) -> list[WorkBatch]:
+    """A superstep's ``(rank, items)`` charges, in rank order, as
+    batches: the ranks' ``k``-th items for ``k = 0, 1, ...``, one batch
+    per run of one kind.  A stable sort of the items by rank
+    (:meth:`~repro.core.work.StepWork.of_batches`) gives back each
+    rank's charge order, and an SPMD superstep makes one batch per
+    charge, whatever ``P``."""
+    batches = []
+    for k in count():
+        column = [(rank, items[k]) for rank, items in charges
+                  if k < len(items)]
+        if not column:
+            return batches
+        for _, run in groupby(column, lambda c: type(c[1])):
+            ranks, works = zip(*run)
+            batches.append(WorkBatch.of_items(works, ranks))
 
 
 def run_spmd(machine, program: Program, *args: Any, P: int | None = None,
@@ -83,8 +111,7 @@ def run_spmd(machine, program: Program, *args: Any, P: int | None = None,
                 f"program must be a generator function (proc {rank} got "
                 f"{type(gen).__name__}); did you forget a 'yield ctx.sync()'?")
 
-    clocks = np.zeros(P)
-    trace = Trace(P=P, label=label)
+    steps: list[tuple[CommPhase, list[WorkBatch], bool, str]] = []
     returns: list[Any] = [None] * P
     alive = np.ones(P, dtype=bool)
 
@@ -112,13 +139,11 @@ def run_spmd(machine, program: Program, *args: Any, P: int | None = None,
         send_payloads: list[Any] = []
         src_runs: list[int] = []   # rank of each contiguous run of sends
         run_lens: list[int] = []
-        work_ranks: list[int] = []  # rank-major, each rank's charge order
-        work_items: list = []
+        charges: list[tuple[int, list[Work]]] = []  # each in charge order
         for rank, ctx in enumerate(contexts):
             vals, tags, payloads, items = ctx._drain()
             if items:
-                work_ranks += [rank] * len(items)
-                work_items += items
+                charges.append((rank, items))
             if tags:
                 send_vals += vals
                 send_tags += tags
@@ -127,7 +152,7 @@ def run_spmd(machine, program: Program, *args: Any, P: int | None = None,
                 run_lens.append(len(tags))
 
         live_tokens = [t for t in tokens if t is not None]
-        if not live_tokens and not send_tags and not work_items:
+        if not live_tokens and not send_tags and not charges:
             continue  # every processor returned without trailing activity
 
         stagger = True
@@ -153,30 +178,18 @@ def run_spmd(machine, program: Program, *args: Any, P: int | None = None,
             step=cols[:, 3].copy(),
             stagger=stagger,
         )
-
-        # ---- charge local computation (batched across all ranks) ----
-        start_max = float(clocks.max())
-        work = StepWork.of_items(work_items, work_ranks)
-        charge_batches(machine, work, clocks)
-
-        # ---- price communication, advance clocks, deliver payloads ----
-        clocks = machine.comm_time(phase, clocks, barrier=barrier)
-        if clocks.shape != (P,):
-            raise SimulationError(
-                f"machine {machine.name} returned clocks of shape "
-                f"{clocks.shape}, expected ({P},)")
         if send_tags:
             for dst, s, tag, payload in zip(phase.dst.tolist(), src.tolist(),
                                             send_tags, send_payloads):
                 contexts[dst]._deliver(s, tag, payload)
-
-        record = Superstep(phase=phase, work=work, label=step_label,
-                           measured_us=float(clocks.max()) - start_max)
-        trace.append(record)
+        steps.append((phase, _work_batches(charges), barrier, step_label))
     else:
         raise DeadlockError(
             f"program exceeded {max_supersteps} supersteps; "
             "suspected livelock")
 
-    return RunResult(time_us=float(clocks.max()), clocks=clocks,
-                     trace=trace, returns=returns)
+    prog = build_program(P=P, word_bytes=word, simd=machine.simd,
+                         steps=steps)
+    result = replay(machine, prog, label=label)
+    result.returns = returns
+    return result

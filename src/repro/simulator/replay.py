@@ -1,15 +1,21 @@
 """Price a recorded :class:`~repro.simulator.ir.StepProgram` on a machine.
 
-Replay is the "price-many" half of the IR engine: no generator ever
-resumes, no ``put_group``/``charge_batch`` bookkeeping re-runs.  The
-machine-independent prep (each batchlist's work record, with its
-rank-major item order) is cached on the program; per replay only the
-machine-dependent pieces are computed — one deterministic pricing pass
-per *distinct* batchlist, and one comm pricer built over the program's
-own phase table and its ``phase_idx`` column — and the per-superstep
-loop reduces to RNG-ordered noise application plus clock advancement.
+Replay is the one pricing engine.  Every run records its supersteps
+into a step program first — a vector program through
+:func:`~repro.simulator.lower.run_lowered` or
+:func:`~repro.simulator.vector.run_spmd_vector`, a per-rank program
+through :func:`~repro.simulator.engine.run_spmd` — and is priced here,
+so the machine charges one trace whichever way it was written.  No
+generator resumes, no ``put_group``/``charge_batch`` bookkeeping
+re-runs.  The machine-independent prep (each batchlist's work record,
+with its rank-major item order) is cached on the program; per replay
+only the machine-dependent pieces are computed — one deterministic
+pricing pass per *distinct* batchlist, and one comm pricer built over
+the program's own phase table and its ``phase_idx`` column — and the
+per-superstep loop reduces to RNG-ordered noise application plus clock
+advancement.
 
-Two paths, both bit-identical to the generator and vector engines:
+Two paths, bit-identical to each other:
 
 * **fused** — for lockstep SIMD machines with deterministic compute and
   base bulk-synchronous ``comm_time`` semantics (the MasPar), clocks are
@@ -20,9 +26,10 @@ Two paths, both bit-identical to the generator and vector engines:
   monotone (``max_r fl(T + w_r) = fl(T + max_r w_r)`` for ``w_r >= 0``).
   Zero per-superstep numpy calls, zero array traffic.
 * **generic** — everything else (MIMD noise, drift machines): a
-  per-step loop that consumes the machine RNG in exactly the order the
-  vector engine's pricing pass would (work noise, then phase noise, per
-  superstep).
+  per-step loop that charges each superstep's work through
+  :func:`~repro.simulator.batch.charge_batches` (its work noise) and
+  then advances the clocks through the pricer (its phase noise), so
+  the machine RNG is consumed in that order, superstep by superstep.
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ import numpy as np
 
 from ..core.errors import SimulationError
 from ..core.trace import Superstep, Trace
-from ..core.work import NO_WORK, _accumulate
-from .batch import price_batches
+from ..core.work import NO_WORK
+from .batch import charge_batches, price_batches
 from .ir import StepProgram
 from .result import RunResult
 
@@ -110,18 +117,12 @@ def _replay_generic(machine, prog: StepProgram, phases, pricer, works,
     batch_idx = prog.batch_idx
     barriers = prog.barriers
     labels = prog.labels
-    noise = machine.compute_noise
-    rng = machine.rng
     for i in range(prog.n_steps):
         start_max = float(clocks.max())
         j = batch_idx[i]
         if j >= 0:
             work = works[j]
-            times = bases[j]
-            if noise:
-                times = times * (1.0 + rng.normal(0.0, noise,
-                                                  size=times.size))
-            _accumulate(clocks, work.ranks, times)
+            charge_batches(machine, work, bases[j], clocks)
         else:
             work = NO_WORK
         clocks = pricer.comm_time(i, clocks, barrier=barriers[i])

@@ -1,9 +1,11 @@
-"""Measurement: IR warm path, live fallback parity, and the acceptance
-invariants (soundness on every default cell; a warm matrix never
-re-simulates)."""
+"""Measurement: volumes read from recorded programs, checked against
+the replayed trace, and the acceptance invariants (soundness on every
+default cell; a warm matrix never re-simulates; a drifted IR key is an
+error, not a silent re-run)."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.bounds import (
@@ -13,9 +15,9 @@ from repro.bounds import (
     bounds,
     cell_ir_key,
     measure_cell,
-    trace_comm_volume,
 )
 from repro.bounds.cells import cell_run
+from repro.core.errors import BoundsError
 from repro.experiments.common import machine_for
 from repro.simulator.ir import IRStore, ir_store_scope
 
@@ -62,10 +64,41 @@ class TestWarmPath:
                 raise AssertionError(
                     f"live simulation for {cell.name} on a warm IR store")
 
-            monkeypatch.setattr(measure_mod, "_live_volume", spy)
+            monkeypatch.setattr(measure_mod, "cell_run", spy)
             warm = bounds(BoundsRequest(use_cache=False))
         assert calls == []
         assert report_bytes(warm) == report_bytes(cold)
+
+    def test_cold_cell_runs_once_then_reads_its_program(self, monkeypatch):
+        """A store miss runs the cell once; the volume is then read from
+        the program that run recorded."""
+        import repro.bounds.measure as measure_mod
+
+        calls = []
+
+        def counting_run(cell, machine, n, seed):
+            calls.append(cell.name)
+            return cell_run(cell, machine, n, seed)
+
+        monkeypatch.setattr(measure_mod, "cell_run", counting_run)
+        with ir_store_scope(IRStore(disk=False)) as store:
+            cold = measure_cell(BOUND_CELLS["apsp/gcel"], scale=0.3, seed=0)
+            assert calls == ["apsp/gcel"] and store.recorded == 1
+            warm = measure_cell(BOUND_CELLS["apsp/gcel"], scale=0.3, seed=0)
+        assert calls == ["apsp/gcel"] and store.recorded == 1
+        assert warm == cold
+
+    def test_drifted_ir_key_raises_naming_the_cell(self, monkeypatch):
+        """When the run records under another key than the cell's (its
+        key parameters drifted from run()'s), the miss is an error."""
+        import repro.bounds.measure as measure_mod
+
+        monkeypatch.setattr(measure_mod, "cell_ir_key",
+                            lambda cell, machine, n, seed: "0" * 64)
+        with ir_store_scope(IRStore(disk=False)) as store:
+            with pytest.raises(BoundsError, match="apsp/gcel"):
+                measure_cell(BOUND_CELLS["apsp/gcel"], scale=0.3, seed=0)
+            assert store.recorded == 1
 
     def test_cold_measurement_records_under_the_cells_ir_key(self):
         """The key the measurement probes is the key run() records
@@ -81,20 +114,38 @@ class TestWarmPath:
                     f"key mismatch for {name}"
 
 
+def trace_volume(trace, word_bytes: int) -> dict:
+    """The volume doc of a replayed trace, its phases summed one by one:
+    an independent reference for the program-table extraction."""
+    sent = np.zeros(trace.P)
+    recv = np.zeros(trace.P)
+    messages = 0
+    for step in trace:
+        sent += step.phase.bytes_sent_per_proc
+        recv += step.phase.bytes_recv_per_proc
+        messages += step.phase.total_messages
+    w = float(word_bytes)
+    return {"P": trace.P, "word_bytes": word_bytes,
+            "max_sent_words": float(sent.max() / w),
+            "max_recv_words": float(recv.max() / w),
+            "max_traffic_words": float((sent + recv).max() / w),
+            "total_words": float(sent.sum() / w),
+            "messages": messages, "supersteps": len(trace)}
+
+
 @pytest.mark.fast
 class TestVolumeParity:
     @pytest.mark.parametrize("name", list(BOUND_CELLS))
     def test_program_extraction_equals_live_trace(self, name):
-        """The warm (structure-only) numbers are the live-trace numbers:
-        a live run records the program, then the store extraction from
-        its phase table must match that run's replayed trace, summed
-        phase by phase."""
+        """The program numbers are the trace numbers: a live run records
+        the program, then the extraction from its phase table must match
+        that run's replayed trace, summed phase by phase."""
         cell = BOUND_CELLS[name]
         n = cell.size(0.3)
         machine = machine_for(cell.machine, seed=0)
         with ir_store_scope(IRStore(disk=False)):
-            live = trace_comm_volume(
-                cell_run(cell, machine, n, 0).trace, machine.nominal.w)
+            live = trace_volume(cell_run(cell, machine, n, 0).trace,
+                                machine.nominal.w)
             warm = measure_cell(cell, scale=0.3, seed=0)
         assert warm["volume"] == live
         assert warm["n"] == n

@@ -127,23 +127,6 @@ class TestCubeDetection:
         assert ph.cube_bit == -1
 
 
-class TestClusterLoads:
-    def test_loads_sum_to_total(self):
-        ph = phase_from_messages(64, [(i, (i * 7) % 64) for i in range(64)])
-        loads = ph.dest_cluster_loads(16)
-        assert loads.sum() == ph.total_messages
-        assert loads.size == 4
-
-    def test_concentrated_cluster(self):
-        ph = phase_from_messages(64, [(i, 3) for i in range(10)])
-        loads = ph.dest_cluster_loads(16)
-        assert loads[0] == 10 and loads[1:].sum() == 0
-
-    def test_bad_cluster_size(self):
-        with pytest.raises(TraceError):
-            CommPhase.empty(8).dest_cluster_loads(0)
-
-
 class TestMaxFanIn:
     def test_distinct_senders(self):
         ph = phase_from_messages(8, [(0, 3), (1, 3), (2, 3), (0, 4)])

@@ -67,13 +67,6 @@ class TestLoadConservation:
         assert int(phase.bytes_sent_per_proc.sum()) == phase.total_bytes
         assert int(phase.bytes_recv_per_proc.sum()) == phase.total_bytes
 
-    @given(send_sets, st.integers(1, 16))
-    def test_cluster_loads_sum_to_total(self, case, cluster_size):
-        phase = _phase(*case)
-        loads = phase.dest_cluster_loads(cluster_size)
-        assert int(loads.sum()) == phase.total_messages
-        assert loads.size == -(-case[0] // cluster_size)
-
     @given(send_sets)
     def test_split_steps_partition_messages(self, case):
         phase = _phase(*case)

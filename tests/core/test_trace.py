@@ -7,7 +7,7 @@ from repro.core.errors import TraceError
 from repro.core.params import paper_params
 from repro.core.relations import CommPhase
 from repro.core.trace import Superstep, Trace
-from repro.core.work import NO_WORK, Flops, Generic, StepWork
+from repro.core.work import NO_WORK, Flops, Generic, StepWork, WorkBatch
 
 CM5 = paper_params("cm5")
 
@@ -78,9 +78,10 @@ class TestTrace:
 
 def shared_work_trace():
     """Six supersteps: three share one work record, two carry none."""
-    shared = StepWork.of_items([Flops(100), Generic(5.0), Flops(50)],
-                               [0, 0, 3])
-    own = StepWork.of_items([Flops(7)], [1])
+    shared = StepWork.of_batches([WorkBatch.of_items([Flops(100)], [0]),
+                                  WorkBatch.of_items([Generic(5.0)], [0]),
+                                  WorkBatch.of_items([Flops(50)], [3])])
+    own = StepWork.of_batches([WorkBatch.of_items([Flops(7)], [1])])
     tr = Trace(P=8)
     for work in (shared, NO_WORK, shared, own, shared, None):
         step = simple_step()

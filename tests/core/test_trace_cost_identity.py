@@ -8,10 +8,10 @@ summed per rank left to right.  They cover every scoreboard model and
 traces from every engine: IR record, IR memory hit and IR disk hit
 (whose supersteps share the record the replay cached per batch list)
 and ``run_spmd_vector``, each matching the oracle snapshot, plus a
-custom per-rank program through ``run_spmd`` (whose work records are
-built item by item, ``StepWork.of_items``).  The consumers routed
-through the helper -- ``attribute_error`` row totals and ``BSF.p_max``
--- are pinned the same way.
+custom per-rank program through ``run_spmd`` (whose ranks each charge
+three items of two kinds per superstep, interleaved).  The
+consumers routed through the helper -- ``attribute_error`` row totals
+and ``BSF.p_max`` -- are pinned the same way.
 """
 
 import math

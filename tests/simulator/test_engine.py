@@ -5,8 +5,10 @@ import pytest
 
 from repro.core.errors import MailboxError, SimulationError
 from repro.core.work import Flops
-from repro.machines import CM5, MasParMP1
-from repro.simulator import run_spmd
+from repro.machines import CM5, MasParMP1, make_machine
+from repro.machines.base import Machine
+from repro.simulator import replay, run_spmd
+from tests.simulator.test_work_records import interleaved_program
 
 
 def ring_shift(ctx, payload_value):
@@ -202,3 +204,36 @@ class TestRunResultProfile:
         prof = res.profile()
         assert set(prof) == {"phase"}
         assert sum(prof.values()) == pytest.approx(res.time_us)
+
+
+class TestOnePricingPath:
+    @pytest.mark.parametrize("name", ["maspar", "gcel", "cm5", "t800",
+                                      "modern"])
+    def test_a_run_is_one_replay_of_its_recording(self, name, monkeypatch):
+        """``run_spmd`` prices nothing while the programs run: it never
+        calls ``Machine.comm_time``, and its clocks, measured times and
+        RNG state are those of one replay of the program it recorded."""
+        import repro.simulator.engine as engine
+
+        recorded = []
+        build = engine.build_program
+
+        def keep(**kwargs):
+            recorded.append(build(**kwargs))
+            return recorded[-1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_spmd priced a phase itself")
+
+        monkeypatch.setattr(engine, "build_program", keep)
+        monkeypatch.setattr(Machine, "comm_time", refuse)
+        machine = make_machine(name, seed=4)
+        res = run_spmd(machine, interleaved_program, 40, P=8)
+        (prog,) = recorded
+        fresh = make_machine(name, seed=4)
+        again = replay(fresh, prog)
+        assert np.array_equal(res.clocks, again.clocks)
+        assert [s.measured_us for s in res.trace] == \
+            [s.measured_us for s in again.trace]
+        assert machine.rng.bit_generator.state == \
+            fresh.rng.bit_generator.state

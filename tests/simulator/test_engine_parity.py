@@ -1,19 +1,21 @@
-"""One program, two engines: ``run_spmd`` and ``run_spmd_vector`` agree.
+"""One program, two recorders: ``run_spmd`` and ``run_spmd_vector`` agree.
 
 ``repro.run_spmd`` runs a custom per-rank program (one generator per
-processor, charging and sending as it goes, priced inline); every
-algorithm's vector program runs through ``run_spmd_vector``, which
-records the supersteps into a step program and replays it.  This law
-writes a random superstep script once and runs it both ways: as a
-per-rank program whose ranks pick their own sends and charges out of
-the script, and as a vector program that emits each superstep's sends
-as one message group (the same arrays again for a repeated send list)
-and its charges as one-item batches, in script order.  On every machine
-both must give identical clocks, traces (phases, labels, stagger flags,
-work items rank by rank, measured times), results and machine RNG
-state.  That holds the engine's bookkeeping and inline pricing to
-replay's — its noise order included — and the recorder's interning of
-repeated phases and batch lists.
+processor, charging and sending as it goes); every algorithm's vector
+program runs through ``run_spmd_vector``.  Both record the supersteps
+into a step program and replay it, so the two share their pricing.
+This law writes a random superstep script once and runs it both ways:
+as a per-rank program whose ranks pick their own sends and charges out
+of the script, and as a vector program that emits each superstep's
+sends as one message group (the same arrays again for a repeated send
+list) and its charges as one-item batches, in script order.  On every
+machine both must give identical clocks, traces (phases, labels,
+stagger flags, work items rank by rank, measured times), results and
+machine RNG state.  That holds the per-rank recorder — its superstep
+assembly, its stagger/barrier/label resolution and its batches, which
+keep each rank's charge order — to the vector recorder and its
+interning of repeated phases and batch lists.  Faults in the shared
+replay move both sides alike; the oracle snapshot tests catch those.
 """
 
 from __future__ import annotations

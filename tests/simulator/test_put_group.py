@@ -6,6 +6,8 @@ table pins both halves of its contract: each invalid argument raises
 array, full-shape array) yields int64 columns of ``src``'s shape.  A
 law pins what lets a program emit a superstep as one group: the
 concatenation of several groups records the same phase as the groups.
+A re-emitted group (a ``put_group`` cache hit) reuses its earlier
+phase only under the same stagger flag.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
+from repro.simulator.ir import build_program
 from repro.simulator.vector import VectorContext, collect_steps
 
 P = 8
@@ -122,3 +125,21 @@ def test_concatenated_groups_record_the_same_phase(case):
         assert getattr(joined, col).tolist() == \
             getattr(separate, col).tolist(), col
     assert joined.stagger == separate.stagger
+
+
+def test_phase_interning_keeps_the_stagger_flag():
+    """One group tuple re-emitted under ``sync(stagger=False)``, then
+    under ``sync()``, records two phases: unstaggered, then staggered."""
+    src = np.arange(4, dtype=np.int64)
+    dst = (src + 1) % 4
+
+    def program(ctx):
+        for stagger in (False, None):
+            ctx.put_group(src, dst, nbytes=8)
+            yield ctx.sync(stagger=stagger)
+
+    ctx = VectorContext(4, 4)
+    steps, _ = collect_steps(ctx, program(ctx))
+    prog = build_program(P=4, word_bytes=4, simd=False, steps=steps)
+    assert prog.phase_idx == [0, 1]
+    assert prog.table.stagger.tolist() == [False, True]

@@ -2,11 +2,10 @@
 
 A superstep's work is one immutable :class:`~repro.core.work.StepWork`:
 same-kind batches plus the order that lays their items out rank-major,
-each rank's in charge order.  The generator engine groups a rank's items
-by kind, so a rank that charges ``Merge, Flops, Merge`` in one superstep
-relies on ``order`` to keep its charge order — for its noise draws, its
-left-to-right sum and its items alike.  Pricing reads the columns only:
-no production run rebuilds per-item ``Work`` objects.
+each rank's in charge order.  A rank that charges ``Merge, Flops, Merge``
+in one superstep keeps that charge order under every engine — for its
+noise draws, its left-to-right sum and its items alike.  Pricing reads
+the columns only: no production run rebuilds per-item ``Work`` objects.
 """
 
 import importlib.util
@@ -72,7 +71,6 @@ def test_interleaved_kinds_agree_across_engines(machine):
     assert g.trace[0].work.by_rank() == {
         r: [Merge(n + r), Flops(10.5 * (r + 1)), Merge(2 * n)]
         for r in range(P)}
-    assert g.trace[0].work.order is not None  # kinds grouped, order kept
     state = machines["generator"].rng.bit_generator.state
     for engine in ("vector", "ir"):
         o = runs[engine]
