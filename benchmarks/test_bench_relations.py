@@ -8,7 +8,7 @@ engine leans on.  A regression here inflates every figure sweep.
 import numpy as np
 
 from repro.calibration.microbench import random_h_relation
-from repro.core.relations import CommPhase, PhaseStack, merge_phases
+from repro.core.relations import CommPhase, PhaseStack
 from repro.machines import CM5, GCel, MasParMP1
 
 
@@ -44,12 +44,6 @@ def test_phase_step_split(benchmark):
                      count=np.ones(n, dtype=np.int64),
                      msg_bytes=np.full(n, 8, dtype=np.int64), step=step)
     benchmark(lambda: len(_fresh_phase(base).split_steps()))
-
-
-def test_merge_phases_columnar(benchmark):
-    rng = np.random.default_rng(2)
-    parts = [random_h_relation(1024, 2, rng) for _ in range(16)]
-    benchmark(lambda: merge_phases(parts).total_messages)
 
 
 def _price_batch(machine_cls, P, h, seed):

@@ -146,6 +146,15 @@ CATALOGUE = [
            "        if prog is None:\n            raise BoundsError(",
            "        if prog is None and False:\n            raise BoundsError(",
            ("tests/bounds/test_measure.py",)),
+    # ---- the scoreboard's matrix and the /predict convention ----
+    Mutant("scoreboard-cell-bound-to-wrong-cell", "src/repro/bounds/cells.py",
+           '        ("matmul-blk", "matmul-blk/cm5"),',
+           '        ("matmul-blk", "matmul/cm5"),',
+           ("tests/ablation/test_baseline.py",)),
+    Mutant("predict-calibration-seed", "src/repro/service/oracle.py",
+           "    cal = calibrated(machine, seed=req.seed)\n",
+           "    cal = calibrated(machine, seed=req.seed + 1)\n",
+           ("tests/service/test_oracle.py",)),
     # ---- calibration and the machine-state caches ----
     Mutant("fit-line-intercept-sign", "src/repro/calibration/fitting.py",
            "slope, intercept = float(coef[0]), float(coef[1])",

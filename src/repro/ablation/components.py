@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..bounds.cells import SCOREBOARD_CELLS
 from ..core.errors import AblationError
 from ..machines import MACHINES
-from ..validation.scoreboard import CELL_SPECS
 
 __all__ = ["Component", "COMPONENTS", "resolve_cells", "resolve_components"]
 
@@ -131,13 +131,13 @@ def resolve_components(names=None) -> list[Component]:
 
 
 def resolve_cells(names=None) -> list[str]:
-    """Validate scoreboard cell ``names`` (None = all), spec order kept."""
+    """Validate scoreboard cell ``names`` (None = all), matrix order kept."""
     if names is None:
-        return list(CELL_SPECS)
+        return list(SCOREBOARD_CELLS)
     wanted = set()
     for name in names:
-        if name not in CELL_SPECS:
-            known = ", ".join(CELL_SPECS)
+        if name not in SCOREBOARD_CELLS:
+            known = ", ".join(SCOREBOARD_CELLS)
             raise AblationError(f"unknown cell {name!r}; known: {known}")
         wanted.add(name)
-    return [c for c in CELL_SPECS if c in wanted]
+    return [c for c in SCOREBOARD_CELLS if c in wanted]

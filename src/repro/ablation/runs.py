@@ -18,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from ..validation.scoreboard import CELL_SPECS
+from ..bounds.cells import SCOREBOARD_CELLS
 from .components import Component
 
 __all__ = ["CellRun", "canonical_disabled", "cell_run_id", "run_matrix"]
@@ -77,7 +77,7 @@ def run_matrix(components: list[Component], cells: list[str], *,
     for comp in components:
         disable = canonical_disabled([comp.name])
         for cell in cells:
-            if CELL_SPECS[cell].machine != comp.machine:
+            if SCOREBOARD_CELLS[cell].machine != comp.machine:
                 continue
             runs.append(CellRun(
                 config=comp.name, cell=cell, disable=disable,

@@ -20,7 +20,7 @@ from .analytic import FAMILIES, cell_bound, counting_bound, \
 from .api import BoundsRequest, DEFAULT_THRESHOLD, bound_run_id, bounds, \
     scoreboard_optimality
 from .cells import BOUND_CELLS, BoundCell, DEFAULT_CELLS, \
-    SCOREBOARD_BOUND_CELLS, resolve_bound_cells
+    SCOREBOARD_CELLS, resolve_bound_cells
 from .measure import cell_ir_key, measure_cell
 from .report import SCHEMA, build_report, render_report
 
@@ -32,7 +32,7 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "FAMILIES",
     "SCHEMA",
-    "SCOREBOARD_BOUND_CELLS",
+    "SCOREBOARD_CELLS",
     "bound_run_id",
     "bounds",
     "build_report",

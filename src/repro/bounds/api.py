@@ -21,7 +21,7 @@ from ..runner.cache import ResultCache
 from ..runner.fingerprint import source_fingerprint
 from ..runner.pool import Job, run_jobs
 from .analytic import cell_bound
-from .cells import BOUND_CELLS, SCOREBOARD_BOUND_CELLS, resolve_bound_cells
+from .cells import SCOREBOARD_CELLS, resolve_bound_cells
 from .measure import measure_cell
 from .report import build_report
 
@@ -142,21 +142,20 @@ def scoreboard_optimality(*, scale: float, seed: int,
                           workloads=None) -> dict[str, dict]:
     """Attained-vs-optimal column for the validation scoreboard.
 
-    Maps each scoreboard workload to its bound cell (same machine and
-    size schedule) and measures it directly — no result cache, because
+    Measures each scoreboard workload's cell (:data:`SCOREBOARD_CELLS`,
+    the cells the scoreboard runs) directly — no result cache, because
     the scoreboard's own cell runs have just warmed the in-memory IR
     store, so the measurement is a pure structure extraction.
     """
     out: dict[str, dict] = {}
-    for workload, name in SCOREBOARD_BOUND_CELLS.items():
+    for workload, cell in SCOREBOARD_CELLS.items():
         if workloads is not None and workload not in workloads:
             continue
-        cell = BOUND_CELLS[name]
         doc = measure_cell(cell, scale=scale, seed=seed)
         bound = cell_bound(cell, doc["n"], doc["volume"]["P"])
         measured = doc["volume"]["max_traffic_words"]
         out[workload] = {
-            "cell": name,
+            "cell": cell.name,
             "family": bound["family"],
             "n": doc["n"],
             "bound_words": bound["bound_words"],

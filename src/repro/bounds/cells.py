@@ -23,7 +23,7 @@ __all__ = [
     "BoundCell",
     "BOUND_CELLS",
     "DEFAULT_CELLS",
-    "SCOREBOARD_BOUND_CELLS",
+    "SCOREBOARD_CELLS",
     "resolve_bound_cells",
     "cell_key_params",
     "cell_program",
@@ -38,7 +38,7 @@ class BoundCell:
     name: str           #: "<algorithm[-variant]>/<machine>"
     algorithm: str      #: registry name ("matmul", "lu", ...)
     variant: str | None  #: algorithm variant, None where run() has none
-    machine: str        #: machine name for experiments.machine_for
+    machine: str        #: a repro.machines.MACHINES name
     family: str         #: bound family (see analytic.FAMILIES)
     base: int           #: nominal size at scale 1.0
     multiple: int       #: sizes are rounded down to this multiple
@@ -50,8 +50,7 @@ class BoundCell:
                    // self.multiple * self.multiple)
 
 
-#: The default matrix, in render order.  Sizes mirror the validation
-#: scoreboard where the same workload appears there.
+#: The default matrix, in render order.
 _CELLS = (
     BoundCell("matmul/cm5", "matmul", "bsp-staggered", "cm5",
               "matmul-family", base=256, multiple=16, minimum=64),
@@ -78,16 +77,19 @@ BOUND_CELLS: dict[str, BoundCell] = {c.name: c for c in _CELLS}
 #: Default cell names, in render order.
 DEFAULT_CELLS: tuple[str, ...] = tuple(c.name for c in _CELLS)
 
-#: Validation-scoreboard workload -> bound cell carrying its
-#: attained-vs-optimal column (scoreboard sizes match these cells).
-SCOREBOARD_BOUND_CELLS: dict[str, str] = {
-    "matmul": "matmul/cm5",
-    "matmul-blk": "matmul-blk/cm5",
-    "bitonic": "bitonic/maspar",
-    "bitonic-blk": "bitonic-blk/gcel",
-    "apsp": "apsp/gcel",
-    "radix": "radix/modern",
-}
+#: The validation scoreboard's matrix, in render order: workload name ->
+#: the cell it runs (:func:`repro.validation.scoreboard.run_cell`), which
+#: also carries its attained-vs-optimal column.  The ablation harness
+#: re-runs these cells under the same names.
+SCOREBOARD_CELLS: dict[str, BoundCell] = {
+    workload: BOUND_CELLS[name] for workload, name in (
+        ("matmul", "matmul/cm5"),
+        ("matmul-blk", "matmul-blk/cm5"),
+        ("bitonic", "bitonic/maspar"),
+        ("bitonic-blk", "bitonic-blk/gcel"),
+        ("apsp", "apsp/gcel"),
+        ("radix", "radix/modern"),
+    )}
 
 
 def resolve_bound_cells(names=None) -> tuple[BoundCell, ...]:

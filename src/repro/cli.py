@@ -39,7 +39,8 @@ from contextlib import contextmanager
 from . import __version__
 from .calibration import calibrate_all, render_table1
 from .experiments import all_experiments
-from .machines import machine_catalog
+from .machines import MACHINES, machine_catalog
+from .service.oracle import ALGORITHMS, MODELS
 from .validation.textfig import render_result
 
 __all__ = ["main", "build_parser"]
@@ -323,17 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     at = sub.add_parser(
         "attribute",
         help="run a workload and attribute a model's error per superstep")
-    at.add_argument("--machine", default="gcel",
-                    choices=["maspar", "gcel", "cm5", "t800", "modern"])
-    at.add_argument("--workload", default="apsp",
-                    choices=["matmul", "matmul-naive", "bitonic",
-                             "bitonic-blk", "apsp", "lu", "stencil",
-                             "radix"])
-    at.add_argument("--model", default="bsp",
-                    choices=["bsp", "mp-bsp", "mp-bpram", "loggp", "pram",
-                             "bsf"])
+    at.add_argument("--machine", default="gcel", choices=list(MACHINES))
+    at.add_argument("--workload", default="apsp", choices=list(ALGORITHMS))
+    at.add_argument("--model", default="bsp", choices=list(MODELS))
     at.add_argument("--size", type=int, default=None,
-                    help="problem size (default: workload-specific)")
+                    help="problem size (default: the workload's /predict "
+                         "default)")
     at.add_argument("--seed", type=int, default=0)
 
     mach = sub.add_parser("machines",
@@ -609,54 +605,33 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_attribute(machine_name: str, workload: str, model_name: str,
-                   size: int | None, seed: int) -> int:
-    """Run a workload and print the per-superstep error attribution."""
-    from .algorithms import apsp, bitonic, lu, matmul, radix, stencil
-    from .calibration import calibrate
-    from .core.bpram import MPBPRAM
-    from .core.bsf import BSF
-    from .core.bsp import BSP
-    from .core.logp import LogGP, logp_from_table1
-    from .core.mp_bsp import MPBSP
-    from .core.pram import PRAM
-    from .experiments.common import machine_for
+def _cmd_attribute(args: argparse.Namespace) -> int:
+    """Run a workload and print the per-superstep error attribution.
+
+    The run is the ``/predict`` request of the same machine, workload,
+    model, size and seed, simulated, calibrated and priced by the
+    oracle, so the ``total`` row is what ``/predict`` answers.
+    """
+    from .service.oracle import OracleError, PredictRequest, \
+        _build_model, _simulate
     from .validation.attribution import attribute_error, render_attribution
 
-    machine = machine_for(machine_name, seed=seed)
-    cal = calibrate(machine, seed=seed)
-    params = cal.params
-
-    if workload in ("matmul", "matmul-naive"):
-        # the largest q^3 that fits, sized to the machine
-        q = 4 if machine.P >= 64 else 2
-        N = size or 32 * q
-        variant = "bsp" if workload == "matmul-naive" else "bsp-staggered"
-        res = matmul.run(machine, N, variant=variant, P=q ** 3, seed=seed)
-    elif workload == "bitonic":
-        res = bitonic.run(machine, size or 64, variant="bsp", seed=seed)
-    elif workload == "bitonic-blk":
-        res = bitonic.run(machine, size or 512, variant="bpram", seed=seed)
-    elif workload == "apsp":
-        res = apsp.run(machine, size or 64, seed=seed)
-    elif workload == "lu":
-        res = lu.run(machine, size or 64, seed=seed)
-    elif workload == "radix":
-        res = radix.run(machine, size or 256, variant="bpram", seed=seed)
-    else:  # stencil
-        res = stencil.run(machine, size or 64, 8, seed=seed)
-
-    models = {"bsp": lambda: BSP(params), "mp-bsp": lambda: MPBSP(params),
-              "mp-bpram": lambda: MPBPRAM(params),
-              "pram": lambda: PRAM(params),
-              "loggp": lambda: LogGP(params, logp_from_table1(params)),
-              "bsf": lambda: BSF(params)}
-    model = models[model_name]()
+    doc = {"machine": args.machine, "algorithm": args.workload,
+           "model": args.model, "seed": args.seed}
+    if args.size is not None:
+        doc["size"] = args.size
+    try:
+        req = PredictRequest.from_json(doc)
+        res, cal = _simulate(req)
+        model = _build_model(req.model, cal)
+    except OracleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = attribute_error(res.trace, model)
-    print(f"{workload} on {machine_name}, priced by {model_name} "
+    print(f"{req.algorithm} on {req.machine}, priced by {req.model} "
           f"(calibrated parameters)\n")
     print(render_attribution(rows))
-    if isinstance(model, BSF):
+    if req.model == "bsf":
         p_max = model.p_max(res.trace)
         print(f"\nBSF scalability bound: P_max = "
               f"sqrt(t_comp/t_interact) = {p_max:,.1f} "
@@ -798,8 +773,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "bounds":
         return _cmd_bounds(args)
     if args.command == "attribute":
-        return _cmd_attribute(args.machine, args.workload, args.model,
-                              args.size, args.seed)
+        return _cmd_attribute(args)
     if args.command == "machines":
         return _cmd_machines(args.as_json)
     raise AssertionError("unreachable")

@@ -32,7 +32,7 @@ from .errors import (
 from .mp_bsp import MPBSP
 from .pram import PRAM
 from .params import PAPER_PARAMS, PAPER_UNBALANCED, ModelParams, UnbalancedCost, paper_params
-from .relations import CommPhase, Relation, merge_phases
+from .relations import CommPhase, Relation
 from .trace import Superstep, Trace
 from .work import (
     Compare,
@@ -67,7 +67,6 @@ __all__ = [
     "paper_params",
     "CommPhase",
     "Relation",
-    "merge_phases",
     "Trace",
     "Superstep",
     "Work",

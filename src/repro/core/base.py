@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 
 from .params import ModelParams
 from .relations import CommPhase, unique_phases
-from .trace import Superstep, Trace
+from .trace import Trace
 
 __all__ = ["CostModel"]
 
@@ -38,10 +38,6 @@ class CostModel(ABC):
         this is how the paper's closed forms count e.g. ``2 L`` for the
         four-superstep matrix multiplication.
         """
-
-    def superstep_cost(self, step: Superstep) -> float:
-        """``c + comm_cost(phase)`` for one superstep."""
-        return step.max_work_nominal_us(self.params) + self.comm_cost(step.phase)
 
     def comm_cost_batch(self, phases: "list[CommPhase]") -> "list[float]":
         """Predicted times of many phases at once.

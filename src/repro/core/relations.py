@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import TraceError
 
-__all__ = ["CommPhase", "Relation", "merge_phases", "unique_phases",
+__all__ = ["CommPhase", "Relation", "unique_phases",
            "PhaseStack", "SubSteps"]
 
 
@@ -319,41 +319,6 @@ class CommPhase:
             subs.append(sub)
         self.__dict__["_split_cache"] = subs
         return subs
-
-
-def merge_phases(phases: list[CommPhase]) -> CommPhase:
-    """Concatenate several phases (same ``P``) into one.
-
-    Schedule tags are offset so steps of later phases follow steps of
-    earlier ones; the result is staggered only if every input was.
-    """
-    if not phases:
-        raise TraceError("merge_phases needs at least one phase")
-    P = phases[0].P
-    if any(ph.P != P for ph in phases):
-        raise TraceError("cannot merge phases with different P")
-    srcs, dsts, counts, sizes, steps = [], [], [], [], []
-    offset = 0
-    for ph in phases:
-        srcs.append(ph.src)
-        dsts.append(ph.dst)
-        counts.append(ph.count)
-        sizes.append(ph.msg_bytes)
-        tags = ph.step.copy()
-        tags[tags < 0] = 0
-        steps.append(tags + offset)
-        offset += int(tags.max(initial=0)) + 1
-    # The inputs are validated phases and the tag offsets keep steps >= 0,
-    # so the concatenation can skip re-validation.
-    return CommPhase._trusted(
-        P=P,
-        src=np.concatenate(srcs),
-        dst=np.concatenate(dsts),
-        count=np.concatenate(counts),
-        msg_bytes=np.concatenate(sizes),
-        step=np.concatenate(steps),
-        stagger=all(ph.stagger for ph in phases),
-    )
 
 
 def unique_phases(phases: "list[CommPhase]") -> "tuple[list[CommPhase], list[int]]":

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import TraceError
 from .params import ModelParams
 from .relations import CommPhase
-from .work import NO_WORK, StepWork, Work
+from .work import NO_WORK, StepWork
 
 __all__ = ["Superstep", "Trace"]
 
@@ -42,13 +42,6 @@ class Superstep:
     @property
     def P(self) -> int:
         return self.phase.P
-
-    def add_work(self, proc: int, item: Work) -> None:
-        """Charge ``item`` last on ``proc``.  This superstep gets a new
-        record; a record other supersteps share is never edited."""
-        if not 0 <= proc < self.P:
-            raise TraceError(f"processor {proc} out of range for P={self.P}")
-        self.work = self.work.plus(proc, item)
 
     def work_nominal_us(self, params: ModelParams) -> np.ndarray:
         """Per-processor nominal local-computation time, shape ``(P,)``."""
@@ -91,8 +84,8 @@ class Trace:
         each distinct work record *object* is priced once per call: IR
         replay hands every superstep of one batch list the same record,
         just as the vector engine interns phases for
-        :meth:`CostModel.comm_cost_batch`.  Records are immutable, and
-        :meth:`Superstep.add_work` swaps in a new one.
+        :meth:`CostModel.comm_cost_batch`.  Records are immutable, so a
+        shared one prices the same for every superstep holding it.
         """
         return self._per_record(
             lambda s: s.max_work_nominal_us(params))

@@ -349,15 +349,6 @@ class StepWork:
     def __bool__(self) -> bool:
         return bool(self.batches)
 
-    def plus(self, rank: int, item: Work) -> "StepWork":
-        """A new record: this one with ``item`` charged last on ``rank``."""
-        n = self.ranks.size
-        at = int(np.searchsorted(self.ranks, rank, side="right"))
-        order = np.arange(n) if self.order is None else self.order
-        return StepWork(self.batches + (WorkBatch.of_items([item], [rank]),),
-                        np.insert(self.ranks, at, rank),
-                        np.insert(order, at, n))
-
     def prices(self, price: Callable[[WorkBatch], np.ndarray]) -> np.ndarray:
         """``price(batch)`` of every batch, as one rank-major item column."""
         cols = [price(b) for b in self.batches]

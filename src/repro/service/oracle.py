@@ -1,24 +1,20 @@
 """The prediction oracle behind ``POST /predict`` and ``POST /compare``.
 
-A request names a machine, a cost model, an algorithm and a problem size;
-the oracle runs the workload on the simulated machine (through the IR
-store, like every experiment), prices the resulting trace under the requested model with *calibrated* parameters,
-and returns the measured/predicted times plus a comp/comm/sync breakdown.
+A request names a machine, a cost model, an algorithm and a problem
+size; the oracle runs the workload on the simulated machine (through the
+IR store, like every experiment), prices the resulting trace under the
+requested model with *calibrated* parameters, and returns the
+measured/predicted times plus a comp/comm/sync breakdown.
 
-Two evaluation paths exist on purpose:
-
-* :func:`predict_offline` — the reference: one request, priced through
-  the same :meth:`Trace.work_terms` and :meth:`CostModel.comm_cost_batch`
-  as the batch path, with the sum checked against
-  :meth:`CostModel.trace_cost`, the call every experiment makes.
-* :func:`evaluate_batch` — the serving path: the micro-batcher hands it a
-  coalesced batch; requests sharing a ``(machine, model)`` pair are priced
-  by **one** :meth:`CostModel.comm_cost_batch` call over the concatenated
-  supersteps of all their traces, and simulations are deduplicated per
-  ``(machine, algorithm, size, seed)``.
-
-The equivalence tests assert the two paths are bit-identical — batching
-must be a pure scheduling optimisation, never a numeric one.
+One request is priced one way, by :func:`_price`: the trace's
+:meth:`Trace.work_terms` plus one :meth:`CostModel.comm_cost_batch`
+call.  :func:`predict_offline` prices one request and checks the sum
+against :meth:`CostModel.trace_cost`, the call every experiment makes;
+:func:`evaluate_batch`, the serving path, prices each request of a
+micro-batch the same way, sharing only the simulations of requests that
+name the same ``(machine, algorithm, size, seed)``.  ``repro
+attribute`` runs its request through :func:`_simulate` and
+:func:`_build_model` too, so its rows add up to the ``/predict`` answer.
 
 Calibrations come from :func:`repro.experiments.common.calibrated`, i.e.
 the process-wide ``calibration_for`` memo: the first request against a
@@ -68,7 +64,6 @@ def _run_matmul(machine: Machine, size: int, seed: int,
 
 
 #: algorithm name -> (default size, runner(machine, size, seed)).
-#: Sizes mirror the ``repro attribute`` defaults.
 ALGORITHMS: dict[str, tuple[int, object]] = {
     "matmul": (128, lambda m, n, s: _run_matmul(m, n, s, "bsp-staggered")),
     "matmul-naive": (128, lambda m, n, s: _run_matmul(m, n, s, "bsp")),
@@ -184,7 +179,8 @@ def _simulate(req: PredictRequest) -> tuple[RunResult, Calibration]:
 
     Machine construction, seeding and calibration follow the exact
     conventions of the offline experiments (``machine_for`` +
-    ``calibrated``), so predictions agree with ``repro attribute`` and
+    ``calibrated``, which fits a separate machine seeded ``seed + 1000``
+    and leaves the run machine's RNG alone), so predictions agree with
     the figures.
     """
     machine = machine_for(req.machine, seed=req.seed)
@@ -198,16 +194,18 @@ def _simulate(req: PredictRequest) -> tuple[RunResult, Calibration]:
     return res, cal
 
 
-def _response(req: PredictRequest, res: RunResult, model: CostModel,
-              comp: list[float], comm: list[float]) -> dict:
-    """Assemble one /predict response from per-superstep terms.
+def _price(req: PredictRequest, res: RunResult, model: CostModel) -> dict:
+    """The /predict response: ``req``'s run ``res`` priced by ``model``.
 
-    ``predicted_us`` is accumulated left-to-right exactly like
-    :meth:`CostModel.trace_cost` (``sum(work + comm)`` per superstep), so
-    the batched path reproduces the offline path bit-for-bit.
+    The trace is priced through :meth:`Trace.work_terms` and one
+    :meth:`CostModel.comm_cost_batch` call, and ``predicted_us`` is
+    accumulated left-to-right exactly like :meth:`CostModel.trace_cost`
+    (``sum(work + comm)`` per superstep).
     """
-    predicted = sum(w + c for w, c in zip(comp, comm))
     trace = res.trace
+    comp = trace.work_terms(model.params)
+    comm = model.comm_cost_batch([s.phase for s in trace])
+    predicted = sum(w + c for w, c in zip(comp, comm))
     n_sync = sum(1 for s in trace if not s.phase.is_empty)
     measured = res.time_us
     return {
@@ -244,19 +242,15 @@ def _response(req: PredictRequest, res: RunResult, model: CostModel,
 def predict_offline(doc_or_req) -> dict:
     """One request through the plain offline pipeline.
 
-    This is the reference the batched path must match bit-for-bit: the
-    trace is priced through :meth:`Trace.work_terms` and one
-    :meth:`CostModel.comm_cost_batch` call, and the sum must equal
-    :meth:`CostModel.trace_cost`, the call the experiments and
-    ``repro attribute`` make.
+    This is the reference a served answer must equal: the trace is
+    priced by :func:`_price`, and the sum must equal
+    :meth:`CostModel.trace_cost`, the call the experiments make.
     """
     req = (doc_or_req if isinstance(doc_or_req, PredictRequest)
            else PredictRequest.from_json(doc_or_req))
     res, cal = _simulate(req)
     model = _build_model(req.model, cal)
-    comp = res.trace.work_terms(model.params)
-    comm = model.comm_cost_batch([s.phase for s in res.trace])
-    out = _response(req, res, model, comp, comm)
+    out = _price(req, res, model)
     # cross-check: the breakdown must reproduce trace_cost exactly
     assert out["predicted_us"] == model.trace_cost(res.trace)
     return out
@@ -332,14 +326,10 @@ def evaluate_batch(items: list[tuple[str, tuple, PredictRequest]]
     ``key -> response dict`` (or ``key -> Exception`` for per-job
     failures — one bad request never poisons its batch-mates).
 
-    Coalescing, in order:
-
-    1. simulations are deduplicated on ``req.sim_key`` — ten clients
-       asking about the same workload trigger one simulator run;
-    2. predict jobs sharing ``(machine, model, seed)`` — hence sharing
-       one calibrated :class:`CostModel` — have the supersteps of *all*
-       their traces priced by a single ``comm_cost_batch`` call, the
-       columnar fast path of PR 3.
+    Predict jobs share simulations: jobs with one ``req.sim_key`` — ten
+    clients asking about the same workload — trigger one simulator run.
+    Each predict job is then priced on its own by :func:`_price`, exactly
+    as :func:`predict_offline` prices it.
     """
     out: dict[tuple, object] = {}
     sims: dict[tuple, tuple[RunResult, Calibration] | Exception] = {}
@@ -356,50 +346,21 @@ def evaluate_batch(items: list[tuple[str, tuple, PredictRequest]]
             raise got
         return got
 
-    # group predict jobs per cost-model instance; run compare inline
-    groups: dict[tuple, list[tuple[tuple, PredictRequest, RunResult,
-                                   CostModel]]] = {}
     for kind, key, req in items:
         try:
             if kind == "compare":
                 out[key] = compare_offline(req)
-                continue
-            if kind == "ablate":
+            elif kind == "ablate":
                 # heavyweight and self-caching (the result cache makes
                 # repeats incremental); runs inline like compare
                 out[key] = ablate_offline(req)
-                continue
-            if kind == "bounds":
+            elif kind == "bounds":
                 # same discipline: self-caching via the result cache
                 # and the IR store, inline in the batch worker
                 out[key] = bounds_offline(req)
-                continue
-            res, cal = sim(req)
-            gkey = (req.machine, req.model, req.seed)
-            group = groups.get(gkey)
-            if group is None:
-                model = _build_model(req.model, cal)  # may raise: e-bsp
-                group = groups[gkey] = []
             else:
-                model = group[0][3]
-            group.append((key, req, res, model))
+                res, cal = sim(req)
+                out[key] = _price(req, res, _build_model(req.model, cal))
         except Exception as exc:  # noqa: BLE001
             out[key] = exc
-
-    for group in groups.values():
-        model = group[0][3]
-        phases = [s.phase for _, _, res, _ in group for s in res.trace]
-        try:
-            comm_all = model.comm_cost_batch(phases)
-        except Exception as exc:  # noqa: BLE001
-            for key, *_ in group:
-                out[key] = exc
-            continue
-        at = 0
-        for key, req, res, _ in group:
-            n = len(res.trace)
-            comm = comm_all[at:at + n]
-            at += n
-            comp = res.trace.work_terms(model.params)
-            out[key] = _response(req, res, model, comp, comm)
     return out

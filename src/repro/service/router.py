@@ -18,11 +18,11 @@ import time
 
 from .. import __version__
 from ..ablation import AblateRequest, COMPONENTS
-from ..bounds import BoundsRequest, DEFAULT_CELLS, DEFAULT_THRESHOLD
+from ..bounds import BoundsRequest, DEFAULT_CELLS, DEFAULT_THRESHOLD, \
+    SCOREBOARD_CELLS
 from ..core.errors import AblationError, BoundsError, ExperimentError, \
     FaultInjected, ReproError
 from ..machines import machine_catalog
-from ..validation.scoreboard import CELL_SPECS
 from .httpd import HttpError, Request, Response
 from .oracle import ALGORITHMS, MODELS, OracleError, PredictRequest
 
@@ -109,7 +109,7 @@ async def capabilities(app, request: Request) -> Response:
                        for name, (size, _) in ALGORITHMS.items()},
         "ablation": {
             "components": [c.to_dict() for c in COMPONENTS.values()],
-            "cells": list(CELL_SPECS),
+            "cells": list(SCOREBOARD_CELLS),
         },
         "bounds": {
             "cells": list(DEFAULT_CELLS),

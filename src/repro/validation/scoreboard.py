@@ -2,7 +2,10 @@
 
 Runs a fixed matrix of (workload, machine) cells, prices each execution
 trace under every applicable cost model with *calibrated* parameters,
-and tabulates signed errors.  This is the cross-cutting summary the
+and tabulates signed errors.  The matrix is
+:data:`repro.bounds.cells.SCOREBOARD_CELLS`: each cell is a bound cell
+of the optimality scoreboard, so a row's ``att/opt`` column describes
+the very run the row prices.  This is the cross-cutting summary the
 paper delivers in prose ("the models do not accurately predict the
 actual running time ... in the following circumstances"): one glance
 shows which model breaks on which machine and why.
@@ -11,11 +14,9 @@ shows which model breaks on which machine and why.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from ..algorithms import apsp, bitonic, matmul, radix
 from ..calibration.table1 import Calibration, calibrate
 from ..core.base import CostModel
 from ..core.bpram import MPBPRAM
@@ -27,8 +28,8 @@ from ..core.mp_bsp import MPBSP
 from ..core.pram import PRAM
 from ..machines import make_machine
 
-__all__ = ["Cell", "CellSpec", "CELL_SPECS", "Scoreboard",
-           "build_scoreboard", "render_scoreboard", "run_cell"]
+__all__ = ["Cell", "Scoreboard", "build_scoreboard", "render_scoreboard",
+           "run_cell"]
 
 
 @dataclass
@@ -107,58 +108,17 @@ def _models_for(cal: Calibration) -> list[CostModel]:
     return out
 
 
-@dataclass(frozen=True)
-class CellSpec:
-    """One (workload, machine) cell of the scoreboard matrix.
-
-    ``runner(machine, scale, seed)`` executes the workload on an
-    already-constructed machine; keeping machine construction out of the
-    spec lets :func:`run_cell` build the machine with phenomena switched
-    off (the ablation harness, :mod:`repro.ablation`).
-    """
-
-    name: str
-    machine: str
-    runner: Callable  # (machine, scale, seed) -> RunResult
-
-
-#: the scoreboard's workload matrix, in render order.
-CELL_SPECS: dict[str, CellSpec] = {spec.name: spec for spec in [
-    CellSpec("matmul", "cm5",
-             lambda m, scale, seed: matmul.run(
-                 m, max(64, int(256 * scale) // 16 * 16),
-                 variant="bsp-staggered", seed=seed)),
-    CellSpec("matmul-blk", "cm5",
-             lambda m, scale, seed: matmul.run(
-                 m, max(64, int(256 * scale) // 16 * 16),
-                 variant="bpram", seed=seed)),
-    CellSpec("bitonic", "maspar",
-             lambda m, scale, seed: bitonic.run(
-                 m, max(8, int(32 * scale) // 8 * 8),
-                 variant="bsp", seed=seed)),
-    CellSpec("bitonic-blk", "gcel",
-             lambda m, scale, seed: bitonic.run(
-                 m, max(256, int(1024 * scale) // 256 * 256),
-                 variant="bpram", seed=seed)),
-    CellSpec("apsp", "gcel",
-             lambda m, scale, seed: apsp.run(
-                 m, max(32, int(128 * scale) // 32 * 32), seed=seed)),
-    CellSpec("radix", "modern",
-             lambda m, scale, seed: radix.run(
-                 m, max(256, int(1024 * scale) // 256 * 256),
-                 variant="bpram", seed=seed)),
-]}
-
-
 def run_cell(name: str, *, scale: float = 1.0, seed: int = 0,
              disable: tuple[str, ...] = ()) -> list[Cell]:
     """Run one scoreboard cell and price its trace under every model.
 
-    ``disable`` switches machine phenomena off (they must belong to the
-    cell's machine — see ``Machine.PHENOMENA``).  Calibration runs on
-    the *ablated* machine: removing a phenomenon changes the measured
-    world, and the models are re-fitted to it just as they were fitted
-    to the real one.  The fit is memoised per machine state
+    ``name`` is a :data:`~repro.bounds.cells.SCOREBOARD_CELLS` key; the
+    cell runs at its ``size(scale)``.  ``disable`` switches machine
+    phenomena off (they must belong to the cell's machine — see
+    ``Machine.PHENOMENA``).  Calibration runs on the *ablated* machine:
+    removing a phenomenon changes the measured world, and the models
+    are re-fitted to it just as they were fitted to the real one.  The
+    fit is memoised per machine state
     (:func:`~repro.calibration.table1.calibrate`): each cell of one
     (machine, ``disable``, ``seed``) configuration after the first
     reuses it, and the memo restores the RNG state the fit left, so the
@@ -166,11 +126,15 @@ def run_cell(name: str, *, scale: float = 1.0, seed: int = 0,
     this is bit-identical to the cell's slice of
     :func:`build_scoreboard`.
     """
-    spec = CELL_SPECS[name]
-    machine = make_machine(spec.machine, seed=seed, disable=tuple(disable))
+    # imported here: repro.bounds imports the job runner, which imports
+    # this package.
+    from ..bounds.cells import SCOREBOARD_CELLS, cell_run
+
+    cell = SCOREBOARD_CELLS[name]
+    machine = make_machine(cell.machine, seed=seed, disable=tuple(disable))
     cal = calibrate(machine, seed=seed)
-    res = spec.runner(machine, scale, seed)
-    return [Cell(workload=spec.name, machine=spec.machine, model=model.name,
+    res = cell_run(cell, machine, cell.size(scale), seed)
+    return [Cell(workload=name, machine=cell.machine, model=model.name,
                  measured_us=res.time_us,
                  predicted_us=model.trace_cost(res.trace))
             for model in _models_for(cal)]
@@ -185,13 +149,12 @@ def build_scoreboard(*, scale: float = 1.0, seed: int = 0,
     cell runs above have just recorded their step programs, so the
     column is a pure structure extraction — no extra simulation.
     """
+    from ..bounds import SCOREBOARD_CELLS, scoreboard_optimality
+
     board = Scoreboard()
-    for name in CELL_SPECS:
+    for name in SCOREBOARD_CELLS:
         board.cells.extend(run_cell(name, scale=scale, seed=seed))
     if optimality:
-        # imported lazily: repro.bounds imports the algorithm modules,
-        # and the scoreboard must stay importable on its own.
-        from ..bounds import scoreboard_optimality
         board.optimality = scoreboard_optimality(scale=scale, seed=seed)
     return board
 
@@ -201,7 +164,8 @@ def render_scoreboard(board: Scoreboard) -> str:
 
     The trailing ``att/opt`` column reports the workload's measured
     communication volume over its analytic lower bound (the optimality
-    scoreboard, ``repro bounds``); ``-`` where no bound cell matches.
+    scoreboard, ``repro bounds``); ``-`` when the board was built
+    without that column.
     """
     models = board.models()
     head = f"{'workload':<14}{'machine':<9}" + "".join(

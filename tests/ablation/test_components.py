@@ -5,7 +5,7 @@ import pytest
 from repro.ablation import COMPONENTS, resolve_cells, resolve_components
 from repro.core.errors import AblationError
 from repro.machines import MACHINES
-from repro.validation.scoreboard import CELL_SPECS
+from repro.bounds.cells import SCOREBOARD_CELLS
 
 pytestmark = pytest.mark.fast
 
@@ -36,7 +36,7 @@ class TestCatalog:
 class TestResolution:
     def test_none_selects_all_in_catalog_order(self):
         assert resolve_components(None) == list(COMPONENTS.values())
-        assert resolve_cells(None) == list(CELL_SPECS)
+        assert resolve_cells(None) == list(SCOREBOARD_CELLS)
 
     def test_selection_keeps_catalog_order_not_request_order(self):
         names = list(COMPONENTS)

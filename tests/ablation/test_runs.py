@@ -8,12 +8,12 @@ from repro.ablation import (AblateRequest, canonical_disabled, cell_run_id,
                             resolve_cells, resolve_components, run_matrix)
 from repro.ablation.components import COMPONENTS
 from repro.ablation.runs import BASELINE
-from repro.validation.scoreboard import CELL_SPECS
+from repro.bounds.cells import SCOREBOARD_CELLS
 
 pytestmark = pytest.mark.fast
 
 component_names = st.sampled_from(sorted(COMPONENTS))
-cell_names = st.sampled_from(sorted(CELL_SPECS))
+cell_names = st.sampled_from(sorted(SCOREBOARD_CELLS))
 
 
 def matrix_ids(components, cells, *, scale=0.3, seed=0, fp="fp"):
@@ -83,7 +83,7 @@ class TestMatrix:
                 assert run.disable == ()
             else:
                 assert run.disable == (run.config,)
-                assert CELL_SPECS[run.cell].machine \
+                assert SCOREBOARD_CELLS[run.cell].machine \
                     == COMPONENTS[run.config].machine
 
     def test_full_matrix_size_is_pruned(self):
@@ -91,10 +91,11 @@ class TestMatrix:
         baseline (5) plus one run per (component, same-machine cell)."""
         runs = run_matrix(resolve_components(None), resolve_cells(None),
                           scale=0.3, seed=0, fingerprint="f")
-        expected = len(CELL_SPECS) + sum(
-            1 for c in COMPONENTS.values() for s in CELL_SPECS.values()
+        expected = len(SCOREBOARD_CELLS) + sum(
+            1 for c in COMPONENTS.values() for s in SCOREBOARD_CELLS.values()
             if s.machine == c.machine)
-        assert len(runs) == expected < (len(COMPONENTS) + 1) * len(CELL_SPECS)
+        assert len(runs) == expected \
+            < (len(COMPONENTS) + 1) * len(SCOREBOARD_CELLS)
 
 
 class TestRequestKey:

@@ -172,15 +172,14 @@ class TestCaching:
 @pytest.mark.fast
 class TestScoreboardColumn:
     def test_scoreboard_optimality_matches_the_report(self):
-        from repro.bounds import SCOREBOARD_BOUND_CELLS, \
-            scoreboard_optimality
+        from repro.bounds import SCOREBOARD_CELLS, scoreboard_optimality
 
         report = bounds(BoundsRequest(use_cache=False))
         by_cell = {e["cell"]: e for e in report["ranking"]}
         column = scoreboard_optimality(scale=0.3, seed=0)
-        assert set(column) == set(SCOREBOARD_BOUND_CELLS)
+        assert set(column) == set(SCOREBOARD_CELLS)
         for workload, entry in column.items():
-            ref = by_cell[SCOREBOARD_BOUND_CELLS[workload]]
+            ref = by_cell[SCOREBOARD_CELLS[workload].name]
             assert entry["ratio"] == ref["ratio"]
             assert entry["bound_words"] == ref["bound_words"]
             assert entry["measured_words"] == ref["measured_words"]

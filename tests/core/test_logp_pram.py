@@ -8,8 +8,9 @@ from repro.core.logp import LogGP, LogP, LogPParams, logp_from_table1
 from repro.core.params import paper_params
 from repro.core.pram import PRAM
 from repro.core.relations import CommPhase
-from repro.core.trace import Superstep, Trace
+from repro.core.trace import Superstep
 from repro.core.work import Flops
+from tests.core.test_models import one_step_trace
 
 GCEL = paper_params("gcel")
 CM5 = paper_params("cm5")
@@ -99,14 +100,10 @@ class TestPRAM:
         assert model.comm_cost(perm_phase(64, 1000, 4)) == 0.0
 
     def test_computation_still_charged(self):
-        model = PRAM(CM5)
-        step = Superstep(phase=perm_phase(64, 10, 8))
-        step.add_work(0, Flops(1000))
-        assert model.superstep_cost(step) == pytest.approx(1000 * CM5.alpha)
+        tr = one_step_trace(perm_phase(64, 10, 8), [Flops(1000)], [0])
+        assert PRAM(CM5).trace_cost(tr) == pytest.approx(1000 * CM5.alpha)
 
     def test_trace_cost_is_compute_only(self):
-        tr = Trace(P=64)
-        s = Superstep(phase=perm_phase(64, 5, 8))
-        s.add_work(3, Flops(100))
-        tr.append(s)
+        tr = one_step_trace(perm_phase(64, 5, 8), [Flops(100)], [3])
+        tr.append(Superstep(phase=perm_phase(64, 5, 8)))
         assert PRAM(CM5).trace_cost(tr) == pytest.approx(100 * CM5.alpha)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import BSP, MPBPRAM, MPBSP, paper_params
 from repro.core.logp import LogGP, logp_from_table1
 from repro.core.pram import PRAM
-from repro.core.relations import CommPhase, merge_phases
+from repro.core.relations import CommPhase
 
 GCEL = paper_params("gcel")
 CM5 = paper_params("cm5")
@@ -96,7 +96,13 @@ class TestUniversalProperties:
         two by more than the combined charge (subadditive composition)."""
         a = phases(data.draw)
         b = phases(data.draw)
-        merged = merge_phases([a, b])
+        # a ++ b: one phase, b's messages in the schedule step after a's
+        merged = CommPhase(
+            P=a.P, src=np.concatenate([a.src, b.src]),
+            dst=np.concatenate([a.dst, b.dst]),
+            count=np.concatenate([a.count, b.count]),
+            msg_bytes=np.concatenate([a.msg_bytes, b.msg_bytes]),
+            step=np.repeat([0, 1], [a.src.size, b.src.size]))
         for model in (BSP(GCEL), MPBPRAM(GCEL), PRAM(GCEL)):
             assert (model.comm_cost(merged)
                     <= model.comm_cost(a) + model.comm_cost(b) + 1e-6)

@@ -13,7 +13,7 @@ from repro.core.mp_bsp import MPBSP
 from repro.core.params import PAPER_UNBALANCED, paper_params
 from repro.core.relations import CommPhase
 from repro.core.trace import Superstep, Trace
-from repro.core.work import Flops
+from repro.core.work import Flops, StepWork, WorkBatch
 
 CM5 = paper_params("cm5")
 MASPAR = paper_params("maspar")
@@ -25,6 +25,15 @@ def full_h_relation(P, h, msg_bytes):
     return CommPhase(P=P, src=np.arange(P), dst=perm,
                      count=np.full(P, h, dtype=np.int64),
                      msg_bytes=np.full(P, msg_bytes, dtype=np.int64))
+
+
+def one_step_trace(phase, items, ranks):
+    """A one-superstep trace: ``items`` charged on ``ranks``, then
+    ``phase``."""
+    tr = Trace(P=phase.P)
+    tr.append(Superstep(phase=phase, work=StepWork.of_batches(
+        [WorkBatch.of_items(items, ranks)])))
+    return tr
 
 
 class TestBSP:
@@ -45,17 +54,15 @@ class TestBSP:
 
     def test_superstep_adds_compute(self):
         model = BSP(CM5)
-        step = Superstep(phase=full_h_relation(64, 1, 8))
-        step.add_work(0, Flops(1000))
+        tr = one_step_trace(full_h_relation(64, 1, 8), [Flops(1000)], [0])
         expected = 1000 * CM5.alpha + CM5.g + CM5.L
-        assert model.superstep_cost(step) == pytest.approx(expected)
+        assert model.trace_cost(tr) == pytest.approx(expected)
 
     def test_max_over_procs_not_sum(self):
         model = BSP(CM5)
-        step = Superstep(phase=full_h_relation(64, 1, 8))
-        step.add_work(0, Flops(1000))
-        step.add_work(1, Flops(400))
-        assert model.superstep_cost(step) == pytest.approx(
+        tr = one_step_trace(full_h_relation(64, 1, 8),
+                            [Flops(1000), Flops(400)], [0, 1])
+        assert model.trace_cost(tr) == pytest.approx(
             1000 * CM5.alpha + CM5.g + CM5.L)
 
     def test_trace_cost_sums(self):

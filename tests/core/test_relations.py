@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import TraceError
-from repro.core.relations import CommPhase, Relation, merge_phases
+from repro.core.relations import CommPhase, Relation
 
 
 def phase_from_messages(P, msgs, msg_bytes=4):
@@ -151,21 +151,6 @@ class TestSteps:
         ph = phase_from_messages(4, [(0, 1), (1, 2)])
         assert ph.n_steps == 1
         assert ph.split_steps() == [ph]
-
-    def test_merge_phases_offsets_steps(self):
-        a = CommPhase(P=4, src=[0], dst=[1], count=[1], msg_bytes=[4], step=[0])
-        b = CommPhase(P=4, src=[1], dst=[2], count=[1], msg_bytes=[4], step=[0])
-        merged = merge_phases([a, b])
-        assert merged.n_steps == 2
-        assert merged.total_messages == 2
-
-    def test_merge_phases_different_P_rejected(self):
-        with pytest.raises(TraceError):
-            merge_phases([CommPhase.empty(4), CommPhase.empty(8)])
-
-    def test_merge_phases_empty_list_rejected(self):
-        with pytest.raises(TraceError):
-            merge_phases([])
 
 
 class TestPropertyBased:

@@ -19,10 +19,11 @@ def simple_step(P=8, measured=float("nan")):
 
 class TestSuperstep:
     def test_add_work_and_nominal(self):
+        """A processor's work adds up across the superstep's batches."""
         s = simple_step()
-        s.add_work(0, Flops(100))
-        s.add_work(0, Generic(5.0))
-        s.add_work(3, Flops(50))
+        s.work = StepWork.of_batches([
+            WorkBatch.of_items([Flops(100), Flops(50)], [0, 3]),
+            WorkBatch.of_items([Generic(5.0)], [0])])
         arr = s.work_nominal_us(CM5)
         assert arr.shape == (8,)
         assert arr[0] == pytest.approx(100 * CM5.alpha + 5.0)
@@ -31,10 +32,6 @@ class TestSuperstep:
 
     def test_no_work_is_zero(self):
         assert simple_step().max_work_nominal_us(CM5) == 0.0
-
-    def test_bad_proc_rejected(self):
-        with pytest.raises(TraceError):
-            simple_step().add_work(8, Flops(1))
 
 
 class TestTrace:
@@ -88,61 +85,23 @@ def shared_work_trace():
         if work is not None:
             step.work = work
         tr.append(step)
-    return tr, shared
+    return tr
 
 
 class TestWorkTerms:
     def test_equals_per_step_max_exactly(self):
-        tr, _ = shared_work_trace()
+        tr = shared_work_trace()
         expected = [s.max_work_nominal_us(CM5) for s in tr]
         assert tr.work_terms(CM5) == expected
         assert expected[1] == expected[5] == 0.0
 
     def test_totals_equal_per_step_sums_exactly(self):
-        tr, _ = shared_work_trace()
+        tr = shared_work_trace()
         assert tr.work_totals(CM5) == [float(s.work_nominal_us(CM5).sum())
                                        for s in tr]
 
     def test_empty_trace(self):
         assert Trace(P=8).work_terms(CM5) == []
-
-    def test_shared_dict_mutated_between_calls_is_repriced(self):
-        """``add_work`` on a superstep sharing a record re-prices that
-        superstep alone: it gets a new record, the shared one is
-        untouched."""
-        tr, shared = shared_work_trace()
-        before = tr.work_terms(CM5)
-        tr[0].add_work(3, Flops(10_000))
-        after = tr.work_terms(CM5)
-        assert after == [s.max_work_nominal_us(CM5) for s in tr]
-        assert after[0] == pytest.approx(10_050 * CM5.alpha)
-        assert after[1:] == before[1:]
-        assert tr[0].work is not shared
-        assert tr[2].work is shared and tr[4].work is shared
-        assert shared.by_rank() == {0: [Flops(100), Generic(5.0)],
-                                    3: [Flops(50)]}
-
-    def test_add_work_on_a_replay_leaves_other_runs_alone(self):
-        """Replays of one program share its cached work records;
-        ``add_work`` on one run's superstep must not reach another run,
-        nor a run made afterwards."""
-        from repro.algorithms import bitonic
-        from repro.machines import GCel
-        from repro.simulator.ir import IRStore, ir_store_scope
-
-        def run(seed):
-            return bitonic.run(GCel(seed=seed), 128, P=16, seed=5).trace
-
-        with ir_store_scope(IRStore(disk=False)) as store:
-            first, second = run(0), run(1)
-            before = second.work_terms(CM5)
-            i = next(i for i, s in enumerate(first) if s.work)
-            first[i].add_work(0, Flops(10_000))
-            third = run(2)
-            assert store.recorded == 1 and store.memory_hits == 2
-        assert first.work_terms(CM5)[i] > before[i]
-        assert second.work_terms(CM5) == before
-        assert third.work_terms(CM5) == before
 
     def test_replayed_trace_prices_each_distinct_dict_once(self,
                                                            monkeypatch):

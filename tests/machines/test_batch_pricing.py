@@ -69,8 +69,8 @@ def draw_sequence(draw, P, max_phases=6, second_P=None):
     """A phase sequence with identity repeats (interned patterns).
 
     With ``second_P``, phases drawn at that processor count join the
-    pool, as when ``service.oracle.evaluate_batch`` prices the traces of
-    several requests under one cost model.
+    pool: ``comm_cost_batch`` accepts phases of several processor
+    counts in one call.
     """
     phases = [draw_phase(draw, P)
               for _ in range(draw(st.integers(1, max_phases)))]

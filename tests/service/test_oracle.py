@@ -2,6 +2,12 @@
 
 import pytest
 
+from repro.algorithms import apsp, bitonic, matmul, radix
+from repro.core.bpram import MPBPRAM
+from repro.core.bsf import BSF
+from repro.core.bsp import BSP
+from repro.core.ebsp import EBSP
+from repro.experiments.common import calibrated, machine_for
 from repro.service.oracle import (ALGORITHMS, MODELS, OracleError,
                                   PredictRequest, compare_offline,
                                   default_size, evaluate_batch,
@@ -74,6 +80,41 @@ class TestPredictOffline:
                              "algorithm": "apsp", "size": 33})
 
 
+class TestExperimentConvention:
+    """``/predict`` runs a workload as the experiments do: a fresh
+    ``machine_for`` machine, ``calibrated`` parameters, the algorithm's
+    own ``run()``, and the model's ``trace_cost``."""
+
+    CASES = [
+        ("cm5", "matmul", 64, 0,
+         lambda m, n, s: matmul.run(m, n, variant="bsp-staggered", P=64,
+                                    seed=s),
+         lambda cal: BSP(cal.params)),
+        ("gcel", "apsp", 32, 3,
+         lambda m, n, s: apsp.run(m, n, seed=s),
+         lambda cal: MPBPRAM(cal.params)),
+        ("maspar", "bitonic", 16, 1,
+         lambda m, n, s: bitonic.run(m, n, variant="bsp", seed=s),
+         lambda cal: EBSP(cal.params, cal.unb)),
+        ("modern", "radix", 256, 2,
+         lambda m, n, s: radix.run(m, n, variant="bpram", seed=s),
+         lambda cal: BSF(cal.params)),
+    ]
+
+    @pytest.mark.parametrize("machine,algorithm,size,seed,run,model", CASES,
+                             ids=[c[1] for c in CASES])
+    def test_predict_is_the_experiment_pipeline(self, machine, algorithm,
+                                                size, seed, run, model):
+        m = machine_for(machine, seed=seed)
+        expected = model(calibrated(m, seed=seed))
+        res = run(m, size, seed)
+        out = predict_offline({"machine": machine, "model": expected.name,
+                               "algorithm": algorithm, "size": size,
+                               "seed": seed})
+        assert out["measured_us"] == res.time_us
+        assert out["predicted_us"] == expected.trace_cost(res.trace)
+
+
 class TestCompareOffline:
     def test_ranked_by_abs_error(self):
         out = compare_offline({"machine": "gcel", "algorithm": "apsp",
@@ -127,8 +168,8 @@ class TestEvaluateBatchEquivalence:
         assert out[("dup",)] == out[("k", 0)]
 
     def test_same_model_group_coalesces_without_drift(self):
-        # three workloads through ONE comm_cost_batch call (same
-        # machine+model+seed group)
+        # three workloads of one (machine, model, seed), each priced
+        # alone as predict_offline prices it
         reqs = [_req("gcel", "bsp", "bitonic", 64),
                 _req("gcel", "bsp", "apsp", 32),
                 _req("gcel", "bsp", "lu", 32)]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service.oracle import OracleError, predict_offline
 
 pytestmark = pytest.mark.fast
 
@@ -267,6 +268,8 @@ class TestAttributeCommand:
         ("stencil", "t800", "bsp"),
         ("radix", "modern", "bsf"),
         ("radix", "gcel", "mp-bpram"),
+        ("samplesort", "gcel", "bsp"),
+        ("bitonic", "maspar", "e-bsp"),
     ])
     def test_runs_and_reports(self, capsys, workload, machine, model):
         code = main(["attribute", "--machine", machine, "--workload",
@@ -282,6 +285,37 @@ class TestAttributeCommand:
     def test_bad_choice_rejected(self):
         with pytest.raises(SystemExit):
             main(["attribute", "--workload", "quantum-sort"])
+
+    def test_total_row_is_the_predict_answer(self, capsys):
+        """The rows add up to what ``/predict`` answers for the same
+        request, rounded as the table prints them."""
+        code = main(["attribute", "--machine", "cm5", "--workload",
+                     "matmul", "--model", "bsp", "--size", "64",
+                     "--seed", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        want = predict_offline({"machine": "cm5", "model": "bsp",
+                                "algorithm": "matmul", "size": 64,
+                                "seed": 0})
+        total = next(line for line in out.splitlines()
+                     if line.startswith("total")).split()
+        assert total[1:3] == [f"{want['measured_us']:,.0f}",
+                              f"{want['predicted_us']:,.0f}"]
+
+    @pytest.mark.parametrize("machine,workload,size", [
+        ("gcel", "apsp", -5),   # out of range
+        ("gcel", "apsp", 30),   # sqrt(P) = 8 does not divide 30
+    ])
+    def test_bad_size_exits_2_with_the_oracle_message(self, capsys,
+                                                      machine, workload,
+                                                      size):
+        doc = {"machine": machine, "algorithm": workload, "size": size}
+        with pytest.raises(OracleError) as exc:
+            predict_offline(doc)
+        code = main(["attribute", "--machine", machine, "--workload",
+                     workload, "--size", str(size)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 class TestAblateCommand:
