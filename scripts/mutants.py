@@ -165,6 +165,14 @@ CATALOGUE = [
            "src/repro/calibration/table1.py",
            "            machine.rng.bit_generator.state = rng_state\n", "",
            ("tests/calibration/test_memo.py",)),
+    Mutant("sweep-block-takes-first-rows-msg-bytes",
+           "src/repro/calibration/microbench.py",
+           "self.msg_bytes[lo:hi],", "self.msg_bytes[:hi - lo],",
+           ("tests/calibration",)),
+    Mutant("sweep-block-boundary-skips-a-phase",
+           "src/repro/calibration/microbench.py",
+           "            a = b\n", "            a = b + 1\n",
+           ("tests/calibration",)),
     Mutant("state-key-drops-disabled", "src/repro/machines/base.py",
            'for name, value in sorted(attrs.items()) if name != "rng")',
            "for name, value in sorted(attrs.items())\n"
@@ -198,7 +206,7 @@ def _pytest(copy: Path, paths: list[str]) -> tuple[int, list[str]]:
                PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
-         "no:cacheprovider", *paths],
+         "no:cacheprovider", "--hypothesis-profile=mutants", *paths],
         cwd=copy, env=env, capture_output=True, text=True)
     failed = sorted({m.group(1) for line in proc.stdout.splitlines()
                      if (m := _FAILED.match(line))})

@@ -10,7 +10,7 @@ vs. h-relations), Fig. 14 (multinode scatter) and Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,9 +60,9 @@ class TimingSeries:
 # Pattern generators.  Each pattern has one column generator: it checks
 # its arguments, then draws one phase per entry of ``xs``, in order,
 # straight into stacked group columns.  A public per-phase function is
-# its one-phase case, validated once as a CommPhase; a sweep stacks all
+# its one-phase case, validated once as a CommPhase; a sweep draws all
 # of its phases at once, in range by construction, without per-phase
-# validation.
+# validation, and stacks them block by block for pricing.
 # ----------------------------------------------------------------------
 
 def _at_least(name: str, values, low: int) -> np.ndarray:
@@ -89,12 +89,20 @@ class _Columns(NamedTuple):
                          count=np.ones(self.src.size, dtype=np.int64),
                          msg_bytes=self.msg_bytes)
 
-    def stack(self) -> PhaseStack:
-        n = self.src.size
-        return PhaseStack.from_columns(
-            self.P, self.groups, self.src, self.dst,
-            np.ones(n, dtype=np.int64), self.msg_bytes,
-            np.full(n, -1, dtype=np.int64))
+    def blocks(self, budget: int) -> Iterator[PhaseStack]:
+        """Stacks of consecutive whole phases, in order, each holding at
+        most ``budget`` rows unless it holds one phase."""
+        ends = np.cumsum(self.groups)
+        a = 0
+        while a < ends.size:
+            lo = int(ends[a] - self.groups[a])
+            b = max(a + 1, int(np.searchsorted(ends, lo + budget, "right")))
+            hi = int(ends[b - 1])
+            yield PhaseStack.from_columns(
+                self.P, self.groups[a:b], self.src[lo:hi], self.dst[lo:hi],
+                np.ones(hi - lo, dtype=np.int64), self.msg_bytes[lo:hi],
+                np.full(hi - lo, -1, dtype=np.int64))
+            a = b
 
 
 #: leads every list of per-phase draws, so an empty sweep, which draws
@@ -228,33 +236,52 @@ def time_phase(machine: Machine, phase: CommPhase, *,
     return float(machine.comm_time(phase, clocks, barrier=barrier).max())
 
 
+#: the most message groups one sweep pricer takes: a sweep is priced in
+#: consecutive blocks of whole phases of at most this many rows (a
+#: phase with more is priced alone), which bounds a pricer's
+#: temporaries however many trials the sweep draws.  Every calibration
+#: fit of the paper machines is one block.
+BLOCK_ROWS = 1 << 16
+
+
 def _sweep(machine, columns, xs, trials, rng, name, *,
            barrier: bool = True) -> TimingSeries:
     """Time ``trials`` fresh patterns per x, each from zero clocks.
 
-    ``columns(P, xs, rng)`` draws every phase, x-major, into one stack
-    and the machine prices it with one pricer (the pattern and machine
-    RNG streams are separate).  Where the pricer has
-    ``sequence_costs``, one noise draw prices every phase, and the
-    zero-clock time is ``Machine._advance`` from zero: the cost, plus a
-    barrier on a MIMD machine.  Otherwise each phase advances in turn;
-    either way the machine RNG moves exactly as :func:`time_phase`
-    calls on each phase would move it.
+    ``columns(P, xs, rng)`` draws every phase, x-major, into one set of
+    columns, and the machine prices them in blocks of whole phases of
+    at most :data:`BLOCK_ROWS` rows, one pricer per block, in order (the
+    pattern and machine RNG streams are separate).  Each block's pricer
+    draws its noise phase by phase, so the machine RNG moves exactly as
+    :func:`time_phase` calls on each phase would move it.
     """
     _at_least("trials", trials, 1)
-    stack = columns(machine.P,
-                    np.repeat(np.asarray(xs, dtype=np.int64), trials),
-                    rng).stack()
+    cols = columns(machine.P,
+                   np.repeat(np.asarray(xs, dtype=np.int64), trials), rng)
+    times = [np.zeros(0)]
+    for stack in cols.blocks(BLOCK_ROWS):
+        times.append(_zero_clock_times(machine, stack, barrier))
+    return _series(name, xs, np.concatenate(times), trials)
+
+
+def _zero_clock_times(machine, stack: PhaseStack, barrier: bool
+                      ) -> np.ndarray:
+    """Each phase of ``stack`` timed alone from zero clocks.
+
+    Where the pricer has ``sequence_costs``, one noise draw prices every
+    phase, and the zero-clock time is ``Machine._advance`` from zero:
+    the cost, plus a barrier on a MIMD machine.  Otherwise each phase
+    advances in turn.
+    """
     pricer = machine.comm_time_batch(stack)
     if getattr(pricer, "sequence_costs", None) is not None:
         times = pricer.sequence_costs()
         if barrier and not machine.simd:
             times = times + machine.barrier_time()
-    else:
-        zeros = np.zeros(machine.P)
-        times = np.array([pricer.comm_time(i, zeros, barrier=barrier).max()
-                          for i in range(len(stack))])
-    return _series(name, xs, times, trials)
+        return times
+    zeros = np.zeros(machine.P)
+    return np.array([pricer.comm_time(i, zeros, barrier=barrier).max()
+                     for i in range(len(stack))])
 
 
 def _series(name, xs, times, trials) -> TimingSeries:

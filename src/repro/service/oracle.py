@@ -260,7 +260,12 @@ def compare_offline(doc_or_req) -> dict:
     """Price one workload under every applicable model, ranked by |error|."""
     req = (doc_or_req if isinstance(doc_or_req, PredictRequest)
            else PredictRequest.from_json(doc_or_req, need_model=False))
-    res, cal = _simulate(req)
+    return _rank(req, *_simulate(req))
+
+
+def _rank(req: PredictRequest, res: RunResult, cal: Calibration) -> dict:
+    """The /compare response: ``req``'s run ``res`` priced by every
+    model ``cal`` supports, ranked by |error|."""
     measured = res.time_us
     cells = []
     for name in MODELS:
@@ -326,10 +331,11 @@ def evaluate_batch(items: list[tuple[str, tuple, PredictRequest]]
     ``key -> response dict`` (or ``key -> Exception`` for per-job
     failures — one bad request never poisons its batch-mates).
 
-    Predict jobs share simulations: jobs with one ``req.sim_key`` — ten
-    clients asking about the same workload — trigger one simulator run.
-    Each predict job is then priced on its own by :func:`_price`, exactly
-    as :func:`predict_offline` prices it.
+    Predict and compare jobs share simulations: jobs with one
+    ``req.sim_key`` — ten clients asking about the same workload —
+    trigger one simulator run.  Each predict job is then priced on its
+    own by :func:`_price`, exactly as :func:`predict_offline` prices it,
+    and each compare job by :func:`_rank`, as :func:`compare_offline`.
     """
     out: dict[tuple, object] = {}
     sims: dict[tuple, tuple[RunResult, Calibration] | Exception] = {}
@@ -349,10 +355,10 @@ def evaluate_batch(items: list[tuple[str, tuple, PredictRequest]]
     for kind, key, req in items:
         try:
             if kind == "compare":
-                out[key] = compare_offline(req)
+                out[key] = _rank(req, *sim(req))
             elif kind == "ablate":
                 # heavyweight and self-caching (the result cache makes
-                # repeats incremental); runs inline like compare
+                # repeats incremental); runs inline in the batch worker
                 out[key] = ablate_offline(req)
             elif kind == "bounds":
                 # same discipline: self-caching via the result cache

@@ -1,15 +1,18 @@
 """Columnar calibration sweeps against independent per-phase references.
 
-A sweep draws all of its patterns into one stack of group columns and
-prices the stack in one pass.  These tests hold it to what the sweep
-stands for: for every machine and every Section 3 pattern, drawing each
-trial's phases on their own with the plain generators below, then
-timing them with the scalar oracle's ``comm_time``
-(``tests/machines/scalar_reference.py``) from zero clocks, must give the
-same times and leave both RNG streams in the same state.  A trial is one
-phase, except in the h-h sweep, whose chunks advance the same clocks.
-They also pin the NumPy behaviour the h-relation generator relies on
-and the ``PhaseStack`` column constructor.
+A sweep draws all of its patterns into one set of group columns, then
+prices them in blocks of whole phases of at most ``BLOCK_ROWS`` rows,
+one pricer per block (the h-h sweep prices one stack).  These tests
+hold it to what the sweep stands for: for every machine and every
+Section 3 pattern, drawing each trial's phases on their own with the
+plain generators below, then timing them with the scalar oracle's
+``comm_time`` (``tests/machines/scalar_reference.py``) from zero clocks,
+must give the same times and leave both RNG streams in the same state,
+at the default budget and at one that splits the sweep at arbitrary
+phase boundaries.  A trial is one phase, except in the h-h sweep, whose
+chunks advance the same clocks.  They also pin the NumPy behaviour the
+h-relation generator relies on and the ``PhaseStack`` column
+constructor.
 """
 
 import functools
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.calibration import microbench
 from repro.calibration.microbench import (
     block_permutation_experiment,
     full_h_relation_experiment,
@@ -172,6 +176,51 @@ class TestSweepsAgainstScalarLoop:
         rows = np.array(times).reshape(len(xs), trials)
 
         assert series.xs.tolist() == [float(x) for x in xs]
+        assert series.lo.tolist() == rows.min(axis=1).tolist()
+        assert series.hi.tolist() == rows.max(axis=1).tolist()
+        assert series.mean.tolist() == [float(np.mean(r)) for r in rows]
+        assert r_sweep.bit_generator.state == r_loop.bit_generator.state
+        assert m_sweep.rng.bit_generator.state == \
+            m_loop.rng.bit_generator.state
+
+
+#: the sweeps priced in row blocks (an h-h sweep is one stack)
+BLOCKED = [name for name in SWEEPS if not name.startswith("hh")]
+
+
+class TestSweepBlocksAgainstScalarLoop:
+    """A sweep priced in blocks split at arbitrary phase boundaries: the
+    row budget is drawn between one row (every phase alone) and the
+    sweep's row count (one block)."""
+
+    @pytest.mark.parametrize("sweep", BLOCKED)
+    @pytest.mark.parametrize("machine", list(MACHINES))
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_blocks_equal_scalar_loop(self, machine, sweep, data):
+        experiment, reference, x_values, barrier = SWEEPS[sweep]
+        P = data.draw(st.sampled_from([16, 64]))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        trials = data.draw(st.integers(1, 3))
+        xs = data.draw(st.lists(x_values(P), min_size=1, max_size=4))
+
+        m_loop = MACHINES[machine](P=P, seed=seed)
+        r_loop = np.random.default_rng(seed + 1)
+        mb = m_loop.nominal.w
+        drawn = [reference(P, x, r_loop, mb)
+                 for x in xs for _ in range(trials)]
+        rows = np.array([trial_time(m_loop, phases, barrier)
+                         for phases in drawn]).reshape(len(xs), trials)
+        budget = data.draw(st.integers(
+            1, sum(ph.n_groups for phases in drawn for ph in phases)))
+
+        m_sweep = MACHINES[machine](P=P, seed=seed)
+        r_sweep = np.random.default_rng(seed + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(microbench, "BLOCK_ROWS", budget)
+            series = experiment(m_sweep, xs, trials=trials, rng=r_sweep)
+
         assert series.lo.tolist() == rows.min(axis=1).tolist()
         assert series.hi.tolist() == rows.max(axis=1).tolist()
         assert series.mean.tolist() == [float(np.mean(r)) for r in rows]

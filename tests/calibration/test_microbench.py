@@ -1,9 +1,12 @@
 """Tests for the microbenchmark drivers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.calibration import microbench
 from repro.calibration.microbench import (
     TimingSeries,
     block_permutation_experiment,
@@ -205,3 +208,81 @@ class TestEmptySweeps:
         assert series.lo.size == series.hi.size == 0
         assert rng.bit_generator.state == pattern_state
         assert m.rng.bit_generator.state == machine_state
+
+
+class TestSweepBlocks:
+    """A sweep prices its phases in blocks of at most ``BLOCK_ROWS``
+    rows, one pricer per block, and its result does not depend on
+    where the blocks split."""
+
+    def _spy(self, monkeypatch, m):
+        built = []
+        build = m.comm_time_batch
+
+        def spy(stack, idx=None):
+            built.append((len(stack), stack.size))
+            return build(stack, idx)
+
+        monkeypatch.setattr(m, "comm_time_batch", spy)
+        return built
+
+    def test_each_pricer_takes_at_most_the_budget(self, monkeypatch):
+        m = CM5(P=64, seed=0)
+        built = self._spy(monkeypatch, m)
+        monkeypatch.setattr(microbench, "BLOCK_ROWS", 200)
+        full_h_relation_experiment(m, [1, 2, 3, 5], trials=3,
+                                   rng=np.random.default_rng(0))
+        # phases of 64, 128, 192 and 320 rows, three of each: blocks are
+        # filled greedily, and a phase over the budget is priced alone
+        assert built == [(3, 192)] + [(1, 128)] * 3 + [(1, 192)] * 3 \
+            + [(1, 320)] * 3
+        assert all(rows <= 200 or n == 1 for n, rows in built)
+
+    @pytest.mark.parametrize("budget", [1, 64, 150, 1 << 16])
+    def test_result_does_not_depend_on_the_budget(self, monkeypatch,
+                                                  budget):
+        """Block permutations of two sizes: a block must price its own
+        rows, and every phase once."""
+        def sweep():
+            m = T800Grid(P=16, seed=3)
+            rng = np.random.default_rng(4)
+            s = block_permutation_experiment(m, [8, 4096, 64], trials=3,
+                                             rng=rng)
+            return (s.mean.tolist(), s.lo.tolist(), s.hi.tolist(),
+                    rng.bit_generator.state, m.rng.bit_generator.state)
+
+        whole = sweep()
+        monkeypatch.setattr(microbench, "BLOCK_ROWS", budget)
+        assert sweep() == whole
+
+    def test_empty_and_invalid_sweeps_build_no_pricer(self, monkeypatch):
+        m = MasParMP1(P=64, seed=0)
+        built = self._spy(monkeypatch, m)
+        monkeypatch.setattr(microbench, "BLOCK_ROWS", 1)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        series = one_h_relation_experiment(m, [], trials=3, rng=rng)
+        assert series.xs.size == series.mean.size == 0
+        with pytest.raises(CalibrationError):
+            one_h_relation_experiment(m, [1, 2], trials=0, rng=rng)
+        assert rng.bit_generator.state == state
+        assert built == []
+
+    def test_fig1_sweep_peak_memory(self):
+        """Fig. 1's sweep (614,400 rows) stays far below the 100 MiB it
+        traced as one stack."""
+        m = MasParMP1(seed=0)
+        rng = np.random.default_rng(0)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            one_h_relation_experiment(m, [1, 2, 4, 8, 16, 32], trials=100,
+                                      rng=rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 40 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"

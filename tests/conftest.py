@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from repro.core.params import paper_params
 from repro.machines import CM5, GCel, MasParMP1
+
+#: ``--hypothesis-profile=mutants``, which ``scripts/mutants.py`` passes:
+#: a planted fault only has to fail a test, so a failing example is not
+#: shrunk, and no example database is read or written
+settings.register_profile(
+    "mutants", database=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 
 
 @pytest.fixture(autouse=True)

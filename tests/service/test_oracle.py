@@ -1,5 +1,7 @@
 """Oracle tests: request validation, offline pricing, batch equivalence."""
 
+import json
+
 import pytest
 
 from repro.algorithms import apsp, bitonic, matmul, radix
@@ -186,6 +188,31 @@ class TestEvaluateBatchEquivalence:
         ])
         assert out[("c",)] == compare_offline(req)
         assert out[("p",)] == predict_offline(req)
+
+    def test_compare_shares_the_batch_simulation(self, monkeypatch):
+        """A predict and a compare of one workload simulate it once, and
+        each answer is the offline one, byte for byte."""
+        from repro.service import oracle
+
+        req = _req("gcel", "bsp", "apsp", 32)
+        calls = []
+        simulate = oracle._simulate
+
+        def spy(r):
+            calls.append(r.sim_key)
+            return simulate(r)
+
+        monkeypatch.setattr(oracle, "_simulate", spy)
+        out = evaluate_batch([("predict", ("p",), req),
+                              ("compare", ("c",), req)])
+        assert calls == [req.sim_key]
+        monkeypatch.undo()
+
+        def raw(doc):
+            return json.dumps(doc, sort_keys=True).encode()
+
+        assert raw(out[("p",)]) == raw(predict_offline(req))
+        assert raw(out[("c",)]) == raw(compare_offline(req))
 
     def test_bad_job_does_not_poison_batch(self):
         good = _req("gcel", "bsp", "bitonic", 64)
